@@ -1,9 +1,14 @@
-"""Compare the numba kernels with the pure-numpy fallback.
+"""Time the mod-p kernels at the shapes the solver produces.
 
-Runs the two hot mod-p kernels (row reduction and batched subduction) on
-matrices shaped like the ones the solver produces, in both backends, and
-prints a timing table. The backends must return bit-identical results;
-this script asserts that too.
+Shapes follow the Gr(3,6) count 5x(3,5,6)+2x(2,5,6) over F_9716633 at
+degree 3: a 2275 x 980 KM matrix of rank 969, the expansion of its rows
+against the 980-element degree-3 basis (3346 monomials), and the 11 x 980
+kernel times the 980 x 3500 expansion of the multiplied degree-2 basis.
+Each kernel is also timed at p = 2**31 - 1, where products leave the
+float64 range and run as chunked int64 matmul. Prints the best of three
+runs and the rate in Gop/s, one Gop being 1e9 multiply-adds (m*n*rank
+for a row reduction, m*k*n for a product, the basis terms touched for a
+subduction).
 
 Run as:  python3 benchmarks/bench_kernels.py
 """
@@ -14,115 +19,82 @@ import numpy as np
 
 from khovsolve import _kernels
 
-P = 9716633
+PRIMES = (9716633, 2**31 - 1)
 
 
-def _timeit(fn, *args, repeat=3):
+def _best(fn, repeat=3):
     best = float("inf")
     out = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        out = fn(*args)
+        out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
 
 
-def _random_basis(rng, nbasis, ncols):
+def _low_rank(rng, m, n, rank, p):
+    U = rng.integers(0, p, size=(m, rank)).astype(np.int64)
+    V = rng.integers(0, p, size=(rank, n)).astype(np.int64)
+    return _kernels.modp_matmul(U, V, p)
+
+
+def _random_basis(rng, nbasis, ncols, p, terms=5):
+    """Sparse CSR basis with increasing leading columns, like graded bases."""
     leadpos = np.sort(rng.choice(ncols, size=nbasis, replace=False))
     vals, cols, indptr, leadinv = [], [], [0], []
     for lp in leadpos:
-        lead = int(rng.integers(1, P))
+        lead = int(rng.integers(1, p))
         vals.append(lead)
         cols.append(int(lp))
-        extra = rng.choice(
-            np.arange(int(lp) + 1, ncols),
-            size=min(ncols - int(lp) - 1, 30),
-            replace=False,
-        )
-        for c in np.sort(extra):
-            vals.append(int(rng.integers(1, P)))
+        tail = np.arange(int(lp) + 1, ncols)
+        for c in np.sort(rng.choice(tail, size=min(tail.size, terms - 1), replace=False)):
+            vals.append(int(rng.integers(1, p)))
             cols.append(int(c))
         indptr.append(len(vals))
-        leadinv.append(pow(lead, P - 2, P))
-    return (
-        np.array(vals, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        np.array(indptr, dtype=np.int64),
-        leadpos.astype(np.int64),
-        np.array(leadinv, dtype=np.int64),
-    )
+        leadinv.append(pow(lead, p - 2, p))
+    return tuple(np.array(x, dtype=np.int64) for x in (vals, cols, indptr, leadpos, leadinv))
 
 
-def bench_rref(rng, m, n):
-    A = rng.integers(0, P, size=(m, n)).astype(np.int64)
-    args_nb = (A.copy(), np.arange(m, dtype=np.int64), P)
-    args_np = (A.copy(), np.arange(m, dtype=np.int64), P)
-    if _kernels.HAVE_NUMBA:
-        _kernels._rref_nb(A[:4, :4].copy(), np.arange(4, dtype=np.int64), P)
-        t_nb, piv_nb = _timeit(
-            lambda: _kernels._rref_nb(args_nb[0].copy(), args_nb[1].copy(), P)
-        )
-    else:
-        t_nb, piv_nb = None, None
-    t_np, piv_np = _timeit(
-        lambda: _kernels._rref_np(args_np[0].copy(), args_np[1].copy(), P)
-    )
-    if piv_nb is not None:
-        A1, s1 = args_nb[0].copy(), args_nb[1].copy()
-        A2, s2 = args_np[0].copy(), args_np[1].copy()
-        assert np.array_equal(
-            _kernels._rref_nb(A1, s1, P), _kernels._rref_np(A2, s2, P)
-        )
-        assert np.array_equal(A1, A2) and np.array_equal(s1, s2)
-    return t_nb, t_np
+def bench_rref(rng, m, n, rank, p):
+    A = _low_rank(rng, m, n, rank, p)
+    t, piv = _best(lambda: _kernels.modp_rref(A.copy(), p))
+    return t, m * n * len(piv) / 1e9
 
 
-def bench_subduct(rng, batch, nbasis, ncols):
-    basis = _random_basis(rng, nbasis, ncols)
-    G = rng.integers(0, P, size=(batch, ncols)).astype(np.int64)
-    if _kernels.HAVE_NUMBA:
-        _kernels._subduct_batch_nb(G[:2].copy(), *basis, P)
-        t_nb, _ = _timeit(
-            lambda: _kernels._subduct_batch_nb(G.copy(), *basis, P)
-        )
-    else:
-        t_nb = None
-    t_np, _ = _timeit(lambda: _kernels._subduct_batch_np(G.copy(), *basis, P))
-    G1, G2 = G.copy(), G.copy()
-    C1 = _kernels._subduct_batch_np(G1, *basis, P)
-    if _kernels.HAVE_NUMBA:
-        C2 = _kernels._subduct_batch_nb(G2, *basis, P)
-        assert np.array_equal(C1, C2) and np.array_equal(G1, G2)
-    return t_nb, t_np
+def bench_subduct(rng, batch, nbasis, ncols, p):
+    basis = _random_basis(rng, nbasis, ncols, p)
+    # rows in the span of the basis: the dense batch the KM rows expand
+    coef = rng.integers(0, p, size=(batch, nbasis)).astype(np.int64)
+    B = np.zeros((nbasis, ncols), dtype=np.int64)
+    vals, cols, indptr = basis[:3]
+    for b in range(nbasis):
+        B[b, cols[indptr[b] : indptr[b + 1]]] = vals[indptr[b] : indptr[b + 1]]
+    G = _kernels.modp_matmul(coef, B, p)
+    t, _ = _best(lambda: _kernels.modp_subduct_batch(G.copy(), *basis, p))
+    return t, batch * vals.size / 1e9
+
+
+def bench_matmul(rng, m, k, n, p):
+    A = rng.integers(0, p, size=(m, k)).astype(np.int64)
+    B = rng.integers(0, p, size=(k, n)).astype(np.int64)
+    t, _ = _best(lambda: _kernels.modp_matmul(A, B, p))
+    return t, m * k * n / 1e9
 
 
 def main():
     rng = np.random.default_rng(0)
-    backend = "numba" if _kernels.HAVE_NUMBA else "numpy only (numba disabled)"
-    print(f"backend available: {backend}, p = {P}")
-    print()
-    print(f"{'kernel':<28}{'size':<18}{'numba':>10}{'numpy':>10}{'speedup':>9}")
-    rows = [
-        ("modp_rref", (150, 220)),
-        ("modp_rref", (400, 600)),
-        ("modp_rref", (800, 1100)),
+    print(f"{'kernel':<22}{'shape':<22}{'p':>12}{'time':>11}{'Gop/s':>9}")
+    cases = [
+        ("modp_rref", "2275x980 rank 969", bench_rref, (2275, 980, 969)),
+        ("modp_rref", "700x350 rank 345", bench_rref, (700, 350, 345)),
+        ("modp_subduct_batch", "313x3346 / 980", bench_subduct, (313, 980, 3346)),
+        ("modp_matmul", "11x980 @ 980x3500", bench_matmul, (11, 980, 3500)),
+        ("modp_matmul", "2275x64 @ 64x980", bench_matmul, (2275, 64, 980)),
     ]
-    for name, (m, n) in rows:
-        t_nb, t_np = bench_rref(rng, m, n)
-        nb = f"{t_nb * 1e3:8.1f}ms" if t_nb is not None else "      n/a"
-        ratio = f"{t_np / t_nb:8.1f}x" if t_nb else "     n/a"
-        print(f"{name:<28}{f'{m}x{n}':<18}{nb:>10}{t_np * 1e3:8.1f}ms{ratio:>9}")
-    subs = [
-        (100, 150, 400),
-        (400, 400, 1200),
-        (800, 700, 2000),
-    ]
-    for batch, nbasis, ncols in subs:
-        t_nb, t_np = bench_subduct(rng, batch, nbasis, ncols)
-        nb = f"{t_nb * 1e3:8.1f}ms" if t_nb is not None else "      n/a"
-        ratio = f"{t_np / t_nb:8.1f}x" if t_nb else "     n/a"
-        size = f"{batch}x{ncols}/{nbasis}"
-        print(f"{'modp_subduct_batch':<28}{size:<18}{nb:>10}{t_np * 1e3:8.1f}ms{ratio:>9}")
+    for name, shape, fn, args in cases:
+        for p in PRIMES:
+            t, gop = fn(rng, *args, p)
+            print(f"{name:<22}{shape:<22}{p:>12}{t * 1e3:9.1f}ms{gop / t:9.3f}")
 
 
 if __name__ == "__main__":

@@ -1,36 +1,52 @@
-"""Dense mod-p linear-algebra kernels.
+"""Dense mod-p linear-algebra kernels on int64 arrays.
 
-Hot inner loops (row reduction and batched basis expansion over F_p) are
-compiled with numba when available. Setting the environment variable
-``KHOVSOLVE_NO_NUMBA=1`` selects the pure-numpy fallback, which computes
-bit-identical results. All kernels require p**2 < 2**63 so products fit
-in int64; callers route larger moduli to the generic Python path.
+Entries are residues in [0, p) with p < 2**31, so the product of two
+entries fits in int64. Matrix products use delayed reduction (Dumas,
+Giorgi and Pernet, "Dense linear algebra over word-size prime fields",
+ACM TOMS 2008): the inner dimension is cut into chunks short enough that
+every dot product of a chunk is exact before a single reduction mod p.
+The chunks run through float64 BLAS while chunk * (p-1)**2 <= 2**53 and
+through int64 matmul while chunk * (p-1)**2 < 2**63; larger moduli go to
+the generic Python path of the callers.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_DISABLED = os.environ.get("KHOVSOLVE_NO_NUMBA", "").lower() in ("1", "true", "yes")
+# There is a single numpy backend; the flag stays for environment records.
+HAVE_NUMBA = False
 
-try:
-    if _ENV_DISABLED:
-        raise ImportError("disabled via KHOVSOLVE_NO_NUMBA")
-    from numba import njit
+# columns per panel of the blocked elimination; 64 * (p-1)**2 <= 2**53
+# holds for p up to about 1.19e7, so one float64 product covers a panel
+PANEL = 64
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment dependent
-    HAVE_NUMBA = False
+_FLOAT_EXACT = 1 << 53
+_INT64_MAX = (1 << 63) - 1
 
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
 
-        if args and callable(args[0]):
-            return args[0]
-        return deco
+def _delayed(p):
+    """(dtype, chunk): the longest exact inner dimension for modulus p."""
+    bound = (p - 1) ** 2
+    if bound <= _FLOAT_EXACT:
+        return np.float64, _FLOAT_EXACT // bound
+    return np.int64, _INT64_MAX // bound
+
+
+def modp_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p as an int64 array, for entries in [0, p).
+
+    A and B may be int64, or float64 arrays that `_delayed` selects for
+    p; the result is exact either way.
+    """
+    dtype, chunk = _delayed(p)
+    A = A.astype(dtype, copy=False)
+    B = B.astype(dtype, copy=False)
+    C = None
+    for lo in range(0, max(A.shape[1], 1), chunk):
+        X = (A[:, lo : lo + chunk] @ B[lo : lo + chunk]).astype(np.int64) % p
+        C = X if C is None else (C + X) % p
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -38,79 +54,52 @@ except ImportError:  # pragma: no cover - environment dependent
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _inv_mod(a, p):  # pragma: no cover - exercised through wrappers
-    t, newt = 0, 1
-    r, newr = p, a % p
-    while newr != 0:
-        q = r // newr
-        t, newt = newt, t - q * newt
-        r, newr = newr, r - q * newr
-    return t % p
+def _factor_panel(A, src, p, r, c0, c1):
+    """Pivot the columns c0..c1-1 of the rows r.. of A; A keeps its values.
 
-
-@njit(cache=True)
-def _rref_nb(A, src, p):  # pragma: no cover - exercised through wrappers
-    m, n = A.shape
-    piv = np.empty(min(m, n), np.int64)
-    r = 0
-    for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if A[i, c] != 0:
-                pr = i
-                break
-        if pr == -1:
-            continue
-        if pr != r:
-            for j in range(n):
-                tmp = A[r, j]
-                A[r, j] = A[pr, j]
-                A[pr, j] = tmp
-            tmp2 = src[r]
-            src[r] = src[pr]
-            src[pr] = tmp2
-        inv = _inv_mod(A[r, c], p)
-        for j in range(c, n):
-            A[r, j] = A[r, j] * inv % p
-        for i in range(m):
-            if i != r and A[i, c] != 0:
-                f = A[i, c]
-                for j in range(c, n):
-                    A[i, j] = (A[i, j] - f * A[r, j]) % p
-        piv[r] = c
-        r += 1
-        if r == m:
-            break
-    return piv[:r]
-
-
-def _rref_np(A, src, p):
-    m, n = A.shape
-    piv = []
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(A[r:, c])[0]
+    Pivoting follows the unblocked rule: the first row at or below the
+    current one that is nonzero in the column, once the panel's earlier
+    pivots are eliminated from it. Rows are swapped in A and src, and the
+    k pivots found land in rows r..r+k-1. Returns the pivot columns and W,
+    whose row for a panel pivot column holds that pivot row reduced on the
+    panel (first w entries) and its coefficients over the panel's pivot
+    rows as they stood at the start (last w entries), so W[pivots, w:w+k]
+    = S^-1 for the pivot block S.
+    """
+    m = A.shape[0]
+    w = c1 - c0
+    dtype, _ = _delayed(p)
+    r0 = r
+    # panel-start values of the candidate rows, swapped along with A
+    Ap = A[r0:, c0:c1].astype(dtype)
+    W = np.zeros((w, 2 * w), np.int64)
+    cols = []
+    for j in range(w):
+        col = (A[r:, c0 + j] - modp_matmul(Ap[r - r0 :], W[:, j : j + 1], p)[:, 0]) % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
             src[[r, i]] = src[[i, r]]
-        A[r, c:] = A[r, c:] * pow(int(A[r, c]), p - 2, p) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
+            Ap[[r - r0, i - r0]] = Ap[[i - r0, r - r0]]
+        t = r - r0
+        raw = np.zeros(2 * w, np.int64)
+        raw[:w] = A[r, c0:c1]
+        raw[w + t] = 1
+        raw = (raw - modp_matmul(Ap[t : t + 1], W, p)[0]) % p
+        raw = raw * pow(int(raw[j]), p - 2, p) % p
+        f = W[:, j]
+        rows = np.flatnonzero(f)
         if rows.size:
-            A[np.ix_(rows, np.arange(c, n))] = (
-                A[np.ix_(rows, np.arange(c, n))]
-                - np.outer(col[rows], A[r, c:])
-            ) % p
-        piv.append(c)
+            W[rows] = (W[rows] - np.outer(f[rows], raw)) % p
+        W[j] = raw
+        cols.append(c0 + j)
         r += 1
         if r == m:
             break
-    return np.asarray(piv, dtype=np.int64)
+    return cols, W
 
 
 def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
@@ -120,14 +109,38 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
     scanning columns left to right. When `src` (an int64 index vector of
     length m) is given, row swaps are mirrored in it, so src[:rank] names
     the input rows carrying pivots.
+
+    The elimination is blocked: a panel of PANEL columns is pivoted on its
+    own, then every row is updated on the columns from the panel onwards
+    with one delayed-reduction product through the panel's pivot block.
+    Pivots, row swaps and the result are those of the unblocked
+    Gauss-Jordan elimination with the same pivot rule.
     """
     if A.dtype != np.int64:
         raise TypeError("expected int64 matrix")
+    m, n = A.shape
     if src is None:
-        src = np.arange(A.shape[0], dtype=np.int64)
-    if HAVE_NUMBA:
-        return _rref_nb(A, src, p)
-    return _rref_np(A, src, p)
+        src = np.arange(m, dtype=np.int64)
+    piv = []
+    r = 0
+    for c0 in range(0, n, PANEL):
+        if r == m:
+            break
+        c1 = min(n, c0 + PANEL)
+        cols, W = _factor_panel(A, src, p, r, c0, c1)
+        if not cols:
+            continue
+        r0, r = r, r + len(cols)
+        piv.extend(cols)
+        # pivot rows: S^-1 times their panel-start values
+        Sinv = W[np.asarray(cols) - c0, c1 - c0 : c1 - c0 + len(cols)]
+        B = modp_matmul(Sinv, A[r0:r, c0:], p)
+        # every row loses its entries in the pivot columns, then the pivot
+        # rows take their reduced form
+        A[:, c0:] -= modp_matmul(A[:, cols], B, p)
+        A[:, c0:] %= p
+        A[r0:r, c0:] = B
+    return np.asarray(piv, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +148,15 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _subduct_batch_nb(G, bvals, bcols, bindptr, leadpos, leadinv, p):
-    # pragma: no cover - exercised through wrappers
-    nbasis = leadpos.shape[0]
-    batch = G.shape[0]
-    C = np.zeros((batch, nbasis), np.int64)
-    for b in range(nbasis):
-        c = leadpos[b]
-        for r in range(batch):
-            g = G[r, c]
-            if g != 0:
-                coef = g * leadinv[b] % p
-                C[r, b] = coef
-                for k in range(bindptr[b], bindptr[b + 1]):
-                    col = bcols[k]
-                    G[r, col] = (G[r, col] - coef * bvals[k]) % p
-    return C
+def modp_subduct_batch(G, bvals, bcols, bindptr, leadpos, leadinv, p):
+    """Expand the rows of G in a basis with distinct leading columns.
 
-
-def _subduct_batch_np(G, bvals, bcols, bindptr, leadpos, leadinv, p):
+    The basis is given in CSR form (bvals/bcols/bindptr), one row per basis
+    element, sorted so that ``leadpos`` (column index of the leading
+    monomial) is strictly increasing; ``leadinv`` holds the inverses of the
+    leading coefficients. G is reduced in place to the remainders and the
+    coefficient matrix is returned.
+    """
     nbasis = leadpos.shape[0]
     batch = G.shape[0]
     C = np.zeros((batch, nbasis), np.int64)
@@ -171,53 +173,3 @@ def _subduct_batch_np(G, bvals, bcols, bindptr, leadpos, leadinv, p):
             G[np.ix_(rows, cols)] - coef[:, None] * vals[None, :]
         ) % p
     return C
-
-
-def modp_subduct_batch(G, bvals, bcols, bindptr, leadpos, leadinv, p):
-    """Expand the rows of G in a basis with distinct leading columns.
-
-    The basis is given in CSR form (bvals/bcols/bindptr), one row per basis
-    element, sorted so that ``leadpos`` (column index of the leading
-    monomial) is strictly increasing; ``leadinv`` holds the inverses of the
-    leading coefficients. G is reduced in place to the remainders and the
-    coefficient matrix is returned.
-    """
-    if HAVE_NUMBA:
-        return _subduct_batch_nb(G, bvals, bcols, bindptr, leadpos, leadinv, p)
-    return _subduct_batch_np(G, bvals, bcols, bindptr, leadpos, leadinv, p)
-
-
-# ---------------------------------------------------------------------------
-# matrix product mod p
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _matmul_nb(A, B, p):  # pragma: no cover - exercised through wrappers
-    m, k = A.shape
-    n = B.shape[1]
-    C = np.zeros((m, n), np.int64)
-    for i in range(m):
-        for t in range(k):
-            a = A[i, t]
-            if a != 0:
-                for j in range(n):
-                    C[i, j] = (C[i, j] + a * B[t, j]) % p
-    return C
-
-
-def _matmul_np(A, B, p):
-    k = A.shape[1]
-    # chunk the inner dimension so int64 accumulators cannot overflow
-    chunk = max(1, (1 << 62) // (p * p))
-    C = np.zeros((A.shape[0], B.shape[1]), np.int64)
-    for lo in range(0, k, chunk):
-        hi = min(k, lo + chunk)
-        C = (C + A[:, lo:hi] @ B[lo:hi, :]) % p
-    return C
-
-
-def modp_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    if HAVE_NUMBA:
-        return _matmul_nb(A, B, p)
-    return _matmul_np(A, B, p)

@@ -231,12 +231,6 @@ def build_parser():
         description="Solve polynomial systems on unirational varieties "
         "via Khovanskii-Macaulay matrices",
     )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker threads (results are identical for any value)",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("check", help="truncated Khovanskii-basis verification")

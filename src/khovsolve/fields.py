@@ -14,7 +14,7 @@ __all__ = ["QQ", "GF", "Rationals", "PrimeField", "is_prime"]
 
 _MAX_MODULUS_BITS = 62
 
-# numba/numpy fast paths need p**2 < 2**63
+# the int64 kernels need p**2 < 2**63
 NUMPY_MODULUS_LIMIT = 1 << 31
 
 

@@ -12,8 +12,11 @@ expanded in that basis by subduction (leading-term elimination).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 
-from . import linalg
+import numpy as np
+
+from . import _kernels, linalg
 from .poly import MultiPoly, WeightOrder
 
 __all__ = [
@@ -25,6 +28,7 @@ __all__ = [
     "graded_basis",
     "SubductionResult",
     "subduct",
+    "expand_modp",
     "witness_monomial",
     "DegreeCheck",
     "KhovanskiiReport",
@@ -36,11 +40,15 @@ class Parameterization:
     """A tuple of nonzero polynomials phi_0..phi_ell with a weight order.
 
     `A` is the matrix of leading exponents of the homogenized generators:
-    column j is (1, leading_exponent(phi_j)). Graded supports and bases
-    are cached per degree on the instance.
+    column j is (1, leading_exponent(phi_j)). Graded supports and bases,
+    their subduction orders and their CSR forms for batched expansion are
+    cached per degree on the instance.
     """
 
-    __slots__ = ("field", "varnames", "phi", "ord", "A", "_supports", "_bases")
+    __slots__ = (
+        "field", "varnames", "phi", "ord", "A",
+        "_supports", "_bases", "_orders", "_batch",
+    )
 
     def __init__(self, field, varnames, phi, ord, A):
         self.field = field
@@ -50,6 +58,8 @@ class Parameterization:
         self.A = tuple(tuple(row) for row in A)
         self._supports = {}
         self._bases = {}
+        self._orders = {}
+        self._batch = {}
 
     @property
     def n(self) -> int:
@@ -211,8 +221,12 @@ def _subduction_positions(par, d):
     monomials that come later in the order.
     """
     sup = graded_support(par, d)
-    key = par.ord.key
-    return sup, sorted(range(len(sup.points)), key=lambda p: key(sup.points[p][1:]))
+    positions = par._orders.get(d)
+    if positions is None:
+        key = par.ord.key
+        positions = sorted(range(len(sup.points)), key=lambda p: key(sup.points[p][1:]))
+        par._orders[d] = positions
+    return sup, positions
 
 
 def subduct(par: Parameterization, g: MultiPoly, d: int) -> SubductionResult:
@@ -245,6 +259,99 @@ def subduct(par: Parameterization, g: MultiPoly, d: int) -> SubductionResult:
                 terms[e] = s
     remainder = MultiPoly(F, par.varnames, terms, _normalized=True)
     return SubductionResult(d, coeffs, remainder)
+
+
+@dataclass(frozen=True)
+class _BatchBasis:
+    """The degree-d basis as a CSR matrix over its monomials, mod p.
+
+    Rows follow the subduction order (`positions`, support positions),
+    so the leading columns increase; columns are the monomials of the
+    basis elements sorted by the weight order.
+    """
+
+    colpos: dict  # monomial -> column
+    positions: np.ndarray
+    bvals: np.ndarray
+    bcols: np.ndarray
+    bindptr: np.ndarray
+    leadpos: np.ndarray
+    leadinv: np.ndarray
+
+
+def _batch_basis(par, d):
+    cached = par._batch.get(d)
+    if cached is not None:
+        return cached
+    F = par.field
+    _, positions = _subduction_positions(par, d)
+    bas = graded_basis(par, d)
+    monomials = sorted({e for _, b in bas.elements for e in b.terms}, key=par.ord.key)
+    colpos = {e: j for j, e in enumerate(monomials)}
+    bvals, bcols, bindptr, leadpos, leadinv = [], [], [0], [], []
+    for pos in positions:
+        beta, b = bas.elements[pos]
+        lead = beta[1:]
+        leadpos.append(colpos[lead])
+        leadinv.append(F.inv(b.terms[lead]))
+        for e, c in sorted(b.terms.items(), key=lambda it: colpos[it[0]]):
+            bvals.append(c)
+            bcols.append(colpos[e])
+        bindptr.append(len(bvals))
+    batch = _BatchBasis(
+        colpos, *(np.asarray(x, dtype=np.int64) for x in (
+            positions, bvals, bcols, bindptr, leadpos, leadinv)),
+    )
+    par._batch[d] = batch
+    return batch
+
+
+# bytes of dense product rows expanded at a time
+_EXPAND_CHUNK_BYTES = 8 << 20
+
+
+def expand_modp(par: Parameterization, polys, d: int):
+    """Expand many polynomials in the degree-d graded basis over F_p.
+
+    The batched form of `subduct` for small prime fields. `polys` is an
+    iterable of polynomials; they are expanded in row chunks against the
+    cached CSR basis, so memory stays bounded. Returns (C, outside): C
+    is an int64 array with one row per polynomial and one column per
+    point of d.A in support order, and `outside` lists the rows with a
+    nonzero remainder, whose rows of C are meaningless.
+    """
+    p = par.field.modulus
+    basis = _batch_basis(par, d)
+    colpos = basis.colpos
+    chunk = max(1, _EXPAND_CHUNK_BYTES // (8 * max(len(colpos), 1)))
+    it = iter(polys)
+    blocks, outside = [], set()
+    done = 0
+    while batch := list(islice(it, chunk)):
+        ri, ci, vi = [], [], []
+        for r, g in enumerate(batch):
+            cols = [colpos.get(e) for e in g.terms]
+            if None in cols:  # a monomial no basis element has
+                outside.add(done + r)
+                continue
+            ri.extend([r] * len(cols))
+            ci.extend(cols)
+            vi.extend(g.terms.values())
+        G = np.zeros((len(batch), len(colpos)), dtype=np.int64)
+        G[ri, ci] = vi
+        Cb = _kernels.modp_subduct_batch(
+            G, basis.bvals, basis.bcols, basis.bindptr, basis.leadpos,
+            basis.leadinv, p,
+        )
+        outside.update((done + np.flatnonzero(G.any(axis=1))).tolist())
+        C = np.empty_like(Cb)
+        C[:, basis.positions] = Cb
+        blocks.append(C)
+        done += len(batch)
+    if not blocks:
+        return np.zeros((0, len(basis.positions)), dtype=np.int64), []
+    C = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return C, sorted(outside)
 
 
 def witness_monomial(par: Parameterization, d: int, beta) -> tuple:

@@ -8,15 +8,14 @@ b_{d-d_i,gamma} * f_i in the degree-d graded basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
-from . import _kernels, linalg
+from . import linalg
 from .fields import PrimeField
 from .khov import (
     Parameterization,
     check_khovanskii_truncated,
+    expand_modp,
     graded_basis,
     graded_support,
     subduct,
@@ -140,12 +139,19 @@ class StructuredSystem:
 
 @dataclass(frozen=True)
 class KMMatrix:
+    """KM matrix in one degree.
+
+    A reduced matrix also keeps the `linalg.Echelon` of the elimination
+    that selected its rows, so its kernel needs no second elimination.
+    """
+
     degree: int
     row_labels: tuple  # of (equation index, gamma)
     col_labels: tuple  # points of d.A in support order
     entries: tuple  # rows of field elements
     reduced: bool
     field: object = None
+    echelon: object = dc_field(default=None, compare=False, repr=False)
 
     @property
     def shape(self):
@@ -206,68 +212,21 @@ def _km_rows_generic(sys, d, labels):
     return rows
 
 
-def _km_rows_modp_batch(sys, d, labels):
-    """Fast path over small prime fields: batched dense subduction."""
+def _km_rows_modp(sys, d, labels):
+    """Rows over a prime field below 2**31, as one int64 array."""
     par = sys.par
-    F = par.field
-    p = F.modulus
-    sup = graded_support(par, d)
-    bas = graded_basis(par, d)
-    order = par.ord
 
-    products = []
-    for i, gamma in labels:
-        eq = sys.equations[i]
-        bprev = graded_basis(par, d - eq.degree)
-        prev_sup = graded_support(par, d - eq.degree)
-        products.append(bprev.elements[prev_sup.index[gamma]][1] * eq.f)
+    def products():
+        for i, gamma in labels:
+            eq = sys.equations[i]
+            prev_sup = graded_support(par, d - eq.degree)
+            b = graded_basis(par, d - eq.degree).elements[prev_sup.index[gamma]][1]
+            yield b * eq.f
 
-    monomials = set()
-    for _, b in bas.elements:
-        monomials.update(b.terms)
-    for g in products:
-        monomials.update(g.terms)
-    monomials = sorted(monomials, key=order.key)
-    colpos = {e: j for j, e in enumerate(monomials)}
-
-    # basis in CSR form, sorted by leading column
-    bsorted = sorted(
-        range(len(bas.elements)),
-        key=lambda k: order.key(bas.elements[k][0][1:]),
-    )
-    bvals, bcols, bindptr, leadpos, leadinv = [], [], [0], [], []
-    for k in bsorted:
-        beta, b = bas.elements[k]
-        lead = beta[1:]
-        leadpos.append(colpos[lead])
-        leadinv.append(F.inv(b.terms[lead]))
-        for e, c in sorted(b.terms.items(), key=lambda it: colpos[it[0]]):
-            bvals.append(c)
-            bcols.append(colpos[e])
-        bindptr.append(len(bvals))
-
-    G = np.zeros((len(products), len(monomials)), dtype=np.int64)
-    for r, g in enumerate(products):
-        for e, c in g.terms.items():
-            G[r, colpos[e]] = c
-    C = _kernels.modp_subduct_batch(
-        G,
-        np.asarray(bvals, dtype=np.int64),
-        np.asarray(bcols, dtype=np.int64),
-        np.asarray(bindptr, dtype=np.int64),
-        np.asarray(leadpos, dtype=np.int64),
-        np.asarray(leadinv, dtype=np.int64),
-        p,
-    )
-    if np.any(G):
-        bad = int(np.nonzero(G.any(axis=1))[0][0])
-        raise _nonzero_remainder_error(sys, d, labels[bad][0])
-
-    # reorder coefficient columns from elimination order to support order
-    perm = np.empty(len(bsorted), dtype=np.int64)
-    for col, k in enumerate(bsorted):
-        perm[k] = col
-    return C[:, perm].tolist()
+    rows, outside = expand_modp(par, products(), d)
+    if outside:
+        raise _nonzero_remainder_error(sys, d, labels[outside[0]][0])
+    return rows
 
 
 def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
@@ -275,7 +234,7 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
 
     With reduce=True a maximal independent row subset is kept (found by
     exact forward elimination in row order), preserving the row space
-    and the right kernel.
+    and the right kernel; the elimination's echelon is kept with it.
     """
     par = sys.par
     if d < 0:
@@ -283,14 +242,17 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
     labels = _row_labels(sys, d)
     fast = isinstance(par.field, PrimeField) and par.field.numpy_compatible
     if fast and labels:
-        rows = _km_rows_modp_batch(sys, d, labels)
+        rows = _km_rows_modp(sys, d, labels)
     else:
         rows = _km_rows_generic(sys, d, labels)
     sup = graded_support(par, d)
-    if reduce and rows:
-        keep = linalg.independent_rows(rows, par.field)
+    ech = None
+    if reduce and labels:
+        keep, ech = linalg.independent_rows(rows, par.field, return_echelon=True)
         labels = [labels[k] for k in keep]
-        rows = [rows[k] for k in keep]
+        rows = rows[keep] if fast else [rows[k] for k in keep]
+    if fast and labels:
+        rows = rows.tolist()
     return KMMatrix(
         degree=d,
         row_labels=tuple(labels),
@@ -298,4 +260,5 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
         entries=tuple(tuple(r) for r in rows),
         reduced=bool(reduce),
         field=par.field,
+        echelon=ech,
     )

@@ -1,16 +1,19 @@
 """Exact linear algebra over QQ and F_p.
 
-Over the rationals, forward elimination is fraction-free Bareiss on
-denominator-cleared integer rows (controls coefficient blowup); kernels
-are recovered by Fraction back-substitution. Over a prime field the dense
-kernels from `_kernels` are used when the modulus is small enough for
-int64 arithmetic, with a plain Python row reduction as the general path.
+Every rank, kernel and row selection comes from one forward elimination,
+kept as an `Echelon`. Over the rationals it is fraction-free Bareiss on
+denominator-cleared integer rows (controls coefficient blowup), and
+kernels are recovered by Fraction back-substitution. Over a prime field
+it is the blocked int64 RREF from `_kernels` when the modulus is below
+2**31, with a plain Python row reduction as the general path; kernels are
+read off the reduced rows.
 
 Matrices are lists of rows; rows are lists of field elements.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -21,6 +24,9 @@ from .fields import QQ, PrimeField
 
 __all__ = [
     "SingularMatrixError",
+    "Echelon",
+    "echelon",
+    "kernel_from_echelon",
     "kernel",
     "rank",
     "independent_rows",
@@ -101,9 +107,8 @@ def bareiss_echelon(rows):
     return M[:r], piv_cols, piv_src
 
 
-def _kernel_qq(rows, ncols):
-    int_rows = [_clear_denominators(r) for r in rows]
-    E, piv_cols, _ = bareiss_echelon(int_rows)
+def _kernel_from_bareiss(E, piv_cols, ncols):
+    """Canonical kernel by Fraction back-substitution on echelon rows."""
     piv_set = set(piv_cols)
     basis = []
     for f in range(ncols):
@@ -165,31 +170,15 @@ def _rref_modp_python(rows, p):
     return M[:r], piv_cols, piv_src
 
 
-def _rref_modp(rows, field):
-    p = field.modulus
-    if _is_small_prime(field) and rows:
-        A = np.array(rows, dtype=np.int64)
-        piv = _kernels.modp_rref(A, p)
-        piv_cols = [int(c) for c in piv]
-        return A[: len(piv_cols)].tolist(), piv_cols
-    R, piv_cols, _ = _rref_modp_python(rows, p)
-    return R, piv_cols
-
-
-def _kernel_modp(rows, ncols, field):
-    p = field.modulus
-    R, piv_cols = _rref_modp(rows, field)
+def _kernel_from_rref(R, piv_cols, ncols, p):
+    """Canonical kernel read off reduced rows: x_f = 1, x_pc = -R[i][f]."""
     piv_set = set(piv_cols)
-    basis = []
-    for f in range(ncols):
-        if f in piv_set:
-            continue
-        x = [0] * ncols
-        x[f] = 1
-        for i, pc in enumerate(piv_cols):
-            x[pc] = -R[i][f] % p
-        basis.append(x)
-    return basis
+    free = [f for f in range(ncols) if f not in piv_set]
+    K = np.zeros((len(free), ncols), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    if piv_cols:
+        K[:, list(piv_cols)] = (-np.asarray(R, dtype=np.int64)[:, free]).T % p
+    return K.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -197,50 +186,80 @@ def _kernel_modp(rows, ncols, field):
 # ---------------------------------------------------------------------------
 
 
-def kernel(rows, field, ncols):
-    """Basis of the right nullspace, one vector per free column in order."""
-    if not rows:
-        return [
-            [field.one if j == f else field.zero for j in range(ncols)]
-            for f in range(ncols)
-        ]
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    if field == QQ:
-        return _kernel_qq(rows, ncols)
-    return _kernel_modp(rows, ncols, field)
+@dataclass(frozen=True)
+class Echelon:
+    """Row echelon form of a matrix, from one exact forward elimination.
 
-
-def rank(rows, field):
-    if not rows:
-        return 0
-    if field == QQ:
-        int_rows = [_clear_denominators(r) for r in rows]
-        _, piv_cols, _ = bareiss_echelon(int_rows)
-        return len(piv_cols)
-    _, piv_cols = _rref_modp(rows, field)
-    return len(piv_cols)
-
-
-def independent_rows(rows, field):
-    """Indices of a maximal linearly independent row subset.
-
-    Selected by exact forward elimination with first-nonzero pivoting;
-    deterministic for a given matrix.
+    Over QQ `rows` are the fraction-free Bareiss rows of the
+    denominator-cleared matrix, each divided by the gcd of its entries;
+    over F_p they are the reduced rows (RREF),
+    an int64 array when the modulus allows. `pivots` are the pivot
+    columns and `sources` the input rows that carry them, in order.
     """
-    if not rows:
-        return []
+
+    rows: object
+    pivots: tuple
+    sources: tuple
+
+
+def echelon(rows, field) -> Echelon:
+    """One forward elimination with first-nonzero pivoting.
+
+    `rows` is a list of rows or, over a prime field below 2**31, an int64
+    array with entries in [0, p); it is not modified.
+    """
+    if len(rows) == 0:
+        return Echelon([], (), ())
     if field == QQ:
-        int_rows = [_clear_denominators(r) for r in rows]
-        _, _, piv_src = bareiss_echelon(int_rows)
-    elif _is_small_prime(field):
+        E, piv_cols, piv_src = bareiss_echelon([_clear_denominators(r) for r in rows])
+        # primitive rows: the same row space in a fraction of the digits
+        for row in E:
+            g = gcd(*row)
+            row[:] = [x // g for x in row]
+        return Echelon(E, tuple(piv_cols), tuple(piv_src))
+    if _is_small_prime(field):
         A = np.array(rows, dtype=np.int64)
         src = np.arange(A.shape[0], dtype=np.int64)
         piv = _kernels.modp_rref(A, field.modulus, src)
-        piv_src = [int(i) for i in src[: len(piv)]]
-    else:
-        _, _, piv_src = _rref_modp_python(rows, field.modulus)
-    return sorted(piv_src)
+        r = len(piv)
+        return Echelon(A[:r].copy(), tuple(piv.tolist()), tuple(src[:r].tolist()))
+    R, piv_cols, piv_src = _rref_modp_python(rows, field.modulus)
+    return Echelon(R, tuple(piv_cols), tuple(piv_src))
+
+
+def kernel_from_echelon(E: Echelon, field, ncols):
+    """Basis of the right nullspace of the matrix E came from.
+
+    One vector per free column in order, with a 1 there and 0 in the
+    other free columns: the canonical basis, whichever echelon form of
+    the row space E holds.
+    """
+    if field == QQ:
+        return _kernel_from_bareiss(E.rows, E.pivots, ncols)
+    return _kernel_from_rref(E.rows, E.pivots, ncols, field.modulus)
+
+
+def kernel(rows, field, ncols):
+    """Basis of the right nullspace, one vector per free column in order."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    return kernel_from_echelon(echelon(rows, field), field, ncols)
+
+
+def rank(rows, field):
+    return len(echelon(rows, field).pivots)
+
+
+def independent_rows(rows, field, return_echelon=False):
+    """Indices of a maximal linearly independent row subset.
+
+    Selected by exact forward elimination with first-nonzero pivoting;
+    deterministic for a given matrix. With `return_echelon`, the
+    elimination's `Echelon` is returned too, as (indices, echelon).
+    """
+    E = echelon(rows, field)
+    keep = sorted(E.sources)
+    return (keep, E) if return_echelon else keep
 
 
 def identity(n, field):

@@ -16,14 +16,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import linalg
+from . import _kernels, linalg
 from .fields import QQ, PrimeField
 from .hilbert import (
     hilbert_function,
     hilbert_numerator,
     regularity_bound,
 )
-from .khov import graded_basis, graded_support, subduct
+from .khov import expand_modp, graded_basis, graded_support, subduct
 from .km import KMMatrix, StructuredSystem, km_matrix
 
 __all__ = [
@@ -68,7 +68,11 @@ def kernel_basis(M: KMMatrix, field=None) -> KernelBasis:
         field = M.field
     if field is None:
         raise ValueError("KM matrix carries no field; pass one explicitly")
-    vecs = linalg.kernel([list(r) for r in M.entries], field, len(M.col_labels))
+    ncols = len(M.col_labels)
+    if M.echelon is not None and field == M.field:
+        vecs = linalg.kernel_from_echelon(M.echelon, field, ncols)
+    else:
+        vecs = linalg.kernel([list(r) for r in M.entries], field, ncols)
     return KernelBasis(M.degree, tuple(tuple(v) for v in vecs), M.col_labels)
 
 
@@ -85,26 +89,52 @@ class MultiplicationSystem:
     degree: int  # the lower degree d (kernel taken at d+1)
 
 
-def _expansion_columns(sys: StructuredSystem, d: int):
-    """For each generator j, the HF(d) x HF(d+1) expansion matrix of
-    multiplication by phi_j from degree d to degree d+1."""
+_LEFT_ALGEBRA = (
+    "generator product left the graded algebra at degree {}; the "
+    "Khovanskii property fails"
+)
+
+
+def _multiplied_kernels(sys: StructuredSystem, N: KernelBasis, d: int):
+    """N_{x_j} for each generator j, as delta x HF(d) lists of rows.
+
+    Column gamma of N_{x_j} is N applied to the degree-(d+1) expansion of
+    b_{d,gamma} * phi_j.
+    """
     par = sys.par
-    sup_d = graded_support(par, d)
-    sup_up = graded_support(par, d + 1)
+    field = par.field
     bas_d = graded_basis(par, d)
-    tables = []
-    for j in range(par.ell + 1):
-        rows = []
-        for pos, (beta, b) in enumerate(bas_d.elements):
-            res = subduct(par, b * par.phi[j], d + 1)
+    nd = len(bas_d)
+    if isinstance(field, PrimeField) and field.numpy_compatible:
+        products = (b * phi for phi in par.phi for _, b in bas_d.elements)
+        E, outside = expand_modp(par, products, d + 1)
+        if outside:
+            raise SolverError(_LEFT_ALGEBRA.format(d + 1))
+        Nx = _kernels.modp_matmul(
+            np.array(N.N, dtype=np.int64), E.T, field.modulus
+        ).tolist()
+        return [[row[j * nd : (j + 1) * nd] for row in Nx] for j in range(par.ell + 1)]
+    index = graded_support(par, d + 1).index
+    out = []
+    for phi in par.phi:
+        T = []  # per gamma: the nonzero (support position, coefficient) pairs
+        for _, b in bas_d.elements:
+            res = subduct(par, b * phi, d + 1)
             if not res.remainder.is_zero():
-                raise SolverError(
-                    f"generator product left the graded algebra at degree "
-                    f"{d + 1}; the Khovanskii property fails"
-                )
-            rows.append(res.vector(sup_up))
-        tables.append(rows)
-    return sup_d, tables
+                raise SolverError(_LEFT_ALGEBRA.format(d + 1))
+            T.append([(index[beta], c) for beta, c in res.coeffs.items()])
+        mat = []
+        for Nr in N.N:
+            row = []
+            for exp in T:
+                s = field.zero
+                for bpos, c in exp:
+                    if Nr[bpos] != field.zero:
+                        s = field.add(s, field.mul(c, Nr[bpos]))
+                row.append(s)
+            mat.append(row)
+        out.append(mat)
+    return out
 
 
 def multiplication_matrices(
@@ -123,26 +153,9 @@ def multiplication_matrices(
     delta = N.nullity
     if delta == 0:
         raise SolverError("kernel is trivial; the system has no solutions on X")
-    sup_d, tables = _expansion_columns(sys, d)
+    sup_d = graded_support(par, d)
     nd = len(sup_d.points)
-
-    # N_xj[r][g] = sum_beta N[r][beta] * expansion[g][beta]
-    Nx = []
-    for j in range(par.ell + 1):
-        T = tables[j]
-        mat = []
-        for r in range(delta):
-            Nr = N.N[r]
-            row = []
-            for g in range(nd):
-                s = field.zero
-                exp = T[g]
-                for bpos, c in enumerate(exp):
-                    if c != field.zero and Nr[bpos] != field.zero:
-                        s = field.add(s, field.mul(c, Nr[bpos]))
-                row.append(s)
-            mat.append(row)
-        Nx.append(mat)
+    Nx = _multiplied_kernels(sys, N, d)
 
     rng = random.Random(seed)
     last_err = None
@@ -359,11 +372,13 @@ def _default_dreg(sys: StructuredSystem):
     degrees = sys.degrees
     dmax = n + 2
     cap = sum(degrees) + n + 10
+    # grow Dmax one degree at a time: HF(d) grows like d**n, so the first
+    # certifying degree is far cheaper than any larger one
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         hd = hilbert_numerator(par, dmax)
         while not hd.certified and dmax < cap:
-            dmax = min(cap, 2 * dmax)
+            dmax += 1
             hd = hilbert_numerator(par, dmax)
     if not hd.certified:
         warnings.warn("using an uncertified Hilbert regularity", stacklevel=3)

@@ -1,46 +1,88 @@
-"""The compiled and pure-numpy kernel variants must agree bit for bit."""
+"""The mod-p kernels against plain Python references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khovsolve import _kernels
+from khovsolve import _kernels, linalg
 
 P = 9716633
+# 2**31 - 1 leaves the float64 range of delayed reduction: int64 chunks
+PRIMES = (2, 7, 101, P, 2**31 - 1)
+
+
+def _matmul_reference(A, B, p):
+    return np.array(
+        [[sum(int(a) * int(b) for a, b in zip(ra, cb)) % p for cb in B.T]
+         for ra in A],
+        dtype=np.int64,
+    ).reshape(A.shape[0], B.shape[1])
+
+
+def _assert_rref_matches_python(A, p):
+    R = A.copy()
+    src = np.arange(A.shape[0], dtype=np.int64)
+    piv = _kernels.modp_rref(R, p, src)
+    rows, piv_cols, piv_src = linalg._rref_modp_python(A.tolist(), p)
+    rank = len(piv_cols)
+    assert piv.tolist() == piv_cols
+    assert src[:rank].tolist() == piv_src
+    assert R[:rank].tolist() == rows
+    assert not R[rank:].any()
 
 
 @st.composite
 def modp_matrices(draw):
+    p = draw(st.sampled_from(PRIMES))
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 7))
     data = [
-        [draw(st.integers(0, P - 1)) for _ in range(n)] for _ in range(m)
+        [draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(m)
     ]
-    return np.array(data, dtype=np.int64)
+    return np.array(data, dtype=np.int64), p
 
 
 @given(modp_matrices())
 @settings(max_examples=60, deadline=None)
-def test_rref_variants_agree(A):
-    A1, A2 = A.copy(), A.copy()
-    src1 = np.arange(A.shape[0], dtype=np.int64)
-    src2 = src1.copy()
-    piv_np = _kernels._rref_np(A2, src2, P)
-    if _kernels.HAVE_NUMBA:
-        piv_nb = _kernels._rref_nb(A1, src1, P)
-        assert np.array_equal(piv_nb, piv_np)
-        assert np.array_equal(A1, A2)
-        assert np.array_equal(src1, src2)
-    piv = _kernels.modp_rref(A.copy(), P)
-    assert np.array_equal(piv, piv_np)
+def test_rref_variants_agree(Ap):
+    A, p = Ap
+    _assert_rref_matches_python(A, p)
+
+
+def _low_rank(rng, m, n, rank, p):
+    U = rng.integers(0, p, size=(m, rank)).astype(np.int64)
+    V = rng.integers(0, p, size=(rank, n)).astype(np.int64)
+    return _kernels.modp_matmul(U, V, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_blocked_panels_match_python(p):
+    # several panels, rank-deficient and zero columns, early full row rank
+    rng = np.random.default_rng(p % 1000)
+    panel = _kernels.PANEL
+    cases = [
+        rng.integers(0, p, size=(40, 2 * panel + 30)),  # r == m mid-panel
+        _low_rank(rng, 90, 2 * panel + 20, 50, p),
+        _low_rank(rng, 150, panel + 10, 70, p),  # rank above one panel
+        np.zeros((5, panel + 1), dtype=np.int64),
+    ]
+    sparse = rng.integers(0, p, size=(80, 2 * panel + 5))
+    sparse[rng.random(sparse.shape) < 0.9] = 0
+    sparse[:, rng.random(sparse.shape[1]) < 0.3] = 0
+    cases.append(sparse)
+    zero_cols = _low_rank(rng, 60, 3 * panel, 45, p)
+    zero_cols[:, panel - 5 : panel + 40] = 0
+    cases.append(zero_cols)
+    for A in cases:
+        _assert_rref_matches_python(np.asarray(A, dtype=np.int64), p)
 
 
 @given(modp_matrices())
 @settings(max_examples=40, deadline=None)
-def test_rref_is_reduced(A):
-    B = A.copy()
-    piv = _kernels.modp_rref(B, P)
+def test_rref_is_reduced(Ap):
+    B, p = Ap
+    piv = _kernels.modp_rref(B, p)
     for r, c in enumerate(piv):
         col = B[: len(piv), c]
         assert col[r] == 1
@@ -71,6 +113,20 @@ def _random_triangular_basis(rng, nbasis, ncols):
     )
 
 
+def _subduct_reference(g, basis):
+    """One row at a time, on Python ints: coefficients and remainder."""
+    bvals, bcols, bindptr, leadpos, leadinv = basis
+    g = [int(x) for x in g]
+    coeffs = [0] * len(leadpos)
+    for b, lp in enumerate(leadpos):
+        if g[lp]:
+            coef = g[lp] * int(leadinv[b]) % P
+            coeffs[b] = coef
+            for k in range(bindptr[b], bindptr[b + 1]):
+                g[bcols[k]] = (g[bcols[k]] - coef * int(bvals[k])) % P
+    return coeffs, g
+
+
 def test_subduct_batch_variants_agree():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -79,12 +135,12 @@ def test_subduct_batch_variants_agree():
         batch = int(rng.integers(1, 6))
         basis = _random_triangular_basis(rng, nbasis, ncols)
         G = rng.integers(0, P, size=(batch, ncols)).astype(np.int64)
-        G1, G2 = G.copy(), G.copy()
-        C_np = _kernels._subduct_batch_np(G2, *basis, P)
-        if _kernels.HAVE_NUMBA:
-            C_nb = _kernels._subduct_batch_nb(G1, *basis, P)
-            assert np.array_equal(C_nb, C_np)
-            assert np.array_equal(G1, G2)
+        R = G.copy()
+        C = _kernels.modp_subduct_batch(R, *basis, P)
+        for row, c, r in zip(G, C, R):
+            coeffs, rem = _subduct_reference(row, basis)
+            assert c.tolist() == coeffs
+            assert r.tolist() == rem
 
 
 def test_subduct_batch_reconstructs_input():
@@ -112,16 +168,20 @@ def test_subduct_batch_reconstructs_input():
 
 
 def test_matmul_variants_agree():
+    # float64 chunks for small moduli, int64 chunks for 2**31 - 1; inner
+    # dimensions longer than one chunk are reduced between chunks
     rng = np.random.default_rng(7)
-    A = rng.integers(0, P, size=(5, 8)).astype(np.int64)
-    B = rng.integers(0, P, size=(8, 3)).astype(np.int64)
-    expect = np.array(
-        [[sum(int(a) * int(b) for a, b in zip(ra, cb)) % P
-          for cb in B.T] for ra in A],
-        dtype=np.int64,
-    )
-    assert np.array_equal(_kernels._matmul_np(A, B, P), expect)
-    assert np.array_equal(_kernels.modp_matmul(A, B, P), expect)
+    for p in PRIMES:
+        for k in (0, 1, 8, 200):
+            A = rng.integers(0, p, size=(5, k)).astype(np.int64)
+            B = rng.integers(0, p, size=(k, 3)).astype(np.int64)
+            expect = _matmul_reference(A, B, p)
+            assert np.array_equal(_kernels.modp_matmul(A, B, p), expect)
+            assert np.array_equal(
+                _kernels.modp_matmul(A.astype(np.float64), B, p), expect
+            )
+    A = np.full((2, 300), P - 1, dtype=np.int64)
+    assert _kernels.modp_matmul(A, A.T, P).tolist() == [[300 % P] * 2] * 2
 
 
 def test_rref_type_check():

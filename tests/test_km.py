@@ -110,6 +110,26 @@ def test_reduced_matrix_preserves_kernel(duffing_sys):
             assert sum(c * x for c, x in zip(row, v)) == 0
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_kernel_from_kept_echelon(field, monkeypatch):
+    # the reduced matrix keeps the echelon of its row selection; the
+    # kernel read off it is the canonical kernel of the unreduced rows
+    sys = catalog.duffing(field=field).sys
+    for d in (2, 3, 4):
+        M = km_matrix(sys, d)
+        expect = linalg.kernel([list(r) for r in M.entries], field, len(M.col_labels))
+        R = km_matrix(sys, d, reduce=True)
+        assert R.echelon is not None and M.echelon is None
+
+        def no_elimination(*args):
+            raise AssertionError("kernel_basis ran a second elimination")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "echelon", no_elimination)
+            N = kernel_basis(R)
+        assert [list(v) for v in N.N] == expect
+
+
 def test_fast_and_generic_paths_agree():
     from khovsolve.km import _km_rows_generic, _row_labels
 
@@ -135,15 +155,16 @@ def test_km_detects_incomplete_basis():
     from khovsolve.khov import build_parameterization
     from khovsolve.poly import WeightOrder
 
-    phi = [
-        parse_polynomial(s, ("t1", "t2"))
-        for s in ("t1 + t2", "t1*t2", "t1*t2^2")
-    ]
-    par = build_parameterization(phi, WeightOrder((-1, 0)))
-    f = par.phi[1]
-    sys = StructuredSystem(par, [Equation(f=f, degree=1)], validate=False)
-    with pytest.raises(NotInAlgebraError, match="Khovanskii"):
-        km_matrix(sys, 2)
+    for field in (QQ, GF(9716633)):  # generic and batched expansion
+        phi = [
+            parse_polynomial(s, ("t1", "t2"), field)
+            for s in ("t1 + t2", "t1*t2", "t1*t2^2")
+        ]
+        par = build_parameterization(phi, WeightOrder((-1, 0)))
+        f = par.phi[1]
+        sys = StructuredSystem(par, [Equation(f=f, degree=1)], validate=False)
+        with pytest.raises(NotInAlgebraError, match="Khovanskii"):
+            km_matrix(sys, 2)
 
 
 def test_equation_validation():

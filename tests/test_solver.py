@@ -7,6 +7,7 @@ from khovsolve.fields import GF, QQ
 from khovsolve.hilbert import hilbert_function
 from khovsolve.km import km_matrix
 from khovsolve.solver import (
+    _default_dreg,
     SolverError,
     UnsupportedFieldError,
     brute_force_affine,
@@ -85,6 +86,22 @@ def _check_mult_invariants(sys, ms):
             )
 
 
+def test_default_dreg_values():
+    # the degrees found when Dmax doubled from n + 2; growing it one degree
+    # at a time certifies the osculating Gr(2,5) problem at Dmax 10
+    expect = {"duffing": 3, "bottsamelson": 3, "delpezzo": 3,
+              "grassmannian:2,4": 2, "grassmannian:2,5": 3}
+    for name, dreg in expect.items():
+        assert _default_dreg(catalog.get_instance(name).sys) == dreg, name
+    conds = [
+        catalog.SchubertCondition((3, 5), catalog.osculating_flag(s, 5))
+        for s in (1, -1, 2, -2, 3, -3)
+    ]
+    sys = catalog.schubert_equations(2, 5, conds).sys
+    assert _default_dreg(sys) == 3
+    assert max(sys.par._supports) == 10
+
+
 def test_multiplication_matrices_duffing(duffing):
     M = km_matrix(duffing.sys, 3, reduce=True)
     N = kernel_basis(M)
@@ -106,6 +123,10 @@ def test_del_pezzo_delta_over_fp(d):
     ms = multiplication_matrices(sys, N, dreg - 1, seed=0)
     assert ms.delta == 5 * d * d
     _check_mult_invariants(sys, ms)
+    # the int64 pipeline hands back plain Python ints
+    for rows in (M.entries, N.N, *ms.mats):
+        assert isinstance(rows, tuple)
+        assert all(type(x) is int for row in rows for x in row)
 
 
 def test_finite_field_solutions_annihilate_km_rows():
