@@ -20,8 +20,7 @@ from .khov import (
     Parameterization,
     build_parameterization,
     check_khovanskii_truncated,
-    graded_support,
-    subduct,
+    expand,
 )
 from .km import Equation, StructuredSystem
 from .poly import MultiPoly, WeightOrder, parse_polynomial
@@ -359,15 +358,11 @@ def schubert_equations(
                         minors.append(d)
 
     # express in the degree-1 basis and keep an independent subset
-    sup = graded_support(par, 1)
-    vectors = []
-    for g in minors:
-        res = subduct(par, g, 1)
-        if not res.remainder.is_zero():
-            raise ValueError(
-                "a Schubert minor is not linear in the Pluecker coordinates"
-            )
-        vectors.append(res.vector(sup))
+    vectors, outside = expand(par, minors, 1)
+    if outside:
+        raise ValueError(
+            "a Schubert minor is not linear in the Pluecker coordinates"
+        )
     keep = linalg.independent_rows(vectors, field)
     eqs = [Equation(f=minors[i], degree=1) for i in keep]
     sys = StructuredSystem(par, eqs, validate=False)

@@ -28,7 +28,7 @@ __all__ = [
     "graded_basis",
     "SubductionResult",
     "subduct",
-    "expand_modp",
+    "expand",
     "witness_monomial",
     "DegreeCheck",
     "KhovanskiiReport",
@@ -209,8 +209,10 @@ class SubductionResult:
 
     def vector(self, support: GradedSupport):
         """Coefficients as a list aligned with support.points."""
-        F = self.remainder.field
-        return [self.coeffs.get(beta, F.zero) for beta in support.points]
+        row = [self.remainder.field.zero] * len(support)
+        for beta, c in self.coeffs.items():
+            row[support.index[beta]] = c
+        return row
 
 
 def _subduction_positions(par, d):
@@ -310,17 +312,27 @@ def _batch_basis(par, d):
 _EXPAND_CHUNK_BYTES = 8 << 20
 
 
-def expand_modp(par: Parameterization, polys, d: int):
-    """Expand many polynomials in the degree-d graded basis over F_p.
+def expand(par: Parameterization, polys, d: int):
+    """Expand many polynomials in the degree-d graded basis.
 
-    The batched form of `subduct` for small prime fields. `polys` is an
-    iterable of polynomials; they are expanded in row chunks against the
-    cached CSR basis, so memory stays bounded. Returns (C, outside): C
-    is an int64 array with one row per polynomial and one column per
-    point of d.A in support order, and `outside` lists the rows with a
-    nonzero remainder, whose rows of C are meaningless.
+    The batched form of `subduct`. Returns (C, outside): C has one row
+    per polynomial of the iterable `polys` and one column per point of
+    d.A in support order, and `outside` lists the rows with a nonzero
+    remainder, whose rows of C are meaningless. Over a prime field below
+    2**31, C is an int64 array, expanded in row chunks against the cached
+    CSR basis so memory stays bounded; over any other field it is a list
+    of rows from `subduct`.
     """
-    p = par.field.modulus
+    F = par.field
+    if not linalg.is_small_prime(F):
+        sup = graded_support(par, d)
+        C, outside = [], []
+        for r, g in enumerate(polys):
+            res = subduct(par, g, d)
+            if not res.remainder.is_zero():
+                outside.append(r)
+            C.append(res.vector(sup))
+        return C, outside
     basis = _batch_basis(par, d)
     colpos = basis.colpos
     chunk = max(1, _EXPAND_CHUNK_BYTES // (8 * max(len(colpos), 1)))
@@ -341,7 +353,7 @@ def expand_modp(par: Parameterization, polys, d: int):
         G[ri, ci] = vi
         Cb = _kernels.modp_subduct_batch(
             G, basis.bvals, basis.bcols, basis.bindptr, basis.leadpos,
-            basis.leadinv, p,
+            basis.leadinv, F.modulus,
         )
         outside.update((done + np.flatnonzero(G.any(axis=1))).tolist())
         C = np.empty_like(Cb)
@@ -402,7 +414,7 @@ def check_khovanskii_truncated(par: Parameterization, dmax: int) -> KhovanskiiRe
 
     For each d <= dmax the span of all degree-d products of the generators
     must have dimension |d.A|. Products are enumerated as b_{d-1,gamma} *
-    phi_i and expanded by subduction; the rank of the span equals |d.A|
+    phi_i and expanded in one batch; the rank of the span equals |d.A|
     plus the rank of the nonzero remainders (remainders have no support
     on basis leading monomials, so the two spans only meet in zero). A
     failure stops the scan since higher-degree bases are then unreliable.
@@ -413,15 +425,11 @@ def check_khovanskii_truncated(par: Parameterization, dmax: int) -> KhovanskiiRe
     checks = []
     for d in range(1, dmax + 1):
         expected = len(graded_support(par, d))
-        prev = graded_support(par, d - 1)
-        remainders = []
-        for gamma in prev.points:
-            bprev = graded_basis(par, d - 1)
-            b = bprev.elements[prev.index[gamma]][1]
-            for i in range(par.ell + 1):
-                res = subduct(par, b * par.phi[i], d)
-                if not res.remainder.is_zero():
-                    remainders.append(res.remainder)
+        products = [
+            b * phi for _, b in graded_basis(par, d - 1).elements for phi in par.phi
+        ]
+        _, outside = expand(par, products, d)
+        remainders = [subduct(par, products[r], d).remainder for r in outside]
         if remainders:
             monomials = sorted(
                 {e for r in remainders for e in r.terms}, key=par.ord.key

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .fields import PrimeField
 from .khov import (
     Parameterization,
     check_khovanskii_truncated,
-    expand_modp,
+    expand,
     graded_basis,
     graded_support,
     subduct,
@@ -196,24 +195,8 @@ def _nonzero_remainder_error(sys, d, i):
     )
 
 
-def _km_rows_generic(sys, d, labels):
-    par = sys.par
-    sup = graded_support(par, d)
-    rows = []
-    for i, gamma in labels:
-        eq = sys.equations[i]
-        bprev = graded_basis(par, d - eq.degree)
-        prev_sup = graded_support(par, d - eq.degree)
-        b = bprev.elements[prev_sup.index[gamma]][1]
-        res = subduct(par, b * eq.f, d)
-        if not res.remainder.is_zero():
-            raise _nonzero_remainder_error(sys, d, i)
-        rows.append(res.vector(sup))
-    return rows
-
-
-def _km_rows_modp(sys, d, labels):
-    """Rows over a prime field below 2**31, as one int64 array."""
+def _km_rows(sys, d, labels):
+    """The expansions of the products b_{d-d_i,gamma} * f_i, one per label."""
     par = sys.par
 
     def products():
@@ -223,7 +206,7 @@ def _km_rows_modp(sys, d, labels):
             b = graded_basis(par, d - eq.degree).elements[prev_sup.index[gamma]][1]
             yield b * eq.f
 
-    rows, outside = expand_modp(par, products(), d)
+    rows, outside = expand(par, products(), d)
     if outside:
         raise _nonzero_remainder_error(sys, d, labels[outside[0]][0])
     return rows
@@ -240,24 +223,15 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     labels = _row_labels(sys, d)
-    fast = isinstance(par.field, PrimeField) and par.field.numpy_compatible
-    if fast and labels:
-        rows = _km_rows_modp(sys, d, labels)
-    else:
-        rows = _km_rows_generic(sys, d, labels)
-    sup = graded_support(par, d)
-    ech = None
+    rows = _km_rows(sys, d, labels) if labels else []
+    keep, ech = range(len(labels)), None
     if reduce and labels:
         keep, ech = linalg.independent_rows(rows, par.field, return_echelon=True)
-        labels = [labels[k] for k in keep]
-        rows = rows[keep] if fast else [rows[k] for k in keep]
-    if fast and labels:
-        rows = rows.tolist()
     return KMMatrix(
         degree=d,
-        row_labels=tuple(labels),
-        col_labels=sup.points,
-        entries=tuple(tuple(r) for r in rows),
+        row_labels=tuple(labels[k] for k in keep),
+        col_labels=graded_support(par, d).points,
+        entries=linalg.take_rows(rows, keep),
         reduced=bool(reduce),
         field=par.field,
         echelon=ech,

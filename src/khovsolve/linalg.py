@@ -8,7 +8,10 @@ it is the blocked int64 RREF from `_kernels` when the modulus is below
 2**31, with a plain Python row reduction as the general path; kernels are
 read off the reduced rows.
 
-Matrices are lists of rows; rows are lists of field elements.
+Matrices are lists of rows of field elements or, over a prime below 2**31,
+int64 arrays with entries in [0, p). This is the only module that tells
+the two forms apart: products, linear combinations and eliminations over
+a small prime run through `_kernels`, and results come back as lists.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ __all__ = [
     "independent_rows",
     "invert",
     "matmul",
+    "combine",
+    "take_rows",
     "identity",
+    "is_small_prime",
     "first_independent_columns",
 ]
 
@@ -41,7 +47,8 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def _is_small_prime(field) -> bool:
+def is_small_prime(field) -> bool:
+    """True when the field's matrices are int64 arrays (a prime below 2**31)."""
     return isinstance(field, PrimeField) and field.numpy_compatible
 
 
@@ -217,7 +224,7 @@ def echelon(rows, field) -> Echelon:
             g = gcd(*row)
             row[:] = [x // g for x in row]
         return Echelon(E, tuple(piv_cols), tuple(piv_src))
-    if _is_small_prime(field):
+    if is_small_prime(field):
         A = np.array(rows, dtype=np.int64)
         src = np.arange(A.shape[0], dtype=np.int64)
         piv = _kernels.modp_rref(A, field.modulus, src)
@@ -269,24 +276,52 @@ def identity(n, field):
 
 
 def matmul(A, B, field):
-    if not A or not B:
+    """A @ B as a list of rows; A and B are lists of rows or int64 arrays."""
+    if len(A) == 0 or len(B) == 0:
         return []
-    m, k, n = len(A), len(B), len(B[0])
-    zero = field.zero
+    if is_small_prime(field):
+        return _kernels.modp_matmul(
+            np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64),
+            field.modulus,
+        ).tolist()
+    n = len(B[0])
     out = []
-    for i in range(m):
-        rowa = A[i]
-        row = [zero] * n
-        for t in range(k):
-            a = rowa[t]
-            if a == zero:
+    for rowa in A:
+        row = [field.zero] * n
+        for a, rowb in zip(rowa, B):
+            # truthiness: far cheaper than == zero on a Fraction
+            if not a:
                 continue
-            rowb = B[t]
-            for j in range(n):
-                if rowb[j] != zero:
-                    row[j] = field.add(row[j], field.mul(a, rowb[j]))
+            for j, b in enumerate(rowb):
+                if b:
+                    row[j] = field.add(row[j], field.mul(a, b))
         out.append(row)
     return out
+
+
+def combine(coeffs, mats, field):
+    """sum_j coeffs[j] * mats[j] for equal-shaped matrices, as a list of rows."""
+    if is_small_prime(field):
+        stack = np.asarray(mats, dtype=np.int64)
+        flat = _kernels.modp_matmul(
+            np.asarray([coeffs], dtype=np.int64),
+            stack.reshape(len(mats), -1), field.modulus,
+        )
+        return flat.reshape(stack.shape[1:]).tolist()
+    out = [[field.zero] * len(mats[0][0]) for _ in mats[0]]
+    for c, M in zip(coeffs, mats):
+        for acc, row in zip(out, M):
+            for j, x in enumerate(row):
+                if x:
+                    acc[j] = field.add(acc[j], field.mul(c, x))
+    return out
+
+
+def take_rows(rows, keep):
+    """Rows `keep` of a matrix, as tuples of Python field elements."""
+    if isinstance(rows, np.ndarray):
+        return tuple(tuple(rows[k].tolist()) for k in keep)
+    return tuple(tuple(rows[k]) for k in keep)
 
 
 def invert(rows, field):
@@ -317,26 +352,8 @@ def invert(rows, field):
 
 
 def first_independent_columns(rows, field, count=None):
-    """Leftmost column indices forming an independent set (greedy)."""
-    if not rows:
-        return []
-    m = len(rows)
-    ncols = len(rows[0])
-    echelon = []  # list of (pivot_position, reduced column vector)
-    chosen = []
-    for c in range(ncols):
-        v = [rows[i][c] for i in range(m)]
-        for pos, w in echelon:
-            f = v[pos]
-            if f != field.zero:
-                v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, w)]
-        pos = next((i for i, x in enumerate(v) if x != field.zero), None)
-        if pos is None:
-            continue
-        inv = field.inv(v[pos])
-        v = [field.mul(x, inv) for x in v]
-        echelon.append((pos, v))
-        chosen.append(c)
-        if count is not None and len(chosen) == count:
-            break
-    return chosen
+    """The leftmost `count` (default all) independent column indices.
+
+    The pivot columns of any echelon form are exactly these.
+    """
+    return list(echelon(rows, field).pivots[:count])

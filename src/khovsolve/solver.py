@@ -16,14 +16,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import _kernels, linalg
+from . import linalg
 from .fields import QQ, PrimeField
 from .hilbert import (
     hilbert_function,
     hilbert_numerator,
     regularity_bound,
 )
-from .khov import expand_modp, graded_basis, graded_support, subduct
+from .khov import expand, graded_basis, graded_support
 from .km import KMMatrix, StructuredSystem, km_matrix
 
 __all__ = [
@@ -84,7 +84,6 @@ class MultiplicationSystem:
     h_coeffs: tuple
     B_cols: tuple  # selected degree-d basis labels
     mats: tuple  # ell+1 matrices, delta x delta
-    e: int
     seed: int
     degree: int  # the lower degree d (kernel taken at d+1)
 
@@ -96,45 +95,21 @@ _LEFT_ALGEBRA = (
 
 
 def _multiplied_kernels(sys: StructuredSystem, N: KernelBasis, d: int):
-    """N_{x_j} for each generator j, as delta x HF(d) lists of rows.
+    """N_{x_j} for each generator j, as delta x HF(d) rows.
 
     Column gamma of N_{x_j} is N applied to the degree-(d+1) expansion of
-    b_{d,gamma} * phi_j.
+    b_{d,gamma} * phi_j. All products are expanded in one batch E, and
+    E @ N^T (the sparse factor on the left) is transposed into the blocks.
     """
     par = sys.par
-    field = par.field
     bas_d = graded_basis(par, d)
     nd = len(bas_d)
-    if isinstance(field, PrimeField) and field.numpy_compatible:
-        products = (b * phi for phi in par.phi for _, b in bas_d.elements)
-        E, outside = expand_modp(par, products, d + 1)
-        if outside:
-            raise SolverError(_LEFT_ALGEBRA.format(d + 1))
-        Nx = _kernels.modp_matmul(
-            np.array(N.N, dtype=np.int64), E.T, field.modulus
-        ).tolist()
-        return [[row[j * nd : (j + 1) * nd] for row in Nx] for j in range(par.ell + 1)]
-    index = graded_support(par, d + 1).index
-    out = []
-    for phi in par.phi:
-        T = []  # per gamma: the nonzero (support position, coefficient) pairs
-        for _, b in bas_d.elements:
-            res = subduct(par, b * phi, d + 1)
-            if not res.remainder.is_zero():
-                raise SolverError(_LEFT_ALGEBRA.format(d + 1))
-            T.append([(index[beta], c) for beta, c in res.coeffs.items()])
-        mat = []
-        for Nr in N.N:
-            row = []
-            for exp in T:
-                s = field.zero
-                for bpos, c in exp:
-                    if Nr[bpos] != field.zero:
-                        s = field.add(s, field.mul(c, Nr[bpos]))
-                row.append(s)
-            mat.append(row)
-        out.append(mat)
-    return out
+    products = (b * phi for phi in par.phi for _, b in bas_d.elements)
+    E, outside = expand(par, products, d + 1)
+    if outside:
+        raise SolverError(_LEFT_ALGEBRA.format(d + 1))
+    Nx = list(zip(*linalg.matmul(E, list(zip(*N.N)), par.field)))
+    return [[row[j * nd : (j + 1) * nd] for row in Nx] for j in range(par.ell + 1)]
 
 
 def multiplication_matrices(
@@ -154,7 +129,6 @@ def multiplication_matrices(
     if delta == 0:
         raise SolverError("kernel is trivial; the system has no solutions on X")
     sup_d = graded_support(par, d)
-    nd = len(sup_d.points)
     Nx = _multiplied_kernels(sys, N, d)
 
     rng = random.Random(seed)
@@ -170,18 +144,13 @@ def multiplication_matrices(
                 while x == 0:
                     x = rng.randrange(field.modulus)
                 c.append(x)
-        Nh = [[field.zero] * nd for _ in range(delta)]
-        for j, cj in enumerate(c):
-            mj = Nx[j]
-            for r in range(delta):
-                for g in range(nd):
-                    if mj[r][g] != field.zero:
-                        Nh[r][g] = field.add(Nh[r][g], field.mul(cj, mj[r][g]))
+        Nh = linalg.combine(c, Nx, field)
         B = linalg.first_independent_columns(Nh, field, count=delta)
         if len(B) < delta:
             last_err = SolverError(
-                "h vanishes on a solution or delta overcounted: N_h has "
-                f"rank {len(B)} < {delta}"
+                f"N_h has rank {len(B)} < {delta} for {retries} random h: the "
+                f"degree dreg = {d + 1} is likely below the regularity set, so "
+                f"the kernel overcounts the solutions; try a larger --dreg"
             )
             continue
         NhB = [[Nh[r][g] for g in B] for r in range(delta)]
@@ -190,15 +159,7 @@ def multiplication_matrices(
         for j in range(par.ell + 1):
             NxB = [[Nx[j][r][g] for g in B] for r in range(delta)]
             mats.append(linalg.matmul(inv, NxB, field))
-        ident = linalg.identity(delta, field)
-        acc = [[field.zero] * delta for _ in range(delta)]
-        for j, cj in enumerate(c):
-            for r in range(delta):
-                for s_ in range(delta):
-                    acc[r][s_] = field.add(
-                        acc[r][s_], field.mul(cj, mats[j][r][s_])
-                    )
-        if acc != ident:
+        if linalg.combine(c, mats, field) != linalg.identity(delta, field):
             raise SolverError("internal error: sum c_j M_j is not the identity")
         for j in range(len(mats)):
             for k in range(j + 1, len(mats)):
@@ -215,7 +176,6 @@ def multiplication_matrices(
             h_coeffs=tuple(c),
             B_cols=tuple(sup_d.points[g] for g in B),
             mats=tuple(tuple(tuple(r) for r in m) for m in mats),
-            e=1,
             seed=seed,
             degree=d,
         )

@@ -42,10 +42,15 @@ def parse_field(spec):
     if spec == "QQ":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
-        return GF(int(spec["Fp"]))
-    if isinstance(spec, str) and spec.startswith("Fp:"):
-        return GF(int(spec.split(":", 1)[1]))
-    raise SystemFileError(f"unknown field specification {spec!r}")
+        modulus = spec["Fp"]
+    elif isinstance(spec, str) and spec.startswith("Fp:"):
+        modulus = spec.split(":", 1)[1]
+    else:
+        raise SystemFileError(f"unknown field specification {spec!r}")
+    try:
+        return GF(int(modulus))
+    except (TypeError, ValueError) as err:
+        raise SystemFileError(f"bad field modulus {modulus!r}: {err}") from err
 
 
 def field_name(field):

@@ -33,8 +33,9 @@ def test_parse_field():
     assert parse_field("QQ") == QQ
     assert parse_field("Fp:101") == GF(101)
     assert parse_field({"Fp": 101}) == GF(101)
-    with pytest.raises(SystemFileError):
-        parse_field("GF(4)")
+    for bad in ("GF(4)", "Fp:10", "Fp:abc", {"Fp": 10}, {"Fp": None}):
+        with pytest.raises(SystemFileError):
+            parse_field(bad)
 
 
 def test_system_file_round_trip():
@@ -152,6 +153,12 @@ def test_exit_code_input_errors(tmp_path, capsys):
     bad.write_text("{ not json")
     assert main(["solve", str(bad), "--dreg", "3"]) == 1
     assert main(["catalog", "unknown-instance"]) == 1
+    # a modulus that is not a prime integer is an input error
+    square = ["schubert", "--k", "2", "--m", "4", "--conditions", "2,4;2,4;2,4;2,4"]
+    assert main(square + ["--field", "Fp:10"]) == 1
+    assert main(square + ["--field", "Fp:abc"]) == 1
+    assert main(["catalog", "duffing", "--field", "Fp:10"]) == 1
+    assert "modulus" in capsys.readouterr().err
 
 
 def test_exit_code_math_error(tmp_path, capsys):
@@ -159,6 +166,14 @@ def test_exit_code_math_error(tmp_path, capsys):
     path = tmp_path / "noeq.json"
     path.write_text(FAILING_SYSTEM)
     assert main(["solve", str(path), "--dreg", "2"]) == 2
+
+
+def test_rank_deficient_nh_suggests_larger_dreg(duffing_file, capsys):
+    # dreg 2 is below the regularity set of Duffing (the default is 3)
+    assert main(["solve", duffing_file, "--dreg", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "N_h has rank 3 < 5" in err
+    assert "regularity" in err and "larger --dreg" in err
 
 
 def test_exit_code_unsupported_field(tmp_path):

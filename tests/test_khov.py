@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from khovsolve import catalog
@@ -8,7 +9,7 @@ from khovsolve.fields import GF, QQ
 from khovsolve.khov import (
     build_parameterization,
     check_khovanskii_truncated,
-    expand_modp,
+    expand,
     graded_basis,
     graded_support,
     subduct,
@@ -153,41 +154,50 @@ def test_subduct_round_trip_random(del_pezzo_par):
             assert res.vector(sup) == coeffs
 
 
-def test_expand_modp_equals_subduct():
-    # products of basis elements and generators, plus members with random
-    # coefficients and non-members, expanded in one batch and one by one
-    F = GF(9716633)
+def _expand_cases(par, rng):
+    """(d, polys, count of non-members): products b * phi_i, random
+    members and one or two non-members."""
+    F = par.field
+    for d in (1, 2, 3):
+        bas = graded_basis(par, d - 1)
+        polys = [b * phi for _, b in bas.elements for phi in par.phi]
+        top = graded_basis(par, d).elements
+        for _ in range(3):
+            g = top[0][1].scale(F.from_int(rng.randrange(1, 10**6)))
+            for _, b in rng.sample(top, min(4, len(top))):
+                g = g + b.scale(F.from_int(rng.randrange(10**6)))
+            polys.append(g)
+        # non-members: a monomial outside every basis element, and a
+        # non-leading monomial of the basis (a column of the batch)
+        v = par.varnames[0]
+        polys.append(parse_polynomial(f"{v}^9 + 1", par.varnames, F))
+        leads = {beta[1:] for beta, _ in top}
+        tails = sorted({e for _, b in top for e in b.terms} - leads)
+        if tails:
+            polys.append(MultiPoly(F, par.varnames, {tails[0]: F.one}))
+        yield d, polys, 1 + bool(tails)
+
+
+def test_expand_equals_subduct():
+    # one batch against one subduction per polynomial: int64 arrays for the
+    # primes below 2**31, subduction rows over QQ and larger primes
     rng = random.Random(23)
-    for par in (catalog.del_pezzo(field=F), catalog.pluecker_chart(2, 4, F)):
-        for d in (1, 2, 3):
-            bas = graded_basis(par, d - 1)
-            polys = [b * phi for _, b in bas.elements for phi in par.phi]
-            top = graded_basis(par, d).elements
-            for _ in range(3):
-                g = top[0][1].scale(rng.randrange(1, F.modulus))
-                for _, b in rng.sample(top, min(4, len(top))):
-                    g = g + b.scale(rng.randrange(F.modulus))
-                polys.append(g)
-            # non-members: a monomial outside every basis element, and a
-            # non-leading monomial of the basis (a column of the batch)
-            v = par.varnames[0]
-            polys.append(parse_polynomial(f"{v}^9 + 1", par.varnames, F))
-            leads = {beta[1:] for beta, _ in top}
-            tails = sorted({e for _, b in top for e in b.terms} - leads)
-            if tails:
-                polys.append(MultiPoly(F, par.varnames, {tails[0]: 1}))
-            C, outside = expand_modp(par, polys, d)
-            sup = graded_support(par, d)
-            assert C.shape == (len(polys), len(sup))
-            expect_outside = []
-            for r, g in enumerate(polys):
-                res = subduct(par, g, d)
-                if res.remainder.is_zero():
-                    assert C[r].tolist() == res.vector(sup)
-                else:
-                    expect_outside.append(r)
-            assert outside == expect_outside
-            assert len(expect_outside) == 1 + bool(tails)
+    for F in (QQ, GF(9716633), GF(2**31 - 1), GF(2**61 - 1)):
+        for par in (catalog.del_pezzo(field=F), catalog.pluecker_chart(2, 4, F)):
+            for d, polys, n_outside in _expand_cases(par, rng):
+                C, outside = expand(par, iter(polys), d)
+                assert isinstance(C, np.ndarray) == (F.modulus in (9716633, 2**31 - 1))
+                assert len(C) == len(polys)
+                sup = graded_support(par, d)
+                expect_outside = []
+                for r, g in enumerate(polys):
+                    res = subduct(par, g, d)
+                    if res.remainder.is_zero():
+                        assert list(C[r]) == res.vector(sup)
+                    else:
+                        expect_outside.append(r)
+                assert outside == expect_outside
+                assert len(outside) == n_outside
 
 
 def test_multiplicative_closure(del_pezzo_par):

@@ -5,7 +5,7 @@ import pytest
 from khovsolve import catalog, linalg
 from khovsolve.fields import GF, QQ
 from khovsolve.hilbert import hilbert_function
-from khovsolve.khov import graded_basis, graded_support
+from khovsolve.khov import graded_basis, graded_support, subduct
 from khovsolve.km import (
     Equation,
     NotInAlgebraError,
@@ -131,15 +131,20 @@ def test_kernel_from_kept_echelon(field, monkeypatch):
 
 
 def test_fast_and_generic_paths_agree():
-    from khovsolve.km import _km_rows_generic, _row_labels
-
-    F = GF(9716633)
-    sys = catalog.duffing(field=F).sys
-    for d in (2, 3):
-        M = km_matrix(sys, d)  # batched fast path
-        labels = _row_labels(sys, d)
-        generic = _km_rows_generic(sys, d, labels)
-        assert [list(r) for r in M.entries] == generic
+    # the batched KM rows equal one subduction per product, in either form
+    for field in (QQ, GF(9716633)):
+        sys = catalog.duffing(field=field).sys
+        par = sys.par
+        for d in (2, 3):
+            sup = graded_support(par, d)
+            expect = [
+                subduct(par, b * eq.f, d).vector(sup)
+                for eq in sys.equations
+                for _, b in graded_basis(par, d - eq.degree).elements
+            ]
+            M = km_matrix(sys, d)
+            assert [list(r) for r in M.entries] == expect
+            assert {type(x) for r in M.entries for x in r} == {type(field.zero)}
 
 
 def test_equation_not_in_graded_piece():

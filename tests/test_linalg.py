@@ -141,6 +141,40 @@ def test_first_independent_columns_leftmost():
     A = qq_matrix([[0, 1, 1, 0], [0, 2, 0, 1]])
     assert linalg.first_independent_columns(A, QQ) == [1, 2]
     assert linalg.first_independent_columns(A, QQ, count=1) == [1]
+    # column 2 is 2 * column 1, so column 3 comes next
+    for field in (F101, FBIG):
+        B = [[0, 1, 2, 0, 5], [0, 3, 6, 1, 0]]
+        assert linalg.first_independent_columns(B, field) == [1, 3]
+        assert linalg.first_independent_columns(B, field, count=1) == [1]
+    # rank 2 < count: only the independent columns come back
+    C = qq_matrix([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1]])
+    assert linalg.first_independent_columns(C, QQ, count=3) == [0, 2]
+    assert linalg.first_independent_columns([], QQ) == []
+
+
+def test_matmul_and_combine_modp_match_python():
+    # inner dimensions above the 95 terms one float64 product holds exactly
+    F = GF(9716633)
+    p = F.modulus
+    rng = random.Random(11)
+
+    def rand(m, n):
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+
+    A, B = rand(7, 150), rand(150, 5)
+    expect = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
+    got = linalg.matmul(A, B, F)
+    assert got == expect
+    assert {type(x) for row in got for x in row} == {int}
+    mats = [rand(4, 6) for _ in range(120)]
+    coeffs = [rng.randrange(p) for _ in mats]
+    expect = [
+        [sum(c * M[r][j] for c, M in zip(coeffs, mats)) % p for j in range(6)]
+        for r in range(4)
+    ]
+    got = linalg.combine(coeffs, mats, F)
+    assert got == expect
+    assert {type(x) for row in got for x in row} == {int}
 
 
 def test_bareiss_handles_denominators():
