@@ -10,6 +10,11 @@ runs and the rate in Gop/s, one Gop being 1e9 multiply-adds (m*n*rank
 for a row reduction, m*k*n for a product, the basis terms touched for a
 subduction).
 
+The last row times the exact echelon over QQ, `linalg.echelon`, on the
+360 x 175 KM matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded
+random flags), with the number of p-adic lifting steps and the primes
+whose rank profiles were computed.
+
 Run as:  python3 benchmarks/bench_kernels.py
 """
 
@@ -17,7 +22,8 @@ import time
 
 import numpy as np
 
-from khovsolve import _kernels
+from khovsolve import _kernels, catalog, km, linalg
+from khovsolve.fields import QQ
 
 PRIMES = (9716633, 2**31 - 1)
 
@@ -81,6 +87,32 @@ def bench_matmul(rng, m, k, n, p):
     return t, m * k * n / 1e9
 
 
+def bench_echelon_qq():
+    """(seconds, shape, lifting steps, primes) of one QQ KM echelon."""
+    flags = catalog.random_flags(6, 3, seed=0, field=QQ)
+    conds = [catalog.SchubertCondition((2, 4, 6), f) for f in flags]
+    inst = catalog.schubert_equations(3, 6, conds)
+    rows = [list(r) for r in km.km_matrix(inst.sys, 2).entries]
+    primes, steps = [], []
+    profile, digits = linalg._rank_profile, linalg._from_digits
+
+    def count_profile(A, p):
+        primes.append(p)
+        return profile(A, p)
+
+    def count_digits(ds, p):
+        steps.append(len(ds))
+        return digits(ds, p)
+
+    linalg._rank_profile, linalg._from_digits = count_profile, count_digits
+    try:
+        linalg.echelon(rows, QQ)
+    finally:
+        linalg._rank_profile, linalg._from_digits = profile, digits
+    t, _ = _best(lambda: linalg.echelon(rows, QQ))
+    return t, f"{len(rows)}x{len(rows[0])}", steps[-1], primes
+
+
 def main():
     rng = np.random.default_rng(0)
     print(f"{'kernel':<22}{'shape':<22}{'p':>12}{'time':>11}{'Gop/s':>9}")
@@ -95,6 +127,9 @@ def main():
         for p in PRIMES:
             t, gop = fn(rng, *args, p)
             print(f"{name:<22}{shape:<22}{p:>12}{t * 1e3:9.1f}ms{gop / t:9.3f}")
+    t, shape, steps, primes = bench_echelon_qq()
+    print(f"{'echelon QQ':<22}{shape:<22}{primes[0]:>12}{t * 1e3:9.1f}ms"
+          f"   {steps} lifting steps, primes {primes}")
 
 
 if __name__ == "__main__":

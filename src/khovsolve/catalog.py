@@ -26,6 +26,7 @@ from .km import Equation, StructuredSystem
 from .poly import MultiPoly, WeightOrder, parse_polynomial
 
 __all__ = [
+    "InputError",
     "ProblemInstance",
     "duffing",
     "del_pezzo",
@@ -39,6 +40,10 @@ __all__ = [
     "chart_matrix_from_pluecker",
     "get_instance",
 ]
+
+
+class InputError(ValueError):
+    """User-given problem data that does not define a valid instance."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ def pluecker_chart(k, m, field=QQ, validate_degree=2) -> Parameterization:
     a small randomized weight search is the fallback.
     """
     if not (1 <= k < m):
-        raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
+        raise InputError(f"need 1 <= k < m, got k={k}, m={m}")
     H, varnames = _chart_matrix(k, m, field)
     phi = []
     for cols in itertools.combinations(range(m), k):
@@ -322,17 +327,20 @@ def schubert_equations(
     as t-polynomials, expressed in the degree-1 basis, and linearly
     dependent ones are dropped.
     """
+    if not (1 <= k < m):
+        raise InputError(f"need 1 <= k < m, got k={k}, m={m}")
     n = k * (m - k)
     conditions = list(conditions)
     for cond in conditions:
-        alpha = cond.alpha
-        if list(alpha) != sorted(set(alpha)) or alpha[-1] > m or alpha[0] < 1:
-            raise ValueError(f"invalid Schubert indices {alpha}")
+        alpha = tuple(cond.alpha)
+        if (len(alpha) != k or list(alpha) != sorted(set(alpha))
+                or alpha[-1] > m or alpha[0] < 1):
+            raise InputError(f"invalid Schubert indices {alpha} for Gr({k},{m})")
         if linalg.rank([list(r) for r in cond.flag], field) != m:
-            raise ValueError("flag matrix is singular")
+            raise InputError("flag matrix is singular")
     codim = sum(n - cond.dimension() for cond in conditions)
     if codim != n:
-        raise ValueError(
+        raise InputError(
             f"conditions cut codimension {codim}, expected n = {n}; not a "
             f"zero-dimensional Schubert problem"
         )

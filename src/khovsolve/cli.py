@@ -120,6 +120,8 @@ def _solution_json(sols):
     diag = dict(sols.diagnostics)
     h = diag.pop("h_coeffs", ())
     out = {
+        "certified": diag.get("certified"),
+        "uncertified": list(diag.get("uncertified", ())),
         "delta": diag.get("delta", len(sols.coords)),
         "dreg": diag.get("dreg"),
         "h": [str(c) for c in h],
@@ -158,15 +160,22 @@ def cmd_solve(args):
     return EXIT_OK
 
 
+def _int_list(text, option):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as err:
+        raise cat.InputError(f"bad {option} {text!r}: {err}") from err
+
+
 def cmd_schubert(args):
     field = parse_field(args.field)
     alphas = [
-        tuple(int(x) for x in chunk.split(","))
+        tuple(_int_list(chunk, "--conditions"))
         for chunk in args.conditions.split(";")
         if chunk
     ]
     if args.osculating:
-        svals = [int(x) for x in args.osculating.split(",")]
+        svals = _int_list(args.osculating, "--osculating")
         if len(svals) != len(alphas):
             print(
                 "error: need one osculating parameter per condition",
@@ -297,7 +306,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SystemFileError, FileNotFoundError, KeyError) as err:
+    except (SystemFileError, cat.InputError, FileNotFoundError, KeyError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_INPUT
     except solver.UnsupportedFieldError as err:

@@ -1,12 +1,15 @@
 """Exact linear algebra over QQ and F_p.
 
-Every rank, kernel and row selection comes from one forward elimination,
-kept as an `Echelon`. Over the rationals it is fraction-free Bareiss on
-denominator-cleared integer rows (controls coefficient blowup), and
-kernels are recovered by Fraction back-substitution. Over a prime field
-it is the blocked int64 RREF from `_kernels` when the modulus is below
-2**31, with a plain Python row reduction as the general path; kernels are
-read off the reduced rows.
+Every rank, kernel and row selection comes from one forward elimination
+with first-nonzero pivoting, kept as an `Echelon` that holds the reduced
+row echelon form (RREF) on every field, and kernels are read off it. Over
+a prime below 2**31 the elimination is the blocked int64 RREF from
+`_kernels`, with a plain Python row reduction for larger primes. Over
+the rationals one of the two runs mod word-size primes (the Python one
+for small matrices) for the pivots and the pivot rows; Dixon's p-adic
+lifting and rational reconstruction then give the exact RREF, which is
+accepted only with an exact certificate that the kernel annihilates every
+input row.
 
 Matrices are lists of rows of field elements or, over a prime below 2**31,
 int64 arrays with entries in [0, p). This is the only module that tells
@@ -18,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm, log2
 
 import numpy as np
 
 from . import _kernels
-from .fields import QQ, PrimeField
+from .fields import QQ, PrimeField, is_prime
 
 __all__ = [
     "SingularMatrixError",
@@ -53,86 +56,236 @@ def is_small_prime(field) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rationals: fraction-free elimination
+# rationals: mod-p echelon, p-adic lifting, exact certificate
 # ---------------------------------------------------------------------------
 
+# the largest prime with PANEL * (p-1)**2 <= 2**53, so that every panel
+# product of the blocked elimination is a single float64 BLAS call
+LIFT_PRIME = 11863279
 
-def _clear_denominators(row):
-    den = 1
-    for x in row:
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    return [int(Fraction(x) * den) for x in row]
+_FLOAT_EXACT = 1 << 53
+_INT64_LIMIT = 1 << 62
+# about where the two mod-p eliminations take the same time (20 x 20)
+_SMALL_RREF = 400
 
 
-def bareiss_echelon(rows):
-    """Fraction-free row echelon form of integer rows.
+def _integer_rows(rows):
+    """Each row scaled to a primitive integer row: the same row space."""
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        if den == 1:
+            ints = [x.numerator for x in row]
+        else:
+            ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
+    return out
 
-    Returns (echelon_rows, pivot_cols, pivot_source_indices). The source
-    indices identify which input rows ended up carrying a pivot.
+
+def _prime_below(p):
+    q = p - 2
+    while not is_prime(q):
+        q -= 2
+    return q
+
+
+def _rational(u, m, bound):
+    """(n, d) with n = d*u mod m, |n| <= bound and 0 < d <= bound, or None.
+
+    Wang's rational reconstruction, by the half extended Euclidean
+    algorithm; with m > 2 * bound**2 the fraction is unique if it exists.
     """
-    M = [list(r) for r in rows]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    src = list(range(m))
-    piv_cols = []
-    piv_src = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if M[i][c] != 0:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            M[r], M[pr] = M[pr], M[r]
-            src[r], src[pr] = src[pr], src[r]
-        pivot = M[r][c]
-        rowr = M[r]
-        for i in range(r + 1, m):
-            rowi = M[i]
-            mic = rowi[c]
-            if mic == 0:
-                if prev != 1:
-                    for j in range(c, n):
-                        rowi[j] = pivot * rowi[j] // prev
-                else:
-                    for j in range(c, n):
-                        rowi[j] = pivot * rowi[j]
-            else:
-                for j in range(c, n):
-                    rowi[j] = (pivot * rowi[j] - mic * rowr[j]) // prev
-        prev = pivot
-        piv_cols.append(c)
-        piv_src.append(src[r])
-        r += 1
-        if r == m:
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    return (r1, s1) if 0 < s1 <= bound else None
+
+
+def _from_digits(digits, p):
+    """sum_k digits[k] * p**k, as an object array, from int64 digit arrays."""
+    # two base-p digits make one base-p**2 digit, below 2**47
+    pairs = [
+        digits[k] + p * digits[k + 1] if k + 1 < len(digits) else digits[k]
+        for k in range(0, len(digits), 2)
+    ]
+    u = pairs[-1].astype(object)
+    for d in reversed(pairs[:-1]):
+        u = u * (p * p) + d
+    return u
+
+
+def _reconstruct(u, m, bound, den):
+    """(T, D, None) with T = D*u mod m and |T| <= bound entrywise.
+
+    Every entry is tried with the common denominator D first (starting
+    from `den`); only an entry that fails is reconstructed on its own, and
+    its denominator joins D. Returns (None, None, k) when entry k has no
+    such form yet.
+    """
+    while True:
+        t = u * den % m
+        t = np.where(t > m // 2, t - m, t)
+        bad = np.flatnonzero(np.abs(t) > bound)
+        if not bad.size:
+            return t, den, None
+        k = int(bad[0])
+        nd = _rational(int(u[k]), m, bound)
+        if nd is None or den % nd[1] == 0 or lcm(den, nd[1]) > bound:
+            return None, None, k
+        den = lcm(den, nd[1])
+
+
+def _matmul_exact(A, B, bound):
+    """A @ B over the integers when no partial sum exceeds `bound`."""
+    if bound <= _FLOAT_EXACT:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    return A @ B
+
+
+def _rref_mod(M, p):
+    """(RREF rows, pivots, sources) of the int64 matrix M mod p, M in [0, p).
+
+    Below _SMALL_RREF entries the plain Python elimination is the faster
+    one: the blocked kernel spends several numpy calls on every column.
+    """
+    if M.size <= _SMALL_RREF:
+        R, piv, src = _rref_modp_python(M.tolist(), p)
+        return np.array(R, dtype=np.int64).reshape(len(piv), M.shape[1]), piv, src
+    src = np.arange(M.shape[0], dtype=np.int64)
+    piv = _kernels.modp_rref(M, p, src).tolist()
+    return M[: len(piv)], piv, src[: len(piv)].tolist()
+
+
+def _rank_profile(A, p):
+    """Pivot columns and source rows of the integer matrix A mod p."""
+    _, piv, src = _rref_mod((A % p).astype(np.int64), p)
+    return piv, src
+
+
+def _lift(A, p, piv, sources):
+    """The RREF of the integer matrix A from its profile mod p, or None.
+
+    With S the source rows at the pivot columns and B at the free columns,
+    Dixon lifting finds the p-adic digits of X = S^-1 B (S^-1 mod p comes
+    from one elimination of [S | I]), and T / D is rebuilt from X mod p**K
+    by rational reconstruction. It is accepted only when all of this holds:
+
+    * every lifting step divides b_k - A_P x_k by p exactly, on all rows
+      of A, sources or not, so A_P X = A_F (mod p**K);
+    * the entries of X right of their row's pivot have zero digits and
+      are kept at 0;
+    * T = D X (mod p**K), and p**K exceeds twice any |A_P T - D A_F|.
+
+    Then A_P T = D A_F exactly, so each column of [-T; D] (at the pivot
+    and free columns) is a kernel vector of A, one per free column, with
+    no entry right of its free column but that column. S is invertible mod
+    p, hence over QQ. So the rank over QQ is the rank mod p, the pivot
+    columns are the same, and [I | T / D] is the RREF of A. None means
+    that p is unlucky: its rank profile is not the one over QQ.
+    """
+    m, n = A.shape
+    r = len(piv)
+    if r == 0:
+        return None if A.any() else Echelon([], (), ())
+    pivset = set(piv)
+    free = [c for c in range(n) if c not in pivset]
+    chosen = set(sources)
+    A = A[sources + [i for i in range(m) if i not in chosen]]
+    AP = A[:, piv]
+    W, wpiv, _ = _rref_mod(
+        np.hstack([(AP[:r] % p).astype(np.int64), np.eye(r, dtype=np.int64)]), p
+    )
+    if wpiv != list(range(r)):
+        return None
+    C = W[:, r:]  # S^-1 mod p
+    rows = [[QQ.zero] * n for _ in range(r)]
+    for i, pc in enumerate(piv):
+        rows[i][pc] = QQ.one
+    if not free:  # rank n, as S is invertible: the RREF is the identity
+        return Echelon(rows, tuple(piv), tuple(sources))
+
+    b = A[:, free]
+    l1 = max(sum(map(abs, row)) for row in AP.tolist())
+    amax = max(max(map(abs, row), default=0) for row in b.tolist())
+    # |b_k| stays at most max(amax, l1), and |A_P x_k| at most l1 * (p-1)
+    if A.dtype == object or amax + l1 * p >= _INT64_LIMIT:
+        AP, b = AP.astype(object), b.astype(object)
+    # Hadamard: the numerators and denominators of X are at most H
+    log_h2 = sum(log2(max(1, sum(x * x for x in row))) for row in A[:r].tolist())
+    steps = int((1 + log_h2 + log2(l1 + amax + 1)) / log2(p)) + 2
+
+    right = (np.asarray(piv)[:, None] > np.asarray(free)[None, :]).ravel()
+    kin, kout = np.flatnonzero(~right), np.flatnonzero(right)
+    digits = []
+    probe, u, mod = None, 0, 1
+    for _ in range(steps):
+        x = _kernels.modp_matmul(C, (b[:r] % p).astype(np.int64), p)
+        flat = x.ravel()
+        if flat[kout].any():
+            return None
+        b = b - _matmul_exact(AP, x, l1 * (p - 1))
+        if (b % p).any():
+            return None
+        b //= p
+        digits.append(flat[kin])
+        mod *= p
+        bound = isqrt(mod // 2)
+        if not kin.size:
+            T, den = np.zeros(0, dtype=object), 1
+        else:
+            if probe is None:
+                nz = np.flatnonzero(digits[0])
+                probe = int(nz[-1]) if nz.size else 0
+            u += int(digits[-1][probe]) * (mod // p)
+            nd = _rational(u, mod, bound)
+            if nd is None:
+                continue
+            U = _from_digits(digits, p)
+            T, den, miss = _reconstruct(U, mod, bound, nd[1])
+            if miss is not None:
+                probe, u = miss, int(U[miss])
+                continue
+        tmax = int(np.abs(T).max()) if T.size else 0
+        if mod > 2 * (l1 * tmax + amax * den):
             break
-    return M[:r], piv_cols, piv_src
+    else:
+        return None
+
+    nf = len(free)
+    for k, t in zip(kin.tolist(), T.tolist()):
+        if t:
+            rows[k // nf][free[k % nf]] = Fraction(t, den)
+    return Echelon(rows, tuple(piv), tuple(sources))
 
 
-def _kernel_from_bareiss(E, piv_cols, ncols):
-    """Canonical kernel by Fraction back-substitution on echelon rows."""
-    piv_set = set(piv_cols)
-    basis = []
-    for f in range(ncols):
-        if f in piv_set:
-            continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for i in reversed(range(len(piv_cols))):
-            pc = piv_cols[i]
-            row = E[i]
-            s = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if row[j] and x[j]:
-                    s += row[j] * x[j]
-            x[pc] = -s / row[pc]
-        basis.append(x)
-    return basis
+def _echelon_qq(rows):
+    """The RREF over QQ, lifted from the first of two primes that agree.
+
+    `_lift` certifies the pivots, the rank and the RREF exactly. The
+    source rows it returns are independent over QQ whatever the prime, and
+    they are the rows the first-nonzero rule picks over QQ unless p
+    divides one of the pivot values that rule meets. So the profile of a
+    prime (LIFT_PRIME, then the primes below it) is lifted only when the
+    next prime below gives the same pivots and sources.
+    """
+    ints = _integer_rows(rows)
+    big = max((max(max(r), -min(r)) for r in ints if r), default=0)
+    A = np.array(ints, dtype=np.int64 if big < _INT64_LIMIT else object)
+    p = LIFT_PRIME
+    profile = _rank_profile(A, p)
+    while True:
+        q = _prime_below(p)
+        other = _rank_profile(A, q)
+        if other == profile:
+            E = _lift(A, p, *profile)
+            if E is not None:
+                return E
+        p, profile = q, other
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +330,6 @@ def _rref_modp_python(rows, p):
     return M[:r], piv_cols, piv_src
 
 
-def _kernel_from_rref(R, piv_cols, ncols, p):
-    """Canonical kernel read off reduced rows: x_f = 1, x_pc = -R[i][f]."""
-    piv_set = set(piv_cols)
-    free = [f for f in range(ncols) if f not in piv_set]
-    K = np.zeros((len(free), ncols), dtype=np.int64)
-    K[np.arange(len(free)), free] = 1
-    if piv_cols:
-        K[:, list(piv_cols)] = (-np.asarray(R, dtype=np.int64)[:, free]).T % p
-    return K.tolist()
-
-
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
@@ -195,13 +337,12 @@ def _kernel_from_rref(R, piv_cols, ncols, p):
 
 @dataclass(frozen=True)
 class Echelon:
-    """Row echelon form of a matrix, from one exact forward elimination.
+    """Reduced row echelon form (RREF) of a matrix, on every field.
 
-    Over QQ `rows` are the fraction-free Bareiss rows of the
-    denominator-cleared matrix, each divided by the gcd of its entries;
-    over F_p they are the reduced rows (RREF),
-    an int64 array when the modulus allows. `pivots` are the pivot
-    columns and `sources` the input rows that carry them, in order.
+    `rows` are the nonzero rows of the RREF: Fraction rows over QQ, an
+    int64 array over a prime below 2**31, lists of ints otherwise.
+    `pivots` are the pivot columns and `sources` the input rows that carry
+    them, in order.
     """
 
     rows: object
@@ -210,20 +351,17 @@ class Echelon:
 
 
 def echelon(rows, field) -> Echelon:
-    """One forward elimination with first-nonzero pivoting.
+    """The RREF by one forward elimination with first-nonzero pivoting.
 
     `rows` is a list of rows or, over a prime field below 2**31, an int64
-    array with entries in [0, p); it is not modified.
+    array with entries in [0, p); it is not modified. Over QQ the
+    elimination runs mod LIFT_PRIME and the RREF is lifted p-adically and
+    certified exactly (`_lift`).
     """
     if len(rows) == 0:
         return Echelon([], (), ())
     if field == QQ:
-        E, piv_cols, piv_src = bareiss_echelon([_clear_denominators(r) for r in rows])
-        # primitive rows: the same row space in a fraction of the digits
-        for row in E:
-            g = gcd(*row)
-            row[:] = [x // g for x in row]
-        return Echelon(E, tuple(piv_cols), tuple(piv_src))
+        return _echelon_qq(rows)
     if is_small_prime(field):
         A = np.array(rows, dtype=np.int64)
         src = np.arange(A.shape[0], dtype=np.int64)
@@ -237,13 +375,26 @@ def echelon(rows, field) -> Echelon:
 def kernel_from_echelon(E: Echelon, field, ncols):
     """Basis of the right nullspace of the matrix E came from.
 
-    One vector per free column in order, with a 1 there and 0 in the
-    other free columns: the canonical basis, whichever echelon form of
-    the row space E holds.
+    One vector per free column f in order: x_f = 1, x_pc = -R[i][f] at
+    the pivot column pc of row i of the RREF R, and 0 elsewhere.
     """
-    if field == QQ:
-        return _kernel_from_bareiss(E.rows, E.pivots, ncols)
-    return _kernel_from_rref(E.rows, E.pivots, ncols, field.modulus)
+    pivset = set(E.pivots)
+    free = [f for f in range(ncols) if f not in pivset]
+    if isinstance(E.rows, np.ndarray):
+        p = field.modulus
+        K = np.zeros((len(free), ncols), dtype=np.int64)
+        K[np.arange(len(free)), free] = 1
+        K[:, list(E.pivots)] = (-E.rows[:, free]).T % p
+        return K.tolist()
+    basis = []
+    for f in free:
+        x = [field.zero] * ncols
+        x[f] = field.one
+        for row, pc in zip(E.rows, E.pivots):
+            if row[f]:
+                x[pc] = field.neg(row[f])
+        basis.append(x)
+    return basis
 
 
 def kernel(rows, field, ncols):

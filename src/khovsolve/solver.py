@@ -227,12 +227,13 @@ def extract_solutions(
         if gap > 1e-8 * max(1.0, np.abs(w).max()):
             clustered = False
             break
+    uncertified = []
     if clustered:
-        warnings.warn(
+        uncertified.append(
             "eigenvalues of the random combination stay clustered after "
-            f"{retries} draws; the solution scheme is possibly non-reduced",
-            stacklevel=2,
+            f"{retries} draws; the solution scheme is possibly non-reduced"
         )
+        warnings.warn(uncertified[-1], stacklevel=2)
     coords = np.empty((delta, len(mats)), dtype=complex)
     offdiag = 0.0
     for j, m in enumerate(mats):
@@ -259,11 +260,13 @@ def extract_solutions(
         "eigen_gap_clustered": clustered,
     }
     if offdiag / scale > tol:
-        warnings.warn(
+        uncertified.append(
             f"joint diagonalization off-diagonal residue {offdiag / scale:.3e} "
-            f"exceeds {tol:.1e}",
-            stacklevel=2,
+            f"exceeds {tol:.1e}"
         )
+        warnings.warn(uncertified[-1], stacklevel=2)
+    diagnostics["certified"] = not uncertified
+    diagnostics["uncertified"] = uncertified
     return SolutionSet(
         coords=tuple(tuple(row) for row in coords),
         residuals=(),
@@ -326,7 +329,12 @@ def residuals(sys: StructuredSystem, coords) -> tuple:
     return tuple(out)
 
 
-def _default_dreg(sys: StructuredSystem):
+def _default_dreg(sys: StructuredSystem, uncertified=None):
+    """The degree from the regularity bound of the Hilbert data.
+
+    An uncertified Hilbert regularity is warned about and, when
+    `uncertified` is a list, recorded in it as a reason.
+    """
     par = sys.par
     n = par.n
     degrees = sys.degrees
@@ -341,7 +349,13 @@ def _default_dreg(sys: StructuredSystem):
             dmax += 1
             hd = hilbert_numerator(par, dmax)
     if not hd.certified:
-        warnings.warn("using an uncertified Hilbert regularity", stacklevel=3)
+        reason = (
+            f"using an uncertified Hilbert regularity (Hilbert data up to "
+            f"degree {dmax}); the default dreg may be below the regularity set"
+        )
+        warnings.warn(reason, stacklevel=3)
+        if uncertified is not None:
+            uncertified.append(reason)
     return regularity_bound(hd.hreg, degrees, n=n) + 1
 
 
@@ -381,9 +395,10 @@ def solve(
     s = len(sys.equations)
     if s == 0:
         raise SolverError("no equations given")
+    uncertified = []
     if dreg is None:
         if s == par.n and not adaptive:
-            dreg = _default_dreg(sys)
+            dreg = _default_dreg(sys, uncertified)
         elif adaptive:
             dreg = _adaptive_dreg(sys, reduce)
         else:
@@ -409,8 +424,11 @@ def solve(
     coords = normalize_solutions(sols.coords, normalize)
     res = residuals(sys, sols.coords)
     diagnostics = dict(sols.diagnostics)
+    uncertified += sols.diagnostics["uncertified"]
     diagnostics.update(
         {
+            "certified": not uncertified,
+            "uncertified": uncertified,
             "dreg": dreg,
             "delta": ms.delta,
             "nullity": N.nullity,

@@ -126,6 +126,14 @@ def test_solve_command(duffing_file, tmp_path):
         assert len(sol["coords"]) == 5
 
 
+def test_solve_command_reports_certification(duffing_file, tmp_path):
+    out_json = tmp_path / "sols.json"
+    assert main(["solve", duffing_file, "--out", str(out_json)]) == 0
+    data = json.loads(out_json.read_text())
+    assert data["certified"] is True
+    assert data["uncertified"] == []
+
+
 def test_solve_command_deterministic(duffing_file, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -159,6 +167,13 @@ def test_exit_code_input_errors(tmp_path, capsys):
     assert main(square + ["--field", "Fp:abc"]) == 1
     assert main(["catalog", "duffing", "--field", "Fp:10"]) == 1
     assert "modulus" in capsys.readouterr().err
+    # Schubert data the catalog rejects, and unparsable conditions
+    bad_index = ["schubert", "--k", "2", "--m", "4", "--conditions", "2,5;2,5;2,5;2,5"]
+    assert main(bad_index) == 1
+    assert "invalid Schubert indices (2, 5)" in capsys.readouterr().err
+    not_int = ["schubert", "--k", "2", "--m", "4", "--conditions", "a,b;2,4;2,4;2,4"]
+    assert main(not_int) == 1
+    assert "bad --conditions 'a,b'" in capsys.readouterr().err
 
 
 def test_exit_code_math_error(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,29 +37,57 @@ def small_matrices(draw):
     ]
 
 
-def _fraction_rref_rank(rows):
-    """Independent rank oracle: plain Gauss over Fraction."""
+def _gauss_jordan(rows):
+    """Oracle: Fraction Gauss-Jordan with the first-nonzero pivot rule.
+
+    Returns (RREF rows, pivot columns, source rows); a pivot row found
+    below the current one is swapped into place.
+    """
     M = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(M[0]) if M else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(M)) if M[i][c]), None)
-        if piv is None:
+    src = list(range(len(M)))
+    pivots = []
+    for c in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        M[rank] = [x / M[rank][c] for x in M[rank]]
+        M[r], M[pr] = M[pr], M[r]
+        src[r], src[pr] = src[pr], src[r]
+        M[r] = [x / M[r][c] for x in M[r]]
         for i in range(len(M)):
-            if i != rank and M[i][c]:
+            if i != r and M[i][c]:
                 f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
-        rank += 1
-    return rank
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    r = len(pivots)
+    return M[:r], pivots, src[:r]
+
+
+def assert_matches_oracle(rows):
+    R, pivots, sources = _gauss_jordan(rows)
+    ncols = len(rows[0])
+    E = linalg.echelon(rows, QQ)
+    assert E.pivots == tuple(pivots)
+    assert E.sources == tuple(sources)
+    assert E.rows == R
+    free = [f for f in range(ncols) if f not in pivots]
+    expect = []
+    for f in free:
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, pc in zip(R, pivots):
+            x[pc] = -row[f]
+        expect.append(x)
+    K = linalg.kernel(rows, QQ, ncols)
+    assert K == expect
+    assert all(type(x) is Fraction for v in K for x in v)
+    assert all(type(x) is Fraction for row in E.rows for x in row)
 
 
 @given(small_matrices())
 @settings(max_examples=80, deadline=None)
 def test_rank_matches_fraction_oracle(rows):
-    assert linalg.rank(qq_matrix(rows), QQ) == _fraction_rref_rank(rows)
+    assert linalg.rank(qq_matrix(rows), QQ) == len(_gauss_jordan(rows)[1])
 
 
 @given(small_matrices())
@@ -177,9 +207,109 @@ def test_matmul_and_combine_modp_match_python():
     assert {type(x) for row in got for x in row} == {int}
 
 
-def test_bareiss_handles_denominators():
+def test_qq_handles_denominators():
     M = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]
     assert linalg.rank(M, QQ) == 1
     K = linalg.kernel(M, QQ, 2)
     assert len(K) == 1
     assert matvec(M, K[0], QQ) == [Fraction(0), Fraction(0)]
+
+
+BIG = 1 << 80
+
+
+@st.composite
+def big_fraction_matrices(draw):
+    """Fractions up to 2**80 over 2**80, with zeros and dependent rows."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    )
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i in range(1, m):
+        if draw(st.booleans()):
+            c = [draw(st.integers(-3, 3)) for _ in range(i)]
+            rows[i] = [
+                sum((ck * rows[k][j] for k, ck in enumerate(c)), Fraction(0))
+                for j in range(n)
+            ]
+    return rows
+
+
+@given(big_fraction_matrices())
+@settings(max_examples=60, deadline=None)
+def test_qq_echelon_matches_oracle(rows):
+    assert_matches_oracle(rows)
+
+
+@given(small_matrices())
+@settings(max_examples=60, deadline=None)
+def test_qq_echelon_matches_oracle_small_entries(rows):
+    assert_matches_oracle(qq_matrix(rows))
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to linalg.<name>."""
+    calls = []
+    real = getattr(linalg, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
+def test_qq_lift_object_arrays_many_steps(monkeypatch):
+    # 80-bit fractions clear to integers beyond int64: the lift runs on
+    # object arrays and needs many p-adic digits
+    rng = random.Random(3)
+    rows = [
+        [Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG)) for _ in range(6)]
+        for _ in range(4)
+    ]
+    rows.append([a + 2 * b for a, b in zip(rows[0], rows[1])])
+    lifts = _spy(monkeypatch, "_lift")
+    digits = _spy(monkeypatch, "_from_digits")
+    assert_matches_oracle(rows)
+    assert {A.dtype for A, *_ in lifts} == {np.dtype(object)}
+    assert max(len(d) for d, _ in digits) >= 20
+
+
+P = linalg.LIFT_PRIME
+
+
+Q = linalg._prime_below(P)
+
+
+@pytest.mark.parametrize("rows, prime", [
+    # the rank mod P is too low
+    ([[P, 1], [0, 1]], Q),
+    # the only nonzero entry of column 1 is a multiple of P
+    ([[1, 0, 1], [0, P, 1]], Q),
+    # the pivot minor [[1, 1], [1, 1 + P]] is divisible by P
+    ([[1, 1, 1], [1, 1 + P, 2]], Q),
+    # the first pivot over QQ, P, vanishes mod P, which takes row 1 instead
+    ([[P, 1], [1, 0]], Q),
+    # P and Q agree on a rank profile that is too low: the lift from P is
+    # rejected, and the two primes below Q agree on the true one
+    ([[P * Q, 1], [0, 1]], linalg._prime_below(Q)),
+], ids=["rank-drops", "column-vanishes", "pivot-minor", "pivot-row", "two-primes"])
+def test_qq_unlucky_first_prime(rows, prime, monkeypatch):
+    profiles = _spy(monkeypatch, "_rank_profile")
+    lifts = _spy(monkeypatch, "_lift")
+    linalg.echelon(qq_matrix(rows), QQ)
+    assert profiles[0][1] == P
+    assert lifts[-1][1] == prime
+    assert_matches_oracle(qq_matrix(rows))
+
+
+def test_lift_prime_is_the_largest_one_float64_panel_allows():
+    from khovsolve._kernels import PANEL
+    from khovsolve.fields import is_prime
+
+    assert is_prime(P) and PANEL * (P - 1) ** 2 <= 2**53
+    assert all(not is_prime(q) for q in range(P + 1, isqrt(2**53 // PANEL) + 2))

@@ -1,8 +1,9 @@
 import cmath
+import dataclasses
 
 import pytest
 
-from khovsolve import catalog, linalg
+from khovsolve import catalog, linalg, solver
 from khovsolve.fields import GF, QQ
 from khovsolve.hilbert import hilbert_function
 from khovsolve.km import km_matrix
@@ -48,6 +49,29 @@ def test_duffing_default_dreg(duffing):
     sols = solve(duffing.sys, seed=0)
     assert sols.diagnostics["dreg"] == 3
     assert len(sols) == 5
+
+
+def test_duffing_solve_is_certified(duffing):
+    sols = solve(duffing.sys, seed=0)
+    assert sols.diagnostics["certified"] is True
+    assert sols.diagnostics["uncertified"] == []
+
+
+def test_uncertified_hilbert_data_is_reported(duffing, monkeypatch):
+    # Hilbert data that never certifies: the solve goes on, with a warning
+    # and the reason in its diagnostics
+    real = solver.hilbert_numerator
+
+    def uncertified(par, dmax):
+        return dataclasses.replace(real(par, dmax), certified=False)
+
+    monkeypatch.setattr(solver, "hilbert_numerator", uncertified)
+    with pytest.warns(UserWarning, match="uncertified Hilbert regularity"):
+        sols = solve(duffing.sys, seed=0)
+    assert len(sols) == 5
+    assert sols.diagnostics["certified"] is False
+    [reason] = sols.diagnostics["uncertified"]
+    assert "uncertified Hilbert regularity" in reason
 
 
 def test_duffing_adaptive_dreg(duffing):
