@@ -10,20 +10,29 @@ runs and the rate in Gop/s, one Gop being 1e9 multiply-adds (m*n*rank
 for a row reduction, m*k*n for a product, the basis terms touched for a
 subduction).
 
-The last row times the exact echelon over QQ, `linalg.echelon`, on the
-360 x 175 KM matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded
-random flags), with the number of p-adic lifting steps and the primes
-whose rank profiles were computed.
+The exact echelon over QQ, `linalg.echelon`, is timed on the 360 x 175 KM
+matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded random
+flags), with the number of p-adic lifting steps and the primes whose rank
+profiles were computed.
+
+The last rows time the multiplication-matrix step of the solver: the
+block echelon of [N_h|B | N_{x_0}|B | ... | N_{x_ell}|B], whose RREF is
+[I | M_0 | ... | M_ell], and the exact checks `linalg.commuting_check`
+(sum c_j M_j = I, all pairs commute). Over QQ on the Bott-Samelson
+threefold at degree 3 (delta = 6, 8 blocks); over F_9716633 at the shape
+of the Gr(3,6) count (delta = 11, 20 blocks), on random commuting
+matrices P D_j P^-1.
 
 Run as:  python3 benchmarks/bench_kernels.py
 """
 
+import random
 import time
 
 import numpy as np
 
-from khovsolve import _kernels, catalog, km, linalg
-from khovsolve.fields import QQ
+from khovsolve import _kernels, catalog, km, linalg, solver
+from khovsolve.fields import GF, QQ
 
 PRIMES = (9716633, 2**31 - 1)
 
@@ -113,6 +122,62 @@ def bench_echelon_qq():
     return t, f"{len(rows)}x{len(rows[0])}", steps[-1], primes
 
 
+def _mult_step(coeffs, blocks, field):
+    """The solver's step: M_j from one block echelon, then the exact checks."""
+    delta = len(blocks[0])
+    rows = [[x for blk in blocks for x in blk[r]] for r in range(delta)]
+    R = linalg.take_rows(linalg.echelon(rows, field).rows, range(delta))
+    mats = [
+        tuple(row[(j + 1) * delta : (j + 2) * delta] for row in R)
+        for j in range(len(blocks) - 1)
+    ]
+    return mats, linalg.commuting_check(coeffs, mats, field)
+
+
+def bench_mult_qq():
+    """(echelon + checks, checks) seconds on the Bott-Samelson blocks."""
+    sys = catalog.bott_samelson().sys
+    N = solver.kernel_basis(km.km_matrix(sys, 3))
+    Nx = solver._multiplied_kernels(sys, N, 2)
+    delta = N.nullity
+    rng = random.Random(0)
+    c = [QQ.from_int(rng.randint(1, 2 * delta * delta + 1)) for _ in Nx]
+    Nh = linalg.combine(c, Nx, QQ)
+    B = linalg.first_independent_columns(Nh, QQ, count=delta)
+    blocks = [[[M[r][g] for g in B] for r in range(delta)] for M in (Nh, *Nx)]
+    t, (mats, ok) = _best(lambda: _mult_step(c, blocks, QQ))
+    assert ok == (True, None)
+    tc, _ = _best(lambda: linalg.commuting_check(c, mats, QQ))
+    return t, tc, f"{delta}x{delta * len(blocks)}"
+
+
+def bench_mult_fp(delta=11, nmats=20, p=9716633):
+    """The same on random commuting P D_j P^-1 over F_p, with S M_j blocks."""
+    F = GF(p)
+    rng = random.Random(0)
+
+    def rand(m, n):
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+
+    def diag(d):
+        return [[d[i] if i == j else 0 for j in range(delta)] for i in range(delta)]
+
+    c = [rng.randrange(1, p) for _ in range(nmats)]
+    D = [[rng.randrange(p) for _ in range(delta)] for _ in range(nmats - 1)]
+    # D_0 makes sum c_j D_j = I, so sum c_j M_j = I
+    inv0 = pow(c[0], p - 2, p)
+    D.insert(0, [(1 - sum(cj * d[i] for cj, d in zip(c[1:], D))) * inv0 % p
+                 for i in range(delta)])
+    P, S = rand(delta, delta), rand(delta, delta)
+    Pinv = linalg.invert(P, F)
+    mats = [linalg.matmul(linalg.matmul(P, diag(d), F), Pinv, F) for d in D]
+    blocks = [S] + [linalg.matmul(S, M, F) for M in mats]
+    t, (got, ok) = _best(lambda: _mult_step(c, blocks, F))
+    assert ok == (True, None) and [list(map(list, M)) for M in got] == mats
+    tc, _ = _best(lambda: linalg.commuting_check(c, got, F))
+    return t, tc, f"{delta}x{delta * len(blocks)}"
+
+
 def main():
     rng = np.random.default_rng(0)
     print(f"{'kernel':<22}{'shape':<22}{'p':>12}{'time':>11}{'Gop/s':>9}")
@@ -130,6 +195,11 @@ def main():
     t, shape, steps, primes = bench_echelon_qq()
     print(f"{'echelon QQ':<22}{shape:<22}{primes[0]:>12}{t * 1e3:9.1f}ms"
           f"   {steps} lifting steps, primes {primes}")
+    for name, fn, p in (("mult step QQ", bench_mult_qq, 0),
+                        ("mult step F_p", bench_mult_fp, 9716633)):
+        t, tc, shape = fn()
+        print(f"{name:<22}{shape:<22}{p or 'QQ':>12}{t * 1e3:9.1f}ms"
+              f"   checks {tc * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

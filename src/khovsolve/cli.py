@@ -210,9 +210,11 @@ def cmd_schubert(args):
         )
         _write_output(args.out, _solution_json(sols))
     else:
-        if dreg is None:
+        if dreg is None and args.adaptive:
             print("error: adaptive search over F_p needs --dreg", file=_sys.stderr)
             return EXIT_INPUT
+        if dreg is None:  # s = n, as checked above
+            dreg = solver._default_dreg(inst.sys)
         M = km_matrix(inst.sys, dreg, reduce=True)
         N = solver.kernel_basis(M)
         ms = solver.multiplication_matrices(inst.sys, N, dreg - 1, seed=args.seed)

@@ -1,15 +1,16 @@
 """Exact linear algebra over QQ and F_p.
 
-Every rank, kernel and row selection comes from one forward elimination
-with first-nonzero pivoting, kept as an `Echelon` that holds the reduced
-row echelon form (RREF) on every field, and kernels are read off it. Over
-a prime below 2**31 the elimination is the blocked int64 RREF from
-`_kernels`, with a plain Python row reduction for larger primes. Over
-the rationals one of the two runs mod word-size primes (the Python one
-for small matrices) for the pivots and the pivot rows; Dixon's p-adic
-lifting and rational reconstruction then give the exact RREF, which is
-accepted only with an exact certificate that the kernel annihilates every
-input row.
+Every rank, kernel, inverse and row selection comes from one forward
+elimination with first-nonzero pivoting, kept as an `Echelon` that holds
+the reduced row echelon form (RREF) on every field, and kernels are read
+off it. Over a prime below 2**31 the elimination is the blocked int64
+RREF from `_kernels`, or a plain Python row reduction for matrices of at
+most 400 entries and for larger primes. Over the rationals one of the two
+runs mod word-size primes for the pivots and the pivot rows; Dixon's
+p-adic lifting and rational reconstruction then give the exact RREF,
+which is accepted only with an exact certificate that the kernel
+annihilates every input row. `commuting_check` runs the exact checks of
+multiplication matrices on integer matrices through one stacked product.
 
 Matrices are lists of rows of field elements or, over a prime below 2**31,
 int64 arrays with entries in [0, p). This is the only module that tells
@@ -37,6 +38,7 @@ __all__ = [
     "rank",
     "independent_rows",
     "invert",
+    "commuting_check",
     "matmul",
     "combine",
     "take_rows",
@@ -158,7 +160,7 @@ def _rref_mod(M, p):
         return np.array(R, dtype=np.int64).reshape(len(piv), M.shape[1]), piv, src
     src = np.arange(M.shape[0], dtype=np.int64)
     piv = _kernels.modp_rref(M, p, src).tolist()
-    return M[: len(piv)], piv, src[: len(piv)].tolist()
+    return M[: len(piv)].copy(), piv, src[: len(piv)].tolist()
 
 
 def _rank_profile(A, p):
@@ -363,11 +365,8 @@ def echelon(rows, field) -> Echelon:
     if field == QQ:
         return _echelon_qq(rows)
     if is_small_prime(field):
-        A = np.array(rows, dtype=np.int64)
-        src = np.arange(A.shape[0], dtype=np.int64)
-        piv = _kernels.modp_rref(A, field.modulus, src)
-        r = len(piv)
-        return Echelon(A[:r].copy(), tuple(piv.tolist()), tuple(src[:r].tolist()))
+        R, piv, src = _rref_mod(np.array(rows, dtype=np.int64), field.modulus)
+        return Echelon(R, tuple(piv), tuple(src))
     R, piv_cols, piv_src = _rref_modp_python(rows, field.modulus)
     return Echelon(R, tuple(piv_cols), tuple(piv_src))
 
@@ -476,30 +475,63 @@ def take_rows(rows, keep):
 
 
 def invert(rows, field):
-    """Exact inverse of a square matrix via Gauss-Jordan on [A | I]."""
+    """Exact inverse of a square matrix: the right half of the RREF of [A | I]."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    M = [list(r) + [field.one if i == j else field.zero for j in range(n)]
-         for i, r in enumerate(rows)]
-    for c in range(n):
-        pr = -1
-        for i in range(c, n):
-            if M[i][c] != field.zero:
-                pr = i
-                break
-        if pr < 0:
-            raise SingularMatrixError(f"singular at column {c}")
-        M[c], M[pr] = M[pr], M[c]
-        inv = field.inv(M[c][c])
-        M[c] = [field.mul(x, inv) for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != field.zero:
-                f = M[i][c]
-                M[i] = [
-                    field.sub(x, field.mul(f, y)) for x, y in zip(M[i], M[c])
-                ]
-    return [r[n:] for r in M]
+    E = echelon([list(r) + e for r, e in zip(rows, identity(n, field))], field)
+    if E.pivots != tuple(range(n)):
+        rk = sum(pc < n for pc in E.pivots)
+        raise SingularMatrixError(f"singular matrix: rank {rk} < {n}")
+    return [list(row[n:]) for row in take_rows(E.rows, range(n))]
+
+
+def commuting_check(coeffs, mats, field):
+    """Exact checks of matrices M_j that should commute and sum to I.
+
+    Returns (identity, pair): whether sum_j coeffs[j] * mats[j] is the
+    identity, and the first (j, k), j < k, with M_j M_k != M_k M_j, or None
+    when all commute. Both checks run on integer matrices T_j = D M_j, with
+    D the common denominator over QQ and D = 1 over F_p. Every T_j T_k
+    comes from one product vstack(T) @ hstack(T), whose block (j, k) is
+    compared with block (k, j): float64 or int64 while the entries allow
+    it, object ints otherwise, and `_kernels.modp_matmul` below 2**31.
+    """
+    L, n = len(mats), len(mats[0])
+    p = None if field == QQ else field.modulus
+    if p is None:
+        cden = lcm(*(c.denominator for c in coeffs))
+        cs = [c.numerator * (cden // c.denominator) for c in coeffs]
+        D = lcm(*(x.denominator for M in mats for row in M for x in row))
+        flat = [
+            [x.numerator * (D // x.denominator) for row in M for x in row]
+            for M in mats
+        ]
+        diag = D * cden
+    else:
+        cs, flat, diag = list(coeffs), [[x for row in M for x in row] for M in mats], 1
+    total = (np.array(cs, dtype=object) @ np.array(flat, dtype=object)).reshape(n, n)
+    if p is not None:
+        total %= p
+    target = np.zeros((n, n), dtype=object)
+    np.fill_diagonal(target, diag)
+    is_identity = np.array_equal(total, target)
+
+    tmax = max(abs(x) for row in flat for x in row)
+    bound = n * tmax * tmax
+    small = is_small_prime(field) or (p is None and bound < _INT64_LIMIT)
+    T = np.array(flat, dtype=np.int64 if small else object).reshape(L, n, n)
+    V, H = T.reshape(L * n, n), T.transpose(1, 0, 2).reshape(n, L * n)
+    if is_small_prime(field):
+        P = _kernels.modp_matmul(V, H, p)
+    elif small:
+        P = _matmul_exact(V, H, bound)
+    else:
+        P = V @ H if p is None else V @ H % p
+    P = P.reshape(L, n, L, n)
+    differ = (P != P.transpose(2, 1, 0, 3)).any(axis=(1, 3))
+    pairs = np.argwhere(np.triu(differ, 1))
+    return is_identity, (tuple(pairs[0].tolist()) if pairs.size else None)
 
 
 def first_independent_columns(rows, field, count=None):

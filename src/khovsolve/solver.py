@@ -119,7 +119,9 @@ def multiplication_matrices(
 
     N_{x_j}[:, gamma] applies N to the expansion of b_{d,gamma} * phi_j,
     h is a random linear form in the generators, B is the leftmost set of
-    delta independent columns of N_h, and M_j = (N_h)|B^-1 (N_{x_j})|B.
+    delta independent columns of N_h, and M_j = (N_h)|B^-1 (N_{x_j})|B,
+    all read off one echelon. sum c_j M_j = I and the pairwise commutation
+    are checked exactly (`linalg.commuting_check`).
     """
     par = sys.par
     field = par.field
@@ -146,36 +148,41 @@ def multiplication_matrices(
                 c.append(x)
         Nh = linalg.combine(c, Nx, field)
         B = linalg.first_independent_columns(Nh, field, count=delta)
-        if len(B) < delta:
+        rank = len(B)
+        if rank == delta:
+            # the RREF of [N_h|B | N_{x_0}|B | ... | N_{x_ell}|B] is
+            # [I | M_0 | ... | M_ell]
+            E = linalg.echelon(
+                [[blk[r][g] for blk in (Nh, *Nx) for g in B] for r in range(delta)],
+                field,
+            )
+            rank = sum(pc < delta for pc in E.pivots)
+        if rank < delta:
             last_err = SolverError(
-                f"N_h has rank {len(B)} < {delta} for {retries} random h: the "
+                f"N_h has rank {rank} < {delta} for {retries} random h: the "
                 f"degree dreg = {d + 1} is likely below the regularity set, so "
                 f"the kernel overcounts the solutions; try a larger --dreg"
             )
             continue
-        NhB = [[Nh[r][g] for g in B] for r in range(delta)]
-        inv = linalg.invert(NhB, field)
-        mats = []
-        for j in range(par.ell + 1):
-            NxB = [[Nx[j][r][g] for g in B] for r in range(delta)]
-            mats.append(linalg.matmul(inv, NxB, field))
-        if linalg.combine(c, mats, field) != linalg.identity(delta, field):
+        R = linalg.take_rows(E.rows, range(delta))
+        mats = [
+            tuple(row[(j + 1) * delta : (j + 2) * delta] for row in R)
+            for j in range(par.ell + 1)
+        ]
+        is_identity, pair = linalg.commuting_check(c, mats, field)
+        if not is_identity:
             raise SolverError("internal error: sum c_j M_j is not the identity")
-        for j in range(len(mats)):
-            for k in range(j + 1, len(mats)):
-                if linalg.matmul(mats[j], mats[k], field) != linalg.matmul(
-                    mats[k], mats[j], field
-                ):
-                    raise SolverError(
-                        f"multiplication matrices {j} and {k} do not "
-                        f"commute: degrees not in the regularity set or "
-                        f"the solution scheme is non-reduced"
-                    )
+        if pair is not None:
+            raise SolverError(
+                f"multiplication matrices {pair[0]} and {pair[1]} do not "
+                f"commute: degrees not in the regularity set or the solution "
+                f"scheme is non-reduced"
+            )
         return MultiplicationSystem(
             delta=delta,
             h_coeffs=tuple(c),
             B_cols=tuple(sup_d.points[g] for g in B),
-            mats=tuple(tuple(tuple(r) for r in m) for m in mats),
+            mats=tuple(mats),
             seed=seed,
             degree=d,
         )

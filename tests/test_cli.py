@@ -224,3 +224,14 @@ def test_schubert_command_needs_matching_osculating_count(capsys):
         ]
     )
     assert rc == 1
+
+
+def test_schubert_over_fp_takes_the_default_dreg(tmp_path, capsys):
+    # s = n: the regularity bound gives dreg over F_p as over QQ
+    out = tmp_path / "gr24.json"
+    args = ["schubert", "--k", "2", "--m", "4",
+            "--conditions", "2,4;2,4;2,4;2,4", "--field", "Fp:101"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"delta": 2, "dreg": 2, "field": "Fp:101"}
+    assert main(args + ["--adaptive"]) == 1
+    assert "adaptive search over F_p needs --dreg" in capsys.readouterr().err

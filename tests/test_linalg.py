@@ -313,3 +313,106 @@ def test_lift_prime_is_the_largest_one_float64_panel_allows():
 
     assert is_prime(P) and PANEL * (P - 1) ** 2 <= 2**53
     assert all(not is_prime(q) for q in range(P + 1, isqrt(2**53 // PANEL) + 2))
+
+
+BLOCK_FIELDS = [QQ, F101, GF(9716633), GF(2**31 - 1), FBIG]
+
+
+@st.composite
+def block_systems(draw):
+    """(field, S, blocks): a random square S and k blocks of its size."""
+    field = draw(st.sampled_from(BLOCK_FIELDS))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    if field == QQ:
+        entry = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    else:
+        entry = st.integers(0, field.modulus - 1)
+    S = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    blocks = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(k)]
+    return field, S, blocks
+
+
+@given(block_systems())
+@settings(max_examples=80, deadline=None)
+def test_block_echelon_is_inverse_times_blocks(system):
+    field, S, blocks = system
+    n = len(S)
+    try:
+        inv = linalg.invert(S, field)
+    except linalg.SingularMatrixError:
+        assert linalg.rank(S, field) < n
+        return
+    rows = [[x for blk in [S, *blocks] for x in blk[r]] for r in range(n)]
+    E = linalg.echelon(rows, field)
+    assert E.pivots == tuple(range(n))
+    R = [list(row) for row in linalg.take_rows(E.rows, range(n))]
+    for j, blk in enumerate(blocks):
+        X = [row[(j + 1) * n : (j + 2) * n] for row in R]
+        assert X == linalg.matmul(inv, blk, field)
+        assert linalg.matmul(S, X, field) == [list(r) for r in blk]
+        kind = Fraction if field == QQ else int
+        assert all(type(x) is kind for row in X for x in row)
+
+
+def _commuting_family(field, n, k, rng):
+    """k matrices P diag(l_j) P^-1 and coefficients with sum c_j M_j = I."""
+    while True:
+        P = [[field.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(P, field) == n:
+            break
+    Pinv = linalg.invert(P, field)
+    mats = []
+    for _ in range(k):
+        diag = [[field.from_int(rng.randint(-9, 9)) if r == s else field.zero
+                 for s in range(n)] for r in range(n)]
+        mats.append(linalg.matmul(linalg.matmul(P, diag, field), Pinv, field))
+    # M_0 = I makes (1, 0, ..., 0) a valid coefficient vector
+    mats[0] = linalg.identity(n, field)
+    return [field.one] + [field.zero] * (k - 1), mats
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS, ids=str)
+def test_commuting_check(field):
+    rng = random.Random(5)
+    coeffs, mats = _commuting_family(field, 4, 4, rng)
+    assert linalg.commuting_check(coeffs, mats, field) == (True, None)
+    # a wrong coefficient breaks the identity, not the commutation
+    wrong = [field.from_int(2)] + coeffs[1:]
+    assert linalg.commuting_check(wrong, mats, field) == (False, None)
+    # one changed entry of M_2 breaks its commutation with M_1 and M_3
+    bad = [[list(r) for r in M] for M in mats]
+    bad[2][0][1] = field.add(bad[2][0][1], field.one)
+    assert linalg.commuting_check(coeffs, bad, field) == (True, (1, 2))
+
+
+@pytest.mark.parametrize("scale, kind", [
+    (1, "float64"), (1 << 20, "int64"), (1 << 70, "object"),
+], ids=["float64", "int64", "object"])
+def test_commuting_check_entry_sizes(scale, kind, monkeypatch):
+    # products past the float64 range run on int64, past int64 on object ints
+    rng = random.Random(8)
+    coeffs, mats = _commuting_family(QQ, 3, 3, rng)
+    big = Fraction(scale, 3)
+    scaled = [mats[0]] + [[[x * big for x in r] for r in M] for M in mats[1:]]
+    calls = _spy(monkeypatch, "_matmul_exact")
+    assert linalg.commuting_check(coeffs, scaled, QQ) == (True, None)
+    if kind == "object":
+        assert not calls
+    else:
+        V, H, bound = calls[0]
+        assert V.dtype == np.int64 and (bound <= 2**53) == (kind == "float64")
+    scaled[1][2][0] += Fraction(1, 7)
+    assert linalg.commuting_check(coeffs, scaled, QQ) == (True, (1, 2))
+
+
+def test_small_prime_echelon_uses_python_elimination_below_400_entries(monkeypatch):
+    calls = _spy(monkeypatch, "_rref_modp_python")
+    F = GF(9716633)
+    rng = random.Random(2)
+    rows = [[rng.randrange(F.modulus) for _ in range(6)] for _ in range(5)]
+    E = linalg.echelon(rows, F)
+    assert len(calls) == 1
+    R, piv, src = linalg._rref_modp_python(rows, F.modulus)
+    assert E.pivots == tuple(piv) and E.sources == tuple(src)
+    assert E.rows.tolist() == R

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -293,3 +294,71 @@ def test_seed_determinism(duffing):
     b = solve(duffing.sys, dreg=3, seed=5)
     assert a.coords == b.coords
     assert a.diagnostics["h_coeffs"] == b.diagnostics["h_coeffs"]
+
+
+def test_multiplication_matrices_are_fractions_over_qq(duffing):
+    # extract_solutions tells the fields apart by isinstance(first, int)
+    N = kernel_basis(km_matrix(duffing.sys, 3, reduce=True))
+    ms = multiplication_matrices(duffing.sys, N, 2, seed=0)
+    assert all(type(x) is Fraction for m in ms.mats for row in m for x in row)
+    assert all(isinstance(m, tuple) and isinstance(m[0], tuple) for m in ms.mats)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=str)
+def test_corrupted_multiplication_matrix_does_not_commute(field, monkeypatch):
+    sys = catalog.duffing(field=field).sys
+    N = kernel_basis(km_matrix(sys, 3, reduce=True))
+    delta = N.nullity
+    real = linalg.echelon
+
+    def corrupt(rows, fld):
+        E = real(rows, fld)
+        if len(rows[0]) != delta * (sys.par.ell + 2):
+            return E
+        # add 1 to M_1[0][1] and subtract c_1 / c_2 from M_2[0][1]: sum c_j
+        # M_j is still the identity, but the matrices no longer commute
+        R = [list(r) for r in linalg.take_rows(E.rows, range(delta))]
+        c = corrupt.coeffs
+        R[0][2 * delta + 1] = fld.add(R[0][2 * delta + 1], fld.one)
+        R[0][3 * delta + 1] = fld.sub(R[0][3 * delta + 1], fld.div(c[1], c[2]))
+        return linalg.Echelon(R, E.pivots, E.sources)
+
+    real_combine = linalg.combine
+
+    def record(coeffs, mats, fld):
+        corrupt.coeffs = coeffs
+        return real_combine(coeffs, mats, fld)
+
+    monkeypatch.setattr(linalg, "echelon", corrupt)
+    monkeypatch.setattr(linalg, "combine", record)
+    with pytest.raises(SolverError, match="do not commute"):
+        multiplication_matrices(sys, N, 2, seed=0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=str)
+def test_wrong_h_coefficient_is_not_the_identity(field, monkeypatch):
+    sys = catalog.duffing(field=field).sys
+    N = kernel_basis(km_matrix(sys, 3, reduce=True))
+    real = linalg.combine
+
+    def shifted(coeffs, mats, fld):
+        # N_h from c_0 + 1, checked against c_0
+        return real([fld.add(coeffs[0], fld.one), *coeffs[1:]], mats, fld)
+
+    monkeypatch.setattr(linalg, "combine", shifted)
+    with pytest.raises(SolverError, match="not the identity"):
+        multiplication_matrices(sys, N, 2, seed=0)
+
+
+DIFFERENTIAL = {"duffing": 5, "delpezzo": 5, "bottsamelson": 6, "grassmannian:2,4": 2}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_delta_agrees_across_fields(name):
+    """The same delta over QQ and two primes, at the default dreg."""
+    for field in (QQ, GF(P), GF(2**31 - 1)):
+        inst = catalog.get_instance(name, field=field, seed=0)
+        dreg = inst.recommended_dreg or _default_dreg(inst.sys)
+        N = kernel_basis(km_matrix(inst.sys, dreg, reduce=True))
+        ms = multiplication_matrices(inst.sys, N, dreg - 1, seed=0)
+        assert (N.nullity, ms.delta) == (DIFFERENTIAL[name],) * 2, field
