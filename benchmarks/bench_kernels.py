@@ -15,6 +15,13 @@ matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded random
 flags), with the number of p-adic lifting steps and the primes whose rank
 profiles were computed.
 
+The map rows time the product primitive at the same shape (Gr(3,6), d =
+2 -> 3, F_9716633): building the sparse multiplication map X^(2), 3500 x
+980 (`khov.multiplication_map`, graded bases and the CSR basis cached),
+the KM rows of 13 random linear equations scattered from its rows
+(`km._km_rows`, 2275 x 980), and N X^T for an 11 x 980 kernel
+(`linalg.matmul_transposed`).
+
 The last rows time the multiplication-matrix step of the solver: the
 block echelon of [N_h|B | N_{x_0}|B | ... | N_{x_ell}|B], whose RREF is
 [I | M_0 | ... | M_ell], and the exact checks `linalg.commuting_check`
@@ -31,7 +38,7 @@ import time
 
 import numpy as np
 
-from khovsolve import _kernels, catalog, km, linalg, solver
+from khovsolve import _kernels, catalog, khov, km, linalg, solver
 from khovsolve.fields import GF, QQ
 
 PRIMES = (9716633, 2**31 - 1)
@@ -122,6 +129,28 @@ def bench_echelon_qq():
     return t, f"{len(rows)}x{len(rows[0])}", steps[-1], primes
 
 
+def bench_maps(p=9716633, delta=11, equations=13):
+    """Seconds of the map build, the KM-row scatter and N X^T, with shapes."""
+    F = GF(p)
+    par = catalog.pluecker_chart(3, 6, F, validate_degree=0)
+
+    def build():
+        par._maps.clear()
+        return khov.multiplication_map(par, 2)
+
+    t_map, X = _best(build)
+    sys = catalog.random_dense_system(par, (1,) * equations, seed=0)
+    t_rows, rows = _best(lambda: km._km_rows(sys, 3))
+    N = np.random.default_rng(0).integers(0, p, size=(delta, X.matrix.shape[1]))
+    t_nx, _ = _best(lambda: linalg.matmul_transposed(N, X.matrix, F))
+    nnz = len(X.matrix.rows)
+    return [
+        ("multiplication_map", "{}x{} nnz {}".format(*X.matrix.shape, nnz), t_map),
+        ("KM rows from map", "{}x{}".format(*rows.shape), t_rows),
+        ("N X^T", f"{delta}x{X.matrix.shape[1]} . X^T", t_nx),
+    ]
+
+
 def _mult_step(coeffs, blocks, field):
     """The solver's step: M_j from one block echelon, then the exact checks."""
     delta = len(blocks[0])
@@ -192,6 +221,8 @@ def main():
         for p in PRIMES:
             t, gop = fn(rng, *args, p)
             print(f"{name:<22}{shape:<22}{p:>12}{t * 1e3:9.1f}ms{gop / t:9.3f}")
+    for name, shape, t in bench_maps():
+        print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms")
     t, shape, steps, primes = bench_echelon_qq()
     print(f"{'echelon QQ':<22}{shape:<22}{primes[0]:>12}{t * 1e3:9.1f}ms"
           f"   {steps} lifting steps, primes {primes}")

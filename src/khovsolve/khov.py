@@ -7,6 +7,11 @@ the phi_j are a Khovanskii basis under the chosen weight order, the graded
 piece of the coordinate ring in degree d has a monomial-indexed basis
 labelled by the d-element column sums of A, and every element can be
 expanded in that basis by subduction (leading-term elimination).
+
+The multiplication maps X_j^(d), which send b_{d,gamma} to the expansion
+of b_{d,gamma} * phi_j in degree d+1, are expanded once per degree and
+kept sparse; every later product of the pipeline is a combination of
+their rows.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ __all__ = [
     "SubductionResult",
     "subduct",
     "expand",
+    "MultiplicationMap",
+    "multiplication_map",
     "witness_monomial",
     "DegreeCheck",
     "KhovanskiiReport",
@@ -41,13 +48,13 @@ class Parameterization:
 
     `A` is the matrix of leading exponents of the homogenized generators:
     column j is (1, leading_exponent(phi_j)). Graded supports and bases,
-    their subduction orders and their CSR forms for batched expansion are
-    cached per degree on the instance.
+    their subduction orders, their CSR forms for batched expansion and the
+    multiplication maps are cached per degree on the instance.
     """
 
     __slots__ = (
         "field", "varnames", "phi", "ord", "A",
-        "_supports", "_bases", "_orders", "_batch",
+        "_supports", "_bases", "_orders", "_batch", "_maps",
     )
 
     def __init__(self, field, varnames, phi, ord, A):
@@ -60,6 +67,7 @@ class Parameterization:
         self._bases = {}
         self._orders = {}
         self._batch = {}
+        self._maps = {}
 
     @property
     def n(self) -> int:
@@ -366,6 +374,41 @@ def expand(par: Parameterization, polys, d: int):
     return C, sorted(outside)
 
 
+@dataclass(frozen=True)
+class MultiplicationMap:
+    """The maps X_j^(d): b_{d,gamma} -> b_{d,gamma} * phi_j, for every j.
+
+    `matrix` is a `linalg.Sparse` with one row per pair (j, gamma), at
+    j * |d.A| + position of gamma, and one column per point of (d+1).A:
+    row (j, gamma) is the expansion of b_{d,gamma} * phi_j in the
+    degree-(d+1) basis. `outside` lists the rows whose product has a
+    nonzero remainder; they hold no entries.
+    """
+
+    degree: int
+    matrix: object
+    outside: tuple
+
+
+def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
+    """X^(d), cached on `par`: all products b_{d,gamma} * phi_j in one expansion.
+
+    These maps are the one product primitive of the pipeline: the KM rows
+    in degree d+1, the multiplied kernels N_{x_j} and the truncated
+    Khovanskii check in degree d+1 are all read off X^(d).
+    """
+    cached = par._maps.get(d)
+    if cached is not None:
+        return cached
+    bas = graded_basis(par, d)
+    products = (b * phi for phi in par.phi for _, b in bas.elements)
+    C, outside = expand(par, products, d + 1)
+    X = MultiplicationMap(d, linalg.sparse_from_dense(C, par.field, skip=outside),
+                          tuple(outside))
+    par._maps[d] = X
+    return X
+
+
 def witness_monomial(par: Parameterization, d: int, beta) -> tuple:
     """Generator exponent vector of the witness chain for beta in d.A.
 
@@ -413,11 +456,12 @@ def check_khovanskii_truncated(par: Parameterization, dmax: int) -> KhovanskiiRe
     """Degree-truncated Khovanskii-basis verification.
 
     For each d <= dmax the span of all degree-d products of the generators
-    must have dimension |d.A|. Products are enumerated as b_{d-1,gamma} *
-    phi_i and expanded in one batch; the rank of the span equals |d.A|
-    plus the rank of the nonzero remainders (remainders have no support
-    on basis leading monomials, so the two spans only meet in zero). A
-    failure stops the scan since higher-degree bases are then unreliable.
+    must have dimension |d.A|. The products b_{d-1,gamma} * phi_j are the
+    rows of the cached map X^(d-1); the rank of their span equals |d.A|
+    plus the rank of the nonzero remainders of its outside rows
+    (remainders have no support on basis leading monomials, so the two
+    spans only meet in zero). A failure stops the scan since higher-degree
+    bases are then unreliable.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be at least 1, got {dmax}")
@@ -425,11 +469,11 @@ def check_khovanskii_truncated(par: Parameterization, dmax: int) -> KhovanskiiRe
     checks = []
     for d in range(1, dmax + 1):
         expected = len(graded_support(par, d))
-        products = [
-            b * phi for _, b in graded_basis(par, d - 1).elements for phi in par.phi
+        bas = graded_basis(par, d - 1).elements
+        remainders = [
+            subduct(par, bas[r % len(bas)][1] * par.phi[r // len(bas)], d).remainder
+            for r in multiplication_map(par, d - 1).outside
         ]
-        _, outside = expand(par, products, d)
-        remainders = [subduct(par, products[r], d).remainder for r in outside]
         if remainders:
             monomials = sorted(
                 {e for r in remainders for e in r.terms}, key=par.ord.key

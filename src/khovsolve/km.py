@@ -4,19 +4,25 @@ An equation of degree d_i is an element f_i of the degree-d_i graded piece
 of the coordinate ring. The KM matrix in degree d has one row per pair
 (equation i, point gamma of (d-d_i).A), holding the expansion of
 b_{d-d_i,gamma} * f_i in the degree-d graded basis.
+
+No product b * f_i is formed: with f_i = sum_j c_ij phi_j a row is the
+combination sum_j c_ij X_j^(d-1)[gamma] of rows of the cached
+multiplication maps (`khov.multiplication_map`), and an equation of
+higher degree composes the maps of the degrees below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from . import linalg
 from .khov import (
     Parameterization,
     check_khovanskii_truncated,
-    expand,
-    graded_basis,
     graded_support,
+    multiplication_map,
     subduct,
     witness_monomial,
 )
@@ -93,6 +99,7 @@ class StructuredSystem:
                 )
             eqs.append(eq)
         self.equations = tuple(eqs)
+        self._forms = {}
         if validate:
             self._validate()
 
@@ -101,39 +108,56 @@ class StructuredSystem:
         return tuple(eq.degree for eq in self.equations)
 
     def _validate(self):
-        F = self.par.field
         for i, eq in enumerate(self.equations):
-            res = subduct(self.par, eq.f, eq.degree)
-            if not res.remainder.is_zero():
-                raise NotInAlgebraError(
-                    f"equation {i} is not in the degree-{eq.degree} graded "
-                    f"piece (subduction remainder {res.remainder.to_string()})"
+            if eq.coeff_form is None:
+                self._subducted_form(i)
+                continue
+            self._subduct(i)
+            expanded = _expand_coeff_form(self.par, eq.coeff_form, eq.degree)
+            if expanded != eq.f:
+                raise ValueError(
+                    f"equation {i}: coefficient form does not expand to f"
                 )
-            if eq.coeff_form is not None:
-                expanded = _expand_coeff_form(self.par, eq.coeff_form, eq.degree)
-                if expanded != eq.f:
-                    raise ValueError(
-                        f"equation {i}: coefficient form does not expand to f"
-                    )
+
+    def _subduct(self, i):
+        """Subduction of equation i; NotInAlgebraError outside its graded piece."""
+        eq = self.equations[i]
+        res = subduct(self.par, eq.f, eq.degree)
+        if not res.remainder.is_zero():
+            raise NotInAlgebraError(
+                f"equation {i} is not in the degree-{eq.degree} graded "
+                f"piece (subduction remainder {res.remainder.to_string()})"
+            )
+        return res
+
+    def _subducted_form(self, i):
+        """The coefficient form of equation i by subduction, kept per equation.
+
+        The basis label beta of each coefficient is converted to a
+        generator exponent vector via its witness chain.
+        """
+        form = self._forms.get(i)
+        if form is not None:
+            return form
+        F = self.par.field
+        form = {}
+        for beta, c in self._subduct(i).coeffs.items():
+            alpha = witness_monomial(self.par, self.equations[i].degree, beta)
+            form[alpha] = F.add(form.get(alpha, F.zero), c)
+        form = {a: c for a, c in form.items() if c != F.zero}
+        self._forms[i] = form
+        return form
 
     def coefficient_form(self, i):
         """Coefficients of equation i over generator monomials.
 
-        Derived by subduction when not supplied: the basis label beta of
-        each coefficient is converted to a generator exponent vector via
-        its witness chain.
+        The supplied form, or else the one derived by subduction; raises
+        NotInAlgebraError when f lies outside its graded piece.
         """
         eq = self.equations[i]
         if eq.coeff_form is not None:
             return dict(eq.coeff_form)
-        res = subduct(self.par, eq.f, eq.degree)
-        out = {}
-        for beta, c in res.coeffs.items():
-            alpha = witness_monomial(self.par, eq.degree, beta)
-            out[alpha] = self.par.field.add(
-                out.get(alpha, self.par.field.zero), c
-            )
-        return {a: c for a, c in out.items() if c != self.par.field.zero}
+        return dict(self._subducted_form(i))
 
 
 @dataclass(frozen=True)
@@ -195,21 +219,71 @@ def _nonzero_remainder_error(sys, d, i):
     )
 
 
-def _km_rows(sys, d, labels):
-    """The expansions of the products b_{d-d_i,gamma} * f_i, one per label."""
+def _split(form):
+    """f = sum_j phi_j g_j as {j: coefficient form of g_j}.
+
+    Each generator monomial goes under its first generator.
+    """
+    parts = {}
+    for alpha, c in form.items():
+        alpha = tuple(alpha)
+        j = next(k for k, a in enumerate(alpha) if a)
+        parts.setdefault(j, {})[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]] = c
+    return parts
+
+
+def _map_rows(sys, d, blocks, dkm):
+    """The stacked matrices R(f, d) of the blocks (i, form, e), from X^(d-1).
+
+    R(f, d) holds the expansions of b_{d-e,gamma} * f in the degree-d
+    basis, for f of degree e given by its coefficient form, one row per
+    point gamma of (d-e).A. With f = sum_j phi_j g_j,
+    R(f, d) = sum_j R(g_j, d-1) X_j^(d-1) and R(c, k) = c I, so all blocks
+    are one sparse combination S X^(d-1) of the map's rows. A row of S that
+    uses an outside row of the map raises for its equation i (KM degree
+    dkm) before any product is formed.
+    """
     par = sys.par
+    X = multiplication_map(par, d - 1)
+    H = len(graded_support(par, d - 1))
+    sizes = [len(graded_support(par, d - e)) for _, _, e in blocks]
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
+    for (i, form, e), first in zip(blocks, np.cumsum([0] + sizes).tolist()):
+        for j, g in _split(form).items():
+            if e == 1:
+                (c,) = g.values()
+                rows.append(first + np.arange(H))
+                cols.append(j * H + np.arange(H))
+                vals.extend([c] * H)
+            else:
+                R = linalg.sparse_from_dense(
+                    _map_rows(sys, d - 1, [(i, g, e - 1)], dkm), par.field
+                )
+                rows.append(first + R.rows)
+                cols.append(j * H + R.cols)
+                vals.extend(R.vals)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    if X.outside:
+        used = rows[np.isin(cols, X.outside)]
+        if used.size:
+            owner = np.repeat([i for i, _, _ in blocks], sizes)
+            raise _nonzero_remainder_error(sys, dkm, int(owner[used.min()]))
+    S = linalg.sparse((sum(sizes), X.matrix.shape[0]), rows, cols, vals, par.field)
+    return linalg.combine_rows(S, X.matrix, par.field)
 
-    def products():
-        for i, gamma in labels:
-            eq = sys.equations[i]
-            prev_sup = graded_support(par, d - eq.degree)
-            b = graded_basis(par, d - eq.degree).elements[prev_sup.index[gamma]][1]
-            yield b * eq.f
 
-    rows, outside = expand(par, products(), d)
-    if outside:
-        raise _nonzero_remainder_error(sys, d, labels[outside[0]][0])
-    return rows
+def _km_rows(sys, d):
+    """The expansions of b_{d-d_i,gamma} * f_i, in label order, from the maps."""
+    blocks = []
+    for i, eq in enumerate(sys.equations):
+        if d < eq.degree:
+            continue
+        try:
+            form = sys.coefficient_form(i)
+        except NotInAlgebraError as err:
+            raise _nonzero_remainder_error(sys, d, i) from err
+        blocks.append((i, form, eq.degree))
+    return _map_rows(sys, d, blocks, d)
 
 
 def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
@@ -223,7 +297,7 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     labels = _row_labels(sys, d)
-    rows = _km_rows(sys, d, labels) if labels else []
+    rows = _km_rows(sys, d) if labels else []
     keep, ech = range(len(labels)), None
     if reduce and labels:
         keep, ech = linalg.independent_rows(rows, par.field, return_echelon=True)

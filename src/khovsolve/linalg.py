@@ -16,13 +16,19 @@ Matrices are lists of rows of field elements or, over a prime below 2**31,
 int64 arrays with entries in [0, p). This is the only module that tells
 the two forms apart: products, linear combinations and eliminations over
 a small prime run through `_kernels`, and results come back as lists.
+Sparse matrices (`Sparse`, a COO triple) have two operations: the dense
+combination of their rows S @ X, which stays an int64 array over a small
+prime, and the product A @ X^T with a dense A; over a small prime both are
+numpy scatters, over any other field loops over the nonzeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, isqrt, lcm, log2
+from operator import is_not
 
 import numpy as np
 
@@ -41,6 +47,11 @@ __all__ = [
     "commuting_check",
     "matmul",
     "combine",
+    "Sparse",
+    "sparse",
+    "sparse_from_dense",
+    "combine_rows",
+    "matmul_transposed",
     "take_rows",
     "identity",
     "is_small_prime",
@@ -265,6 +276,13 @@ def _lift(A, p, piv, sources):
     return Echelon(rows, tuple(piv), tuple(sources))
 
 
+def _integer_matrix(rows):
+    """The primitive integer rows of a QQ matrix, int64 when they fit."""
+    ints = _integer_rows(rows)
+    big = max((max(max(r), -min(r)) for r in ints if r), default=0)
+    return np.array(ints, dtype=np.int64 if big < _INT64_LIMIT else object)
+
+
 def _echelon_qq(rows):
     """The RREF over QQ, lifted from the first of two primes that agree.
 
@@ -275,9 +293,7 @@ def _echelon_qq(rows):
     prime (LIFT_PRIME, then the primes below it) is lifted only when the
     next prime below gives the same pivots and sources.
     """
-    ints = _integer_rows(rows)
-    big = max((max(max(r), -min(r)) for r in ints if r), default=0)
-    A = np.array(ints, dtype=np.int64 if big < _INT64_LIMIT else object)
+    A = _integer_matrix(rows)
     p = LIFT_PRIME
     profile = _rank_profile(A, p)
     while True:
@@ -467,6 +483,113 @@ def combine(coeffs, mats, field):
     return out
 
 
+@dataclass(frozen=True)
+class Sparse:
+    """A sparse matrix as a COO triple, entries in row order.
+
+    `rows` and `cols` are int64 arrays; `vals` holds the nonzero field
+    elements, an int64 array over a prime below 2**31 and a list
+    otherwise.
+    """
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: object
+
+    def row_starts(self):
+        """The CSR row pointer: row r holds entries row_starts[r]:row_starts[r+1]."""
+        counts = np.bincount(self.rows, minlength=self.shape[0])
+        return np.concatenate(([0], np.cumsum(counts)))
+
+
+def sparse(shape, rows, cols, vals, field) -> Sparse:
+    """The `Sparse` matrix with entries vals[k] at (rows[k], cols[k])."""
+    rows = np.asarray(rows, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    cols = np.asarray(cols, dtype=np.int64)[order]
+    if is_small_prime(field):
+        vals = np.asarray(vals, dtype=np.int64)[order]
+    else:
+        vals = [vals[k] for k in order.tolist()]
+    return Sparse(tuple(shape), rows[order], cols, vals)
+
+
+def sparse_from_dense(C, field, skip=()) -> Sparse:
+    """The nonzero entries of the matrix C, leaving out the rows in `skip`."""
+    if isinstance(C, np.ndarray):
+        nz = C != 0
+        nz[list(skip)] = False
+        rows, cols = np.nonzero(nz)
+        return Sparse(C.shape, rows, cols, C[rows, cols])
+    skip = set(skip)
+    rows, cols, vals = [], [], []
+    for r, row in enumerate(C):
+        if r in skip:
+            continue
+        # rows of `khov.expand` hold the field's zero object itself, which an
+        # identity test in C passes over; other zeros are dropped below
+        for c in compress(range(len(row)), map(is_not, row, repeat(field.zero))):
+            if row[c]:
+                rows.append(r)
+                cols.append(c)
+                vals.append(row[c])
+    shape = (len(C), len(C[0]) if len(C) else 0)
+    return Sparse(shape, np.array(rows, dtype=np.int64),
+                  np.array(cols, dtype=np.int64), vals)
+
+
+def combine_rows(S: Sparse, X: Sparse, field):
+    """The dense product S @ X: row i is sum_r S[i, r] * X[r].
+
+    An int64 array over a prime below 2**31, where every product of a
+    coefficient and an entry is scattered into place by one `np.add.at`;
+    a list of rows otherwise.
+    """
+    m, n = S.shape[0], X.shape[1]
+    starts = X.row_starts()
+    if is_small_prime(field):
+        first, count = starts[S.cols], starts[S.cols + 1] - starts[S.cols]
+        k = np.repeat(np.arange(len(S.cols)), count)
+        # position in X of each term: its row's first entry plus its rank
+        pos = np.arange(len(k)) + np.repeat(first - (np.cumsum(count) - count), count)
+        out = np.zeros(m * n, dtype=np.int64)
+        np.add.at(out, S.rows[k] * n + X.cols[pos],
+                  S.vals[k] * X.vals[pos] % field.modulus)
+        return (out % field.modulus).reshape(m, n)
+    starts, xcols = starts.tolist(), X.cols.tolist()
+    out = [[field.zero] * n for _ in range(m)]
+    for i, r, c in zip(S.rows.tolist(), S.cols.tolist(), S.vals):
+        row = out[i]
+        for k in range(starts[r], starts[r + 1]):
+            j = xcols[k]
+            row[j] = field.add(row[j], field.mul(c, X.vals[k]))
+    return out
+
+
+def matmul_transposed(A, X: Sparse, field):
+    """A @ X^T as a list of rows, for a dense A with X.shape[1] columns."""
+    if len(A) == 0:
+        return []
+    if is_small_prime(field):
+        p = field.modulus
+        W = np.asarray(A, dtype=np.int64)[:, X.cols] * X.vals % p
+        out = np.zeros((W.shape[0], X.shape[0]), dtype=np.int64)
+        starts = X.row_starts()
+        filled = np.flatnonzero(np.diff(starts))
+        if filled.size:
+            # X's entries are in row order: one segment sum per nonempty row
+            out[:, filled] = np.add.reduceat(W, starts[filled], axis=1) % p
+        return out.tolist()
+    out = [[field.zero] * X.shape[0] for _ in A]
+    for r, c, v in zip(X.rows.tolist(), X.cols.tolist(), X.vals):
+        for arow, orow in zip(A, out):
+            a = arow[c]
+            if a:
+                orow[r] = field.add(orow[r], field.mul(a, v))
+    return out
+
+
 def take_rows(rows, keep):
     """Rows `keep` of a matrix, as tuples of Python field elements."""
     if isinstance(rows, np.ndarray):
@@ -537,6 +660,23 @@ def commuting_check(coeffs, mats, field):
 def first_independent_columns(rows, field, count=None):
     """The leftmost `count` (default all) independent column indices.
 
-    The pivot columns of any echelon form are exactly these.
+    The pivot columns of any echelon form are exactly these. Over QQ they
+    are read off the rank profile mod p of the primitive integer rows, with
+    no lifting: columns independent mod p are independent over QQ, and
+    they are the leftmost ones unless p divides one of the pivot values
+    met over QQ. So, as in `_echelon_qq`, the profiles of LIFT_PRIME and
+    the primes below it are taken until two consecutive primes agree.
     """
-    return list(echelon(rows, field).pivots[:count])
+    if field != QQ:
+        return list(echelon(rows, field).pivots[:count])
+    if len(rows) == 0:
+        return []
+    A = _integer_matrix(rows)
+    p = LIFT_PRIME
+    piv = _rank_profile(A, p)[0]
+    while True:
+        p = _prime_below(p)
+        other = _rank_profile(A, p)[0]
+        if other == piv:
+            return piv[:count]
+        piv = other

@@ -23,7 +23,7 @@ from .hilbert import (
     hilbert_numerator,
     regularity_bound,
 )
-from .khov import expand, graded_basis, graded_support
+from .khov import graded_support, multiplication_map
 from .km import KMMatrix, StructuredSystem, km_matrix
 
 __all__ = [
@@ -98,17 +98,15 @@ def _multiplied_kernels(sys: StructuredSystem, N: KernelBasis, d: int):
     """N_{x_j} for each generator j, as delta x HF(d) rows.
 
     Column gamma of N_{x_j} is N applied to the degree-(d+1) expansion of
-    b_{d,gamma} * phi_j. All products are expanded in one batch E, and
-    E @ N^T (the sparse factor on the left) is transposed into the blocks.
+    b_{d,gamma} * phi_j, which is row (j, gamma) of the cached sparse map
+    X^(d): all blocks come from one product N X^T.
     """
     par = sys.par
-    bas_d = graded_basis(par, d)
-    nd = len(bas_d)
-    products = (b * phi for phi in par.phi for _, b in bas_d.elements)
-    E, outside = expand(par, products, d + 1)
-    if outside:
+    X = multiplication_map(par, d)
+    if X.outside:
         raise SolverError(_LEFT_ALGEBRA.format(d + 1))
-    Nx = list(zip(*linalg.matmul(E, list(zip(*N.N)), par.field)))
+    nd = len(graded_support(par, d))
+    Nx = linalg.matmul_transposed(N.N, X.matrix, par.field)
     return [[row[j * nd : (j + 1) * nd] for row in Nx] for j in range(par.ell + 1)]
 
 

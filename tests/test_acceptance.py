@@ -247,13 +247,21 @@ def test_acceptance_7_schubert_gr36(capfd):
 
 @pytest.mark.slow
 @pytest.mark.skipif(not RUN_SLOW, reason="set KHOVSOLVE_RUN_SLOW=1")
-@pytest.mark.parametrize("n1,n2,count,dreg", [(5, 2, 11, 3)])
-def test_acceptance_7_slow_table_counts(n1, n2, count, dreg):
-    """Larger Schubert problems, count-only over F_p.
+@pytest.mark.parametrize("n1,n2,count,dreg,degree", [
+    (5, 2, 11, 3, 3),
+    (7, 1, 21, 4, 4),
+    # degree 4 is the regularity bound sum d_i + hreg = 9 - 5; the table
+    # keeps dreg 5 for solving
+    (9, 0, 42, 5, 4),
+])
+def test_acceptance_7_slow_table_counts(n1, n2, count, dreg, degree):
+    """Larger Schubert problems, count-only over F_p: the KM nullity.
 
-    The 21- and 42-solution problems need KM matrices with thousands of
-    columns (HF values 4116 and 14112) and run for hours; they are left
-    out of the automated suite.
+    Measured over F_9716633 on a 2-core host: the 11-solution count takes
+    about 1 s, the 21-solution count at dreg 4 (KM matrix 10780 x 4116)
+    44-48 s with a peak RSS of 1.42 GB, and the 42-solution count at
+    degree 4 (8820 x 4116) 38-42 s with 1.28 GB; the echelon of the KM
+    matrix takes most of each.
     """
     F = GF(P)
     conds = [
@@ -266,7 +274,7 @@ def test_acceptance_7_slow_table_counts(n1, n2, count, dreg):
     inst = catalog.schubert_equations(3, 6, conds, field=F)
     assert inst.expected_count == count
     assert inst.recommended_dreg == dreg
-    N = kernel_basis(km_matrix(inst.sys, dreg, reduce=True))
+    N = kernel_basis(km_matrix(inst.sys, degree, reduce=True))
     assert N.nullity == count
 
 

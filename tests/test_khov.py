@@ -12,6 +12,7 @@ from khovsolve.khov import (
     expand,
     graded_basis,
     graded_support,
+    multiplication_map,
     subduct,
     witness_monomial,
 )
@@ -275,3 +276,38 @@ def test_check_over_prime_field():
 def test_check_rejects_bad_dmax(duffing_par):
     with pytest.raises(ValueError):
         check_khovanskii_truncated(duffing_par, 0)
+
+
+def test_multiplication_map_rows_are_products():
+    # row (j, gamma) of X^(d) is the expansion of b_{d,gamma} * phi_j
+    for F in (QQ, GF(9716633), GF(2**31 - 1), GF(2**61 - 1)):
+        par = catalog.del_pezzo(field=F)
+        for d in (0, 1, 2):
+            X = multiplication_map(par, d)
+            assert multiplication_map(par, d) is X and X.outside == ()
+            sup = graded_support(par, d + 1)
+            bas = graded_basis(par, d).elements
+            S = X.matrix
+            assert S.shape == (len(par.phi) * len(bas), len(sup))
+            dense = [[F.zero] * len(sup) for _ in range(S.shape[0])]
+            for r, c, v in zip(S.rows.tolist(), S.cols.tolist(), S.vals):
+                assert v != F.zero
+                dense[r][c] = v
+            for j, phi in enumerate(par.phi):
+                for g, (_, b) in enumerate(bas):
+                    expect = subduct(par, b * phi, d + 1).vector(sup)
+                    assert dense[j * len(bas) + g] == expect
+
+
+def test_multiplication_map_reports_outside_rows():
+    # the products with a nonzero remainder, which hold no entries
+    par = _failing_generators()
+    X = multiplication_map(par, 1)
+    bas = graded_basis(par, 1).elements
+    expect = tuple(
+        r for r in range(X.matrix.shape[0])
+        if not subduct(par, bas[r % len(bas)][1] * par.phi[r // len(bas)], 2)
+        .remainder.is_zero()
+    )
+    assert expect and X.outside == expect
+    assert not set(X.matrix.rows.tolist()) & set(expect)

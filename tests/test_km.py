@@ -131,20 +131,29 @@ def test_kernel_from_kept_echelon(field, monkeypatch):
 
 
 def test_fast_and_generic_paths_agree():
-    # the batched KM rows equal one subduction per product, in either form
-    for field in (QQ, GF(9716633)):
-        sys = catalog.duffing(field=field).sys
-        par = sys.par
-        for d in (2, 3):
-            sup = graded_support(par, d)
-            expect = [
-                subduct(par, b * eq.f, d).vector(sup)
-                for eq in sys.equations
-                for _, b in graded_basis(par, d - eq.degree).elements
-            ]
-            M = km_matrix(sys, d)
-            assert [list(r) for r in M.entries] == expect
-            assert {type(x) for r in M.entries for x in r} == {type(field.zero)}
+    # the KM rows combined from the multiplication maps equal one
+    # subduction per product b * f, for equations of degree 1, 2 and 3
+    for field in (QQ, GF(9716633), GF(2**31 - 1), GF(2**61 - 1)):
+        duffing = catalog.duffing(field=field).sys
+        cases = [
+            (duffing, (2, 3)),
+            (catalog.random_dense_system(duffing.par, (1, 2, 3), seed=4), (3, 4)),
+            (catalog.random_dense_system(catalog.del_pezzo(field=field),
+                                         (2, 1, 3), seed=5), (3,)),
+        ]
+        for sys, degrees in cases:
+            par = sys.par
+            for d in degrees:
+                sup = graded_support(par, d)
+                expect = [
+                    subduct(par, b * eq.f, d).vector(sup)
+                    for eq in sys.equations
+                    if d >= eq.degree
+                    for _, b in graded_basis(par, d - eq.degree).elements
+                ]
+                M = km_matrix(sys, d)
+                assert [list(r) for r in M.entries] == expect
+                assert {type(x) for r in M.entries for x in r} == {type(field.zero)}
 
 
 def test_equation_not_in_graded_piece():
@@ -152,6 +161,17 @@ def test_equation_not_in_graded_piece():
     g = parse_polynomial("t2^2", par.varnames)
     with pytest.raises(NotInAlgebraError):
         StructuredSystem(par, [Equation(f=g, degree=1)])
+
+
+def test_unvalidated_equation_outside_graded_piece():
+    # the second equation, t2^2, has a nonzero remainder in degree 1
+    for field in (QQ, GF(9716633)):
+        par = catalog.duffing(field=field).sys.par
+        eqs = [Equation(f=par.phi[1], degree=1),
+               Equation(f=parse_polynomial("t2^2", par.varnames, field), degree=1)]
+        sys = StructuredSystem(par, eqs, validate=False)
+        with pytest.raises(NotInAlgebraError, match="for equation 1 at degree 2"):
+            km_matrix(sys, 2)
 
 
 def test_km_detects_incomplete_basis():

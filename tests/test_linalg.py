@@ -182,6 +182,72 @@ def test_first_independent_columns_leftmost():
     assert linalg.first_independent_columns([], QQ) == []
 
 
+def test_first_independent_columns_qq_unlucky_prime(monkeypatch):
+    # column 0's only nonzero entry is LIFT_PRIME: mod that prime the
+    # pivots are [1, 2]; the next two primes agree on the ones over QQ
+    P = linalg.LIFT_PRIME
+    Q = linalg._prime_below(P)
+    profiles = _spy(monkeypatch, "_rank_profile")
+    lifts = _spy(monkeypatch, "_lift")
+    A = qq_matrix([[P, 0, 1], [0, 1, 1]])
+    assert linalg.first_independent_columns(A, QQ) == [0, 1]
+    assert [p for _, p in profiles] == [P, Q, linalg._prime_below(Q)]
+    assert not lifts
+    assert linalg.first_independent_columns(A, QQ, count=1) == [0]
+
+
+def _random_sparse(rng, m, n, field, density=0.3):
+    """A dense list-of-rows matrix with about `density` nonzero entries."""
+    def entry():
+        if rng.random() > density:
+            return field.zero
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return rng.randrange(field.modulus)
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
+def _matmul_loops(A, B, field):
+    """Reference product by plain loops over field elements."""
+    out = []
+    for row in A:
+        acc = [field.zero] * len(B[0])
+        for a, brow in zip(row, B):
+            for j, b in enumerate(brow):
+                acc[j] = field.add(acc[j], field.mul(a, b))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(9716633), GF(2**31 - 1), FBIG],
+                         ids=["QQ", "GF9716633", "GF2^31-1", "GF2^61-1"])
+def test_sparse_products_match_loops(field):
+    # S @ X (rows of X combined, with repeated and empty rows) and A @ X^T
+    rng = random.Random(5)
+    X = _random_sparse(rng, 9, 7, field)
+    X[4] = [field.zero] * 7
+    Xs = linalg.sparse_from_dense(np.array(X, dtype=np.int64)
+                                  if linalg.is_small_prime(field) else X, field)
+    assert Xs.shape == (9, 7) and (np.diff(Xs.rows) >= 0).all()
+    S = _random_sparse(rng, 6, 9, field, density=0.5)
+    S[2] = [field.zero] * 9
+    terms = [(i, r, c) for i, row in enumerate(S) for r, c in enumerate(row) if c]
+    # one entry split in two terms, and the terms out of row order
+    i, r, c = terms.pop()
+    terms += [(i, r, field.sub(c, field.one)), (i, r, field.one)]
+    rng.shuffle(terms)
+    rows, cols, vals = zip(*terms)
+    got = linalg.combine_rows(linalg.sparse((6, 9), rows, cols, vals, field), Xs, field)
+    got = [list(r) for r in got]
+    assert got == _matmul_loops(S, X, field)
+    assert {type(x) for r in got for x in r} <= {type(field.zero), np.int64}
+    A = _random_sparse(rng, 4, 7, field, density=0.8)
+    got = linalg.matmul_transposed(A, Xs, field)
+    assert got == _matmul_loops(A, [list(c) for c in zip(*X)], field)
+    assert {type(x) for r in got for x in r} == {type(field.zero)}
+    assert linalg.matmul_transposed([], Xs, field) == []
+
+
 def test_matmul_and_combine_modp_match_python():
     # inner dimensions above the 95 terms one float64 product holds exactly
     F = GF(9716633)

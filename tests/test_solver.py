@@ -362,3 +362,49 @@ def test_delta_agrees_across_fields(name):
         N = kernel_basis(km_matrix(inst.sys, dreg, reduce=True))
         ms = multiplication_matrices(inst.sys, N, dreg - 1, seed=0)
         assert (N.nullity, ms.delta) == (DIFFERENTIAL[name],) * 2, field
+
+
+def test_one_map_expansion_per_degree(monkeypatch):
+    # the Khovanskii check, the KM rows and the N_{x_j} all read the maps
+    # cached on the parameterization: one expansion per degree
+    from khovsolve import khov
+    from khovsolve.khov import check_khovanskii_truncated
+
+    calls = []
+    real = khov.expand
+
+    def counting(par, polys, d):
+        calls.append(d)
+        return real(par, polys, d)
+
+    monkeypatch.setattr(khov, "expand", counting)
+    for field in (QQ, GF(P)):
+        sys = catalog.duffing(field=field).sys
+        calls.clear()
+        assert check_khovanskii_truncated(sys.par, 3).passed
+        N = kernel_basis(km_matrix(sys, 3, reduce=True))
+        assert multiplication_matrices(sys, N, 2, seed=0).delta == 5
+        assert sorted(calls) == [1, 2, 3]
+
+        # the chart's validation leaves X^(0) and X^(1) cached, and the
+        # solve at dreg 2 reuses X^(1)
+        flags = catalog.random_flags(6, 3, seed=0, field=field)
+        calls.clear()
+        inst = catalog.schubert_equations(
+            3, 6, [catalog.SchubertCondition((2, 4, 6), f) for f in flags], field=field
+        )
+        assert sorted(calls) == [1, 2]
+        calls.clear()
+        N = kernel_basis(km_matrix(inst.sys, 2, reduce=True))
+        assert multiplication_matrices(inst.sys, N, 1, seed=0).delta == 2
+        assert calls == []
+
+
+def test_product_leaving_the_algebra_raises(monkeypatch):
+    # an outside row of X^(d) stops the multiplied kernels before any product
+    sys = catalog.duffing().sys
+    N = kernel_basis(km_matrix(sys, 3, reduce=True))
+    X = solver.multiplication_map(sys.par, 2)
+    monkeypatch.setitem(sys.par._maps, 2, dataclasses.replace(X, outside=(0,)))
+    with pytest.raises(SolverError, match="left the graded algebra at degree 3"):
+        multiplication_matrices(sys, N, 2, seed=0)
