@@ -15,11 +15,18 @@ matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded random
 flags), with the number of p-adic lifting steps and the primes whose rank
 profiles were computed.
 
+The F5 rows time the row criterion of `km_matrix(reduce=True)` on the
+Gr(3,6) count itself (seeded random flags, d = 3, F_9716633): the prefix
+pivots of the 13 equations in degree 2 (`km._f5_rows`: the 240 x 175
+prefix rows and their incremental elimination), and the blocked
+elimination of the 1041 rows it keeps, of rank 969, to set beside the
+2275 x 980 one above.
+
 The map rows time the product primitive at the same shape (Gr(3,6), d =
 2 -> 3, F_9716633): building the sparse multiplication map X^(2), 3500 x
 980 (`khov.multiplication_map`, graded bases and the CSR basis cached),
 the KM rows of 13 random linear equations scattered from its rows
-(`km._km_rows`, 2275 x 980), and N X^T for an 11 x 980 kernel
+(`km._map_rows`, 2275 x 980), and N X^T for an 11 x 980 kernel
 (`linalg.matmul_transposed`).
 
 The last rows time the multiplication-matrix step of the solver: the
@@ -140,7 +147,7 @@ def bench_maps(p=9716633, delta=11, equations=13):
 
     t_map, X = _best(build)
     sys = catalog.random_dense_system(par, (1,) * equations, seed=0)
-    t_rows, rows = _best(lambda: km._km_rows(sys, 3))
+    t_rows, rows = _best(lambda: km._map_rows(sys, 3, km._km_blocks(sys, 3), 3))
     N = np.random.default_rng(0).integers(0, p, size=(delta, X.matrix.shape[1]))
     t_nx, _ = _best(lambda: linalg.matmul_transposed(N, X.matrix, F))
     nnz = len(X.matrix.rows)
@@ -148,6 +155,29 @@ def bench_maps(p=9716633, delta=11, equations=13):
         ("multiplication_map", "{}x{} nnz {}".format(*X.matrix.shape, nnz), t_map),
         ("KM rows from map", "{}x{}".format(*rows.shape), t_rows),
         ("N X^T", f"{delta}x{X.matrix.shape[1]} . X^T", t_nx),
+    ]
+
+
+def bench_f5(p=9716633):
+    """Seconds of the F5 prefix pivots and of the echelon of the kept rows."""
+    F = GF(p)
+    conds = [
+        catalog.SchubertCondition((3, 5, 6), f)
+        for f in catalog.random_flags(6, 5, seed=1, field=F)
+    ] + [
+        catalog.SchubertCondition((2, 5, 6), f)
+        for f in catalog.random_flags(6, 2, seed=2, field=F)
+    ]
+    sys = catalog.schubert_equations(3, 6, conds, field=F).sys
+    blocks = km._km_blocks(sys, 3)
+    S, X = km._map_combination(sys, 3, blocks, 3)
+    t_f5, keep = _best(lambda: km._f5_rows(sys, 3, blocks))
+    A = linalg.combine_rows(linalg.sparse_rows(S, keep), X, F)
+    t_rref, piv = _best(lambda: _kernels.modp_rref(A.copy(), p))
+    m, n = A.shape
+    return [
+        ("F5 prefix pivots", f"{len(blocks)} eqs, keeps {m}", t_f5, None),
+        ("modp_rref F5 rows", f"{m}x{n} rank {len(piv)}", t_rref, m * n * len(piv) / 1e9),
     ]
 
 
@@ -221,6 +251,9 @@ def main():
         for p in PRIMES:
             t, gop = fn(rng, *args, p)
             print(f"{name:<22}{shape:<22}{p:>12}{t * 1e3:9.1f}ms{gop / t:9.3f}")
+    for name, shape, t, gop in bench_f5():
+        rate = f"{gop / t:9.3f}" if gop else ""
+        print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms{rate}")
     for name, shape, t in bench_maps():
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms")
     t, shape, steps, primes = bench_echelon_qq()

@@ -391,7 +391,7 @@ class MultiplicationMap:
 
 
 def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
-    """X^(d), cached on `par`: all products b_{d,gamma} * phi_j in one expansion.
+    """X^(d), cached on `par`: every product b_{d,gamma} * phi_j, expanded once.
 
     These maps are the one product primitive of the pipeline: the KM rows
     in degree d+1, the multiplied kernels N_{x_j} and the truncated
@@ -401,10 +401,28 @@ def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
     if cached is not None:
         return cached
     bas = graded_basis(par, d)
-    products = (b * phi for phi in par.phi for _, b in bas.elements)
-    C, outside = expand(par, products, d + 1)
-    X = MultiplicationMap(d, linalg.sparse_from_dense(C, par.field, skip=outside),
-                          tuple(outside))
+    # the product of a witness pair (gamma, j) of beta is the basis element
+    # b_{d+1,beta}, already formed by graded_basis
+    sup, index = graded_support(par, d + 1), graded_support(par, d).index
+    witnessed = {
+        (sup.witness[beta][1], index[sup.witness[beta][0]]): b
+        for beta, b in graded_basis(par, d + 1).elements
+    }
+    products = (
+        witnessed[j, k] if (j, k) in witnessed else b * phi
+        for j, phi in enumerate(par.phi) for k, (_, b) in enumerate(bas.elements)
+    )
+    # the products are expanded in batches of about _EXPAND_CHUNK_BYTES of
+    # dense rows, each made sparse at once: the dense expansion of a high
+    # degree would not fit in memory
+    batch = max(1, _EXPAND_CHUNK_BYTES // (8 * len(sup)))
+    parts, outside, done = [], [], 0
+    while rows := list(islice(products, batch)):
+        C, out = expand(par, rows, d + 1)
+        parts.append(linalg.sparse_from_dense(C, par.field, skip=out))
+        outside += [done + r for r in out]
+        done += len(rows)
+    X = MultiplicationMap(d, linalg.stack_sparse(parts), tuple(outside))
     par._maps[d] = X
     return X
 

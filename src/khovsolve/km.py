@@ -9,10 +9,25 @@ No product b * f_i is formed: with f_i = sum_j c_ij phi_j a row is the
 combination sum_j c_ij X_j^(d-1)[gamma] of rows of the cached
 multiplication maps (`khov.multiplication_map`), and an equation of
 higher degree composes the maps of the degrees below.
+
+A reduced KM matrix forms only the rows that Faugere's F5 criterion keeps
+(ISSAC 2002), in its Macaulay-matrix form (Bardet, Faugere and Salvy,
+J. Symb. Comput. 2015): row (i, gamma) is dropped when gamma is a pivot
+column of the echelon of the prefix f_1..f_{i-1} in degree e = d - d_i.
+This is exact. Let W be that prefix's row space in degree e, and P a set
+of columns independent on W, such as its pivot columns. For each gamma in
+P some g in W equals b_{e,gamma} plus terms on columns outside P, and
+g * f_i lies in the span of the degree-d rows of f_1..f_{i-1}. So
+b_{e,gamma} * f_i is a combination of kept rows of equation i and rows of
+earlier equations, and by induction over i the row space, hence the RREF
+and the kernel, do not change. The argument reads the products as
+elements of the graded pieces spanned by their bases, which is what the
+outside-row checks of the maps guard.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -232,16 +247,16 @@ def _split(form):
     return parts
 
 
-def _map_rows(sys, d, blocks, dkm):
-    """The stacked matrices R(f, d) of the blocks (i, form, e), from X^(d-1).
+def _map_combination(sys, d, blocks, dkm):
+    """(S, X): the stacked matrices R(f, d) of the blocks (i, form, e) are S X.
 
     R(f, d) holds the expansions of b_{d-e,gamma} * f in the degree-d
     basis, for f of degree e given by its coefficient form, one row per
     point gamma of (d-e).A. With f = sum_j phi_j g_j,
     R(f, d) = sum_j R(g_j, d-1) X_j^(d-1) and R(c, k) = c I, so all blocks
-    are one sparse combination S X^(d-1) of the map's rows. A row of S that
-    uses an outside row of the map raises for its equation i (KM degree
-    dkm) before any product is formed.
+    are one sparse combination S of the rows of X = X^(d-1). A row of S
+    that uses an outside row of the map raises for its equation i (KM
+    degree dkm) before any product is formed.
     """
     par = sys.par
     X = multiplication_map(par, d - 1)
@@ -269,11 +284,16 @@ def _map_rows(sys, d, blocks, dkm):
             owner = np.repeat([i for i, _, _ in blocks], sizes)
             raise _nonzero_remainder_error(sys, dkm, int(owner[used.min()]))
     S = linalg.sparse((sum(sizes), X.matrix.shape[0]), rows, cols, vals, par.field)
-    return linalg.combine_rows(S, X.matrix, par.field)
+    return S, X.matrix
 
 
-def _km_rows(sys, d):
-    """The expansions of b_{d-d_i,gamma} * f_i, in label order, from the maps."""
+def _map_rows(sys, d, blocks, dkm):
+    """The stacked matrices R(f, d) of the blocks (`_map_combination`)."""
+    return linalg.combine_rows(*_map_combination(sys, d, blocks, dkm), sys.par.field)
+
+
+def _km_blocks(sys, d):
+    """(i, coefficient form, d_i) of every equation with rows in degree d."""
     blocks = []
     for i, eq in enumerate(sys.equations):
         if d < eq.degree:
@@ -283,27 +303,69 @@ def _km_rows(sys, d):
         except NotInAlgebraError as err:
             raise _nonzero_remainder_error(sys, d, i) from err
         blocks.append((i, form, eq.degree))
-    return _map_rows(sys, d, blocks, d)
+    return blocks
+
+
+def _f5_rows(sys, d, blocks):
+    """Indices of the rows of the degree-d KM matrix of `blocks` F5 keeps.
+
+    Row (i, gamma) goes when gamma is a pivot column of the echelon of the
+    prefix f_1..f_{i-1} in degree e = d - d_i. The prefix rows are KM rows
+    in degree e (from X^(e-1)), and the pivots of every prefix in degree e
+    come from one incremental elimination (`linalg.prefix_pivots`).
+    """
+    par = sys.par
+    sizes = [len(graded_support(par, d - deg)) for _, _, deg in blocks]
+    starts = np.cumsum([0] + sizes)
+    keep = np.ones(starts[-1], dtype=bool)
+    for e in sorted({d - deg for _, _, deg in blocks}):
+        targets = [k for k, (_, _, deg) in enumerate(blocks) if d - deg == e]
+        prefix = [k for k in range(targets[-1]) if blocks[k][2] <= e]
+        if not prefix:
+            continue
+        pivots = linalg.prefix_pivots(
+            _map_rows(sys, e, [blocks[k] for k in prefix], e),
+            [len(graded_support(par, e - blocks[k][2])) for k in prefix],
+            par.field,
+        )
+        for k in targets:
+            n = bisect_left(prefix, k)
+            if n:
+                keep[starts[k] + np.asarray(pivots[n - 1], dtype=np.int64)] = False
+    return np.flatnonzero(keep)
 
 
 def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
     """KM matrix in degree d; rows ordered equations outer, gamma inner.
 
-    With reduce=True a maximal independent row subset is kept (found by
-    exact forward elimination in row order), preserving the row space
-    and the right kernel; the elimination's echelon is kept with it.
+    With reduce=True a maximal independent row subset is kept, preserving
+    the row space and the right kernel, with the echelon of the
+    elimination that selected it. Only the rows the F5 criterion keeps are
+    formed (`_f5_rows`), and the first independent ones among them, by
+    exact forward elimination in row order, are kept. Every label, formed
+    or not, is checked against the outside rows of the maps first, so an
+    input that raises NotInAlgebraError without the reduction raises the
+    same error with it. The prefix rows of the rule are checked too: an
+    outside row in a lower degree they read also raises, as the rule is
+    not exact on an incomplete graded basis.
     """
     par = sys.par
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     labels = _row_labels(sys, d)
-    rows = _km_rows(sys, d) if labels else []
-    keep, ech = range(len(labels)), None
-    if reduce and labels:
-        keep, ech = linalg.independent_rows(rows, par.field, return_echelon=True)
+    rows, formed, keep, ech = [], range(len(labels)), range(len(labels)), None
+    if labels:
+        blocks = _km_blocks(sys, d)
+        S, X = _map_combination(sys, d, blocks, d)
+        if reduce:
+            formed = _f5_rows(sys, d, blocks)
+            S = linalg.sparse_rows(S, formed)
+        rows = linalg.combine_rows(S, X, par.field)
+        if reduce:
+            keep, ech = linalg.independent_rows(rows, par.field, return_echelon=True)
     return KMMatrix(
         degree=d,
-        row_labels=tuple(labels[k] for k in keep),
+        row_labels=tuple(labels[formed[k]] for k in keep),
         col_labels=graded_support(par, d).points,
         entries=linalg.take_rows(rows, keep),
         reduced=bool(reduce),

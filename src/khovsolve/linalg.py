@@ -16,10 +16,12 @@ Matrices are lists of rows of field elements or, over a prime below 2**31,
 int64 arrays with entries in [0, p). This is the only module that tells
 the two forms apart: products, linear combinations and eliminations over
 a small prime run through `_kernels`, and results come back as lists.
-Sparse matrices (`Sparse`, a COO triple) have two operations: the dense
+Sparse matrices (`Sparse`, a COO triple) have two products: the dense
 combination of their rows S @ X, which stays an int64 array over a small
 prime, and the product A @ X^T with a dense A; over a small prime both are
-numpy scatters, over any other field loops over the nonzeros.
+numpy scatters, over any other field loops over the nonzeros. They can be
+stacked and have rows selected. `prefix_pivots` gives the pivot columns of
+every leading run of row blocks from one incremental elimination.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "kernel",
     "rank",
     "independent_rows",
+    "prefix_pivots",
     "invert",
     "commuting_check",
     "matmul",
@@ -50,6 +53,8 @@ __all__ = [
     "Sparse",
     "sparse",
     "sparse_from_dense",
+    "sparse_rows",
+    "stack_sparse",
     "combine_rows",
     "matmul_transposed",
     "take_rows",
@@ -161,14 +166,15 @@ def _matmul_exact(A, B, bound):
 
 
 def _rref_mod(M, p):
-    """(RREF rows, pivots, sources) of the int64 matrix M mod p, M in [0, p).
+    """(RREF rows, pivots, sources) of the matrix M mod p, M in [0, p).
 
-    Below _SMALL_RREF entries the plain Python elimination is the faster
-    one: the blocked kernel spends several numpy calls on every column.
+    M is int64, or an object array for a prime above 2**31. Below
+    _SMALL_RREF entries the plain Python elimination is the faster one:
+    the blocked kernel spends several numpy calls on every column.
     """
-    if M.size <= _SMALL_RREF:
+    if M.size <= _SMALL_RREF or M.dtype == object:
         R, piv, src = _rref_modp_python(M.tolist(), p)
-        return np.array(R, dtype=np.int64).reshape(len(piv), M.shape[1]), piv, src
+        return np.array(R, dtype=M.dtype).reshape(len(piv), M.shape[1]), piv, src
     src = np.arange(M.shape[0], dtype=np.int64)
     piv = _kernels.modp_rref(M, p, src).tolist()
     return M[: len(piv)].copy(), piv, src[: len(piv)].tolist()
@@ -283,19 +289,49 @@ def _integer_matrix(rows):
     return np.array(ints, dtype=np.int64 if big < _INT64_LIMIT else object)
 
 
+def _passed_over_zeros(A, piv, sources):
+    """True when every row the elimination mod p passed over is zero over QQ.
+
+    At step k the first-nonzero rule takes pivots[k] from sources[k] and
+    passes over the rows before it in the current order. Each of those
+    must be a structural zero at that column: zero by the zero pattern of
+    A alone, whose reduced rows take the union of their own pattern and
+    that of every pivot row eliminated from them.
+    """
+    S = A != 0
+    order = list(range(A.shape[0]))
+    for k, (c, x) in enumerate(zip(piv, sources)):
+        j = order.index(x, k)
+        if S[order[k:j], c].any():
+            return False
+        order[k], order[j] = x, order[k]
+        hit = np.flatnonzero(S[:, c])
+        S[hit] |= S[x]
+        S[hit, c] = False
+    return True
+
+
 def _echelon_qq(rows):
-    """The RREF over QQ, lifted from the first of two primes that agree.
+    """The RREF over QQ, lifted from a prime whose rank profile is the one over QQ.
 
     `_lift` certifies the pivots, the rank and the RREF exactly. The
     source rows it returns are independent over QQ whatever the prime, and
     they are the rows the first-nonzero rule picks over QQ unless p
-    divides one of the pivot values that rule meets. So the profile of a
-    prime (LIFT_PRIME, then the primes below it) is lifted only when the
-    next prime below gives the same pivots and sources.
+    divides one of the values that rule meets. When every row the
+    elimination mod LIFT_PRIME passed over is a structural zero
+    (`_passed_over_zeros`), it is zero over QQ too, and a certified lift
+    then has the sources of the rule over QQ; so its profile is lifted at
+    once. Otherwise, or if that lift fails, the profile of a prime
+    (LIFT_PRIME, then the primes below it) is lifted only when the next
+    prime below gives the same pivots and sources.
     """
     A = _integer_matrix(rows)
     p = LIFT_PRIME
     profile = _rank_profile(A, p)
+    if _passed_over_zeros(A, *profile):
+        E = _lift(A, p, *profile)
+        if E is not None:
+            return E
     while True:
         q = _prime_below(p)
         other = _rank_profile(A, q)
@@ -435,6 +471,57 @@ def independent_rows(rows, field, return_echelon=False):
     return (keep, E) if return_echelon else keep
 
 
+def _matmul_mod(A, B, p):
+    if A.dtype == object:
+        return A @ B % p
+    return _kernels.modp_matmul(A, B, p)
+
+
+def prefix_pivots(rows, sizes, field):
+    """Pivot columns of the echelon of each leading run of row blocks.
+
+    `rows` stacks blocks of `sizes` rows; entry k of the result is the
+    sorted tuple of pivot columns of the rows of blocks 0..k together. One
+    incremental elimination gives them all. The RREF kept so far is stored
+    at its free columns only, as it is the identity at its pivots. Each
+    block is reduced against it, the remainder (at the free columns) is
+    eliminated on its own, and its new pivots are cleared from the kept
+    rows. The new pivots are the leading columns of the remainder's span,
+    which misses the old pivots, so the union is the pivot set of the
+    echelon of the whole prefix.
+
+    Over QQ this is the rank profile mod LIFT_PRIME of the primitive
+    integer rows, with no second prime and no lift. Columns independent mod
+    p carry a minor that is nonzero mod p, hence over QQ, so each set holds
+    columns independent on the prefix's row space over QQ; an unlucky prime
+    only makes it smaller than the pivot set over QQ.
+    """
+    if field == QQ:
+        p = LIFT_PRIME
+        A = (_integer_matrix(rows) % p).astype(np.int64)
+    else:
+        p = field.modulus
+        A = np.array(rows, dtype=np.int64 if is_small_prime(field) else object) % p
+    free = np.arange(A.shape[1])
+    R, piv, out, first = A[:0], [], [], 0
+    for size in sizes:
+        B = A[first : first + size, free]
+        if piv:
+            B = (B - _matmul_mod(A[first : first + size, piv], R, p)) % p
+        first += size
+        R2, new, _ = _rref_mod(B, p)
+        if new:
+            if piv:
+                R = (R - _matmul_mod(R[:, new], R2, p)) % p
+            rest = np.ones(len(free), dtype=bool)
+            rest[new] = False
+            R = np.vstack([R, R2])[:, rest]
+            piv += free[new].tolist()
+            free = free[rest]
+        out.append(tuple(sorted(piv)))
+    return out
+
+
 def identity(n, field):
     return [
         [field.one if i == j else field.zero for j in range(n)] for i in range(n)
@@ -537,6 +624,31 @@ def sparse_from_dense(C, field, skip=()) -> Sparse:
     shape = (len(C), len(C[0]) if len(C) else 0)
     return Sparse(shape, np.array(rows, dtype=np.int64),
                   np.array(cols, dtype=np.int64), vals)
+
+
+def sparse_rows(S: Sparse, keep) -> Sparse:
+    """The rows `keep` of S, in increasing order, numbered from 0."""
+    keep = np.asarray(keep, dtype=np.int64)
+    new = np.full(S.shape[0], -1, dtype=np.int64)
+    new[keep] = np.arange(len(keep))
+    mask = new[S.rows] >= 0
+    if isinstance(S.vals, np.ndarray):
+        vals = S.vals[mask]
+    else:
+        vals = list(compress(S.vals, mask.tolist()))
+    return Sparse((len(keep), S.shape[1]), new[S.rows[mask]], S.cols[mask], vals)
+
+
+def stack_sparse(parts) -> Sparse:
+    """The Sparse matrices `parts`, all with the same columns, one above another."""
+    firsts = np.cumsum([0] + [S.shape[0] for S in parts]).tolist()
+    rows = np.concatenate([S.rows + first for S, first in zip(parts, firsts)])
+    cols = np.concatenate([S.cols for S in parts])
+    if isinstance(parts[0].vals, np.ndarray):
+        vals = np.concatenate([S.vals for S in parts])
+    else:
+        vals = [x for S in parts for x in S.vals]
+    return Sparse((firsts[-1], parts[0].shape[1]), rows, cols, vals)
 
 
 def combine_rows(S: Sparse, X: Sparse, field):

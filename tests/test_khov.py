@@ -311,3 +311,36 @@ def test_multiplication_map_reports_outside_rows():
     )
     assert expect and X.outside == expect
     assert not set(X.matrix.rows.tolist()) & set(expect)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(9716633), GF(2**61 - 1)], ids=str)
+def test_multiplication_map_in_batches_equals_dense_expand(field, monkeypatch):
+    # the products are expanded a few rows at a time and made sparse batch
+    # by batch; the map equals the one dense expansion of all of them
+    from khovsolve import khov, linalg
+
+    cases = [(catalog.del_pezzo(field=field), 2)]
+    if field == QQ:
+        cases.append((_failing_generators(), 1))  # with outside rows
+    for par, d in cases:
+        bas = graded_basis(par, d).elements
+        C, outside = expand(par, [b * phi for phi in par.phi for _, b in bas], d + 1)
+        dense = linalg.sparse_from_dense(C, par.field, skip=outside)
+        calls = []
+        real = khov.expand
+
+        def counting(par, polys, deg):
+            calls.append(len(polys))
+            return real(par, polys, deg)
+
+        monkeypatch.setattr(khov, "expand", counting)
+        ncols = len(graded_support(par, d + 1))
+        monkeypatch.setattr(khov, "_EXPAND_CHUNK_BYTES", 8 * ncols * 4)
+        X = multiplication_map(par, d)
+        monkeypatch.undo()
+        assert calls[:-1] == [4] * (len(calls) - 1) and len(calls) > 2
+        assert X.outside == tuple(outside)
+        assert X.matrix.shape == dense.shape
+        assert X.matrix.rows.tolist() == dense.rows.tolist()
+        assert X.matrix.cols.tolist() == dense.cols.tolist()
+        assert list(X.matrix.vals) == list(dense.vals)

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from khovsolve import catalog, linalg
+from khovsolve import catalog, km, linalg
 from khovsolve.fields import GF, QQ
 from khovsolve.hilbert import hilbert_function
-from khovsolve.khov import graded_basis, graded_support, subduct
+from khovsolve.khov import graded_basis, graded_support, subduct, witness_monomial
 from khovsolve.km import (
     Equation,
     NotInAlgebraError,
@@ -229,3 +231,141 @@ def test_derived_coefficient_form(duffing_sys):
 def test_negative_degree_rejected(duffing_sys):
     with pytest.raises(ValueError):
         km_matrix(duffing_sys, -1)
+
+
+# ---------------------------------------------------------------------------
+# the F5 row criterion of km_matrix(reduce=True)
+# ---------------------------------------------------------------------------
+
+F5_FIELDS = [QQ, GF(101), GF(9716633), GF(2**61 - 1)]
+_F5_PARS = {}
+
+
+def _f5_par(surface, field):
+    key = (surface, field.modulus if field != QQ else 0)
+    if key not in _F5_PARS:
+        _F5_PARS[key] = (catalog.duffing(field=field).sys.par if surface == "duffing"
+                         else catalog.del_pezzo(field=field))
+    return _F5_PARS[key]
+
+
+@given(
+    st.sampled_from(F5_FIELDS),
+    st.sampled_from(["duffing", "delpezzo"]),
+    st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    st.integers(0, 3),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_f5_reduced_kernel_equals_unreduced_kernel(field, surface, degrees, extra, seed):
+    sys = catalog.random_dense_system(_f5_par(surface, field), tuple(degrees), seed=seed)
+    d = min(max(degrees) + extra, 5)
+    M = km_matrix(sys, d)
+    R = km_matrix(sys, d, reduce=True)
+    expect = linalg.kernel([list(r) for r in M.entries], field, len(M.col_labels))
+    N = kernel_basis(R)
+    assert [list(v) for v in N.N] == expect
+    # every unreduced row, dropped by F5 or not, annihilates the kernel
+    if expect and M.entries:
+        assert all(not any(row) for row in linalg.matmul(
+            [list(r) for r in M.entries], [list(c) for c in zip(*expect)], field))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(9716633)], ids=str)
+def test_f5_drops_the_pivots_of_each_prefix(field):
+    # row (i, gamma) goes exactly when gamma is a pivot column of the
+    # echelon of the KM matrix of f_1..f_{i-1} in degree d - d_i, each
+    # prefix eliminated from scratch
+    par = catalog.duffing(field=field).sys.par
+    sys = catalog.random_dense_system(par, (1, 2, 1, 2), seed=7)
+    d = 4
+    labels = km._row_labels(sys, d)
+    kept = set(km._f5_rows(sys, d, km._km_blocks(sys, d)).tolist())
+    expect = set()
+    for i in range(1, len(sys.equations)):
+        e = d - sys.equations[i].degree
+        P = km_matrix(StructuredSystem(par, sys.equations[:i], validate=False), e)
+        pivots = linalg.echelon([list(r) for r in P.entries], field).pivots
+        expect |= {(i, P.col_labels[c]) for c in pivots}
+    assert expect
+    assert {lab for k, lab in enumerate(labels) if k not in kept} == expect
+
+
+def _rows_formed(monkeypatch):
+    """Record the row count of every matrix km_matrix(reduce=True) eliminates."""
+    counts = []
+    real = linalg.independent_rows
+
+    def spy(rows, field, return_echelon=False):
+        counts.append(len(rows))
+        return real(rows, field, return_echelon)
+
+    monkeypatch.setattr(linalg, "independent_rows", spy)
+    return counts
+
+
+def test_f5_row_count_gr36_eleven_solutions(monkeypatch):
+    # 5 x (3,5,6) + 2 x (2,5,6) at dreg 3: 2275 rows, rank 969, and the
+    # F5 criterion forms 1041 of them
+    F = GF(9716633)
+    conds = [
+        catalog.SchubertCondition((3, 5, 6), f)
+        for f in catalog.random_flags(6, 5, seed=1, field=F)
+    ] + [
+        catalog.SchubertCondition((2, 5, 6), f)
+        for f in catalog.random_flags(6, 2, seed=2, field=F)
+    ]
+    sys = catalog.schubert_equations(3, 6, conds, field=F).sys
+    counts = _rows_formed(monkeypatch)
+    R = km_matrix(sys, 3, reduce=True)
+    assert km_shape(sys, 3) == (2275, 980)
+    assert counts == [1041]
+    assert R.shape == (969, 980)
+    assert kernel_basis(R).nullity == 11
+
+
+def test_f5_unlucky_prime_in_a_qq_prefix(monkeypatch):
+    # the prefix f_0 = P b_0 + b_1 has a column whose only nonzero entry is
+    # P = LIFT_PRIME: its pivot mod P is column 1, not column 0 as over QQ,
+    # so F5 drops row (1, gamma_1), which is just as redundant
+    P = linalg.LIFT_PRIME
+    par = catalog.duffing().sys.par
+    points = graded_support(par, 1).points
+    alpha = [witness_monomial(par, 1, b) for b in points]
+    dense = catalog.random_dense_system(par, (1,), seed=3).equations[0]
+    sys = StructuredSystem(par, [
+        Equation(degree=1, coeff_form={alpha[0]: Fraction(P), alpha[1]: Fraction(1)}),
+        dense,
+    ], validate=False)
+    labels = km._row_labels(sys, 2)
+    kept = km._f5_rows(sys, 2, km._km_blocks(sys, 2)).tolist()
+    assert [lab for k, lab in enumerate(labels) if k not in kept] == [(1, points[1])]
+    M = km_matrix(sys, 2)
+    expect = linalg.kernel([list(r) for r in M.entries], QQ, len(M.col_labels))
+    assert [list(v) for v in kernel_basis(km_matrix(sys, 2, reduce=True)).N] == expect
+
+
+def test_outside_row_used_only_by_dropped_rows_still_raises():
+    # the generators fail the Khovanskii check at degree 2; at degree 3
+    # only rows of equation 2 use outside rows of X^(2), and F5 drops every
+    # row of equation 2, yet every label is checked, as without reduction
+    from khovsolve.khov import build_parameterization
+    from khovsolve.poly import WeightOrder
+
+    for field in (QQ, GF(9716633)):
+        phi = [
+            parse_polynomial(s, ("t1", "t2"), field)
+            for s in ("t1 + t2", "t1*t2", "t1*t2^2")
+        ]
+        par = build_parameterization(phi, WeightOrder((-1, 0)))
+        forms = [{(0, 0, 1): 2}, {(1, 0, 0): 1}, {(1, 0, 0): 1, (0, 1, 0): -1}]
+        sys = StructuredSystem(par, [
+            Equation(degree=1, coeff_form={a: field.from_int(c) for a, c in f.items()})
+            for f in forms
+        ], validate=False)
+        labels = km._row_labels(sys, 3)
+        kept = km._f5_rows(sys, 3, km._km_blocks(sys, 3)).tolist()
+        assert all(labels[k][0] < 2 for k in kept)
+        for reduce in (False, True):
+            with pytest.raises(NotInAlgebraError, match="for equation 2 at degree 3"):
+                km_matrix(sys, 3, reduce=reduce)

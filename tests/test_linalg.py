@@ -363,7 +363,11 @@ Q = linalg._prime_below(P)
     # P and Q agree on a rank profile that is too low: the lift from P is
     # rejected, and the two primes below Q agree on the true one
     ([[P * Q, 1], [0, 1]], linalg._prime_below(Q)),
-], ids=["rank-drops", "column-vanishes", "pivot-minor", "pivot-row", "two-primes"])
+    # full row rank mod P with the wrong pivots: the lift from P fails
+    ([[P, 1]], Q),
+    ([[P, 1, 0], [0, 0, 1]], Q),
+], ids=["rank-drops", "column-vanishes", "pivot-minor", "pivot-row", "two-primes",
+        "full-rank-one-row", "full-rank-two-rows"])
 def test_qq_unlucky_first_prime(rows, prime, monkeypatch):
     profiles = _spy(monkeypatch, "_rank_profile")
     lifts = _spy(monkeypatch, "_lift")
@@ -371,6 +375,62 @@ def test_qq_unlucky_first_prime(rows, prime, monkeypatch):
     assert profiles[0][1] == P
     assert lifts[-1][1] == prime
     assert_matches_oracle(qq_matrix(rows))
+
+
+def test_qq_one_prime_when_passed_over_rows_are_structural_zeros(monkeypatch):
+    # the elimination mod P passes over rows that are zero in the pivot
+    # column by their zero pattern alone, so P's profile is lifted at once
+    profiles = _spy(monkeypatch, "_rank_profile")
+    rows = [[0, 0, 2, 1], [0, 3, 0, 1], [5, 1, 0, 0], [5, 4, 0, 1]]
+    assert_matches_oracle(qq_matrix(rows))
+    assert {p for _, p in profiles} == {P}
+    # here row 0 is passed over at column 0, where it holds P: two primes
+    profiles.clear()
+    assert_matches_oracle(qq_matrix([[P, 1], [1, 0]]))
+    assert len({p for _, p in profiles}) > 1
+
+
+@st.composite
+def block_rows(draw):
+    """(field, rows, sizes): up to five blocks of rows with a few columns."""
+    field = draw(st.sampled_from(BLOCK_FIELDS))
+    n = draw(st.integers(1, 7))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    if field == QQ:
+        entry = st.one_of(st.just(Fraction(0)),
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+    else:
+        entry = st.one_of(st.just(0), st.integers(0, field.modulus - 1))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(sum(sizes))]
+    # dependent rows, so that blocks add fewer pivots than rows
+    for i in range(1, len(rows)):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, i - 1))
+            rows[i] = list(rows[k])
+    return field, rows, sizes
+
+
+@given(block_rows())
+@settings(max_examples=80, deadline=None)
+def test_prefix_pivots_match_echelon_of_each_prefix(case):
+    field, rows, sizes = case
+    got = linalg.prefix_pivots(rows, sizes, field)
+    first = 0
+    for size, piv in zip(sizes, got):
+        first += size
+        assert piv == linalg.echelon(rows[:first], field).pivots
+
+
+def test_prefix_pivots_qq_unlucky_prime_are_still_independent():
+    # column 0 is P times column 1 in block 0 and has only the entry P in
+    # block 1: mod P the pivots of [[P, 1, 0]] are (1,), not (0,) as over
+    # QQ, and they stay independent columns of the prefix over QQ
+    rows = qq_matrix([[P, 1, 0], [P, 0, 1], [0, 1, 1]])
+    got = linalg.prefix_pivots(rows, [1, 1, 1], QQ)
+    assert got == [(1,), (1, 2), (1, 2)]
+    assert linalg.echelon(rows, QQ).pivots == (0, 1, 2)
+    for k, piv in enumerate(got):
+        assert linalg.rank([[r[c] for c in piv] for r in rows[: k + 1]], QQ) == len(piv)
 
 
 def test_lift_prime_is_the_largest_one_float64_panel_allows():
