@@ -29,6 +29,12 @@ the KM rows of 13 random linear equations scattered from its rows
 (`km._map_rows`, 2275 x 980), and N X^T for an 11 x 980 kernel
 (`linalg.matmul_transposed`).
 
+The support rows time `khov.graded_support` for every degree up to the
+one shown, on a fresh copy of the chart each run: the Gr(2,5) chart of
+the osculating problem up to degree 10, as the default degree search
+reads it, and the Gr(3,6) chart up to degree 5, with the number of
+points summed over the degrees.
+
 The last rows time the multiplication-matrix step of the solver: the
 block echelon of [N_h|B | N_{x_0}|B | ... | N_{x_ell}|B], whose RREF is
 [I | M_0 | ... | M_ell], and the exact checks `linalg.commuting_check`
@@ -181,6 +187,21 @@ def bench_f5(p=9716633):
     ]
 
 
+def bench_support():
+    """Seconds and point counts of d.A for d up to dmax on two charts."""
+    out = []
+    for k, m, dmax in ((2, 5, 10), (3, 6, 5)):
+        par = catalog.pluecker_chart(k, m, validate_degree=0)
+
+        def build():
+            fresh = khov.Parameterization(par.field, par.varnames, par.phi, par.ord, par.A)
+            return sum(len(khov.graded_support(fresh, d)) for d in range(dmax + 1))
+
+        t, points = _best(build)
+        out.append((f"Gr({k},{m}) d <= {dmax}", f"{points} points", t))
+    return out
+
+
 def _mult_step(coeffs, blocks, field):
     """The solver's step: M_j from one block echelon, then the exact checks."""
     delta = len(blocks[0])
@@ -256,6 +277,8 @@ def main():
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms{rate}")
     for name, shape, t in bench_maps():
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms")
+    for shape, points, t in bench_support():
+        print(f"{'graded_support':<22}{shape:<22}{'QQ':>12}{t * 1e3:9.1f}ms   {points}")
     t, shape, steps, primes = bench_echelon_qq()
     print(f"{'echelon QQ':<22}{shape:<22}{primes[0]:>12}{t * 1e3:9.1f}ms"
           f"   {steps} lifting steps, primes {primes}")

@@ -74,12 +74,20 @@ def _factor_panel(A, src, p, r, c0, c1):
     Ap = A[r0:, c0:c1].astype(dtype)
     W = np.zeros((w, 2 * w), np.int64)
     cols = []
-    for j in range(w):
-        col = (A[r:, c0 + j] - modp_matmul(Ap[r - r0 :], W[:, j : j + 1], p)[:, 0]) % p
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
+    # columns are reduced `span` at a time: a run of columns that are zero
+    # on the rows r.. costs about log2 of its length in products, and
+    # span is back to 1 after each pivot
+    j, span = 0, 1
+    while j < w:
+        b = min(w, j + span)
+        R = (A[r:, c0 + j : c0 + b] - modp_matmul(Ap[r - r0 :], W[:, j:b], p)) % p
+        # (column, row) of the nonzeros, first column first
+        hit, at = np.nonzero(R.T)
+        if hit.size == 0:
+            j, span = b, 2 * span
             continue
-        i = r + int(nz[0])
+        j, span = j + int(hit[0]), 1
+        i = r + int(at[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
             src[[r, i]] = src[[i, r]]
@@ -97,6 +105,7 @@ def _factor_panel(A, src, p, r, c0, c1):
         W[j] = raw
         cols.append(c0 + j)
         r += 1
+        j += 1
         if r == m:
             break
     return cols, W

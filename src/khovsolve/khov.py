@@ -16,7 +16,8 @@ their rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -121,45 +122,90 @@ def build_parameterization(phi, ord: WeightOrder, field=None) -> Parameterizatio
     return Parameterization(field, varnames, phi, ord, A)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedSupport:
     """The set d.A of d-element column sums of A, with one witness each.
 
-    `points` is sorted by graded lex on the t-part; `witness` maps each
-    point (for d >= 1) to a pair (gamma, i) with gamma in (d-1).A and
-    gamma + alpha_i = point. `index` maps point -> position.
+    `array` holds the points as rows (d, t_1..t_n), sorted by graded lex
+    on the t-part (the order of the mixed-radix keys of `graded_support`),
+    and `columns` the m columns alpha_i of A as rows. Point k has the
+    witness (gamma, i) with gamma the point `first[k] // m` of (d-1).A and
+    i = `first[k] % m`, so gamma + alpha_i is the point; it is the first
+    such pair with gamma in support order and i in column order. The
+    tuple views are built on first use: `points` (the rows as tuples),
+    `index` (point -> position) and `witness` (point -> (gamma, i)).
     """
 
     degree: int
-    points: tuple
-    witness: dict
-    index: dict = dc_field(repr=False, default=None)
+    array: np.ndarray
+    first: np.ndarray
+    columns: np.ndarray
 
     def __len__(self):
-        return len(self.points)
+        return self.array.shape[0]
+
+    @cached_property
+    def points(self):
+        return tuple(map(tuple, self.array.tolist()))
+
+    @cached_property
+    def index(self):
+        return {b: k for k, b in enumerate(self.points)}
+
+    @cached_property
+    def witness(self):
+        i = self.first % len(self.columns)
+        gammas = (self.array - self.columns[i]).tolist()
+        return {
+            b: (tuple(g), c) for b, g, c in zip(self.points, gammas, i.tolist())
+        }
+
+
+def _grlex_keys(X, B):
+    """deg_t * B**n + sum t_i * B**(n-i) for each row (d, t_1..t_n) of X."""
+    T = X[:, 1:]
+    key = T.sum(axis=1)
+    for j in range(T.shape[1]):
+        key = key * B + T[:, j]
+    return key
 
 
 def graded_support(par: Parameterization, d: int) -> GradedSupport:
+    """d.A from (d-1).A, one integer key per candidate sum.
+
+    A point (d, t_1..t_n) has the mixed-radix key deg_t * B**n +
+    sum t_i * B**(n-i) with B = d * (largest column t-degree) + 1. Every
+    digit is below B, so the keys order the points of d.A exactly as
+    `WeightOrder.tiebreak_key` (graded lex on the t-part), and the key is
+    linear: candidate gamma + alpha_i has key(gamma) + key(alpha_i), so
+    the k * m candidates are one vector of integers. Candidates are
+    numbered gamma-major (support order), i-minor (column order); a
+    stable sort of the keys puts the first candidate of every point at
+    the start of its run, and that candidate is the witness. Keys and
+    points are int64 while (n+1) * B.bit_length() < 63, Python ints
+    otherwise.
+    """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cached = par._supports.get(d)
     if cached is not None:
         return cached
+    B = d * max(sum(c) - 1 for c in zip(*par.A)) + 1
+    dtype = np.int64 if (par.n + 1) * B.bit_length() < 63 else object
+    cols = np.array(par.A, dtype=dtype).T
     if d == 0:
-        zero = (0,) * (par.n + 1)
-        sup = GradedSupport(0, (zero,), {}, {zero: 0})
+        zero = np.zeros((1, par.n + 1), dtype)
+        sup = GradedSupport(0, zero, np.zeros(0, np.int64), cols)
     else:
-        prev = graded_support(par, d - 1)
-        cols = [par.column(j) for j in range(par.ell + 1)]
-        witness = {}
-        for gamma in prev.points:
-            for i, alpha in enumerate(cols):
-                beta = tuple(g + a for g, a in zip(gamma, alpha))
-                if beta not in witness:
-                    witness[beta] = (gamma, i)
-        tb = par.ord.tiebreak_key
-        points = tuple(sorted(witness, key=lambda b: tb(b[1:])))
-        sup = GradedSupport(d, points, witness, {b: k for k, b in enumerate(points)})
+        gamma = graded_support(par, d - 1).array.astype(dtype)
+        keys = (_grlex_keys(gamma, B)[:, None] + _grlex_keys(cols, B)[None, :]).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        start = np.ones(len(keys), bool)
+        start[1:] = keys[1:] != keys[:-1]
+        first = order[start]
+        m = len(cols)
+        sup = GradedSupport(d, gamma[first // m] + cols[first % m], first, cols)
     par._supports[d] = sup
     return sup
 
@@ -190,12 +236,11 @@ def graded_basis(par: Parameterization, d: int) -> GradedBasis:
         one = MultiPoly.constant(par.field, par.varnames, par.field.one)
         basis = GradedBasis(0, ((sup.points[0], one),))
     else:
-        prev = graded_basis(par, d - 1)
-        prev_by_label = {beta: b for beta, b in prev.elements}
+        prev = graded_basis(par, d - 1).elements
+        m = len(par.phi)
         elements = []
-        for beta in sup.points:
-            gamma, i = sup.witness[beta]
-            b = prev_by_label[gamma] * par.phi[i]
+        for beta, f in zip(sup.points, sup.first.tolist()):
+            b = prev[f // m][1] * par.phi[f % m]
             if b.leading_exponent(par.ord) != beta[1:]:
                 raise AssertionError(
                     f"internal error: basis element for {beta} has leading "
@@ -403,10 +448,10 @@ def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
     bas = graded_basis(par, d)
     # the product of a witness pair (gamma, j) of beta is the basis element
     # b_{d+1,beta}, already formed by graded_basis
-    sup, index = graded_support(par, d + 1), graded_support(par, d).index
+    sup, m = graded_support(par, d + 1), len(par.phi)
     witnessed = {
-        (sup.witness[beta][1], index[sup.witness[beta][0]]): b
-        for beta, b in graded_basis(par, d + 1).elements
+        (f % m, f // m): b
+        for f, (_, b) in zip(sup.first.tolist(), graded_basis(par, d + 1).elements)
     }
     products = (
         witnessed[j, k] if (j, k) in witnessed else b * phi
@@ -434,14 +479,14 @@ def witness_monomial(par: Parameterization, d: int, beta) -> tuple:
     beta, so b_{d,beta} = prod phi_j**e_j.
     """
     beta = tuple(beta)
-    e = [0] * (par.ell + 1)
+    pos = graded_support(par, d).index.get(beta)
+    if pos is None:
+        raise KeyError(f"{beta} is not in {d}.A")
+    m = len(par.phi)
+    e = [0] * m
     for dd in range(d, 0, -1):
-        sup = graded_support(par, dd)
-        if beta not in sup.witness:
-            raise KeyError(f"{beta} is not in {dd}.A")
-        gamma, i = sup.witness[beta]
+        pos, i = divmod(int(graded_support(par, dd).first[pos]), m)
         e[i] += 1
-        beta = gamma
     return tuple(e)
 
 

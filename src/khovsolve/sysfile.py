@@ -82,7 +82,10 @@ def load_system(data):
         phi = [parse_polynomial(s, varnames, field) for s in phi_strings]
     except ValueError as err:
         raise SystemFileError(f"bad generator polynomial: {err}") from err
-    par = build_parameterization(phi, WeightOrder(weight), field)
+    try:
+        par = build_parameterization(phi, WeightOrder(weight), field)
+    except ValueError as err:
+        raise SystemFileError(f"bad generators: {err}") from err
     eqs = []
     for spec in eq_specs:
         degree = int(spec["degree"])

@@ -176,6 +176,25 @@ def test_exit_code_input_errors(tmp_path, capsys):
     assert "bad --conditions 'a,b'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        (["t1", "t1 + t2", "t2"], "share the leading exponent"),
+        (["t1", "0", "t2"], "zero polynomial"),
+    ],
+    ids=["duplicate-leading-exponent", "zero-generator"],
+)
+def test_exit_code_bad_generators(tmp_path, capsys, phi, message):
+    path = tmp_path / "bad_phi.json"
+    path.write_text(json.dumps(
+        {"field": "QQ", "vars": ["t1", "t2"], "weight": [-1, 0], "phi": phi}
+    ))
+    with pytest.raises(SystemFileError, match=message):
+        load_system(path.read_text())
+    assert main(["check", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_math_error(tmp_path, capsys):
     # no equations: nothing to solve
     path = tmp_path / "noeq.json"

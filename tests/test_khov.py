@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khovsolve import catalog
 from khovsolve.fields import GF, QQ
+from khovsolve.hilbert import hilbert_numerator
 from khovsolve.khov import (
     build_parameterization,
     check_khovanskii_truncated,
@@ -66,6 +69,71 @@ def test_support_degree_zero(duffing_par):
     sup = graded_support(duffing_par, 0)
     assert sup.points == ((0, 0, 0),)
     assert sup.witness == {}
+
+
+def _support_oracle(par, d):
+    """(points, witness) of d.A from one Python tuple per candidate sum."""
+    if d == 0:
+        return ((0,) * (par.n + 1),), {}
+    prev, _ = _support_oracle(par, d - 1)
+    cols = [par.column(j) for j in range(par.ell + 1)]
+    witness = {}
+    for gamma in prev:
+        for i, alpha in enumerate(cols):
+            beta = tuple(g + a for g, a in zip(gamma, alpha))
+            if beta not in witness:
+                witness[beta] = (gamma, i)
+    tb = par.ord.tiebreak_key
+    return tuple(sorted(witness, key=lambda b: tb(b[1:]))), witness
+
+
+def _monomial_par(columns):
+    """The parameterization by the monomials t**alpha for alpha in columns."""
+    n = len(columns[0])
+    names = tuple(f"t{i}" for i in range(1, n + 1))
+    phi = [MultiPoly(QQ, names, {tuple(c): QQ.one}) for c in columns]
+    return build_parameterization(phi, WeightOrder((-1,) * n))
+
+
+def _assert_support_matches_oracle(par, d):
+    points, witness = _support_oracle(par, d)
+    sup = graded_support(par, d)
+    assert len(sup) == len(points)
+    assert sup.points == points
+    assert sup.witness == witness
+    assert sup.index == {b: k for k, b in enumerate(points)}
+    assert tuple(beta for beta, _ in graded_basis(par, d).elements) == points
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(0, 5)] * n), min_size=2, max_size=8, unique=True
+        )
+    ),
+    st.integers(0, 6),
+)
+def test_graded_support_matches_tuple_oracle(columns, d):
+    _assert_support_matches_oracle(_monomial_par(columns), d)
+
+
+def test_graded_support_with_large_exponents():
+    # keys of (n+1) * B.bit_length() >= 63 bits are Python ints
+    big = 2**20
+    par = _monomial_par([(big, 0, 1), (0, big - 1, 0), (1, 1, big + 3), (0, 0, 0)])
+    for d in range(4):
+        _assert_support_matches_oracle(par, d)
+    assert graded_support(par, 3).array.dtype == object
+
+
+def test_hilbert_numerator_builds_no_point_tuples_above_degree_three():
+    par = catalog.pluecker_chart(2, 5)
+    hilbert_numerator(par, 10)
+    for d in range(4, 11):
+        sup = graded_support(par, d)
+        assert len(sup) > 0
+        assert not {"points", "index", "witness"} & set(vars(sup))
 
 
 def test_witness_recursion(del_pezzo_par):
