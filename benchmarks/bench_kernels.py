@@ -29,6 +29,13 @@ the KM rows of 13 random linear equations scattered from its rows
 (`km._map_rows`, 2275 x 980), and N X^T for an 11 x 980 kernel
 (`linalg.matmul_transposed`).
 
+Two rows guard the expansion over QQ, where the batched subduction runs
+on object arrays of Fractions: building X^(3) of the osculating Gr(2,5)
+chart (`khov.multiplication_map(par, 3)`, 1750 products into degree 4,
+graded bases and the CSR basis cached), with its `tracemalloc` peak, and
+one call of the one-row `khov.subduct` on the first Duffing equation in
+degree 1 (mean over 2000 calls).
+
 The support rows time `khov.graded_support` for every degree up to the
 one shown, on a fresh copy of the chart each run: the Gr(2,5) chart of
 the osculating problem up to degree 10, as the default degree search
@@ -48,6 +55,7 @@ Run as:  python3 benchmarks/bench_kernels.py
 
 import random
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -164,6 +172,38 @@ def bench_maps(p=9716633, delta=11, equations=13):
     ]
 
 
+def bench_map_qq():
+    """(seconds, peak bytes, shape) of X^(3) on the Gr(2,5) chart over QQ."""
+    par = catalog.pluecker_chart(2, 5, QQ, validate_degree=0)
+    khov.multiplication_map(par, 3)
+
+    def build():
+        par._maps.pop(3)
+        return khov.multiplication_map(par, 3)
+
+    t, X = _best(build)
+    par._maps.pop(3)
+    tracemalloc.start()
+    khov.multiplication_map(par, 3)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return t, peak, "{}x{}".format(*X.matrix.shape)
+
+
+def bench_subduct_row(calls=2000):
+    """Mean seconds of one-row subduct on a Duffing equation in degree 1."""
+    sys = catalog.duffing().sys
+    f, par = sys.equations[0].f, sys.par
+    khov.subduct(par, f, 1)
+
+    def run():
+        for _ in range(calls):
+            khov.subduct(par, f, 1)
+
+    t, _ = _best(run)
+    return t / calls
+
+
 def bench_f5(p=9716633):
     """Seconds of the F5 prefix pivots and of the echelon of the kept rows."""
     F = GF(p)
@@ -277,6 +317,11 @@ def main():
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms{rate}")
     for name, shape, t in bench_maps():
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms")
+    t, peak, shape = bench_map_qq()
+    print(f"{'multiplication_map':<22}{shape + ' X^(3)':<22}{'QQ':>12}{t * 1e3:9.1f}ms"
+          f"   tracemalloc peak {peak / 2**20:.1f} MB")
+    t = bench_subduct_row()
+    print(f"{'subduct one row':<22}{'Duffing d = 1':<22}{'QQ':>12}{t * 1e6:9.1f}us")
     for shape, points, t in bench_support():
         print(f"{'graded_support':<22}{shape:<22}{'QQ':>12}{t * 1e3:9.1f}ms   {points}")
     t, shape, steps, primes = bench_echelon_qq()

@@ -1,7 +1,8 @@
-"""Dense mod-p linear-algebra kernels on int64 arrays.
+"""Dense linear-algebra kernels: mod-p elimination and batched subduction.
 
 Entries are residues in [0, p) with p < 2**31, so the product of two
-entries fits in int64. Matrix products use delayed reduction (Dumas,
+entries fits in int64; the batched subduction also runs exactly on object
+arrays of field elements. Matrix products use delayed reduction (Dumas,
 Giorgi and Pernet, "Dense linear algebra over word-size prime fields",
 ACM TOMS 2008): the inner dimension is cut into chunks short enough that
 every dot product of a chunk is exact before a single reduction mod p.
@@ -153,7 +154,7 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched subduction against a triangular basis, mod p
+# batched subduction against a triangular basis
 # ---------------------------------------------------------------------------
 
 
@@ -164,21 +165,23 @@ def modp_subduct_batch(G, bvals, bcols, bindptr, leadpos, leadinv, p):
     element, sorted so that ``leadpos`` (column index of the leading
     monomial) is strictly increasing; ``leadinv`` holds the inverses of the
     leading coefficients. G is reduced in place to the remainders and the
-    coefficient matrix is returned.
+    coefficient matrix, of G's dtype, is returned. G and the basis values
+    are int64 residues mod p, or object arrays of field elements; p None
+    means exact arithmetic (over QQ), and every step is reduced mod p
+    otherwise.
     """
     nbasis = leadpos.shape[0]
-    batch = G.shape[0]
-    C = np.zeros((batch, nbasis), np.int64)
+    C = np.zeros((G.shape[0], nbasis), G.dtype)
     for b in range(nbasis):
         g = G[:, leadpos[b]]
-        rows = np.nonzero(g)[0]
+        rows = np.flatnonzero(g)
         if rows.size == 0:
             continue
-        coef = g[rows] * int(leadinv[b]) % p
+        coef = g[rows] * leadinv[b]
+        if p is not None:
+            coef %= p
         C[rows, b] = coef
-        cols = bcols[bindptr[b] : bindptr[b + 1]]
-        vals = bvals[bindptr[b] : bindptr[b + 1]]
-        G[np.ix_(rows, cols)] = (
-            G[np.ix_(rows, cols)] - coef[:, None] * vals[None, :]
-        ) % p
+        at = np.ix_(rows, bcols[bindptr[b] : bindptr[b + 1]])
+        block = G[at] - coef[:, None] * bvals[bindptr[b] : bindptr[b + 1]]
+        G[at] = block if p is None else block % p
     return C

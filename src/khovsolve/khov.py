@@ -8,6 +8,12 @@ piece of the coordinate ring in degree d has a monomial-indexed basis
 labelled by the d-element column sums of A, and every element can be
 expanded in that basis by subduction (leading-term elimination).
 
+Every expansion in the graded basis, on every field, is one run of the
+batched subduction kernel `_kernels.modp_subduct_batch` against the
+basis in CSR form: `expand` takes many polynomials at a time as dense
+rows, int64 residues over a prime below 2**31 and object arrays of field
+elements otherwise, and `subduct` is its one-row case.
+
 The multiplication maps X_j^(d), which send b_{d,gamma} to the expansion
 of b_{d,gamma} * phi_j in degree d+1, are expanded once per degree and
 kept sparse; every later product of the pipeline is a combination of
@@ -49,13 +55,13 @@ class Parameterization:
 
     `A` is the matrix of leading exponents of the homogenized generators:
     column j is (1, leading_exponent(phi_j)). Graded supports and bases,
-    their subduction orders, their CSR forms for batched expansion and the
-    multiplication maps are cached per degree on the instance.
+    their CSR forms for batched expansion and the multiplication maps are
+    cached per degree on the instance.
     """
 
     __slots__ = (
         "field", "varnames", "phi", "ord", "A",
-        "_supports", "_bases", "_orders", "_batch", "_maps",
+        "_supports", "_bases", "_batch", "_maps",
     )
 
     def __init__(self, field, varnames, phi, ord, A):
@@ -66,7 +72,6 @@ class Parameterization:
         self.A = tuple(tuple(row) for row in A)
         self._supports = {}
         self._bases = {}
-        self._orders = {}
         self._batch = {}
         self._maps = {}
 
@@ -268,69 +273,25 @@ class SubductionResult:
         return row
 
 
-def _subduction_positions(par, d):
-    """Support positions sorted by the weight order on the t-part.
-
-    Processing basis elements in this order makes subduction a single
-    forward pass: eliminating a leading monomial only introduces
-    monomials that come later in the order.
-    """
-    sup = graded_support(par, d)
-    positions = par._orders.get(d)
-    if positions is None:
-        key = par.ord.key
-        positions = sorted(range(len(sup.points)), key=lambda p: key(sup.points[p][1:]))
-        par._orders[d] = positions
-    return sup, positions
-
-
-def subduct(par: Parameterization, g: MultiPoly, d: int) -> SubductionResult:
-    """Expand g in the degree-d graded basis, leaving a remainder.
-
-    The remainder is zero exactly when g lies in the span of the degree-d
-    basis; it never has support on a basis leading monomial.
-    """
-    if g.field != par.field or g.varnames != par.varnames:
-        raise ValueError("polynomial is not over the parameterization's ring")
-    F = par.field
-    sup, positions = _subduction_positions(par, d)
-    bas = graded_basis(par, d)
-    terms = dict(g.terms)
-    coeffs = {}
-    for pos in positions:
-        beta = sup.points[pos]
-        mu = beta[1:]
-        c = terms.get(mu)
-        if c is None or c == F.zero:
-            continue
-        b = bas.elements[pos][1]
-        coef = F.div(c, b.terms[mu])
-        coeffs[beta] = coef
-        for e, v in b.terms.items():
-            s = F.sub(terms.get(e, F.zero), F.mul(coef, v))
-            if s == F.zero:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-    remainder = MultiPoly(F, par.varnames, terms, _normalized=True)
-    return SubductionResult(d, coeffs, remainder)
-
-
 @dataclass(frozen=True)
 class _BatchBasis:
-    """The degree-d basis as a CSR matrix over its monomials, mod p.
+    """The degree-d basis as a CSR matrix over its monomials.
 
-    Rows follow the subduction order (`positions`, support positions),
-    so the leading columns increase; columns are the monomials of the
-    basis elements sorted by the weight order.
+    Columns are the monomials of the basis elements sorted by the weight
+    order. Rows follow that order on the leading monomials (`positions`
+    maps them to support positions), so the leading columns increase and
+    eliminating a leading monomial only introduces later columns.
+    `bvals` and `leadinv` (inverses of the leading coefficients) have the
+    field's dtype (`linalg.array_dtype`).
     """
 
+    monomials: list
     colpos: dict  # monomial -> column
     positions: np.ndarray
-    bvals: np.ndarray
     bcols: np.ndarray
     bindptr: np.ndarray
     leadpos: np.ndarray
+    bvals: np.ndarray
     leadinv: np.ndarray
 
 
@@ -339,83 +300,107 @@ def _batch_basis(par, d):
     if cached is not None:
         return cached
     F = par.field
-    _, positions = _subduction_positions(par, d)
-    bas = graded_basis(par, d)
-    monomials = sorted({e for _, b in bas.elements for e in b.terms}, key=par.ord.key)
+    elements = graded_basis(par, d).elements
+    monomials = sorted({e for _, b in elements for e in b.terms}, key=par.ord.key)
     colpos = {e: j for j, e in enumerate(monomials)}
+    positions = sorted(range(len(elements)), key=lambda k: colpos[elements[k][0][1:]])
     bvals, bcols, bindptr, leadpos, leadinv = [], [], [0], [], []
     for pos in positions:
-        beta, b = bas.elements[pos]
+        beta, b = elements[pos]
         lead = beta[1:]
         leadpos.append(colpos[lead])
         leadinv.append(F.inv(b.terms[lead]))
-        for e, c in sorted(b.terms.items(), key=lambda it: colpos[it[0]]):
-            bvals.append(c)
-            bcols.append(colpos[e])
+        bcols.extend(colpos[e] for e in b.terms)
+        bvals.extend(b.terms.values())
         bindptr.append(len(bvals))
+    dtype = linalg.array_dtype(F)
     batch = _BatchBasis(
-        colpos, *(np.asarray(x, dtype=np.int64) for x in (
-            positions, bvals, bcols, bindptr, leadpos, leadinv)),
+        monomials, colpos,
+        *(np.asarray(x, dtype=np.int64) for x in (positions, bcols, bindptr, leadpos)),
+        *(np.asarray(x, dtype=dtype) for x in (bvals, leadinv)),
     )
     par._batch[d] = batch
     return batch
 
 
-# bytes of dense product rows expanded at a time
+def _subduct_rows(basis, G, field):
+    """The kernel on dense rows G, reduced in place to the remainders."""
+    return _kernels.modp_subduct_batch(
+        G, basis.bvals, basis.bcols, basis.bindptr, basis.leadpos,
+        basis.leadinv, field.modulus,
+    )
+
+
+def subduct(par: Parameterization, g: MultiPoly, d: int) -> SubductionResult:
+    """Expand g in the degree-d graded basis, leaving a remainder.
+
+    The one-row case of `expand`. The remainder, the reduced row plus the
+    terms of g on monomials no basis element has, is zero exactly when g
+    lies in the span of the degree-d basis; it never has support on a
+    basis leading monomial.
+    """
+    if g.field != par.field or g.varnames != par.varnames:
+        raise ValueError("polynomial is not over the parameterization's ring")
+    basis = _batch_basis(par, d)
+    G = np.zeros((1, len(basis.monomials)), linalg.array_dtype(par.field))
+    rest = {}
+    for e, c in g.terms.items():
+        if e in basis.colpos:
+            G[0, basis.colpos[e]] = c
+        else:
+            rest[e] = c
+    C = _subduct_rows(basis, G, par.field)[0]
+    points = graded_support(par, d).points
+    nz = np.flatnonzero(C)
+    coeffs = dict(zip([points[k] for k in basis.positions[nz]], C[nz].tolist()))
+    nz = np.flatnonzero(G[0])
+    rest.update(zip([basis.monomials[j] for j in nz], G[0, nz].tolist()))
+    remainder = MultiPoly(par.field, par.varnames, rest, _normalized=True)
+    return SubductionResult(d, coeffs, remainder)
+
+
+# bytes of dense rows expanded at a time; an object entry counts its
+# pointer and a share of the Python number it comes to point to
 _EXPAND_CHUNK_BYTES = 8 << 20
+_OBJECT_ENTRY_BYTES = 32
 
 
 def expand(par: Parameterization, polys, d: int):
     """Expand many polynomials in the degree-d graded basis.
 
-    The batched form of `subduct`. Returns (C, outside): C has one row
-    per polynomial of the iterable `polys` and one column per point of
-    d.A in support order, and `outside` lists the rows with a nonzero
-    remainder, whose rows of C are meaningless. Over a prime field below
-    2**31, C is an int64 array, expanded in row chunks against the cached
-    CSR basis so memory stays bounded; over any other field it is a list
-    of rows from `subduct`.
+    Returns (C, outside): C has one row per polynomial of the iterable
+    `polys` and one column per point of d.A in support order, and
+    `outside` lists the rows with a nonzero remainder, whose rows of C are
+    meaningless. C is an int64 array over a prime below 2**31 and an
+    object array otherwise, with Fractions over QQ and Python ints over a
+    larger prime at its nonzero entries. The polynomials run through the
+    batched kernel as dense rows over the basis monomials, in chunks of
+    about _EXPAND_CHUNK_BYTES, so memory stays bounded.
     """
     F = par.field
-    if not linalg.is_small_prime(F):
-        sup = graded_support(par, d)
-        C, outside = [], []
-        for r, g in enumerate(polys):
-            res = subduct(par, g, d)
-            if not res.remainder.is_zero():
-                outside.append(r)
-            C.append(res.vector(sup))
-        return C, outside
     basis = _batch_basis(par, d)
     colpos = basis.colpos
-    chunk = max(1, _EXPAND_CHUNK_BYTES // (8 * max(len(colpos), 1)))
-    it = iter(polys)
-    blocks, outside = [], set()
-    done = 0
-    while batch := list(islice(it, chunk)):
+    dtype = linalg.array_dtype(F)
+    entry = 8 if dtype == np.int64 else _OBJECT_ENTRY_BYTES
+    chunk = max(1, _EXPAND_CHUNK_BYTES // (entry * len(colpos)))
+    polys = list(polys)
+    C = np.zeros((len(polys), len(basis.positions)), dtype)
+    outside = []
+    for lo in range(0, len(polys), chunk):
+        batch = polys[lo : lo + chunk]
         ri, ci, vi = [], [], []
         for r, g in enumerate(batch):
             cols = [colpos.get(e) for e in g.terms]
             if None in cols:  # a monomial no basis element has
-                outside.add(done + r)
+                outside.append(lo + r)
                 continue
             ri.extend([r] * len(cols))
             ci.extend(cols)
             vi.extend(g.terms.values())
-        G = np.zeros((len(batch), len(colpos)), dtype=np.int64)
-        G[ri, ci] = vi
-        Cb = _kernels.modp_subduct_batch(
-            G, basis.bvals, basis.bcols, basis.bindptr, basis.leadpos,
-            basis.leadinv, F.modulus,
-        )
-        outside.update((done + np.flatnonzero(G.any(axis=1))).tolist())
-        C = np.empty_like(Cb)
-        C[:, basis.positions] = Cb
-        blocks.append(C)
-        done += len(batch)
-    if not blocks:
-        return np.zeros((0, len(basis.positions)), dtype=np.int64), []
-    C = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        G = np.zeros((len(batch), len(colpos)), dtype)
+        G[ri, ci] = np.array(vi, dtype=dtype)
+        C[lo : lo + len(batch), basis.positions] = _subduct_rows(basis, G, F)
+        outside += (lo + np.flatnonzero((G != 0).any(axis=1))).tolist()
     return C, sorted(outside)
 
 
@@ -459,7 +444,9 @@ def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
     )
     # the products are expanded in batches of about _EXPAND_CHUNK_BYTES of
     # dense rows, each made sparse at once: the dense expansion of a high
-    # degree would not fit in memory
+    # degree would not fit in memory. An output entry counts 8 bytes on
+    # every field, as over an object array almost all are pointers to the
+    # one zero
     batch = max(1, _EXPAND_CHUNK_BYTES // (8 * len(sup)))
     parts, outside, done = [], [], 0
     while rows := list(islice(products, batch)):

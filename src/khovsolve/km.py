@@ -36,6 +36,7 @@ from . import linalg
 from .khov import (
     Parameterization,
     check_khovanskii_truncated,
+    expand,
     graded_support,
     multiplication_map,
     subduct,
@@ -97,12 +98,17 @@ def _expand_coeff_form(par: Parameterization, coeff_form, degree):
 
 
 class StructuredSystem:
-    """A parameterization together with equations in its graded pieces."""
+    """A parameterization together with equations in its graded pieces.
+
+    The equations of one degree are expanded in its graded basis by one
+    `khov.expand` call, on validation or on the first request for a
+    coefficient form among them, which is then read off its row.
+    """
 
     def __init__(self, par: Parameterization, equations, validate=True):
         self.par = par
-        eqs = []
-        for eq in equations:
+        eqs, given_both = [], set()
+        for i, eq in enumerate(equations):
             if not isinstance(eq, Equation):
                 f, degree = eq
                 eq = Equation(f=f, degree=degree)
@@ -112,67 +118,76 @@ class StructuredSystem:
                     degree=eq.degree,
                     coeff_form=eq.coeff_form,
                 )
+            elif eq.coeff_form is not None:
+                given_both.add(i)
             eqs.append(eq)
         self.equations = tuple(eqs)
         self._forms = {}
         if validate:
-            self._validate()
+            self._validate(given_both)
 
     @property
     def degrees(self):
         return tuple(eq.degree for eq in self.equations)
 
-    def _validate(self):
+    def _validate(self, given_both):
+        """Every equation lies in its graded piece, and where f and the
+        coefficient form were both given, the form expands to f."""
         for i, eq in enumerate(self.equations):
-            if eq.coeff_form is None:
-                self._subducted_form(i)
-                continue
-            self._subduct(i)
-            expanded = _expand_coeff_form(self.par, eq.coeff_form, eq.degree)
-            if expanded != eq.f:
-                raise ValueError(
-                    f"equation {i}: coefficient form does not expand to f"
-                )
+            self._form(i)
+            if i in given_both and (
+                _expand_coeff_form(self.par, eq.coeff_form, eq.degree) != eq.f
+            ):
+                raise ValueError(f"equation {i}: coefficient form does not expand to f")
 
-    def _subduct(self, i):
-        """Subduction of equation i; NotInAlgebraError outside its graded piece."""
+    def _expand_degree(self, d):
+        """Keep the coefficient form of each degree-d equation, from one `expand`.
+
+        None marks an equation outside its graded piece. A form not given
+        is read off the row: the label beta of each coefficient becomes a
+        generator exponent vector via its witness chain, in the order
+        subduction meets the labels.
+        """
+        par = self.par
+        idx = [i for i, eq in enumerate(self.equations) if eq.degree == d]
+        C, outside = expand(par, [self.equations[i].f for i in idx], d)
+        outside = set(outside)
+        points = graded_support(par, d).points
+        key = par.ord.key
+        for k, i in enumerate(idx):
+            form = self.equations[i].coeff_form
+            if k in outside:
+                form = None
+            elif form is None:
+                row = C[k].tolist()
+                cols = sorted(np.flatnonzero(C[k]), key=lambda c: key(points[c][1:]))
+                form = {witness_monomial(par, d, points[c]): row[c] for c in cols}
+            self._forms[i] = form
+
+    def _form(self, i):
+        """The coefficient form of equation i; NotInAlgebraError outside its piece."""
         eq = self.equations[i]
-        res = subduct(self.par, eq.f, eq.degree)
-        if not res.remainder.is_zero():
+        if i not in self._forms:
+            self._expand_degree(eq.degree)
+        form = self._forms[i]
+        if form is None:
+            res = subduct(self.par, eq.f, eq.degree)
             raise NotInAlgebraError(
                 f"equation {i} is not in the degree-{eq.degree} graded "
                 f"piece (subduction remainder {res.remainder.to_string()})"
             )
-        return res
-
-    def _subducted_form(self, i):
-        """The coefficient form of equation i by subduction, kept per equation.
-
-        The basis label beta of each coefficient is converted to a
-        generator exponent vector via its witness chain.
-        """
-        form = self._forms.get(i)
-        if form is not None:
-            return form
-        F = self.par.field
-        form = {}
-        for beta, c in self._subduct(i).coeffs.items():
-            alpha = witness_monomial(self.par, self.equations[i].degree, beta)
-            form[alpha] = F.add(form.get(alpha, F.zero), c)
-        form = {a: c for a, c in form.items() if c != F.zero}
-        self._forms[i] = form
         return form
 
     def coefficient_form(self, i):
         """Coefficients of equation i over generator monomials.
 
-        The supplied form, or else the one derived by subduction; raises
+        The supplied form, or else the one read off its expansion; raises
         NotInAlgebraError when f lies outside its graded piece.
         """
         eq = self.equations[i]
         if eq.coeff_form is not None:
             return dict(eq.coeff_form)
-        return dict(self._subducted_form(i))
+        return dict(self._form(i))
 
 
 @dataclass(frozen=True)

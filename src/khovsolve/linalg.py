@@ -12,25 +12,24 @@ which is accepted only with an exact certificate that the kernel
 annihilates every input row. `commuting_check` runs the exact checks of
 multiplication matrices on integer matrices through one stacked product.
 
-Matrices are lists of rows of field elements or, over a prime below 2**31,
-int64 arrays with entries in [0, p). This is the only module that tells
-the two forms apart: products, linear combinations and eliminations over
-a small prime run through `_kernels`, and results come back as lists.
-Sparse matrices (`Sparse`, a COO triple) have two products: the dense
-combination of their rows S @ X, which stays an int64 array over a small
-prime, and the product A @ X^T with a dense A; over a small prime both are
-numpy scatters, over any other field loops over the nonzeros. They can be
-stacked and have rows selected. `prefix_pivots` gives the pivot columns of
-every leading run of row blocks from one incremental elimination.
+Matrices are lists of rows of field elements or arrays of the field's
+dtype (`array_dtype`): int64 with entries in [0, p) over a prime below
+2**31, object arrays of Fractions or Python ints otherwise. This is the
+only module that tells the forms apart: products, linear combinations
+and eliminations over a small prime run through `_kernels`, and results
+come back as lists. Sparse matrices (`Sparse`, a COO triple whose values
+are an array of the field's dtype) have two products, numpy scatters on
+every field: the dense combination of their rows S @ X, an array, and the
+product A @ X^T with a dense A. They can be stacked and have rows
+selected. `prefix_pivots` gives the pivot columns of every leading run of
+row blocks from one incremental elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
 from math import gcd, isqrt, lcm, log2
-from operator import is_not
 
 import numpy as np
 
@@ -60,6 +59,7 @@ __all__ = [
     "take_rows",
     "identity",
     "is_small_prime",
+    "array_dtype",
     "first_independent_columns",
 ]
 
@@ -71,6 +71,11 @@ class SingularMatrixError(ValueError):
 def is_small_prime(field) -> bool:
     """True when the field's matrices are int64 arrays (a prime below 2**31)."""
     return isinstance(field, PrimeField) and field.numpy_compatible
+
+
+def array_dtype(field):
+    """The dtype of the field's arrays: int64 below 2**31, object otherwise."""
+    return np.int64 if is_small_prime(field) else object
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +580,13 @@ class Sparse:
     """A sparse matrix as a COO triple, entries in row order.
 
     `rows` and `cols` are int64 arrays; `vals` holds the nonzero field
-    elements, an int64 array over a prime below 2**31 and a list
-    otherwise.
+    elements as an array of the field's dtype (`array_dtype`).
     """
 
     shape: tuple
     rows: np.ndarray
     cols: np.ndarray
-    vals: object
+    vals: np.ndarray
 
     def row_starts(self):
         """The CSR row pointer: row r holds entries row_starts[r]:row_starts[r+1]."""
@@ -595,35 +599,17 @@ def sparse(shape, rows, cols, vals, field) -> Sparse:
     rows = np.asarray(rows, dtype=np.int64)
     order = np.argsort(rows, kind="stable")
     cols = np.asarray(cols, dtype=np.int64)[order]
-    if is_small_prime(field):
-        vals = np.asarray(vals, dtype=np.int64)[order]
-    else:
-        vals = [vals[k] for k in order.tolist()]
+    vals = np.asarray(vals, dtype=array_dtype(field))[order]
     return Sparse(tuple(shape), rows[order], cols, vals)
 
 
 def sparse_from_dense(C, field, skip=()) -> Sparse:
     """The nonzero entries of the matrix C, leaving out the rows in `skip`."""
-    if isinstance(C, np.ndarray):
-        nz = C != 0
-        nz[list(skip)] = False
-        rows, cols = np.nonzero(nz)
-        return Sparse(C.shape, rows, cols, C[rows, cols])
-    skip = set(skip)
-    rows, cols, vals = [], [], []
-    for r, row in enumerate(C):
-        if r in skip:
-            continue
-        # rows of `khov.expand` hold the field's zero object itself, which an
-        # identity test in C passes over; other zeros are dropped below
-        for c in compress(range(len(row)), map(is_not, row, repeat(field.zero))):
-            if row[c]:
-                rows.append(r)
-                cols.append(c)
-                vals.append(row[c])
-    shape = (len(C), len(C[0]) if len(C) else 0)
-    return Sparse(shape, np.array(rows, dtype=np.int64),
-                  np.array(cols, dtype=np.int64), vals)
+    C = np.asarray(C, dtype=array_dtype(field))
+    nz = C != 0
+    nz[list(skip)] = False
+    rows, cols = np.nonzero(nz)
+    return Sparse(C.shape, rows, cols, C[rows, cols])
 
 
 def sparse_rows(S: Sparse, keep) -> Sparse:
@@ -632,11 +618,8 @@ def sparse_rows(S: Sparse, keep) -> Sparse:
     new = np.full(S.shape[0], -1, dtype=np.int64)
     new[keep] = np.arange(len(keep))
     mask = new[S.rows] >= 0
-    if isinstance(S.vals, np.ndarray):
-        vals = S.vals[mask]
-    else:
-        vals = list(compress(S.vals, mask.tolist()))
-    return Sparse((len(keep), S.shape[1]), new[S.rows[mask]], S.cols[mask], vals)
+    rows = new[S.rows[mask]]
+    return Sparse((len(keep), S.shape[1]), rows, S.cols[mask], S.vals[mask])
 
 
 def stack_sparse(parts) -> Sparse:
@@ -644,62 +627,44 @@ def stack_sparse(parts) -> Sparse:
     firsts = np.cumsum([0] + [S.shape[0] for S in parts]).tolist()
     rows = np.concatenate([S.rows + first for S, first in zip(parts, firsts)])
     cols = np.concatenate([S.cols for S in parts])
-    if isinstance(parts[0].vals, np.ndarray):
-        vals = np.concatenate([S.vals for S in parts])
-    else:
-        vals = [x for S in parts for x in S.vals]
+    vals = np.concatenate([S.vals for S in parts])
     return Sparse((firsts[-1], parts[0].shape[1]), rows, cols, vals)
 
 
 def combine_rows(S: Sparse, X: Sparse, field):
-    """The dense product S @ X: row i is sum_r S[i, r] * X[r].
+    """The dense product S @ X, an array of the field's dtype.
 
-    An int64 array over a prime below 2**31, where every product of a
-    coefficient and an entry is scattered into place by one `np.add.at`;
-    a list of rows otherwise.
+    Row i is sum_r S[i, r] * X[r]: every product of a coefficient and an
+    entry is scattered into place by one `np.add.at`.
     """
     m, n = S.shape[0], X.shape[1]
+    p = field.modulus
     starts = X.row_starts()
-    if is_small_prime(field):
-        first, count = starts[S.cols], starts[S.cols + 1] - starts[S.cols]
-        k = np.repeat(np.arange(len(S.cols)), count)
-        # position in X of each term: its row's first entry plus its rank
-        pos = np.arange(len(k)) + np.repeat(first - (np.cumsum(count) - count), count)
-        out = np.zeros(m * n, dtype=np.int64)
-        np.add.at(out, S.rows[k] * n + X.cols[pos],
-                  S.vals[k] * X.vals[pos] % field.modulus)
-        return (out % field.modulus).reshape(m, n)
-    starts, xcols = starts.tolist(), X.cols.tolist()
-    out = [[field.zero] * n for _ in range(m)]
-    for i, r, c in zip(S.rows.tolist(), S.cols.tolist(), S.vals):
-        row = out[i]
-        for k in range(starts[r], starts[r + 1]):
-            j = xcols[k]
-            row[j] = field.add(row[j], field.mul(c, X.vals[k]))
-    return out
+    first, count = starts[S.cols], starts[S.cols + 1] - starts[S.cols]
+    k = np.repeat(np.arange(len(S.cols)), count)
+    # position in X of each term: its row's first entry plus its rank
+    pos = np.arange(len(k)) + np.repeat(first - (np.cumsum(count) - count), count)
+    terms = S.vals[k] * X.vals[pos]
+    out = np.full(m * n, field.zero, dtype=array_dtype(field))
+    np.add.at(out, S.rows[k] * n + X.cols[pos], terms if p is None else terms % p)
+    return (out if p is None else out % p).reshape(m, n)
 
 
 def matmul_transposed(A, X: Sparse, field):
     """A @ X^T as a list of rows, for a dense A with X.shape[1] columns."""
     if len(A) == 0:
         return []
-    if is_small_prime(field):
-        p = field.modulus
-        W = np.asarray(A, dtype=np.int64)[:, X.cols] * X.vals % p
-        out = np.zeros((W.shape[0], X.shape[0]), dtype=np.int64)
-        starts = X.row_starts()
-        filled = np.flatnonzero(np.diff(starts))
-        if filled.size:
-            # X's entries are in row order: one segment sum per nonempty row
-            out[:, filled] = np.add.reduceat(W, starts[filled], axis=1) % p
-        return out.tolist()
-    out = [[field.zero] * X.shape[0] for _ in A]
-    for r, c, v in zip(X.rows.tolist(), X.cols.tolist(), X.vals):
-        for arow, orow in zip(A, out):
-            a = arow[c]
-            if a:
-                orow[r] = field.add(orow[r], field.mul(a, v))
-    return out
+    p = field.modulus
+    dtype = array_dtype(field)
+    W = np.asarray(A, dtype=dtype)[:, X.cols] * X.vals
+    out = np.full((W.shape[0], X.shape[0]), field.zero, dtype=dtype)
+    starts = X.row_starts()
+    filled = np.flatnonzero(np.diff(starts))
+    if filled.size:
+        # X's entries are in row order: one segment sum per nonempty row
+        T = np.add.reduceat(W if p is None else W % p, starts[filled], axis=1)
+        out[:, filled] = T if p is None else T % p
+    return out.tolist()
 
 
 def take_rows(rows, keep):

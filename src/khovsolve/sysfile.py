@@ -86,27 +86,37 @@ def load_system(data):
         par = build_parameterization(phi, WeightOrder(weight), field)
     except ValueError as err:
         raise SystemFileError(f"bad generators: {err}") from err
-    eqs = []
-    for spec in eq_specs:
-        degree = int(spec["degree"])
-        if degree < 1:
-            raise SystemFileError(f"equation degree must be >= 1, got {degree}")
-        if "poly" in spec:
-            try:
-                f = parse_polynomial(spec["poly"], varnames, field)
-            except ValueError as err:
-                raise SystemFileError(f"bad equation polynomial: {err}") from err
-            eqs.append(Equation(f=f, degree=degree))
-        elif "coeffs" in spec:
-            form = {}
-            for item in spec["coeffs"]:
-                alpha = tuple(int(a) for a in item["alpha"])
-                form[alpha] = field.parse(str(item["c"]))
-            eqs.append(Equation(degree=degree, coeff_form=form))
-        else:
-            raise SystemFileError("equation needs 'poly' or 'coeffs'")
+    eqs = [_equation(i, spec, par) for i, spec in enumerate(eq_specs)]
     sys = StructuredSystem(par, eqs) if eqs else None
     return par, sys
+
+
+def _equation(i, spec, par):
+    """Equation i of a system file; SystemFileError names it when malformed."""
+    field = par.field
+    try:
+        degree = int(spec["degree"])
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {degree}")
+        if "poly" in spec:
+            return Equation(f=parse_polynomial(spec["poly"], par.varnames, field),
+                            degree=degree)
+        if "coeffs" not in spec:
+            raise ValueError("needs 'poly' or 'coeffs'")
+        form = {}
+        for item in spec["coeffs"]:
+            alpha = tuple(int(a) for a in item["alpha"])
+            if len(alpha) != par.ell + 1 or min(alpha) < 0 or sum(alpha) != degree:
+                raise ValueError(
+                    f"coefficient exponent {list(alpha)} is not a degree-{degree} "
+                    f"monomial in {par.ell + 1} generators"
+                )
+            form[alpha] = field.parse(str(item["c"]))
+        return Equation(degree=degree, coeff_form=form)
+    except KeyError as err:
+        raise SystemFileError(f"equation {i}: missing {err}") from err
+    except (TypeError, ValueError, ZeroDivisionError) as err:
+        raise SystemFileError(f"equation {i}: {err}") from err
 
 
 def system_to_dict(par: Parameterization, sys: StructuredSystem = None):

@@ -195,6 +195,39 @@ def test_exit_code_bad_generators(tmp_path, capsys, phi, message):
     assert message in capsys.readouterr().err
 
 
+def _malformed_duffing(change):
+    from khovsolve import catalog
+
+    sys = catalog.duffing().sys
+    data = json.loads(dump_system(sys.par, sys))
+    change(data["equations"][1])
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda eq: eq["coeffs"][0].update(alpha=[0, 1, 0, 0]),
+         "coefficient exponent [0, 1, 0, 0] is not a degree-1 monomial"),
+        (lambda eq: eq["coeffs"][0].update(alpha=[0, 1, 0, 1, 0]),
+         "coefficient exponent [0, 1, 0, 1, 0] is not a degree-1 monomial"),
+        (lambda eq: eq.update(degree="x"), "invalid literal for int()"),
+        (lambda eq: eq["coeffs"][0].update(c="1/0"), "Fraction(1, 0)"),
+    ],
+    ids=["alpha-length", "alpha-degree", "degree-not-integer", "zero-denominator"],
+)
+def test_exit_code_malformed_equation(tmp_path, capsys, change, message):
+    # a malformed equation spec is an input error naming the equation
+    text = _malformed_duffing(change)
+    with pytest.raises(SystemFileError, match="equation 1: "):
+        load_system(text)
+    path = tmp_path / "bad_eq.json"
+    path.write_text(text)
+    assert main(["solve", str(path), "--dreg", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "equation 1: " in err and message in err
+
+
 def test_exit_code_math_error(tmp_path, capsys):
     # no equations: nothing to solve
     path = tmp_path / "noeq.json"

@@ -249,13 +249,14 @@ def _expand_cases(par, rng):
 
 def test_expand_equals_subduct():
     # one batch against one subduction per polynomial: int64 arrays for the
-    # primes below 2**31, subduction rows over QQ and larger primes
+    # primes below 2**31, object arrays over QQ and larger primes
     rng = random.Random(23)
     for F in (QQ, GF(9716633), GF(2**31 - 1), GF(2**61 - 1)):
         for par in (catalog.del_pezzo(field=F), catalog.pluecker_chart(2, 4, F)):
             for d, polys, n_outside in _expand_cases(par, rng):
                 C, outside = expand(par, iter(polys), d)
-                assert isinstance(C, np.ndarray) == (F.modulus in (9716633, 2**31 - 1))
+                small = F.modulus in (9716633, 2**31 - 1)
+                assert C.dtype == (np.int64 if small else object)
                 assert len(C) == len(polys)
                 sup = graded_support(par, d)
                 expect_outside = []
@@ -267,6 +268,113 @@ def test_expand_equals_subduct():
                         expect_outside.append(r)
                 assert outside == expect_outside
                 assert len(outside) == n_outside
+
+
+def _subduct_oracle(par, g, d):
+    """(coeffs, remainder terms) of g by the dict subduction loop.
+
+    One leading monomial at a time in the weight order, on the terms of g
+    as a dict: the expansion before the batched kernel took every field.
+    """
+    F = par.field
+    sup = graded_support(par, d)
+    bas = graded_basis(par, d)
+    key = par.ord.key
+    positions = sorted(range(len(sup.points)), key=lambda p: key(sup.points[p][1:]))
+    terms = dict(g.terms)
+    coeffs = {}
+    for pos in positions:
+        beta = sup.points[pos]
+        mu = beta[1:]
+        c = terms.get(mu)
+        if c is None or c == F.zero:
+            continue
+        b = bas.elements[pos][1]
+        coef = F.div(c, b.terms[mu])
+        coeffs[beta] = coef
+        for e, v in b.terms.items():
+            s = F.sub(terms.get(e, F.zero), F.mul(coef, v))
+            if s == F.zero:
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return coeffs, terms
+
+
+EXPAND_FIELDS = [QQ, GF(9716633), GF(2**31 - 1), GF(2**61 - 1)]
+_ORACLE_PARS = {}
+
+
+def _oracle_par(surface, field):
+    key = (surface, field)
+    if key not in _ORACLE_PARS:
+        _ORACLE_PARS[key] = (catalog.del_pezzo(field=field) if surface == "delpezzo"
+                             else catalog.pluecker_chart(2, 4, field))
+    return _ORACLE_PARS[key]
+
+
+def _coefficient(F, num, den):
+    return F.div(F.from_int(num), F.from_int(den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(EXPAND_FIELDS),
+    st.sampled_from(["delpezzo", "gr24"]),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_expand_and_subduct_match_the_dict_loop(field, surface, d, data):
+    # random members of the degree-d piece, plus terms on basis monomials
+    # (leading or not) and on monomials no basis element has
+    par = _oracle_par(surface, field)
+    F = field
+    elements = graded_basis(par, d).elements
+    monomials = sorted({e for _, b in elements for e in b.terms})
+    beyond = (1 + max(e[0] for e in monomials),) + (0,) * (par.n - 1)
+    num, den = st.integers(-10**9, 10**9), st.integers(1, 12)
+    members = st.tuples(st.sampled_from([b for _, b in elements]), num, den)
+    terms = st.tuples(st.sampled_from(monomials + [beyond]), num, den)
+    polys = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        g = MultiPoly.zero(F, par.varnames)
+        for b, c, q in data.draw(st.lists(members, max_size=5)):
+            g = g + b.scale(_coefficient(F, c, q))
+        for e, c, q in data.draw(st.lists(terms, max_size=2)):
+            g = g + MultiPoly(F, par.varnames, {e: _coefficient(F, c, q)})
+        polys.append(g)
+    C, outside = expand(par, polys, d)
+    sup = graded_support(par, d)
+    expect_outside = []
+    for r, g in enumerate(polys):
+        coeffs, rest = _subduct_oracle(par, g, d)
+        res = subduct(par, g, d)
+        assert list(res.coeffs.items()) == list(coeffs.items())
+        assert res.remainder.terms == rest
+        if rest:
+            expect_outside.append(r)
+        else:
+            assert C[r].tolist() == res.vector(sup)
+    assert outside == expect_outside
+
+
+@pytest.mark.parametrize("field", EXPAND_FIELDS, ids=str)
+def test_expansion_entry_types(field):
+    # Fractions over QQ and Python ints off the primes below 2**31, in the
+    # expansion, the subduction and the multiplication map
+    par = catalog.del_pezzo(field=field)
+    polys = [b * phi for _, b in graded_basis(par, 1).elements for phi in par.phi]
+    C, _ = expand(par, polys, 2)
+    small = field.modulus in (9716633, 2**31 - 1)
+    assert C.dtype == (np.int64 if small else object)
+    kind = Fraction if field == QQ else int
+    if not small:
+        assert {type(x) for x in C[C != 0].tolist()} == {kind}
+        assert multiplication_map(par, 1).matrix.vals.dtype == object
+        assert {type(x) for x in multiplication_map(par, 1).matrix.vals} == {kind}
+    res = subduct(par, polys[-1] + parse_polynomial("t1^9", par.varnames, field), 2)
+    assert res.coeffs and {type(c) for c in res.coeffs.values()} == {kind}
+    assert {type(c) for c in res.remainder.terms.values()} == {kind}
 
 
 def test_multiplicative_closure(del_pezzo_par):

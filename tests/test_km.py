@@ -228,6 +228,64 @@ def test_derived_coefficient_form(duffing_sys):
     assert bare.coefficient_form(0) == eq.coeff_form
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_validation_expands_once_per_degree(monkeypatch):
+    # two equations of degree 1 and two of degree 2, given by f alone: one
+    # `expand` call per degree validates them all, and their coefficient
+    # forms are read off its rows
+    par = catalog.duffing().sys.par
+    dense = catalog.random_dense_system(par, (1, 2, 1, 2), seed=3).equations
+    calls = _count_calls(monkeypatch, km, "expand")
+    sys = StructuredSystem(par, [Equation(f=eq.f, degree=eq.degree) for eq in dense])
+    assert sorted((d, len(polys)) for _, polys, d in calls) == [(1, 2), (2, 2)]
+    for i, eq in enumerate(dense):
+        form = sys.coefficient_form(i)
+        assert km._expand_coeff_form(par, form, eq.degree) == eq.f
+        assert {type(c) for c in form.values()} == {Fraction}
+    assert len(calls) == 2
+
+
+def test_each_coefficient_form_expands_once(monkeypatch):
+    # a form given alone is expanded to f once; a form given with f is
+    # expanded once more, to compare
+    par = catalog.duffing().sys.par
+    dense = catalog.random_dense_system(par, (1, 2, 1), seed=3).equations
+    calls = _count_calls(monkeypatch, km, "_expand_coeff_form")
+    StructuredSystem(par, [Equation(degree=eq.degree, coeff_form=eq.coeff_form)
+                           for eq in dense])
+    assert len(calls) == 3
+    del calls[:]
+    StructuredSystem(par, dense)
+    assert len(calls) == 3
+
+
+def test_not_in_algebra_only_for_the_equation_asked_for():
+    par = catalog.duffing().sys.par
+    eqs = [Equation(f=par.phi[1], degree=1),
+           Equation(f=parse_polynomial("t2^2", par.varnames), degree=1)]
+    sys = StructuredSystem(par, eqs, validate=False)
+    assert sys.coefficient_form(0) == {(0, 1, 0, 0, 0): Fraction(1)}
+    message = ("equation 1 is not in the degree-1 graded piece "
+               "(subduction remainder t2^2)")
+    with pytest.raises(NotInAlgebraError) as err:
+        sys.coefficient_form(1)
+    assert str(err.value) == message
+    with pytest.raises(NotInAlgebraError) as err:
+        StructuredSystem(par, eqs)
+    assert str(err.value) == message
+
+
 def test_negative_degree_rejected(duffing_sys):
     with pytest.raises(ValueError):
         km_matrix(duffing_sys, -1)
