@@ -8,7 +8,9 @@ Each kernel is also timed at p = 2**31 - 1, where products leave the
 float64 range and run as chunked int64 matmul. Prints the best of three
 runs and the rate in Gop/s, one Gop being 1e9 multiply-adds (m*n*rank
 for a row reduction, m*k*n for a product, the basis terms touched for a
-subduction).
+subduction). The subduction row runs the sparse kernel on 313 rows in the
+span of a random basis, given as COO keys, with the basis's level plan
+(`_kernels.subduction_levels`) built once outside the timing.
 
 The exact echelon over QQ, `linalg.echelon`, is timed on the 360 x 175 KM
 matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded random
@@ -24,17 +26,20 @@ elimination of the 1041 rows it keeps, of rank 969, to set beside the
 
 The map rows time the product primitive at the same shape (Gr(3,6), d =
 2 -> 3, F_9716633): building the sparse multiplication map X^(2), 3500 x
-980 (`khov.multiplication_map`, graded bases and the CSR basis cached),
-the KM rows of 13 random linear equations scattered from its rows
-(`km._map_rows`, 2275 x 980), and N X^T for an 11 x 980 kernel
-(`linalg.matmul_transposed`).
+980 (`khov.multiplication_map`, the CSR bases cached), the KM rows of 13
+random linear equations scattered from its rows (`km._map_rows`, 2275 x
+980), and N X^T for an 11 x 980 kernel (`linalg.matmul_transposed`).
+Two more rows build X^(3) (19600 products into degree 4) and X^(4) (82320
+products into degree 5) of the same chart, the maps and bases of the
+degrees below cached and the CSR basis of the target degree built within
+the timing, each with its `tracemalloc` peak.
 
 Two rows guard the expansion over QQ, where the batched subduction runs
 on object arrays of Fractions: building X^(3) of the osculating Gr(2,5)
 chart (`khov.multiplication_map(par, 3)`, 1750 products into degree 4,
-graded bases and the CSR basis cached), with its `tracemalloc` peak, and
-one call of the one-row `khov.subduct` on the first Duffing equation in
-degree 1 (mean over 2000 calls).
+the CSR bases cached), with its `tracemalloc` peak, and one call of the
+one-row `khov.subduct` on the first Duffing equation in degree 1 (mean
+over 2000 calls).
 
 The support rows time `khov.graded_support` for every degree up to the
 one shown, on a fresh copy of the chart each run: the Gr(2,5) chart of
@@ -82,7 +87,8 @@ def _low_rank(rng, m, n, rank, p):
 
 
 def _random_basis(rng, nbasis, ncols, p, terms=5):
-    """Sparse CSR basis with increasing leading columns, like graded bases."""
+    """Sparse CSR basis with increasing leading columns, like graded bases,
+    and its level plan."""
     leadpos = np.sort(rng.choice(ncols, size=nbasis, replace=False))
     vals, cols, indptr, leadinv = [], [], [0], []
     for lp in leadpos:
@@ -95,7 +101,8 @@ def _random_basis(rng, nbasis, ncols, p, terms=5):
             cols.append(int(c))
         indptr.append(len(vals))
         leadinv.append(pow(lead, p - 2, p))
-    return tuple(np.array(x, dtype=np.int64) for x in (vals, cols, indptr, leadpos, leadinv))
+    basis = tuple(np.array(x, dtype=np.int64) for x in (vals, cols, indptr, leadpos, leadinv))
+    return basis + (_kernels.subduction_levels(*basis[1:4]),)
 
 
 def bench_rref(rng, m, n, rank, p):
@@ -113,7 +120,9 @@ def bench_subduct(rng, batch, nbasis, ncols, p):
     for b in range(nbasis):
         B[b, cols[indptr[b] : indptr[b + 1]]] = vals[indptr[b] : indptr[b + 1]]
     G = _kernels.modp_matmul(coef, B, p)
-    t, _ = _best(lambda: _kernels.modp_subduct_batch(G.copy(), *basis, p))
+    rows, cols = np.nonzero(G)
+    keys, gvals = rows * ncols + cols, G[rows, cols]
+    t, _ = _best(lambda: _kernels.modp_subduct_batch(keys, gvals, ncols, *basis, p))
     return t, batch * vals.size / 1e9
 
 
@@ -170,6 +179,30 @@ def bench_maps(p=9716633, delta=11, equations=13):
         ("KM rows from map", "{}x{}".format(*rows.shape), t_rows),
         ("N X^T", f"{delta}x{X.matrix.shape[1]} . X^T", t_nx),
     ]
+
+
+def bench_maps_high(p=9716633):
+    """(degree, seconds, peak bytes, shape, nnz) of X^(3) and X^(4) on Gr(3,6)."""
+    F = GF(p)
+    par = catalog.pluecker_chart(3, 6, F, validate_degree=0)
+    out = []
+    for d in (3, 4):
+        khov.multiplication_map(par, d)
+
+        def build():
+            par._maps.pop(d)
+            par._batch.pop(d + 1)
+            return khov.multiplication_map(par, d)
+
+        t, X = _best(build)
+        par._maps.pop(d)
+        par._batch.pop(d + 1)
+        tracemalloc.start()
+        khov.multiplication_map(par, d)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        out.append((d, t, peak, "{}x{}".format(*X.matrix.shape), len(X.matrix.rows)))
+    return out
 
 
 def bench_map_qq():
@@ -317,6 +350,9 @@ def main():
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms{rate}")
     for name, shape, t in bench_maps():
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms")
+    for d, t, peak, shape, nnz in bench_maps_high():
+        print(f"{'multiplication_map':<22}{shape + f' X^({d})':<22}{9716633:>12}"
+              f"{t * 1e3:9.1f}ms   nnz {nnz}, tracemalloc peak {peak / 2**20:.1f} MB")
     t, peak, shape = bench_map_qq()
     print(f"{'multiplication_map':<22}{shape + ' X^(3)':<22}{'QQ':>12}{t * 1e3:9.1f}ms"
           f"   tracemalloc peak {peak / 2**20:.1f} MB")

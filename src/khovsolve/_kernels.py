@@ -1,8 +1,9 @@
-"""Dense linear-algebra kernels: mod-p elimination and batched subduction.
+"""Linear-algebra kernels: dense mod-p elimination, sparse batched subduction.
 
 Entries are residues in [0, p) with p < 2**31, so the product of two
-entries fits in int64; the batched subduction also runs exactly on object
-arrays of field elements. Matrix products use delayed reduction (Dumas,
+entries fits in int64; the batched subduction, on sparse rows held as
+sorted integer keys, also runs exactly on object arrays of field
+elements. Matrix products use delayed reduction (Dumas,
 Giorgi and Pernet, "Dense linear algebra over word-size prime fields",
 ACM TOMS 2008): the inner dimension is cut into chunks short enough that
 every dot product of a chunk is exact before a single reduction mod p.
@@ -154,34 +155,115 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched subduction against a triangular basis
+# sparse batched subduction against a triangular basis
 # ---------------------------------------------------------------------------
 
 
-def modp_subduct_batch(G, bvals, bcols, bindptr, leadpos, leadinv, p):
-    """Expand the rows of G in a basis with distinct leading columns.
+def merge_coo(keys, vals, p):
+    """Sorted distinct keys with the sum of the values of each, zeros dropped.
 
-    The basis is given in CSR form (bvals/bcols/bindptr), one row per basis
-    element, sorted so that ``leadpos`` (column index of the leading
-    monomial) is strictly increasing; ``leadinv`` holds the inverses of the
-    leading coefficients. G is reduced in place to the remainders and the
-    coefficient matrix, of G's dtype, is returned. G and the basis values
-    are int64 residues mod p, or object arrays of field elements; p None
-    means exact arithmetic (over QQ), and every step is reduced mod p
-    otherwise.
+    Values are int64 residues in [0, p) or object arrays of field
+    elements; p None means exact arithmetic. One stable argsort groups
+    equal keys and `np.add.reduceat` sums each group.
     """
-    nbasis = leadpos.shape[0]
-    C = np.zeros((G.shape[0], nbasis), G.dtype)
-    for b in range(nbasis):
-        g = G[:, leadpos[b]]
-        rows = np.flatnonzero(g)
-        if rows.size == 0:
+    if keys.size == 0:
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    vals = np.add.reduceat(vals[order], start)
+    if p is not None:
+        vals %= p
+    nz = vals != 0
+    return keys[start][nz], vals[nz]
+
+
+def subduction_levels(bcols, bindptr, leadpos):
+    """The level plan of a basis for `modp_subduct_batch`.
+
+    Element k depends on element i when a non-leading term of i lies at
+    k's leading column, and its level is one more than the largest level
+    of the elements it depends on (0 if none). Non-leading terms lie right
+    of their element's leading column, so every dependency runs from a
+    smaller leading column to a larger one and the levels are the longest
+    paths, found in as many sweeps as there are levels (Anderson and Saad,
+    "Solving sparse triangular linear systems on parallel computers",
+    1989). Returns the elements of each level as int64 arrays.
+    """
+    nbasis = len(leadpos)
+    if nbasis == 0:
+        return []
+    leadrow = np.full(int(bcols.max()) + 1, -1, np.int64)
+    leadrow[leadpos] = np.arange(nbasis)
+    owner = np.repeat(np.arange(nbasis), np.diff(bindptr))
+    hit = leadrow[bcols]
+    dep = (hit >= 0) & (hit != owner)
+    src, dst = owner[dep], hit[dep]
+    if (leadpos[src] >= leadpos[dst]).any():
+        raise ValueError("a basis element has a term left of its leading column")
+    level = np.zeros(nbasis, np.int64)
+    while True:
+        new = level.copy()
+        np.maximum.at(new, dst, level[src] + 1)
+        if np.array_equal(new, level):
+            break
+        level = new
+    return [np.flatnonzero(level == k) for k in range(int(level.max()) + 1)]
+
+
+def modp_subduct_batch(keys, vals, ncols, bvals, bcols, bindptr, leadpos, leadinv,
+                       levels, p):
+    """Expand sparse rows in a basis with distinct leading columns.
+
+    The rows are a COO matrix G with `ncols` columns, given by the
+    distinct keys row * ncols + col of its entries, in any order, and
+    their nonzero values. The basis is in CSR form (bvals/bcols/bindptr), one
+    row per element, with the leading columns in ``leadpos``, the inverses
+    of the leading coefficients in ``leadinv`` and the level plan of
+    `subduction_levels` in ``levels``. G is held as sorted keys, and each
+    level is one step over all rows at once: the entries at the level's
+    leading columns give the coefficients, each coefficient is repeated
+    over its element's terms, and the products are merged into G by
+    `merge_coo`. The elements of a level touch none of each other's
+    leading columns, so the result is that of eliminating the leading
+    columns one element at a time in the order of ``leadpos``.
+
+    Returns (ckeys, cvals, keys, vals): the coefficient matrix as sorted
+    keys row * len(leadpos) + element with their values, and the remainder
+    G - C B as sorted keys and values in the form of G. Values are int64
+    residues mod p, or object arrays of field elements; p None means exact
+    arithmetic (over QQ), and every step is reduced mod p otherwise.
+    """
+    nbasis = len(leadpos)
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    leadrow = np.full(ncols, -1, np.int64)
+    leadrow[leadpos] = np.arange(nbasis)
+    levelof = np.full(ncols, -1, np.int64)
+    for k, elements in enumerate(levels):
+        levelof[leadpos[elements]] = k
+    ckeys, cvals = [np.zeros(0, np.int64)], [vals[:0]]
+    for k in range(len(levels)):
+        cols = keys % ncols
+        at = np.flatnonzero(levelof[cols] == k)
+        if at.size == 0:
             continue
-        coef = g[rows] * leadinv[b]
+        b = leadrow[cols[at]]
+        coef = vals[at] * leadinv[b]
         if p is not None:
             coef %= p
-        C[rows, b] = coef
-        at = np.ix_(rows, bcols[bindptr[b] : bindptr[b + 1]])
-        block = G[at] - coef[:, None] * bvals[bindptr[b] : bindptr[b + 1]]
-        G[at] = block if p is None else block % p
-    return C
+        base = keys[at] - cols[at]  # row * ncols
+        ckeys.append(base // ncols * nbasis + b)
+        cvals.append(coef)
+        count = bindptr[b + 1] - bindptr[b]
+        e = np.repeat(np.arange(at.size), count)
+        t = np.arange(e.size) + np.repeat(bindptr[b] - (np.cumsum(count) - count), count)
+        terms = (-coef)[e] * bvals[t]
+        keys, vals = merge_coo(
+            np.concatenate((keys, base[e] + bcols[t])),
+            np.concatenate((vals, terms if p is None else terms % p)),
+            p,
+        )
+    ckeys, cvals = np.concatenate(ckeys), np.concatenate(cvals)
+    order = np.argsort(ckeys)
+    return ckeys[order], cvals[order], keys, vals

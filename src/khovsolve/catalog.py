@@ -371,7 +371,7 @@ def schubert_equations(
         raise ValueError(
             "a Schubert minor is not linear in the Pluecker coordinates"
         )
-    keep = linalg.independent_rows(vectors, field)
+    keep = linalg.independent_rows(linalg.dense(vectors, field), field)
     eqs = [Equation(f=minors[i], degree=1) for i in keep]
     sys = StructuredSystem(par, eqs, validate=False)
 

@@ -215,6 +215,7 @@ def cmd_schubert(args):
             return EXIT_INPUT
         if dreg is None:  # s = n, as checked above
             dreg = solver._default_dreg(inst.sys)
+        solver.check_dreg(inst.sys, dreg)  # solve checks it over QQ
         M = km_matrix(inst.sys, dreg, reduce=True)
         N = solver.kernel_basis(M)
         ms = solver.multiplication_matrices(inst.sys, N, dreg - 1, seed=args.seed)

@@ -8,23 +8,32 @@ piece of the coordinate ring in degree d has a monomial-indexed basis
 labelled by the d-element column sums of A, and every element can be
 expanded in that basis by subduction (leading-term elimination).
 
+Polynomials of the pipeline are sparse key arithmetic. A monomial of
+degree d has a mixed-radix integer key with no carries among products of
+d generators, so the product of two terms is the sum of their keys, and
+the products of many polynomials are one vector of key sums merged by a
+sort and segment sums. The degree-d basis is held in CSR over its
+monomials (`_batch_basis`), built from the degree-(d-1) basis times the
+generators along the witness chains; `graded_basis` is its `MultiPoly`
+view.
+
 Every expansion in the graded basis, on every field, is one run of the
-batched subduction kernel `_kernels.modp_subduct_batch` against the
-basis in CSR form: `expand` takes many polynomials at a time as dense
-rows, int64 residues over a prime below 2**31 and object arrays of field
-elements otherwise, and `subduct` is its one-row case.
+sparse batched subduction kernel `_kernels.modp_subduct_batch`, a
+level-scheduled triangular solve on COO rows: int64 residues over a prime
+below 2**31 and object arrays of field elements otherwise. `expand` takes
+many polynomials at a time and returns a `linalg.Sparse`, and `subduct`
+is its one-row case.
 
 The multiplication maps X_j^(d), which send b_{d,gamma} to the expansion
-of b_{d,gamma} * phi_j in degree d+1, are expanded once per degree and
-kept sparse; every later product of the pipeline is a combination of
-their rows.
+of b_{d,gamma} * phi_j in degree d+1, are formed as key sums and expanded
+once per degree, sparse from end to end; every later product of the
+pipeline is a combination of their rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -56,12 +65,13 @@ class Parameterization:
     `A` is the matrix of leading exponents of the homogenized generators:
     column j is (1, leading_exponent(phi_j)). Graded supports and bases,
     their CSR forms for batched expansion and the multiplication maps are
-    cached per degree on the instance.
+    cached per degree on the instance, and the generators' terms in CSR
+    form once.
     """
 
     __slots__ = (
         "field", "varnames", "phi", "ord", "A",
-        "_supports", "_bases", "_batch", "_maps",
+        "_supports", "_bases", "_batch", "_maps", "_terms",
     )
 
     def __init__(self, field, varnames, phi, ord, A):
@@ -74,6 +84,7 @@ class Parameterization:
         self._bases = {}
         self._batch = {}
         self._maps = {}
+        self._terms = None
 
     @property
     def n(self) -> int:
@@ -227,34 +238,28 @@ class GradedBasis:
 
 
 def graded_basis(par: Parameterization, d: int) -> GradedBasis:
-    """Products of d generators along the witness chains, one per point.
+    """The degree-d basis as polynomials, one per point, from its CSR form.
 
     b_{0,0} = 1 and b_{d,beta} = b_{d-1,gamma} * phi_i for the stored
-    witness (gamma, i). The leading exponent of each element equals the
-    t-part of its label.
+    witness (gamma, i); `_batch_basis` forms these products as key sums,
+    and this is their `MultiPoly` view. The leading exponent of each
+    element equals the t-part of its label.
     """
     cached = par._bases.get(d)
     if cached is not None:
         return cached
-    sup = graded_support(par, d)
-    if d == 0:
-        one = MultiPoly.constant(par.field, par.varnames, par.field.one)
-        basis = GradedBasis(0, ((sup.points[0], one),))
-    else:
-        prev = graded_basis(par, d - 1).elements
-        m = len(par.phi)
-        elements = []
-        for beta, f in zip(sup.points, sup.first.tolist()):
-            b = prev[f // m][1] * par.phi[f % m]
-            if b.leading_exponent(par.ord) != beta[1:]:
-                raise AssertionError(
-                    f"internal error: basis element for {beta} has leading "
-                    f"exponent {b.leading_exponent(par.ord)}"
-                )
-            elements.append((beta, b))
-        basis = GradedBasis(d, tuple(elements))
-    par._bases[d] = basis
-    return basis
+    basis = _batch_basis(par, d)
+    points = graded_support(par, d).points
+    monomials = basis.monomials
+    cols, vals, ptr = basis.bcols.tolist(), basis.bvals.tolist(), basis.bindptr.tolist()
+    elements = [None] * len(points)
+    for r, pos in enumerate(basis.positions.tolist()):
+        terms = {monomials[cols[t]]: vals[t] for t in range(ptr[r], ptr[r + 1])}
+        b = MultiPoly(par.field, par.varnames, terms, _normalized=True)
+        elements[pos] = (points[pos], b)
+    bas = GradedBasis(d, tuple(elements))
+    par._bases[d] = bas
+    return bas
 
 
 @dataclass(frozen=True)
@@ -273,135 +278,278 @@ class SubductionResult:
         return row
 
 
-@dataclass(frozen=True)
+def _generator_terms(par):
+    """(exps, vals, ptr): the terms of phi_0..phi_ell as CSR rows, cached.
+
+    exps holds one int64 exponent vector per term and vals the
+    coefficients in the field's dtype; phi_j owns the terms ptr[j]:ptr[j+1].
+    """
+    if par._terms is None:
+        terms = [t for f in par.phi for t in f.terms.items()]
+        exps = np.array([e for e, _ in terms], dtype=np.int64).reshape(len(terms), par.n)
+        vals = np.array([c for _, c in terms], dtype=linalg.array_dtype(par.field))
+        ptr = np.cumsum([0] + [len(f.terms) for f in par.phi])
+        par._terms = (exps, vals, ptr)
+    return par._terms
+
+
+def _key_radix(par, d):
+    """(radix, weights, space) of the mixed-radix monomial keys in degree d.
+
+    The digit of t_i has radix d * (largest exponent of t_i in a
+    generator) + 1 and the weight of the radices after it, so no monomial
+    of a product of d generators carries a digit: the key of a product of
+    two terms is the sum of their keys. All are Python ints; `space` is the
+    product of the radices, and every key lies below it.
+    """
+    exps = _generator_terms(par)[0]
+    radix = [d * m + 1 for m in exps.max(axis=0, initial=0).tolist()]
+    weights, space = [], 1
+    for r in reversed(radix):
+        weights.append(space)
+        space *= r
+    return radix, weights[::-1], space
+
+
+def _encode(exps, weights, dtype):
+    return exps.astype(dtype) @ np.array(weights, dtype=dtype).reshape(len(weights))
+
+
+def _decode(keys, radix, weights):
+    exps = np.zeros((len(keys), len(radix)), np.int64)
+    for i, (r, w) in enumerate(zip(radix, weights)):
+        exps[:, i] = keys // w % r
+    return exps
+
+
+def _weight_order(par, exps):
+    """The order of the monomials (rows of exps) under `par.ord`.
+
+    WeightOrder.key(e) is (omega . e, deg e, e), compared in that order.
+    """
+    omega = np.array(par.ord.omega, dtype=np.int64).reshape(par.n)
+    keys = [exps[:, i] for i in reversed(range(par.n))]
+    return np.lexsort(keys + [exps.sum(axis=1), exps @ omega])
+
+
+def _products(par, d, rows, gens):
+    """The products b_{d,rows[k]} * phi_{gens[k]} as merged COO entries.
+
+    A term of b times a term of phi_j is the key sum key(e) + key(f) in
+    degree d+1 (`_key_radix`) with the product of the coefficients, and
+    k * space + key puts every entry of product k in one run: the pairs of
+    all products are formed at once and one `_kernels.merge_coo` sums
+    equal monomials and drops zeros. Returns (k, monomial key, value) of
+    every entry, sorted by k and key; keys are int64 while they fit,
+    Python ints otherwise.
+    """
+    p = par.field.modulus
+    basis = _batch_basis(par, d)
+    pexps, pvals, pptr = _generator_terms(par)
+    radix, weights, space = _key_radix(par, d + 1)
+    dtype = np.int64 if max(len(rows), 1) * space < 2**63 else object
+    b = basis.rowof[rows]
+    first, nb = basis.bindptr[b], basis.bindptr[b + 1] - basis.bindptr[b]
+    pfirst, npt = pptr[gens], pptr[gens + 1] - pptr[gens]
+    count = nb * npt
+    k = np.repeat(np.arange(len(rows)), count)
+    q = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
+    bt = first[k] + q // npt[k]
+    pt = pfirst[k] + q % npt[k]
+    keys = k.astype(dtype) * space + (
+        _encode(basis.exps, weights, dtype)[basis.bcols[bt]]
+        + _encode(pexps, weights, dtype)[pt]
+    )
+    vals = basis.bvals[bt] * pvals[pt]
+    if p is not None:
+        vals %= p
+    keys, vals = _kernels.merge_coo(keys, vals, p)
+    mono = keys % space
+    return (
+        (keys // space).astype(np.int64),
+        mono.astype(np.int64) if space < 2**63 else mono,
+        vals,
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class _BatchBasis:
     """The degree-d basis as a CSR matrix over its monomials.
 
-    Columns are the monomials of the basis elements sorted by the weight
-    order. Rows follow that order on the leading monomials (`positions`
-    maps them to support positions), so the leading columns increase and
-    eliminating a leading monomial only introduces later columns.
-    `bvals` and `leadinv` (inverses of the leading coefficients) have the
-    field's dtype (`linalg.array_dtype`).
+    Columns are the monomials of the basis elements, `exps` (one int64
+    row each), sorted by the weight order; `keys` are their keys in degree
+    d (`_key_radix`), sorted, and `keycol` the column of each. Rows follow
+    the weight order of the leading monomials (`positions` maps them to
+    support positions and `rowof` back), so the leading columns `leadpos`
+    increase and every other term of an element lies right of its leading
+    column. `bvals` and `leadinv` (inverses of the leading coefficients)
+    have the field's dtype (`linalg.array_dtype`); `levels` is the plan of
+    `_kernels.subduction_levels`. The tuple views `monomials` and `colpos`
+    (monomial -> column) are built on first use.
     """
 
-    monomials: list
-    colpos: dict  # monomial -> column
+    exps: np.ndarray
+    keys: np.ndarray
+    keycol: np.ndarray
     positions: np.ndarray
+    rowof: np.ndarray
     bcols: np.ndarray
     bindptr: np.ndarray
     leadpos: np.ndarray
     bvals: np.ndarray
     leadinv: np.ndarray
+    levels: list
+
+    @cached_property
+    def monomials(self):
+        return list(map(tuple, self.exps.tolist()))
+
+    @cached_property
+    def colpos(self):
+        return {e: j for j, e in enumerate(self.monomials)}
 
 
 def _batch_basis(par, d):
+    """The degree-d basis in CSR, cached: the witness products as key sums.
+
+    b_{d,beta} = b_{d-1,gamma} * phi_i for the witness (gamma, i) of beta,
+    formed by `_products`; the distinct keys of all of them are the
+    columns.
+    """
     cached = par._batch.get(d)
     if cached is not None:
         return cached
     F = par.field
-    elements = graded_basis(par, d).elements
-    monomials = sorted({e for _, b in elements for e in b.terms}, key=par.ord.key)
-    colpos = {e: j for j, e in enumerate(monomials)}
-    positions = sorted(range(len(elements)), key=lambda k: colpos[elements[k][0][1:]])
-    bvals, bcols, bindptr, leadpos, leadinv = [], [], [0], [], []
-    for pos in positions:
-        beta, b = elements[pos]
-        lead = beta[1:]
-        leadpos.append(colpos[lead])
-        leadinv.append(F.inv(b.terms[lead]))
-        bcols.extend(colpos[e] for e in b.terms)
-        bvals.extend(b.terms.values())
-        bindptr.append(len(bvals))
     dtype = linalg.array_dtype(F)
+    if d == 0:
+        zero = np.zeros(1, np.int64)
+        one = np.array([F.one], dtype=dtype)
+        batch = _BatchBasis(
+            np.zeros((1, par.n), np.int64), zero, zero, zero, zero, zero,
+            np.array([0, 1]), zero, one, one, [zero],
+        )
+        par._batch[d] = batch
+        return batch
+    sup = graded_support(par, d)
+    m = len(par.phi)
+    rows, keys, vals = _products(par, d - 1, sup.first // m, sup.first % m)
+    keys, col = np.unique(keys, return_inverse=True)
+    exps = _decode(keys, *_key_radix(par, d)[:2])
+    order = _weight_order(par, exps)
+    keycol = np.argsort(order)
+    exps, cols = exps[order], keycol[col]
+    # no product of nonzero polynomials is zero: each row has entries
+    lead = np.minimum.reduceat(cols, np.flatnonzero(np.diff(rows, prepend=-1)))
+    bad = np.flatnonzero((exps[lead] != sup.array[:, 1:]).any(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise AssertionError(
+            f"internal error: basis element for {sup.points[k]} has leading "
+            f"exponent {tuple(exps[lead[k]].tolist())}"
+        )
+    positions = np.argsort(lead)
+    rowof = np.argsort(positions)
+    order = np.lexsort((cols, rowof[rows]))
+    bcols, bvals = cols[order], vals[order]
+    bindptr = np.concatenate(([0], np.cumsum(np.bincount(rowof[rows], minlength=len(lead)))))
+    leadpos = lead[positions]
+    leadinv = np.array([F.inv(x) for x in bvals[bindptr[:-1]].tolist()], dtype=dtype)
     batch = _BatchBasis(
-        monomials, colpos,
-        *(np.asarray(x, dtype=np.int64) for x in (positions, bcols, bindptr, leadpos)),
-        *(np.asarray(x, dtype=dtype) for x in (bvals, leadinv)),
+        exps, keys, keycol, positions, rowof, bcols, bindptr, leadpos, bvals,
+        leadinv, _kernels.subduction_levels(bcols, bindptr, leadpos),
     )
     par._batch[d] = batch
     return batch
 
 
-def _subduct_rows(basis, G, field):
-    """The kernel on dense rows G, reduced in place to the remainders."""
-    return _kernels.modp_subduct_batch(
-        G, basis.bvals, basis.bcols, basis.bindptr, basis.leadpos,
-        basis.leadinv, field.modulus,
+def _subduct_coo(basis, rows, cols, vals, ncols, field):
+    """The kernel on the COO rows (rows, cols, vals) over `ncols` columns.
+
+    Columns from len(basis.exps) on are monomials no basis element has.
+    Returns (row, element, value) of the coefficients, sorted, with the
+    element numbered as the basis rows, and (row, col, value) of the
+    remainders.
+    """
+    ck, cv, rk, rv = _kernels.modp_subduct_batch(
+        rows * ncols + cols, vals, ncols, basis.bvals, basis.bcols, basis.bindptr,
+        basis.leadpos, basis.leadinv, basis.levels, field.modulus,
+    )
+    nb = len(basis.leadpos)
+    return ck // nb, ck % nb, cv, rk // ncols, rk % ncols, rv
+
+
+def _expansion(basis, nrows, crow, celem, cvals, rrow):
+    """(C, outside): the coefficients as a `linalg.Sparse` in support
+    positions, and the rows with a remainder, which keep no entries."""
+    outside = np.unique(rrow)
+    keep = ~np.isin(crow, outside)
+    nb = len(basis.positions)
+    crow, ccol, cvals = crow[keep], basis.positions[celem[keep]], cvals[keep]
+    order = np.argsort(crow * nb + ccol)
+    return linalg.Sparse((nrows, nb), crow[order], ccol[order], cvals[order]), outside
+
+
+def _poly_rows(basis, polys, field):
+    """Polynomials as COO rows over the basis columns.
+
+    A monomial no basis element has gets a column after them. Returns
+    (rows, cols, vals, ncols, monomials of the extra columns).
+    """
+    colpos, extra = basis.colpos, {}
+    rows, cols, vals = [], [], []
+    for r, g in enumerate(polys):
+        for e, c in g.terms.items():
+            j = colpos.get(e)
+            if j is None:
+                j = extra.setdefault(e, len(colpos) + len(extra))
+            rows.append(r)
+            cols.append(j)
+            vals.append(c)
+    return (
+        np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+        np.array(vals, dtype=linalg.array_dtype(field)),
+        len(colpos) + len(extra), list(extra),
     )
 
 
 def subduct(par: Parameterization, g: MultiPoly, d: int) -> SubductionResult:
     """Expand g in the degree-d graded basis, leaving a remainder.
 
-    The one-row case of `expand`. The remainder, the reduced row plus the
-    terms of g on monomials no basis element has, is zero exactly when g
-    lies in the span of the degree-d basis; it never has support on a
-    basis leading monomial.
+    The one-row case of `expand`. The remainder, whose terms are those of
+    g on monomials no basis element has and the rest of the reduced row,
+    is zero exactly when g lies in the span of the degree-d basis; it
+    never has support on a basis leading monomial.
     """
     if g.field != par.field or g.varnames != par.varnames:
         raise ValueError("polynomial is not over the parameterization's ring")
     basis = _batch_basis(par, d)
-    G = np.zeros((1, len(basis.monomials)), linalg.array_dtype(par.field))
-    rest = {}
-    for e, c in g.terms.items():
-        if e in basis.colpos:
-            G[0, basis.colpos[e]] = c
-        else:
-            rest[e] = c
-    C = _subduct_rows(basis, G, par.field)[0]
+    rows, cols, vals, ncols, extra = _poly_rows(basis, [g], par.field)
+    _, elem, cv, _, rcol, rv = _subduct_coo(basis, rows, cols, vals, ncols, par.field)
     points = graded_support(par, d).points
-    nz = np.flatnonzero(C)
-    coeffs = dict(zip([points[k] for k in basis.positions[nz]], C[nz].tolist()))
-    nz = np.flatnonzero(G[0])
-    rest.update(zip([basis.monomials[j] for j in nz], G[0, nz].tolist()))
+    coeffs = dict(zip([points[k] for k in basis.positions[elem]], cv.tolist()))
+    monomials = basis.monomials + extra
+    rest = dict(zip([monomials[j] for j in rcol.tolist()], rv.tolist()))
     remainder = MultiPoly(par.field, par.varnames, rest, _normalized=True)
     return SubductionResult(d, coeffs, remainder)
-
-
-# bytes of dense rows expanded at a time; an object entry counts its
-# pointer and a share of the Python number it comes to point to
-_EXPAND_CHUNK_BYTES = 8 << 20
-_OBJECT_ENTRY_BYTES = 32
 
 
 def expand(par: Parameterization, polys, d: int):
     """Expand many polynomials in the degree-d graded basis.
 
-    Returns (C, outside): C has one row per polynomial of the iterable
-    `polys` and one column per point of d.A in support order, and
-    `outside` lists the rows with a nonzero remainder, whose rows of C are
-    meaningless. C is an int64 array over a prime below 2**31 and an
-    object array otherwise, with Fractions over QQ and Python ints over a
-    larger prime at its nonzero entries. The polynomials run through the
-    batched kernel as dense rows over the basis monomials, in chunks of
-    about _EXPAND_CHUNK_BYTES, so memory stays bounded.
+    Returns (C, outside): C is a `linalg.Sparse` with one row per
+    polynomial of the iterable `polys` and one column per point of d.A in
+    support order, and `outside` lists the rows with a nonzero remainder,
+    which hold no entries. The values of C are an int64 array over a prime
+    below 2**31 and an object array otherwise, Fractions over QQ and Python
+    ints over a larger prime. All polynomials run through one call of the
+    sparse batched kernel `_kernels.modp_subduct_batch`.
     """
-    F = par.field
-    basis = _batch_basis(par, d)
-    colpos = basis.colpos
-    dtype = linalg.array_dtype(F)
-    entry = 8 if dtype == np.int64 else _OBJECT_ENTRY_BYTES
-    chunk = max(1, _EXPAND_CHUNK_BYTES // (entry * len(colpos)))
     polys = list(polys)
-    C = np.zeros((len(polys), len(basis.positions)), dtype)
-    outside = []
-    for lo in range(0, len(polys), chunk):
-        batch = polys[lo : lo + chunk]
-        ri, ci, vi = [], [], []
-        for r, g in enumerate(batch):
-            cols = [colpos.get(e) for e in g.terms]
-            if None in cols:  # a monomial no basis element has
-                outside.append(lo + r)
-                continue
-            ri.extend([r] * len(cols))
-            ci.extend(cols)
-            vi.extend(g.terms.values())
-        G = np.zeros((len(batch), len(colpos)), dtype)
-        G[ri, ci] = np.array(vi, dtype=dtype)
-        C[lo : lo + len(batch), basis.positions] = _subduct_rows(basis, G, F)
-        outside += (lo + np.flatnonzero((G != 0).any(axis=1))).tolist()
-    return C, sorted(outside)
+    basis = _batch_basis(par, d)
+    rows, cols, vals, ncols, _ = _poly_rows(basis, polys, par.field)
+    crow, elem, cv, rrow, _, _ = _subduct_coo(basis, rows, cols, vals, ncols, par.field)
+    C, outside = _expansion(basis, len(polys), crow, elem, cv, rrow)
+    return C, outside.tolist()
 
 
 @dataclass(frozen=True)
@@ -412,49 +560,61 @@ class MultiplicationMap:
     j * |d.A| + position of gamma, and one column per point of (d+1).A:
     row (j, gamma) is the expansion of b_{d,gamma} * phi_j in the
     degree-(d+1) basis. `outside` lists the rows whose product has a
-    nonzero remainder; they hold no entries.
+    nonzero remainder; they hold no entries. Their remainders are the rows
+    of the Sparse `remainder`, in the order of `outside`, over the
+    monomials `monomials` (exponent tuples in the weight order).
     """
 
     degree: int
     matrix: object
     outside: tuple
+    remainder: object
+    monomials: tuple
 
 
 def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
     """X^(d), cached on `par`: every product b_{d,gamma} * phi_j, expanded once.
 
-    These maps are the one product primitive of the pipeline: the KM rows
-    in degree d+1, the multiplied kernels N_{x_j} and the truncated
-    Khovanskii check in degree d+1 are all read off X^(d).
+    The products are key sums (`_products`), their monomials are found
+    among the degree-(d+1) basis columns by `searchsorted` on the sorted
+    keys, and a monomial with no column gets one of its own, which marks
+    its row outside. All rows then run through one call of the sparse
+    batched kernel. These maps are the one product primitive of the
+    pipeline: the KM rows in degree d+1, the multiplied kernels N_{x_j}
+    and the truncated Khovanskii check in degree d+1 are all read off X^(d).
     """
     cached = par._maps.get(d)
     if cached is not None:
         return cached
-    bas = graded_basis(par, d)
-    # the product of a witness pair (gamma, j) of beta is the basis element
-    # b_{d+1,beta}, already formed by graded_basis
-    sup, m = graded_support(par, d + 1), len(par.phi)
-    witnessed = {
-        (f % m, f // m): b
-        for f, (_, b) in zip(sup.first.tolist(), graded_basis(par, d + 1).elements)
-    }
-    products = (
-        witnessed[j, k] if (j, k) in witnessed else b * phi
-        for j, phi in enumerate(par.phi) for k, (_, b) in enumerate(bas.elements)
+    H, m = len(graded_support(par, d)), len(par.phi)
+    rows, keys, vals = _products(
+        par, d, np.tile(np.arange(H), m), np.repeat(np.arange(m), H)
     )
-    # the products are expanded in batches of about _EXPAND_CHUNK_BYTES of
-    # dense rows, each made sparse at once: the dense expansion of a high
-    # degree would not fit in memory. An output entry counts 8 bytes on
-    # every field, as over an object array almost all are pointers to the
-    # one zero
-    batch = max(1, _EXPAND_CHUNK_BYTES // (8 * len(sup)))
-    parts, outside, done = [], [], 0
-    while rows := list(islice(products, batch)):
-        C, out = expand(par, rows, d + 1)
-        parts.append(linalg.sparse_from_dense(C, par.field, skip=out))
-        outside += [done + r for r in out]
-        done += len(rows)
-    X = MultiplicationMap(d, linalg.stack_sparse(parts), tuple(outside))
+    basis = _batch_basis(par, d + 1)
+    ncols = len(basis.exps)
+    at = np.minimum(np.searchsorted(basis.keys, keys), ncols - 1)
+    found = basis.keys[at] == keys
+    cols = basis.keycol[at]
+    extra, other = np.unique(keys[~found], return_inverse=True)
+    cols[~found] = ncols + other
+    crow, elem, cv, rrow, rcol, rv = _subduct_coo(
+        basis, rows, cols, vals, ncols + len(extra), par.field
+    )
+    C, outside = _expansion(basis, m * H, crow, elem, cv, rrow)
+    # the remainders over the monomials they use, in the weight order
+    used, rcol = np.unique(rcol, return_inverse=True)
+    inbasis = used < ncols
+    exps = np.concatenate((
+        basis.exps[used[inbasis]],
+        _decode(extra[used[~inbasis] - ncols], *_key_radix(par, d + 1)[:2]),
+    ))
+    worder = _weight_order(par, exps)
+    rrow, rcol = np.searchsorted(outside, rrow), np.argsort(worder)[rcol]
+    order = np.lexsort((rcol, rrow))
+    R = linalg.Sparse((len(outside), len(used)), rrow[order], rcol[order], rv[order])
+    X = MultiplicationMap(
+        d, C, tuple(outside.tolist()), R, tuple(map(tuple, exps[worder].tolist()))
+    )
     par._maps[d] = X
     return X
 
@@ -515,36 +675,18 @@ def check_khovanskii_truncated(par: Parameterization, dmax: int) -> KhovanskiiRe
     """
     if dmax < 1:
         raise ValueError(f"dmax must be at least 1, got {dmax}")
-    F = par.field
     checks = []
     for d in range(1, dmax + 1):
         expected = len(graded_support(par, d))
-        bas = graded_basis(par, d - 1).elements
-        remainders = [
-            subduct(par, bas[r % len(bas)][1] * par.phi[r // len(bas)], d).remainder
-            for r in multiplication_map(par, d - 1).outside
-        ]
-        if remainders:
-            monomials = sorted(
-                {e for r in remainders for e in r.terms}, key=par.ord.key
-            )
-            colpos = {e: j for j, e in enumerate(monomials)}
-            rows = []
-            for r in remainders:
-                row = [F.zero] * len(monomials)
-                for e, c in r.terms.items():
-                    row[colpos[e]] = c
-                rows.append(row)
-            extra = linalg.rank(rows, F)
-            leads = tuple(
-                sorted({r.leading_exponent(par.ord) for r in remainders},
-                       key=par.ord.key)
-            )
-        else:
-            extra = 0
-            leads = ()
-        rank = expected + extra
-        checks.append(DegreeCheck(d, expected, rank, extra == 0, leads))
+        X = multiplication_map(par, d - 1)
+        R = X.remainder
+        extra = linalg.rank(linalg.dense(R, par.field), par.field) if X.outside else 0
+        # a remainder's leading monomial is its first column
+        leads = np.unique(R.cols[R.row_starts()[:-1]]).tolist()
+        checks.append(DegreeCheck(
+            d, expected, expected + extra, extra == 0,
+            tuple(X.monomials[c] for c in leads),
+        ))
         if extra:
             break
     return KhovanskiiReport(dmax, tuple(checks))

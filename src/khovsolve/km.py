@@ -154,14 +154,18 @@ class StructuredSystem:
         outside = set(outside)
         points = graded_support(par, d).points
         key = par.ord.key
+        starts = C.row_starts().tolist()
         for k, i in enumerate(idx):
             form = self.equations[i].coeff_form
             if k in outside:
                 form = None
             elif form is None:
-                row = C[k].tolist()
-                cols = sorted(np.flatnonzero(C[k]), key=lambda c: key(points[c][1:]))
-                form = {witness_monomial(par, d, points[c]): row[c] for c in cols}
+                row = slice(starts[k], starts[k + 1])
+                terms = sorted(
+                    zip(C.cols[row].tolist(), C.vals[row].tolist()),
+                    key=lambda t: key(points[t[0]][1:]),
+                )
+                form = {witness_monomial(par, d, points[c]): v for c, v in terms}
             self._forms[i] = form
 
     def _form(self, i):

@@ -20,7 +20,7 @@ and eliminations over a small prime run through `_kernels`, and results
 come back as lists. Sparse matrices (`Sparse`, a COO triple whose values
 are an array of the field's dtype) have two products, numpy scatters on
 every field: the dense combination of their rows S @ X, an array, and the
-product A @ X^T with a dense A. They can be stacked and have rows
+product A @ X^T with a dense A. They can be made dense and have rows
 selected. `prefix_pivots` gives the pivot columns of every leading run of
 row blocks from one incremental elimination.
 """
@@ -51,9 +51,9 @@ __all__ = [
     "combine",
     "Sparse",
     "sparse",
+    "dense",
     "sparse_from_dense",
     "sparse_rows",
-    "stack_sparse",
     "combine_rows",
     "matmul_transposed",
     "take_rows",
@@ -603,12 +603,17 @@ def sparse(shape, rows, cols, vals, field) -> Sparse:
     return Sparse(tuple(shape), rows[order], cols, vals)
 
 
-def sparse_from_dense(C, field, skip=()) -> Sparse:
-    """The nonzero entries of the matrix C, leaving out the rows in `skip`."""
+def dense(S: Sparse, field):
+    """S as an array of the field's dtype, with the field's zero off its entries."""
+    out = np.full(S.shape, field.zero, dtype=array_dtype(field))
+    out[S.rows, S.cols] = S.vals
+    return out
+
+
+def sparse_from_dense(C, field) -> Sparse:
+    """The nonzero entries of the matrix C."""
     C = np.asarray(C, dtype=array_dtype(field))
-    nz = C != 0
-    nz[list(skip)] = False
-    rows, cols = np.nonzero(nz)
+    rows, cols = np.nonzero(C != 0)
     return Sparse(C.shape, rows, cols, C[rows, cols])
 
 
@@ -620,15 +625,6 @@ def sparse_rows(S: Sparse, keep) -> Sparse:
     mask = new[S.rows] >= 0
     rows = new[S.rows[mask]]
     return Sparse((len(keep), S.shape[1]), rows, S.cols[mask], S.vals[mask])
-
-
-def stack_sparse(parts) -> Sparse:
-    """The Sparse matrices `parts`, all with the same columns, one above another."""
-    firsts = np.cumsum([0] + [S.shape[0] for S in parts]).tolist()
-    rows = np.concatenate([S.rows + first for S, first in zip(parts, firsts)])
-    cols = np.concatenate([S.cols for S in parts])
-    vals = np.concatenate([S.vals for S in parts])
-    return Sparse((firsts[-1], parts[0].shape[1]), rows, cols, vals)
 
 
 def combine_rows(S: Sparse, X: Sparse, field):

@@ -36,6 +36,7 @@ __all__ = [
     "SolutionSet",
     "extract_solutions",
     "solve",
+    "check_dreg",
     "residuals",
     "brute_force_affine",
     "normalize_solutions",
@@ -387,6 +388,20 @@ def _adaptive_dreg(sys: StructuredSystem, reduce: bool):
     )
 
 
+def check_dreg(sys: StructuredSystem, dreg: int):
+    """Raise SolverError unless the KM degree dreg exceeds every equation degree.
+
+    The multiplication matrices are read off the kernel at dreg with the
+    basis of degree dreg - 1, which must still hold the products of the
+    equations' shifts.
+    """
+    if dreg < max(sys.degrees) + 1:
+        raise SolverError(
+            f"dreg = {dreg} leaves no room for the degree shift; need at "
+            f"least {max(sys.degrees) + 1}"
+        )
+
+
 def solve(
     sys: StructuredSystem,
     dreg=None,
@@ -412,11 +427,7 @@ def solve(
                 f"regularity bound needs s = n. Pass dreg explicitly or "
                 f"enable the adaptive degree search"
             )
-    if dreg < max(sys.degrees) + 1:
-        raise SolverError(
-            f"dreg = {dreg} leaves no room for the degree shift; need at "
-            f"least {max(sys.degrees) + 1}"
-        )
+    check_dreg(sys, dreg)
     M = km_matrix(sys, dreg, reduce=reduce)
     N = kernel_basis(M)
     ms = multiplication_matrices(sys, N, dreg - 1, seed=seed)

@@ -267,6 +267,22 @@ def test_schubert_command_over_fp(tmp_path):
     assert data["dreg"] == 2
 
 
+@pytest.mark.parametrize("dreg", ["0", "1"])
+def test_schubert_dreg_without_room_for_the_shift(dreg, capsys):
+    # the same SolverError, exit 2, over QQ (inside solve) and over F_p
+    errors = []
+    for field in ("QQ", "Fp:101"):
+        rc = main([
+            "schubert", "--k", "2", "--m", "4",
+            "--conditions", "2,4;2,4;2,4;2,4", "--field", field, "--dreg", dreg,
+        ])
+        assert rc == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"error: dreg = {dreg} leaves no room for the degree shift; need at least 2\n"
+    )
+
+
 def test_schubert_command_needs_matching_osculating_count(capsys):
     rc = main(
         [

@@ -1,5 +1,7 @@
 """The mod-p kernels against plain Python references."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,82 +91,179 @@ def test_rref_is_reduced(Ap):
         assert np.count_nonzero(col) == 1
 
 
-def _random_triangular_basis(rng, nbasis, ncols):
-    """CSR basis with strictly increasing leading columns."""
+def _dtype(p):
+    return np.int64 if p is not None and p < 2**31 else object
+
+
+def _random_value(rng, p):
+    """A nonzero field element: a residue mod p, or a Fraction when p is None."""
+    if p is None:
+        return Fraction(int(rng.integers(-99, 100)) or 1, int(rng.integers(1, 9)))
+    return int(rng.integers(1, min(p, 2**62)))
+
+
+def _random_triangular_basis(rng, nbasis, ncols, p=P):
+    """CSR basis with strictly increasing leading columns, and its level plan."""
     leadpos = sorted(rng.choice(ncols, size=nbasis, replace=False))
     vals, cols, indptr = [], [], [0]
     leadinv = []
     for lp in leadpos:
-        lead_val = int(rng.integers(1, P))
+        lead_val = _random_value(rng, p)
         vals.append(lead_val)
         cols.append(int(lp))
         for c in range(int(lp) + 1, ncols):
             if rng.random() < 0.4:
-                vals.append(int(rng.integers(1, P)))
+                vals.append(_random_value(rng, p))
                 cols.append(c)
         indptr.append(len(vals))
-        leadinv.append(pow(lead_val, P - 2, P))
-    return (
-        np.array(vals, dtype=np.int64),
+        leadinv.append(1 / lead_val if p is None else pow(lead_val, p - 2, p))
+    dtype = _dtype(p)
+    basis = (
+        np.array(vals, dtype=dtype),
         np.array(cols, dtype=np.int64),
         np.array(indptr, dtype=np.int64),
         np.array(leadpos, dtype=np.int64),
-        np.array(leadinv, dtype=np.int64),
+        np.array(leadinv, dtype=dtype),
     )
+    return basis + (_kernels.subduction_levels(basis[1], basis[2], basis[3]),)
 
 
-def _subduct_reference(g, basis):
-    """One row at a time, on Python ints: coefficients and remainder."""
-    bvals, bcols, bindptr, leadpos, leadinv = basis
-    g = [int(x) for x in g]
+def _subduct_reference(g, basis, p=P):
+    """One row at a time, on Python numbers: coefficients and remainder."""
+    bvals, bcols, bindptr, leadpos, leadinv, _ = basis
+    reduce = (lambda x: x) if p is None else (lambda x: x % p)
+    g = list(g.tolist())
     coeffs = [0] * len(leadpos)
     for b, lp in enumerate(leadpos):
         if g[lp]:
-            coef = g[lp] * int(leadinv[b]) % P
+            coef = reduce(g[lp] * leadinv[b])
             coeffs[b] = coef
             for k in range(bindptr[b], bindptr[b + 1]):
-                g[bcols[k]] = (g[bcols[k]] - coef * int(bvals[k])) % P
+                g[bcols[k]] = reduce(g[bcols[k]] - coef * bvals[k])
     return coeffs, g
 
 
-def test_subduct_batch_variants_agree():
+def _subduct_dense(G, basis, p=P):
+    """The sparse kernel on the rows of the dense matrix G: (C, R) dense."""
+    m, ncols = G.shape
+    rows, cols = np.nonzero(G != 0)
+    ck, cv, rk, rv = _kernels.modp_subduct_batch(
+        rows * ncols + cols, G[rows, cols], ncols, *basis, p
+    )
+    nbasis = len(basis[3])
+    assert np.all(np.diff(ck) > 0) and np.all(np.diff(rk) > 0)
+    assert np.all(cv != 0) and np.all(rv != 0)
+    C = np.zeros((m, nbasis), G.dtype)
+    C[ck // nbasis, ck % nbasis] = cv
+    R = np.zeros_like(G)
+    R[rk // ncols, rk % ncols] = rv
+    return C, R
+
+
+def _random_rows(rng, batch, ncols, p):
+    G = np.zeros((batch, ncols), _dtype(p))
+    for i in range(batch):
+        for j in range(ncols):
+            if rng.random() < 0.7:
+                G[i, j] = _random_value(rng, p)
+    return G
+
+
+def _check_against_reference(p):
     rng = np.random.default_rng(3)
     for _ in range(10):
         ncols = int(rng.integers(4, 12))
         nbasis = int(rng.integers(1, ncols + 1))
         batch = int(rng.integers(1, 6))
-        basis = _random_triangular_basis(rng, nbasis, ncols)
-        G = rng.integers(0, P, size=(batch, ncols)).astype(np.int64)
-        R = G.copy()
-        C = _kernels.modp_subduct_batch(R, *basis, P)
+        basis = _random_triangular_basis(rng, nbasis, ncols, p)
+        G = _random_rows(rng, batch, ncols, p)
+        C, R = _subduct_dense(G, basis, p)
         for row, c, r in zip(G, C, R):
-            coeffs, rem = _subduct_reference(row, basis)
+            coeffs, rem = _subduct_reference(row, basis, p)
             assert c.tolist() == coeffs
             assert r.tolist() == rem
+
+
+def test_subduct_batch_variants_agree():
+    # int64 residues, up to the largest prime below 2**31
+    for p in (P, 2**31 - 1):
+        _check_against_reference(p)
+
+
+def test_subduct_batch_object_values():
+    # object arrays: Python ints mod a prime above 2**31, Fractions over QQ
+    for p in (2**61 - 1, None):
+        _check_against_reference(p)
+
+
+def _dense_basis(basis, ncols):
+    bvals, bcols, bindptr, leadpos = basis[:4]
+    B = np.zeros((len(leadpos), ncols), dtype=bvals.dtype)
+    for b in range(len(leadpos)):
+        B[b, bcols[bindptr[b] : bindptr[b + 1]]] = bvals[bindptr[b] : bindptr[b + 1]]
+    return B
 
 
 def test_subduct_batch_reconstructs_input():
     rng = np.random.default_rng(11)
     ncols, nbasis, batch = 10, 6, 4
-    bvals, bcols, bindptr, leadpos, leadinv = _random_triangular_basis(
-        rng, nbasis, ncols
-    )
-    # dense basis matrix
-    B = np.zeros((nbasis, ncols), dtype=np.int64)
-    for b in range(nbasis):
-        B[b, bcols[bindptr[b] : bindptr[b + 1]]] = bvals[
-            bindptr[b] : bindptr[b + 1]
-        ]
-    G = rng.integers(0, P, size=(batch, ncols)).astype(np.int64)
-    R = G.copy()
-    C = _kernels.modp_subduct_batch(
-        R, bvals, bcols, bindptr, leadpos, leadinv, P
-    )
-    # input = C @ B + remainder (mod P)
-    recon = (_kernels.modp_matmul(C, B, P) + R) % P
-    assert np.array_equal(recon, G)
-    # remainders vanish on all leading columns
-    assert not R[:, leadpos].any()
+    for p in (P, None):
+        basis = _random_triangular_basis(rng, nbasis, ncols, p)
+        B = _dense_basis(basis, ncols)
+        G = _random_rows(rng, batch, ncols, p)
+        C, R = _subduct_dense(G, basis, p)
+        # input = C @ B + remainder
+        if p is None:
+            assert np.array_equal(C.dot(B) + R, G)
+        else:
+            assert np.array_equal((_kernels.modp_matmul(C, B, p) + R) % p, G)
+        # remainders vanish on all leading columns
+        assert not R[:, basis[3]].any()
+
+
+def test_subduction_levels_are_independent():
+    # no element's non-leading terms meet the leading column of another
+    # element of its level, and every dependency runs to a higher level
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        ncols = int(rng.integers(1, 30))
+        nbasis = int(rng.integers(1, ncols + 1))
+        bvals, bcols, bindptr, leadpos, _, levels = _random_triangular_basis(
+            rng, nbasis, ncols
+        )
+        assert sorted(np.concatenate(levels).tolist()) == list(range(nbasis))
+        level = np.empty(nbasis, np.int64)
+        for k, elements in enumerate(levels):
+            assert elements.size
+            level[elements] = k
+        owner = {int(c): b for b, c in enumerate(leadpos)}
+        for b in range(nbasis):
+            for c in bcols[bindptr[b] + 1 : bindptr[b + 1]].tolist():
+                if c in owner:
+                    assert level[owner[c]] > level[b]
+
+
+def test_subduction_levels_reject_a_term_left_of_its_lead():
+    bcols = np.array([1, 0, 2], dtype=np.int64)  # element 0 leads at 1, has 0
+    with pytest.raises(ValueError, match="left of its leading column"):
+        _kernels.subduction_levels(bcols, np.array([0, 2, 3]), np.array([1, 0]))
+
+
+def test_subduct_batch_empty_and_missed_rows():
+    rng = np.random.default_rng(8)
+    basis = _random_triangular_basis(rng, 4, 8)
+    empty = np.zeros(0, np.int64)
+    ck, cv, rk, rv = _kernels.modp_subduct_batch(empty, empty, 8, *basis, P)
+    assert ck.size == cv.size == rk.size == rv.size == 0
+    # rows on no leading column, and on columns past the basis, pass as they are
+    ncols = 12
+    free = [c for c in range(ncols) if c not in set(basis[3].tolist())]
+    G = np.zeros((3, ncols), np.int64)
+    G[0, free[:3]] = [5, 6, 7]
+    G[2, [9, 11]] = [1, P - 1]
+    C, R = _subduct_dense(G, basis)
+    assert not C.any()
+    assert np.array_equal(R, G)
 
 
 def test_matmul_variants_agree():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khovsolve import catalog
+from khovsolve import catalog, khov, linalg
 from khovsolve.fields import GF, QQ
 from khovsolve.hilbert import hilbert_numerator
 from khovsolve.khov import (
@@ -256,14 +256,16 @@ def test_expand_equals_subduct():
             for d, polys, n_outside in _expand_cases(par, rng):
                 C, outside = expand(par, iter(polys), d)
                 small = F.modulus in (9716633, 2**31 - 1)
-                assert C.dtype == (np.int64 if small else object)
-                assert len(C) == len(polys)
+                assert C.vals.dtype == (np.int64 if small else object)
+                assert C.shape[0] == len(polys)
+                assert not set(C.rows.tolist()) & set(outside)
+                dense = linalg.dense(C, F)
                 sup = graded_support(par, d)
                 expect_outside = []
                 for r, g in enumerate(polys):
                     res = subduct(par, g, d)
                     if res.remainder.is_zero():
-                        assert list(C[r]) == res.vector(sup)
+                        assert list(dense[r]) == res.vector(sup)
                     else:
                         expect_outside.append(r)
                 assert outside == expect_outside
@@ -344,6 +346,7 @@ def test_expand_and_subduct_match_the_dict_loop(field, surface, d, data):
             g = g + MultiPoly(F, par.varnames, {e: _coefficient(F, c, q)})
         polys.append(g)
     C, outside = expand(par, polys, d)
+    dense = linalg.dense(C, F)
     sup = graded_support(par, d)
     expect_outside = []
     for r, g in enumerate(polys):
@@ -354,8 +357,9 @@ def test_expand_and_subduct_match_the_dict_loop(field, surface, d, data):
         if rest:
             expect_outside.append(r)
         else:
-            assert C[r].tolist() == res.vector(sup)
+            assert dense[r].tolist() == res.vector(sup)
     assert outside == expect_outside
+    assert not set(C.rows.tolist()) & set(outside)
 
 
 @pytest.mark.parametrize("field", EXPAND_FIELDS, ids=str)
@@ -366,10 +370,10 @@ def test_expansion_entry_types(field):
     polys = [b * phi for _, b in graded_basis(par, 1).elements for phi in par.phi]
     C, _ = expand(par, polys, 2)
     small = field.modulus in (9716633, 2**31 - 1)
-    assert C.dtype == (np.int64 if small else object)
+    assert C.vals.dtype == (np.int64 if small else object)
     kind = Fraction if field == QQ else int
     if not small:
-        assert {type(x) for x in C[C != 0].tolist()} == {kind}
+        assert {type(x) for x in C.vals.tolist()} == {kind}
         assert multiplication_map(par, 1).matrix.vals.dtype == object
         assert {type(x) for x in multiplication_map(par, 1).matrix.vals} == {kind}
     res = subduct(par, polys[-1] + parse_polynomial("t1^9", par.varnames, field), 2)
@@ -490,33 +494,77 @@ def test_multiplication_map_reports_outside_rows():
 
 
 @pytest.mark.parametrize("field", [QQ, GF(9716633), GF(2**61 - 1)], ids=str)
-def test_multiplication_map_in_batches_equals_dense_expand(field, monkeypatch):
-    # the products are expanded a few rows at a time and made sparse batch
-    # by batch; the map equals the one dense expansion of all of them
-    from khovsolve import khov, linalg
-
+def test_multiplication_map_equals_one_shot_expand(field):
+    # X^(d) equals the expansion of all products b * phi_j by one `expand`
+    # call, and its outside rows keep the remainders of the dict loop
     cases = [(catalog.del_pezzo(field=field), 2)]
     if field == QQ:
         cases.append((_failing_generators(), 1))  # with outside rows
     for par, d in cases:
         bas = graded_basis(par, d).elements
-        C, outside = expand(par, [b * phi for phi in par.phi for _, b in bas], d + 1)
-        dense = linalg.sparse_from_dense(C, par.field, skip=outside)
-        calls = []
-        real = khov.expand
-
-        def counting(par, polys, deg):
-            calls.append(len(polys))
-            return real(par, polys, deg)
-
-        monkeypatch.setattr(khov, "expand", counting)
-        ncols = len(graded_support(par, d + 1))
-        monkeypatch.setattr(khov, "_EXPAND_CHUNK_BYTES", 8 * ncols * 4)
+        products = [b * phi for phi in par.phi for _, b in bas]
+        C, outside = expand(par, products, d + 1)
         X = multiplication_map(par, d)
-        monkeypatch.undo()
-        assert calls[:-1] == [4] * (len(calls) - 1) and len(calls) > 2
         assert X.outside == tuple(outside)
-        assert X.matrix.shape == dense.shape
-        assert X.matrix.rows.tolist() == dense.rows.tolist()
-        assert X.matrix.cols.tolist() == dense.cols.tolist()
-        assert list(X.matrix.vals) == list(dense.vals)
+        assert X.matrix.shape == C.shape
+        assert X.matrix.rows.tolist() == C.rows.tolist()
+        assert X.matrix.cols.tolist() == C.cols.tolist()
+        assert list(X.matrix.vals) == list(C.vals)
+        R = linalg.dense(X.remainder, par.field)
+        assert list(X.monomials) == sorted(X.monomials, key=par.ord.key)
+        for k, r in enumerate(outside):
+            _, rest = _subduct_oracle(par, products[r], d + 1)
+            got = {e: c for e, c in zip(X.monomials, R[k].tolist()) if c}
+            assert got == rest
+
+
+def _huge_exponent_generators(field):
+    """Generators whose monomial keys overflow int64 from degree 1 on.
+
+    t1 -> t1**2**40, t2 -> t2**2**40 applied to four generators that are
+    not a Khovanskii basis: the maps have outside rows from degree 1 on.
+    """
+    big = 2**40
+    phi = [parse_polynomial(s, ("t1", "t2"), field) for s in (
+        "1", f"t1^{big} + t2^{big}", f"t2^{2 * big} + t1^{big}*t2^{big}",
+        f"t1^{big}*t2^{2 * big} + t2^{big}",
+    )]
+    return build_parameterization(phi, WeightOrder((-1, 0)), field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(9716633)], ids=str)
+def test_object_keys_when_monomial_keys_overflow(field):
+    # the key space of degree 2 is about 2**84: keys are Python ints, and
+    # the bases and maps equal the products and the dict loop
+    par = _huge_exponent_generators(field)
+    assert khov._key_radix(par, 1)[2] >= 2**63
+    for d in (0, 1, 2):
+        X = multiplication_map(par, d)
+        bas = graded_basis(par, d).elements
+        top = graded_basis(par, d + 1).elements
+        assert khov._batch_basis(par, d + 1).keys.dtype == object
+        for beta, b in top:
+            e = witness_monomial(par, d + 1, beta)
+            prod = MultiPoly.constant(field, par.varnames, field.one)
+            for j, k in enumerate(e):
+                prod = prod * par.phi[j] ** k
+            assert prod == b
+        dense = linalg.dense(X.matrix, field)
+        sup = graded_support(par, d + 1)
+        outside = []
+        for j, phi in enumerate(par.phi):
+            for g, (_, b) in enumerate(bas):
+                coeffs, rest = _subduct_oracle(par, b * phi, d + 1)
+                row = j * len(bas) + g
+                if rest:
+                    outside.append(row)
+                else:
+                    expect = [coeffs.get(beta, field.zero) for beta in sup.points]
+                    assert dense[row].tolist() == expect
+        assert X.outside == tuple(outside)
+        assert len(khov._batch_basis(par, d + 1).levels) == d + 1
+    assert [len(multiplication_map(par, d).outside) for d in (0, 1, 2)] == [0, 1, 3]
+    fail = check_khovanskii_truncated(par, 3).first_failure()
+    assert (fail.degree, fail.rank, fail.new_leading_exponents) == (
+        2, 10, ((2**40, 3 * 2**40),)
+    )

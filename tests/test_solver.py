@@ -7,6 +7,7 @@ import pytest
 from khovsolve import catalog, linalg, solver
 from khovsolve.fields import GF, QQ
 from khovsolve.hilbert import hilbert_function
+from khovsolve.khov import graded_support
 from khovsolve.km import km_matrix
 from khovsolve.solver import (
     _default_dreg,
@@ -366,38 +367,44 @@ def test_delta_agrees_across_fields(name):
 
 def test_one_map_expansion_per_degree(monkeypatch):
     # the Khovanskii check, the KM rows and the N_{x_j} all read the maps
-    # cached on the parameterization: one expansion per degree
+    # cached on the parameterization: one expansion per degree, each one
+    # run of the subduction kernel, recorded by the size of its basis
     from khovsolve import khov
     from khovsolve.khov import check_khovanskii_truncated
 
     calls = []
-    real = khov.expand
+    real = khov._subduct_coo
 
-    def counting(par, polys, d):
-        calls.append(d)
-        return real(par, polys, d)
+    def counting(basis, *args):
+        calls.append(len(basis.positions))
+        return real(basis, *args)
 
-    monkeypatch.setattr(khov, "expand", counting)
+    monkeypatch.setattr(khov, "_subduct_coo", counting)
     for field in (QQ, GF(P)):
         sys = catalog.duffing(field=field).sys
+        hf = [len(graded_support(sys.par, d)) for d in range(4)]
         calls.clear()
         assert check_khovanskii_truncated(sys.par, 3).passed
         N = kernel_basis(km_matrix(sys, 3, reduce=True))
         assert multiplication_matrices(sys, N, 2, seed=0).delta == 5
-        assert sorted(calls) == [1, 2, 3]
+        assert sorted(calls) == hf[1:]
 
-        # the chart's validation leaves X^(0) and X^(1) cached, and the
-        # solve at dreg 2 reuses X^(1)
+        # the chart's validation leaves X^(0) and X^(1) cached, beside the
+        # expansion of the Schubert minors in degree 1, and the solve at
+        # dreg 2 reuses X^(1)
         flags = catalog.random_flags(6, 3, seed=0, field=field)
+        chart = catalog.pluecker_chart(3, 6, field, validate_degree=0)
+        hf = [len(graded_support(chart, d)) for d in range(3)]
         calls.clear()
         inst = catalog.schubert_equations(
             3, 6, [catalog.SchubertCondition((2, 4, 6), f) for f in flags], field=field
         )
-        assert sorted(calls) == [1, 2]
+        assert sorted(calls) == [hf[1], hf[1], hf[2]]
         calls.clear()
         N = kernel_basis(km_matrix(inst.sys, 2, reduce=True))
         assert multiplication_matrices(inst.sys, N, 1, seed=0).delta == 2
-        assert calls == []
+        # only the coefficient forms of the linear equations, on first use
+        assert calls == [hf[1]]
 
 
 def test_product_leaving_the_algebra_raises(monkeypatch):
