@@ -201,10 +201,15 @@ def subduction_levels(bcols, bindptr, leadpos):
     src, dst = owner[dep], hit[dep]
     if (leadpos[src] >= leadpos[dst]).any():
         raise ValueError("a basis element has a term left of its leading column")
+    # the dependencies grouped by the element that depends
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    start = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))[:dst.size]
     level = np.zeros(nbasis, np.int64)
     while True:
         new = level.copy()
-        np.maximum.at(new, dst, level[src] + 1)
+        if src.size:
+            new[dst[start]] = np.maximum.reduceat(level[src], start) + 1
         if np.array_equal(new, level):
             break
         level = new
@@ -235,7 +240,7 @@ def modp_subduct_batch(keys, vals, ncols, bvals, bcols, bindptr, leadpos, leadin
     arithmetic (over QQ), and every step is reduced mod p otherwise.
     """
     nbasis = len(leadpos)
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
     leadrow = np.full(ncols, -1, np.int64)
     leadrow[leadpos] = np.arange(nbasis)
@@ -265,5 +270,5 @@ def modp_subduct_batch(keys, vals, ncols, bvals, bcols, bindptr, leadpos, leadin
             p,
         )
     ckeys, cvals = np.concatenate(ckeys), np.concatenate(cvals)
-    order = np.argsort(ckeys)
+    order = np.argsort(ckeys, kind="stable")
     return ckeys[order], cvals[order], keys, vals

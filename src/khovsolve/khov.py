@@ -325,11 +325,27 @@ def _decode(keys, radix, weights):
 def _weight_order(par, exps):
     """The order of the monomials (rows of exps) under `par.ord`.
 
-    WeightOrder.key(e) is (omega . e, deg e, e), compared in that order.
+    WeightOrder.key(e) is (omega . e, deg e, e), compared in that order:
+    one stable sort per component, the least significant first.
     """
     omega = np.array(par.ord.omega, dtype=np.int64).reshape(par.n)
-    keys = [exps[:, i] for i in reversed(range(par.n))]
-    return np.lexsort(keys + [exps.sum(axis=1), exps @ omega])
+    order = np.arange(len(exps))
+    for key in [exps[:, i] for i in reversed(range(par.n))] + [
+        exps.sum(axis=1), exps @ omega,
+    ]:
+        order = order[np.argsort(key[order], kind="stable")]
+    return order
+
+
+def _unique(x):
+    """(u, inverse): the sorted distinct entries of x and x = u[inverse]."""
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    first = np.ones(len(x), bool)
+    first[1:] = x[1:] != x[:-1]
+    inverse = np.empty(len(x), np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return x[first], inverse
 
 
 def _products(par, d, rows, gens):
@@ -433,10 +449,10 @@ def _batch_basis(par, d):
     sup = graded_support(par, d)
     m = len(par.phi)
     rows, keys, vals = _products(par, d - 1, sup.first // m, sup.first % m)
-    keys, col = np.unique(keys, return_inverse=True)
+    keys, col = _unique(keys)
     exps = _decode(keys, *_key_radix(par, d)[:2])
     order = _weight_order(par, exps)
-    keycol = np.argsort(order)
+    keycol = np.argsort(order, kind="stable")
     exps, cols = exps[order], keycol[col]
     # no product of nonzero polynomials is zero: each row has entries
     lead = np.minimum.reduceat(cols, np.flatnonzero(np.diff(rows, prepend=-1)))
@@ -447,9 +463,9 @@ def _batch_basis(par, d):
             f"internal error: basis element for {sup.points[k]} has leading "
             f"exponent {tuple(exps[lead[k]].tolist())}"
         )
-    positions = np.argsort(lead)
-    rowof = np.argsort(positions)
-    order = np.lexsort((cols, rowof[rows]))
+    positions = np.argsort(lead, kind="stable")
+    rowof = np.argsort(positions, kind="stable")
+    order = np.argsort(rowof[rows] * len(exps) + cols, kind="stable")
     bcols, bvals = cols[order], vals[order]
     bindptr = np.concatenate(([0], np.cumsum(np.bincount(rowof[rows], minlength=len(lead)))))
     leadpos = lead[positions]
@@ -481,11 +497,11 @@ def _subduct_coo(basis, rows, cols, vals, ncols, field):
 def _expansion(basis, nrows, crow, celem, cvals, rrow):
     """(C, outside): the coefficients as a `linalg.Sparse` in support
     positions, and the rows with a remainder, which keep no entries."""
-    outside = np.unique(rrow)
+    outside = _unique(rrow)[0]
     keep = ~np.isin(crow, outside)
     nb = len(basis.positions)
     crow, ccol, cvals = crow[keep], basis.positions[celem[keep]], cvals[keep]
-    order = np.argsort(crow * nb + ccol)
+    order = np.argsort(crow * nb + ccol, kind="stable")
     return linalg.Sparse((nrows, nb), crow[order], ccol[order], cvals[order]), outside
 
 
@@ -576,9 +592,9 @@ def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
     """X^(d), cached on `par`: every product b_{d,gamma} * phi_j, expanded once.
 
     The products are key sums (`_products`), their monomials are found
-    among the degree-(d+1) basis columns by `searchsorted` on the sorted
-    keys, and a monomial with no column gets one of its own, which marks
-    its row outside. All rows then run through one call of the sparse
+    among the degree-(d+1) basis columns by one sort of the keys of both,
+    and a monomial with no column gets one of its own, which marks its row
+    outside. All rows then run through one call of the sparse
     batched kernel. These maps are the one product primitive of the
     pipeline: the KM rows in degree d+1, the multiplied kernels N_{x_j}
     and the truncated Khovanskii check in degree d+1 are all read off X^(d).
@@ -588,29 +604,32 @@ def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
         return cached
     H, m = len(graded_support(par, d)), len(par.phi)
     rows, keys, vals = _products(
-        par, d, np.tile(np.arange(H), m), np.repeat(np.arange(m), H)
+        par, d, np.arange(m * H) % H, np.repeat(np.arange(m), H)
     )
     basis = _batch_basis(par, d + 1)
     ncols = len(basis.exps)
-    at = np.minimum(np.searchsorted(basis.keys, keys), ncols - 1)
-    found = basis.keys[at] == keys
-    cols = basis.keycol[at]
-    extra, other = np.unique(keys[~found], return_inverse=True)
-    cols[~found] = ncols + other
+    monomials, at = _unique(np.concatenate((basis.keys, keys)))
+    col = np.full(len(monomials), -1, np.int64)
+    col[at[:ncols]] = basis.keycol
+    new = col < 0
+    col[new] = ncols + np.arange(np.count_nonzero(new))
+    extra = monomials[new]
     crow, elem, cv, rrow, rcol, rv = _subduct_coo(
-        basis, rows, cols, vals, ncols + len(extra), par.field
+        basis, rows, col[at[ncols:]], vals, ncols + len(extra), par.field
     )
     C, outside = _expansion(basis, m * H, crow, elem, cv, rrow)
-    # the remainders over the monomials they use, in the weight order
-    used, rcol = np.unique(rcol, return_inverse=True)
+    # the remainders over the monomials they use, in the weight order;
+    # rrow is sorted, so its inverse numbers the rows as `outside`
+    used, rcol = _unique(rcol)
+    rrow = _unique(rrow)[1]
     inbasis = used < ncols
     exps = np.concatenate((
         basis.exps[used[inbasis]],
         _decode(extra[used[~inbasis] - ncols], *_key_radix(par, d + 1)[:2]),
     ))
     worder = _weight_order(par, exps)
-    rrow, rcol = np.searchsorted(outside, rrow), np.argsort(worder)[rcol]
-    order = np.lexsort((rcol, rrow))
+    rcol = np.argsort(worder, kind="stable")[rcol]
+    order = np.argsort(rrow * len(used) + rcol, kind="stable")
     R = linalg.Sparse((len(outside), len(used)), rrow[order], rcol[order], rv[order])
     X = MultiplicationMap(
         d, C, tuple(outside.tolist()), R, tuple(map(tuple, exps[worder].tolist()))
@@ -682,7 +701,7 @@ def check_khovanskii_truncated(par: Parameterization, dmax: int) -> KhovanskiiRe
         R = X.remainder
         extra = linalg.rank(linalg.dense(R, par.field), par.field) if X.outside else 0
         # a remainder's leading monomial is its first column
-        leads = np.unique(R.cols[R.row_starts()[:-1]]).tolist()
+        leads = sorted(set(R.cols[R.row_starts()[:-1]].tolist()))
         checks.append(DegreeCheck(
             d, expected, expected + extra, extra == 0,
             tuple(X.monomials[c] for c in leads),

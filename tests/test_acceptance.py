@@ -258,11 +258,11 @@ def test_acceptance_7_slow_table_counts(n1, n2, count, dreg, degree):
     """Larger Schubert problems, count-only over F_p: the KM nullity.
 
     Measured over F_9716633 on a 2-core host: the 11-solution count takes
-    about 1 s, the 21-solution count at dreg 4 (KM matrix 10780 x 4116,
-    of which the F5 criterion forms 4137 rows) 23-24 s with a peak RSS of
-    580 MB, and the 42-solution count at degree 4 (8820 x 4116, 4074 rows
-    formed) 23-24 s with 572 MB. The echelon of the formed rows (13-14 s)
-    and the multiplication map X^(3) (about 8 s) take most of each.
+    about 0.5 s, the 21-solution count at dreg 4 (KM matrix 10780 x 4116,
+    of which the F5 criterion forms 4137 rows) about 13 s, and the
+    42-solution count at degree 4 (8820 x 4116, 4074 rows formed) about
+    13 s, the three under 620 MB peak RSS. The echelon of the formed rows
+    takes most of each; the multiplication map X^(3) takes about 0.1 s.
     """
     F = GF(P)
     conds = [
