@@ -311,10 +311,6 @@ def _key_radix(par, d):
     return radix, weights[::-1], space
 
 
-def _encode(exps, weights, dtype):
-    return exps.astype(dtype) @ np.array(weights, dtype=dtype).reshape(len(weights))
-
-
 def _decode(keys, radix, weights):
     exps = np.zeros((len(keys), len(radix)), np.int64)
     for i, (r, w) in enumerate(zip(radix, weights)):
@@ -362,7 +358,7 @@ def _products(par, d, rows, gens):
     p = par.field.modulus
     basis = _batch_basis(par, d)
     pexps, pvals, pptr = _generator_terms(par)
-    radix, weights, space = _key_radix(par, d + 1)
+    _, weights, space = _key_radix(par, d + 1)
     dtype = np.int64 if max(len(rows), 1) * space < 2**63 else object
     b = basis.rowof[rows]
     first, nb = basis.bindptr[b], basis.bindptr[b + 1] - basis.bindptr[b]
@@ -372,9 +368,10 @@ def _products(par, d, rows, gens):
     q = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
     bt = first[k] + q // npt[k]
     pt = pfirst[k] + q % npt[k]
+    weights = np.array(weights, dtype=dtype).reshape(len(weights))
     keys = k.astype(dtype) * space + (
-        _encode(basis.exps, weights, dtype)[basis.bcols[bt]]
-        + _encode(pexps, weights, dtype)[pt]
+        (basis.exps.astype(dtype) @ weights)[basis.bcols[bt]]
+        + (pexps.astype(dtype) @ weights)[pt]
     )
     vals = basis.bvals[bt] * pvals[pt]
     if p is not None:

@@ -391,9 +391,9 @@ def _adaptive_dreg(sys: StructuredSystem, reduce: bool):
 def check_dreg(sys: StructuredSystem, dreg: int):
     """Raise SolverError unless the KM degree dreg exceeds every equation degree.
 
-    The multiplication matrices are read off the kernel at dreg with the
-    basis of degree dreg - 1, which must still hold the products of the
-    equations' shifts.
+    The one check of dreg for `solve` and the CLI: the multiplication
+    matrices are formed in degree dreg - 1, which must still be at least
+    the degree of every equation.
     """
     if dreg < max(sys.degrees) + 1:
         raise SolverError(
