@@ -195,22 +195,23 @@ def subduction_levels(bcols, bindptr, leadpos):
         return []
     leadrow = np.full(int(bcols.max()) + 1, -1, np.int64)
     leadrow[leadpos] = np.arange(nbasis)
-    owner = np.repeat(np.arange(nbasis), np.diff(bindptr))
+    owner = np.repeat(np.arange(nbasis), bindptr[1:] - bindptr[:-1])
     hit = leadrow[bcols]
     dep = (hit >= 0) & (hit != owner)
     src, dst = owner[dep], hit[dep]
+    if not src.size:
+        return [np.arange(nbasis)]
     if (leadpos[src] >= leadpos[dst]).any():
         raise ValueError("a basis element has a term left of its leading column")
     # the dependencies grouped by the element that depends
     order = np.argsort(dst, kind="stable")
     src, dst = src[order], dst[order]
-    start = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))[:dst.size]
+    start = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
     level = np.zeros(nbasis, np.int64)
     while True:
         new = level.copy()
-        if src.size:
-            new[dst[start]] = np.maximum.reduceat(level[src], start) + 1
-        if np.array_equal(new, level):
+        new[dst[start]] = np.maximum.reduceat(level[src], start) + 1
+        if not (new != level).any():
             break
         level = new
     return [np.flatnonzero(level == k) for k in range(int(level.max()) + 1)]

@@ -452,7 +452,8 @@ def _batch_basis(par, d):
     keycol = np.argsort(order, kind="stable")
     exps, cols = exps[order], keycol[col]
     # no product of nonzero polynomials is zero: each row has entries
-    lead = np.minimum.reduceat(cols, np.flatnonzero(np.diff(rows, prepend=-1)))
+    count = np.bincount(rows, minlength=len(sup))
+    lead = np.minimum.reduceat(cols, np.cumsum(count) - count)
     bad = np.flatnonzero((exps[lead] != sup.array[:, 1:]).any(axis=1))
     if bad.size:
         k = int(bad[0])
@@ -464,7 +465,7 @@ def _batch_basis(par, d):
     rowof = np.argsort(positions, kind="stable")
     order = np.argsort(rowof[rows] * len(exps) + cols, kind="stable")
     bcols, bvals = cols[order], vals[order]
-    bindptr = np.concatenate(([0], np.cumsum(np.bincount(rowof[rows], minlength=len(lead)))))
+    bindptr = np.concatenate(([0], np.cumsum(count[positions])))
     leadpos = lead[positions]
     leadinv = np.array([F.inv(x) for x in bvals[bindptr[:-1]].tolist()], dtype=dtype)
     batch = _BatchBasis(
@@ -495,7 +496,9 @@ def _expansion(basis, nrows, crow, celem, cvals, rrow):
     """(C, outside): the coefficients as a `linalg.Sparse` in support
     positions, and the rows with a remainder, which keep no entries."""
     outside = _unique(rrow)[0]
-    keep = ~np.isin(crow, outside)
+    keep = np.ones(nrows, bool)
+    keep[outside] = False
+    keep = keep[crow]
     nb = len(basis.positions)
     crow, ccol, cvals = crow[keep], basis.positions[celem[keep]], cvals[keep]
     order = np.argsort(crow * nb + ccol, kind="stable")
