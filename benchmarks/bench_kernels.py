@@ -22,7 +22,9 @@ Gr(3,6) count itself (seeded random flags, d = 3, F_9716633): the prefix
 pivots of the 13 equations in degree 2 (`km._f5_rows`: the 240 x 175
 prefix rows and their incremental elimination), and the blocked
 elimination of the 1041 rows it keeps, of rank 969, to set beside the
-2275 x 980 one above.
+2275 x 980 one above. One more row eliminates the 4074 x 4116 F5 rows of
+the 42-solution count 9 x (3,5,6) (flags seeded 1) at degree 4, the
+echelon that takes most of that count.
 
 The map rows time the product primitive at the same shape (Gr(3,6), d =
 2 -> 3, F_9716633): building the sparse multiplication map X^(2), 3500 x
@@ -237,26 +239,44 @@ def bench_subduct_row(calls=2000):
     return t / calls
 
 
-def bench_f5(p=9716633):
-    """Seconds of the F5 prefix pivots and of the echelon of the kept rows."""
-    F = GF(p)
+def _schubert_count(n1, n2, F):
+    """The Gr(3,6) count n1 x (3,5,6) + n2 x (2,5,6), flags seeded 1 and 2."""
     conds = [
         catalog.SchubertCondition((3, 5, 6), f)
-        for f in catalog.random_flags(6, 5, seed=1, field=F)
+        for f in catalog.random_flags(6, n1, seed=1, field=F)
     ] + [
         catalog.SchubertCondition((2, 5, 6), f)
-        for f in catalog.random_flags(6, 2, seed=2, field=F)
+        for f in catalog.random_flags(6, n2, seed=2, field=F)
     ]
-    sys = catalog.schubert_equations(3, 6, conds, field=F).sys
-    blocks = km._km_blocks(sys, 3)
-    S, X = km._map_combination(sys, 3, blocks, 3)
-    t_f5, keep = _best(lambda: km._f5_rows(sys, 3, blocks))
-    A = linalg.combine_rows(linalg.sparse_rows(S, keep), X, F)
-    t_rref, piv = _best(lambda: _kernels.modp_rref(A.copy(), p))
+    return catalog.schubert_equations(3, 6, conds, field=F).sys
+
+
+def _f5_matrix(sys, d):
+    """(equation blocks, the KM rows that F5 keeps) in degree d."""
+    blocks = km._km_blocks(sys, d)
+    S, X = km._map_combination(sys, d, blocks, d)
+    keep = km._f5_rows(sys, d, blocks)
+    return blocks, linalg.combine_rows(linalg.sparse_rows(S, keep), X, sys.par.field)
+
+
+def _bench_rref_f5(A, p):
+    t, piv = _best(lambda: _kernels.modp_rref(A.copy(), p))
     m, n = A.shape
+    return ("modp_rref F5 rows", f"{m}x{n} rank {len(piv)}", t, m * n * len(piv) / 1e9)
+
+
+def bench_f5(p=9716633):
+    """Seconds of the F5 prefix pivots and of the echelon of the kept rows,
+    on the 11-solution count at d = 3 and the 42-solution count at d = 4."""
+    F = GF(p)
+    sys = _schubert_count(5, 2, F)
+    blocks, A = _f5_matrix(sys, 3)
+    t_f5, keep = _best(lambda: km._f5_rows(sys, 3, blocks))
+    _, A42 = _f5_matrix(_schubert_count(9, 0, F), 4)
     return [
-        ("F5 prefix pivots", f"{len(blocks)} eqs, keeps {m}", t_f5, None),
-        ("modp_rref F5 rows", f"{m}x{n} rank {len(piv)}", t_rref, m * n * len(piv) / 1e9),
+        ("F5 prefix pivots", f"{len(blocks)} eqs, keeps {len(keep)}", t_f5, None),
+        _bench_rref_f5(A, p),
+        _bench_rref_f5(A42, p),
     ]
 
 

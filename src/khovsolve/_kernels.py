@@ -1,5 +1,8 @@
-"""Linear-algebra kernels: dense mod-p elimination, sparse batched subduction.
+"""Linear-algebra kernels: mod-p elimination, sparse batched subduction.
 
+The elimination is a forward-only blocked RREF on int64 arrays: each
+panel updates only the rows below it that meet its pivot columns, and
+the pivot rows are solved for the free columns after the last panel.
 Entries are residues in [0, p) with p < 2**31, so the product of two
 entries fits in int64; the batched subduction, on sparse rows held as
 sorted integer keys, also runs exactly on object arrays of field
@@ -121,10 +124,15 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
     length m) is given, row swaps are mirrored in it, so src[:rank] names
     the input rows carrying pivots.
 
-    The elimination is blocked: a panel of PANEL columns is pivoted on its
-    own, then every row is updated on the columns from the panel onwards
-    with one delayed-reduction product through the panel's pivot block.
-    Pivots, row swaps and the result are those of the unblocked
+    The elimination is blocked and runs forward only: a panel of PANEL
+    columns is pivoted on its own, its pivot rows are reduced to the
+    identity on the panel's pivot columns, and only the rows below that
+    are nonzero at those columns are updated, on the columns from the
+    panel onwards, with one delayed-reduction product. KM matrices are
+    sparse, and the rows below stay so far longer than the rows above
+    would. After the last panel the pivot rows are solved for the free
+    columns, from the last panel up, one product for each panel but the
+    last. Pivots, row swaps and the result are those of the unblocked
     Gauss-Jordan elimination with the same pivot rule.
     """
     if A.dtype != np.int64:
@@ -133,6 +141,7 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
     if src is None:
         src = np.arange(m, dtype=np.int64)
     piv = []
+    panels = []
     r = 0
     for c0 in range(0, n, PANEL):
         if r == m:
@@ -143,15 +152,31 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
             continue
         r0, r = r, r + len(cols)
         piv.extend(cols)
-        # pivot rows: S^-1 times their panel-start values
+        panels.append((r0, r))
+        # pivot rows: S^-1 times their panel-start values, the identity on
+        # the panel's pivot columns
         Sinv = W[np.asarray(cols) - c0, c1 - c0 : c1 - c0 + len(cols)]
         B = modp_matmul(Sinv, A[r0:r, c0:], p)
-        # every row loses its entries in the pivot columns, then the pivot
-        # rows take their reduced form
-        A[:, c0:] -= modp_matmul(A[:, cols], B, p)
-        A[:, c0:] %= p
         A[r0:r, c0:] = B
-    return np.asarray(piv, dtype=np.int64)
+        # the rows below that meet the pivot columns lose their entries there
+        L = A[r:, cols]
+        hit = np.flatnonzero(L.any(axis=1))
+        U = A[r + hit, c0:]
+        U -= modp_matmul(L[hit], B, p)
+        U %= p
+        A[r + hit, c0:] = U
+    piv = np.asarray(piv, dtype=np.int64)
+    # X, the pivot rows at the free columns, is solved from the last panel
+    # up: a panel's rows lose their entries at the later pivot columns
+    free = np.ones(n, bool)
+    free[piv] = False
+    X = A[: len(piv), free]
+    for r0, r1 in reversed(panels[:-1]):
+        later = piv[r1:]
+        X[r0:r1] = (X[r0:r1] - modp_matmul(A[r0:r1, later], X[r1:], p)) % p
+        A[r0:r1, later] = 0
+        A[r0:r1, free] = X[r0:r1]
+    return piv
 
 
 # ---------------------------------------------------------------------------

@@ -490,7 +490,12 @@ def get_instance(name, field=QQ, seed=0):
             note="random linear equations on the quintic del Pezzo surface",
         )
     if name.startswith("grassmannian:"):
-        k, m = (int(x) for x in name.split(":", 1)[1].split(","))
+        try:
+            k, m = (int(x) for x in name.split(":", 1)[1].split(","))
+        except ValueError:
+            raise InputError(
+                f"bad catalog entry {name!r}: expected grassmannian:k,m"
+            ) from None
         par = pluecker_chart(k, m, field)
         n = k * (m - k)
         sys = random_dense_system(par, (1,) * n, seed=seed)

@@ -4,8 +4,10 @@ Every rank, kernel, inverse and row selection comes from one forward
 elimination with first-nonzero pivoting, kept as an `Echelon` that holds
 the reduced row echelon form (RREF) on every field, and kernels are read
 off it. Over a prime below 2**31 the elimination is the blocked int64
-RREF from `_kernels`, or a plain Python row reduction for matrices of at
-most 400 entries and for larger primes. Over the rationals one of the two
+RREF from `_kernels`, which updates only the rows below each panel that
+meet its pivot columns and solves the pivot rows for the free columns at
+the end, or a plain Python row reduction for matrices of at most 400
+entries and for larger primes. Over the rationals one of the two
 runs mod word-size primes for the pivots and the pivot rows; Dixon's
 p-adic lifting and rational reconstruction then give the exact RREF,
 which is accepted only with an exact certificate that the kernel
@@ -643,7 +645,9 @@ def combine_rows(S: Sparse, X: Sparse, field):
     terms = S.vals[k] * X.vals[pos]
     out = np.full(m * n, field.zero, dtype=array_dtype(field))
     np.add.at(out, S.rows[k] * n + X.cols[pos], terms if p is None else terms % p)
-    return (out if p is None else out % p).reshape(m, n)
+    if p is not None:
+        out %= p
+    return out.reshape(m, n)
 
 
 def matmul_transposed(A, X: Sparse, field):

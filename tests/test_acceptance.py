@@ -245,11 +245,15 @@ def test_acceptance_7_schubert_gr36(capfd):
     _verdict(capfd, 7, run)
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(not RUN_SLOW, reason="set KHOVSOLVE_RUN_SLOW=1")
+_SLOW = (
+    pytest.mark.slow,
+    pytest.mark.skipif(not RUN_SLOW, reason="set KHOVSOLVE_RUN_SLOW=1"),
+)
+
+
 @pytest.mark.parametrize("n1,n2,count,dreg,degree", [
-    (5, 2, 11, 3, 3),
-    (7, 1, 21, 4, 4),
+    pytest.param(5, 2, 11, 3, 3, marks=_SLOW),
+    pytest.param(7, 1, 21, 4, 4, marks=_SLOW),
     # degree 4 is the regularity bound sum d_i + hreg = 9 - 5; the table
     # keeps dreg 5 for solving
     (9, 0, 42, 5, 4),
@@ -258,11 +262,12 @@ def test_acceptance_7_slow_table_counts(n1, n2, count, dreg, degree):
     """Larger Schubert problems, count-only over F_p: the KM nullity.
 
     Measured over F_9716633 on a 2-core host: the 11-solution count takes
-    about 0.5 s, the 21-solution count at dreg 4 (KM matrix 10780 x 4116,
-    of which the F5 criterion forms 4137 rows) about 13 s, and the
+    about 0.4 s, the 21-solution count at dreg 4 (KM matrix 10780 x 4116,
+    of which the F5 criterion forms 4137 rows) about 3 s, and the
     42-solution count at degree 4 (8820 x 4116, 4074 rows formed) about
-    13 s, the three under 620 MB peak RSS. The echelon of the formed rows
-    takes most of each; the multiplication map X^(3) takes about 0.1 s.
+    3 s, the three under 470 MB peak RSS. The 42-solution count runs
+    without KHOVSOLVE_RUN_SLOW. The echelon of the formed rows takes about
+    half of each; the multiplication map X^(3) takes about 0.1 s.
     """
     F = GF(P)
     conds = [

@@ -177,6 +177,15 @@ def test_exit_code_input_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "spec", ["grassmannian:x", "grassmannian:2", "grassmannian:2,4,5", "grassmannian:"]
+)
+def test_exit_code_malformed_grassmannian(spec, capsys):
+    assert main(["catalog", spec]) == 1
+    err = capsys.readouterr().err
+    assert repr(spec) in err and "grassmannian:k,m" in err
+
+
+@pytest.mark.parametrize(
     "phi, message",
     [
         (["t1", "t1 + t2", "t2"], "share the leading exponent"),

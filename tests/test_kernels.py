@@ -52,6 +52,26 @@ def test_rref_variants_agree(Ap):
     _assert_rref_matches_python(A, p)
 
 
+@st.composite
+def sparse_modp_matrices(draw):
+    """Sparse matrices that cross several panels: up to 150 x 200, 1-30 % nonzero."""
+    p = draw(st.sampled_from(PRIMES))
+    m = draw(st.integers(1, 150))
+    n = draw(st.integers(1, 200))
+    density = draw(st.floats(0.01, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(1, p, size=(m, n), dtype=np.int64)
+    A[rng.random((m, n)) >= density] = 0
+    return A, p
+
+
+@given(sparse_modp_matrices())
+@settings(max_examples=30, deadline=None)
+def test_rref_sparse_panels_match_python(Ap):
+    A, p = Ap
+    _assert_rref_matches_python(A, p)
+
+
 def _low_rank(rng, m, n, rank, p):
     U = rng.integers(0, p, size=(m, rank)).astype(np.int64)
     V = rng.integers(0, p, size=(rank, n)).astype(np.int64)
@@ -76,6 +96,18 @@ def test_rref_blocked_panels_match_python(p):
     zero_cols = _low_rank(rng, 60, 3 * panel, 45, p)
     zero_cols[:, panel - 5 : panel + 40] = 0
     cases.append(zero_cols)
+    # a staircase: the first panel's pivot rows meet no row below, so the
+    # rows below are first updated at the second panel
+    stair = rng.integers(0, p, size=(panel + 30, 2 * panel + 10))
+    stair[:panel, :panel] = np.triu(stair[:panel, :panel], 1) + np.eye(panel, dtype=np.int64)
+    stair[panel:, :panel] = 0
+    cases.append(stair)
+    # rank reached in the middle of the second panel, with more rows below
+    cases.append(_low_rank(rng, 2 * panel, 2 * panel, panel + 20, p))
+    # all-zero rows below the rank, some of them between the pivot rows
+    zero_rows = _low_rank(rng, panel + 40, panel + 20, panel + 10, p)
+    zero_rows[rng.random(zero_rows.shape[0]) < 0.3] = 0
+    cases.append(np.vstack([zero_rows, np.zeros((20, zero_rows.shape[1]), np.int64)]))
     for A in cases:
         _assert_rref_matches_python(np.asarray(A, dtype=np.int64), p)
 
