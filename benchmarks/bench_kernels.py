@@ -49,6 +49,13 @@ the osculating problem up to degree 10, as the default degree search
 reads it, and the Gr(3,6) chart up to degree 5, with the number of
 points summed over the degrees.
 
+The Schubert rows time `catalog.schubert_equations` on the Gr(3,6)
+problem shapes of the pipeline benchmark (seeded random flags):
+(2,4,6)^3 and (3,5,6) + 4 x (2,5,6) over QQ, and 5 x (3,5,6) +
+2 x (2,5,6) over F_9716633. The chart is built once outside the timing,
+so a row is the minors, their expansion in the degree-1 basis and the
+choice of independent ones; each prints the raw and kept equation counts.
+
 The last rows time the multiplication-matrix step of the solver: the
 block echelon of [N_h|B | N_{x_0}|B | ... | N_{x_ell}|B], whose RREF is
 [I | M_0 | ... | M_ell], and the exact checks `linalg.commuting_check`
@@ -295,6 +302,27 @@ def bench_support():
     return out
 
 
+def bench_schubert(p=9716633):
+    """Seconds of `schubert_equations` and its (raw, kept) equation counts."""
+    F = GF(p)
+
+    def conds(alpha, count, seed, field):
+        flags = catalog.random_flags(6, count, seed=seed, field=field)
+        return [catalog.SchubertCondition(alpha, f) for f in flags]
+
+    problems = (
+        ("3x(2,4,6)", QQ, conds((2, 4, 6), 3, 0, QQ)),
+        ("(3,5,6)+4x(2,5,6)", QQ, conds((3, 5, 6), 1, 1, QQ) + conds((2, 5, 6), 4, 2, QQ)),
+        ("5x(3,5,6)+2x(2,5,6)", F, conds((3, 5, 6), 5, 1, F) + conds((2, 5, 6), 2, 2, F)),
+    )
+    out = []
+    for label, field, cs in problems:
+        par = catalog.pluecker_chart(3, 6, field, validate_degree=0)
+        t, inst = _best(lambda: catalog.schubert_equations(3, 6, cs, field=field, par=par))
+        out.append((label, field, t, inst.extras["n_raw_equations"], inst.extras["n_equations"]))
+    return out
+
+
 def _mult_step(coeffs, blocks, field):
     """The solver's step: M_j from one block echelon, then the exact checks."""
     delta = len(blocks[0])
@@ -383,6 +411,10 @@ def main():
     t, shape, steps, primes = bench_echelon_qq()
     print(f"{'echelon QQ':<22}{shape:<22}{primes[0]:>12}{t * 1e3:9.1f}ms"
           f"   {steps} lifting steps, primes {primes}")
+    for label, field, t, raw, kept in bench_schubert():
+        p = field.modulus or "QQ"
+        print(f"{'schubert_equations':<22}{label:<22}{p:>12}{t * 1e3:9.1f}ms"
+              f"   {raw} raw, {kept} kept")
     for name, fn, p in (("mult step QQ", bench_mult_qq, 0),
                         ("mult step F_p", bench_mult_fp, 9716633)):
         t, tc, shape = fn()

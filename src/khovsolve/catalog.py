@@ -164,26 +164,6 @@ def bott_samelson(field=QQ) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 
 
-def _det(rows, field):
-    """Exact determinant by Leibniz expansion (small matrices only)."""
-    k = len(rows)
-    total = None
-    for perm in itertools.permutations(range(k)):
-        inv = sum(
-            1
-            for a in range(k)
-            for b in range(a + 1, k)
-            if perm[a] > perm[b]
-        )
-        term = rows[0][perm[0]]
-        for r in range(1, k):
-            term = term * rows[r][perm[r]]
-        if inv % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def _chart_matrix(k, m, field):
     """The k x m matrix [I | T] with T filled row-major by t_1..t_n."""
     n = k * (m - k)
@@ -198,6 +178,29 @@ def _chart_matrix(k, m, field):
             row.append(MultiPoly.variable(field, varnames, a * (m - k) + b))
         rows.append(row)
     return rows, varnames
+
+
+def _chart_minors(k, m, field):
+    """Every minor det H[R, S], |R| = |S|, of the chart matrix H = [I | T].
+
+    Returns (minors, varnames): minors maps (R, S), increasing row and
+    column tuples, to a MultiPoly, the empty minor being 1. Each minor is
+    the expansion along its first row over the minors one size smaller;
+    its terms come in the lexicographic order of the permutations.
+    """
+    H, varnames = _chart_matrix(k, m, field)
+    minors = {((), ()): MultiPoly.constant(field, varnames, field.one)}
+    for size in range(1, k + 1):
+        for R in itertools.combinations(range(k), size):
+            for S in itertools.combinations(range(m), size):
+                total = MultiPoly.zero(field, varnames)
+                for j, c in enumerate(S):
+                    if H[R[0]][c].is_zero():
+                        continue
+                    term = H[R[0]][c] * minors[R[1:], S[:j] + S[j + 1:]]
+                    total = total - term if j % 2 else total + term
+                minors[R, S] = total
+    return minors, varnames
 
 
 def _pluecker_weights(k, m):
@@ -220,11 +223,8 @@ def pluecker_chart(k, m, field=QQ, validate_degree=2) -> Parameterization:
     """
     if not (1 <= k < m):
         raise InputError(f"need 1 <= k < m, got k={k}, m={m}")
-    H, varnames = _chart_matrix(k, m, field)
-    phi = []
-    for cols in itertools.combinations(range(m), k):
-        sub = [[H[r][c] for c in cols] for r in range(k)]
-        phi.append(_det(sub, field))
+    minors, varnames = _chart_minors(k, m, field)
+    phi = [minors[tuple(range(k)), S] for S in itertools.combinations(range(m), k)]
     candidates = [_pluecker_weights(k, m)]
     rng = random.Random(k * 1000 + m)
     for _ in range(20):
@@ -317,14 +317,69 @@ _GR36_TABLE = {
 }
 
 
+def _flag_minor(flag, rows, cols, memo, field):
+    """det flag[rows, cols] by expansion along the first row, memoized on
+    (rows, cols); the empty minor is 1."""
+    if not rows:
+        return field.one
+    d = memo.get((rows, cols))
+    if d is None:
+        d, first = field.zero, flag[rows[0]]
+        for j, c in enumerate(cols):
+            if first[c] != field.zero:
+                term = field.mul(first[c], _flag_minor(
+                    flag, rows[1:], cols[:j] + cols[j + 1:], memo, field))
+                d = field.sub(d, term) if j % 2 else field.add(d, term)
+        memo[rows, cols] = d
+    return d
+
+
+def _condition_minors(chart, cond, k, m, field):
+    """Yield (rows, cols, minor) for every minor one condition asks for.
+
+    For each i with size = k+alpha_i-i+1 <= m these are all size x size
+    minors of the stacked matrix (H; F_{alpha_i}), whose rows 0..k-1 are
+    the chart's. Each is the Laplace expansion along its chart rows R_H:
+    the sum over |R_H|-subsets S of its columns C of
+    +-det H[R_H, S] * det F[R_F, C - S], the sign that of moving S to the
+    front of C. `chart` is `_chart_minors`; the flag minors are memoized
+    over the whole condition.
+    """
+    memo = {}
+    varnames = chart[(), ()].varnames
+    for i, ai in enumerate(cond.alpha, start=1):
+        size = k + ai - i + 1
+        if size > m:
+            continue
+        for rows in itertools.combinations(range(k + ai), size):
+            rh = tuple(r for r in rows if r < k)
+            rf = tuple(r - k for r in rows if r >= k)
+            h = len(rh)
+            for cols in itertools.combinations(range(m), size):
+                terms = {}
+                for pos in itertools.combinations(range(size), h):
+                    rest = tuple(c for q, c in enumerate(cols) if q not in pos)
+                    c = _flag_minor(cond.flag, rf, rest, memo, field)
+                    if c == field.zero:
+                        continue
+                    if (sum(pos) - h * (h - 1) // 2) % 2:
+                        c = field.neg(c)
+                    hminor = chart[rh, tuple(cols[q] for q in pos)]
+                    for e, v in hminor.terms.items():
+                        terms[e] = field.add(terms.get(e, field.zero), field.mul(v, c))
+                terms = {e: v for e, v in terms.items() if v != field.zero}
+                yield rows, cols, MultiPoly(field, varnames, terms, _normalized=True)
+
+
 def schubert_equations(
     k, m, conditions, field=QQ, par=None, validate_degree=2
 ) -> ProblemInstance:
     """Linear equations in Pluecker coordinates cutting out a Schubert problem.
 
     For each condition (alpha, F) and each i with k+alpha_i-i+1 <= m, all
-    minors of that size of the stacked matrix (H; F_{alpha_i}) are expanded
-    as t-polynomials, expressed in the degree-1 basis, and linearly
+    minors of that size of the stacked matrix (H; F_{alpha_i}) are formed
+    as t-polynomials by Laplace expansion along the chart rows
+    (`_condition_minors`), expressed in the degree-1 basis, and linearly
     dependent ones are dropped.
     """
     if not (1 <= k < m):
@@ -336,6 +391,11 @@ def schubert_equations(
         if (len(alpha) != k or list(alpha) != sorted(set(alpha))
                 or alpha[-1] > m or alpha[0] < 1):
             raise InputError(f"invalid Schubert indices {alpha} for Gr({k},{m})")
+        widths = {len(r) for r in cond.flag}
+        if len(cond.flag) != m or widths != {m}:
+            got = f"{len(cond.flag)}x{widths.pop()}" if len(widths) == 1 else (
+                f"{len(cond.flag)} rows of lengths {sorted(widths)}")
+            raise InputError(f"flag matrix must be {m}x{m}, got {got}")
         if linalg.rank([list(r) for r in cond.flag], field) != m:
             raise InputError("flag matrix is singular")
     codim = sum(n - cond.dimension() for cond in conditions)
@@ -346,24 +406,15 @@ def schubert_equations(
         )
     if par is None:
         par = pluecker_chart(k, m, field, validate_degree=validate_degree)
-    H, _ = _chart_matrix(k, m, field)
-    const = lambda c: MultiPoly.constant(field, par.varnames, c)
-
-    minors = []
-    for cond in conditions:
-        for i, ai in enumerate(cond.alpha, start=1):
-            size = k + ai - i + 1
-            if size > min(k + ai, m):
-                continue
-            stacked = list(H) + [
-                [const(c) for c in cond.flag[r]] for r in range(ai)
-            ]
-            for rsel in itertools.combinations(range(k + ai), size):
-                for csel in itertools.combinations(range(m), size):
-                    sub = [[stacked[r][c] for c in csel] for r in rsel]
-                    d = _det(sub, field)
-                    if not d.is_zero():
-                        minors.append(d)
+    chart, varnames = _chart_minors(k, m, field)
+    if par.field != field or par.varnames != varnames:
+        raise InputError(f"par is not a chart of Gr({k},{m}) over {field}")
+    minors = [
+        d
+        for cond in conditions
+        for _, _, d in _condition_minors(chart, cond, k, m, field)
+        if not d.is_zero()
+    ]
 
     # express in the degree-1 basis and keep an independent subset
     vectors, outside = expand(par, minors, 1)

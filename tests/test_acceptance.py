@@ -362,3 +362,29 @@ def test_acceptance_9_property_suite(capfd):
                     assert sum(c * x for c, x in zip(row, v)) == 0
 
     _verdict(capfd, 9, run)
+
+
+def test_acceptance_10_osculating_gr36(capfd):
+    """The 11-solution Gr(3,6) problem 2 x (2,5,6) + 5 x (3,5,6) with
+    flags osculating the rational normal curve at 1, -1, 2, -2, 3, -3, 4,
+    solved over QQ at the table's dreg 3. By the Shapiro conjecture
+    (Mukhin, Tarasov and Varchenko) every solution is real. About 3 s on a
+    2-core host."""
+
+    def run():
+        alphas = [(2, 5, 6)] * 2 + [(3, 5, 6)] * 5
+        conds = [
+            catalog.SchubertCondition(a, catalog.osculating_flag(s, 6))
+            for a, s in zip(alphas, (1, -1, 2, -2, 3, -3, 4))
+        ]
+        inst = catalog.schubert_equations(3, 6, conds)
+        assert (inst.expected_count, inst.recommended_dreg) == (11, 3)
+        sols = solve(inst.sys, dreg=3, seed=0)
+        assert len(sols) == 11
+        assert sols.diagnostics["certified"]
+        assert max(sols.residuals) <= 1e-8
+        for row in normalize_solutions(sols.coords, "first"):
+            scale = max(abs(complex(x)) for x in row)
+            assert all(abs(complex(x).imag) <= 1e-6 * scale for x in row)
+
+    _verdict(capfd, 10, run)

@@ -7,6 +7,9 @@ import pytest
 from khovsolve import catalog, linalg
 from khovsolve.fields import GF, QQ
 from khovsolve.khov import check_khovanskii_truncated
+from khovsolve.poly import MultiPoly
+
+P = 9716633
 
 
 def test_duffing_metadata():
@@ -133,6 +136,102 @@ def test_schubert_rejects_bad_input():
         catalog.schubert_equations(
             3, 6, [catalog.SchubertCondition((2, 4, 6), singular)]
         )
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (6, 5)])
+def test_schubert_rejects_flag_of_wrong_shape(shape):
+    rows, cols = shape
+    flag = tuple(
+        tuple(QQ.from_int(int(r == c)) for c in range(cols)) for r in range(rows)
+    )
+    with pytest.raises(catalog.InputError, match=f"must be 6x6, got {rows}x{cols}"):
+        catalog.schubert_equations(
+            3, 6, [catalog.SchubertCondition((2, 4, 6), flag)] * 3
+        )
+
+
+def _leibniz(rows, field, varnames):
+    """Determinant by the Leibniz formula; products with a zero entry are
+    skipped."""
+    k = len(rows)
+    total = MultiPoly.zero(field, varnames)
+    for perm in itertools.permutations(range(k)):
+        entries = [rows[r][perm[r]] for r in range(k)]
+        if any(e.is_zero() for e in entries):
+            continue
+        term = entries[0]
+        for e in entries[1:]:
+            term = term * e
+        inv = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        total = total - term if inv % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("flags", ["random", "osculating"])
+@pytest.mark.parametrize("k,m,alphas", [
+    (2, 4, ((1, 3), (2, 4))),
+    (2, 5, ((2, 4), (3, 5))),
+    (3, 6, ((2, 4, 6), (3, 5, 6), (2, 5, 6))),
+])
+def test_schubert_minors_match_leibniz(field, flags, k, m, alphas):
+    # every minor of every stacked matrix (H; F_{alpha_i}), zero or not,
+    # equals the Leibniz determinant of its entries
+    chart, varnames = catalog._chart_minors(k, m, field)
+    H, _ = catalog._chart_matrix(k, m, field)
+    if flags == "random":
+        fl = catalog.random_flags(m, len(alphas), seed=m, field=field)
+    else:
+        fl = [catalog.osculating_flag(s, m, field) for s in (2, -3, 5)]
+    dropped = 0
+    for alpha, flag in zip(alphas, fl):
+        cond = catalog.SchubertCondition(alpha, flag)
+        stacked = H + [
+            [MultiPoly.constant(field, varnames, c) for c in row] for row in flag
+        ]
+        expected = sum(
+            len(list(itertools.combinations(range(k + a), k + a - i + 1)))
+            * len(list(itertools.combinations(range(m), k + a - i + 1)))
+            for i, a in enumerate(alpha, start=1)
+            if k + a - i + 1 <= m
+        )
+        minors = list(catalog._condition_minors(chart, cond, k, m, field))
+        assert len(minors) == expected
+        for rows, cols, d in minors:
+            sub = [[stacked[r][c] for c in cols] for r in rows]
+            assert d == _leibniz(sub, field, varnames)
+            dropped += sum(r < k for r in rows) < k
+    # some row selections leave out chart rows, e.g. (2,4,6) at i = 2
+    assert dropped
+
+
+def test_pluecker_generators_are_the_full_chart_minors():
+    chart, varnames = catalog._chart_minors(3, 6, QQ)
+    H, _ = catalog._chart_matrix(3, 6, QQ)
+    par = catalog.pluecker_chart(3, 6, validate_degree=0)
+    for S, f in zip(itertools.combinations(range(6), 3), par.phi):
+        assert f == chart[(0, 1, 2), S]
+        assert f == _leibniz([[row[c] for c in S] for row in H], QQ, varnames)
+
+
+def _conds(alpha, count, seed, field=QQ):
+    return [
+        catalog.SchubertCondition(alpha, f)
+        for f in catalog.random_flags(6, count, seed=seed, field=field)
+    ]
+
+
+@pytest.mark.parametrize("build,field,raw,kept", [
+    (lambda F: _conds((3, 5, 6), 1, 1) + _conds((2, 5, 6), 4, 2), QQ, 25, 17),
+    (lambda F: _conds((3, 5, 6), 5, 1, F) + _conds((2, 5, 6), 2, 2, F),
+     GF(P), 17, 13),
+], ids=["qq-356-4x256", "fp-5x356-2x256"])
+def test_schubert_equation_counts_of_benchmark_shapes(build, field, raw, kept):
+    # Gr(3,6) problem shapes of the pipeline benchmark, flags seeded; the
+    # third, (2,4,6)^3, is test_schubert_246_cubed_equation_counts
+    inst = catalog.schubert_equations(3, 6, build(field), field=field)
+    assert inst.extras["n_raw_equations"] == raw
+    assert inst.extras["n_equations"] == kept
 
 
 def test_chart_matrix_round_trip():
