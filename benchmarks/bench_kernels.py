@@ -14,8 +14,12 @@ span of a random basis, given as COO keys, with the basis's level plan
 
 The exact echelon over QQ, `linalg.echelon`, is timed on the 360 x 175 KM
 matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded random
-flags), with the number of p-adic lifting steps and the primes whose rank
-profiles were computed.
+flags), given as rows of Fractions, with the number of p-adic lifting
+steps and the primes whose rank profiles were computed. The next row
+times `km_matrix(reduce=True)` of the 11-solution osculating Gr(3,6)
+problem 2 x (2,5,6) + 5 x (3,5,6) (flags at 1, -1, 2, -2, 3, -3, 4) over
+QQ at degree 3, the maps cached: its F5 rows, their integer product and
+the exact echelon of the kept rows, with the same counts.
 
 The F5 rows time the row criterion of `km_matrix(reduce=True)` on the
 Gr(3,6) count itself (seeded random flags, d = 3, F_9716633): the prefix
@@ -57,12 +61,13 @@ so a row is the minors, their expansion in the degree-1 basis and the
 choice of independent ones; each prints the raw and kept equation counts.
 
 The last rows time the multiplication-matrix step of the solver: the
-block echelon of [N_h|B | N_{x_0}|B | ... | N_{x_ell}|B], whose RREF is
-[I | M_0 | ... | M_ell], and the exact checks `linalg.commuting_check`
-(sum c_j M_j = I, all pairs commute). Over QQ on the Bott-Samelson
-threefold at degree 3 (delta = 6, 8 blocks); over F_9716633 at the shape
-of the Gr(3,6) count (delta = 11, 20 blocks), on random commuting
-matrices P D_j P^-1.
+block echelon of the integer blocks [N_h|B | N_{x_0}|B | ... |
+N_{x_ell}|B], whose RREF is [I | M_0 | ... | M_ell] (over QQ as
+numerators over one denominator), and the exact checks
+`linalg.commuting_check` on them (sum c_j M_j = I, all pairs commute).
+Over QQ on the Bott-Samelson threefold at degree 3 (delta = 6, 8
+blocks); over F_9716633 at the shape of the Gr(3,6) count (delta = 11,
+20 blocks), on random commuting matrices P D_j P^-1.
 
 Run as:  python3 benchmarks/bench_kernels.py
 """
@@ -142,12 +147,8 @@ def bench_matmul(rng, m, k, n, p):
     return t, m * k * n / 1e9
 
 
-def bench_echelon_qq():
-    """(seconds, shape, lifting steps, primes) of one QQ KM echelon."""
-    flags = catalog.random_flags(6, 3, seed=0, field=QQ)
-    conds = [catalog.SchubertCondition((2, 4, 6), f) for f in flags]
-    inst = catalog.schubert_equations(3, 6, conds)
-    rows = [list(r) for r in km.km_matrix(inst.sys, 2).entries]
+def _lifting(fn):
+    """(result, lifting steps of the last lift, primes profiled) of fn()."""
     primes, steps = [], []
     profile, digits = linalg._rank_profile, linalg._from_digits
 
@@ -161,11 +162,35 @@ def bench_echelon_qq():
 
     linalg._rank_profile, linalg._from_digits = count_profile, count_digits
     try:
-        linalg.echelon(rows, QQ)
+        out = fn()
     finally:
         linalg._rank_profile, linalg._from_digits = profile, digits
+    return out, steps[-1], primes
+
+
+def bench_echelon_qq():
+    """(seconds, shape, lifting steps, primes) of one QQ KM echelon."""
+    flags = catalog.random_flags(6, 3, seed=0, field=QQ)
+    conds = [catalog.SchubertCondition((2, 4, 6), f) for f in flags]
+    inst = catalog.schubert_equations(3, 6, conds)
+    rows = [list(r) for r in km.km_matrix(inst.sys, 2).entries]
+    _, steps, primes = _lifting(lambda: linalg.echelon(rows, QQ))
     t, _ = _best(lambda: linalg.echelon(rows, QQ))
-    return t, f"{len(rows)}x{len(rows[0])}", steps[-1], primes
+    return t, f"{len(rows)}x{len(rows[0])}", steps, primes
+
+
+def bench_km_osculating():
+    """(seconds, shape, lifting steps, primes) of the reduced QQ KM matrix
+    of the 11-solution osculating Gr(3,6) problem at degree 3."""
+    alphas = [(2, 5, 6)] * 2 + [(3, 5, 6)] * 5
+    conds = [
+        catalog.SchubertCondition(a, catalog.osculating_flag(s, 6))
+        for a, s in zip(alphas, (1, -1, 2, -2, 3, -3, 4))
+    ]
+    sys = catalog.schubert_equations(3, 6, conds).sys
+    M, steps, primes = _lifting(lambda: km.km_matrix(sys, 3, reduce=True))
+    t, _ = _best(lambda: km.km_matrix(sys, 3, reduce=True))
+    return t, "{}x{}".format(*M.shape), steps, primes
 
 
 def bench_maps(p=9716633, delta=11, equations=13):
@@ -179,7 +204,7 @@ def bench_maps(p=9716633, delta=11, equations=13):
 
     t_map, X = _best(build)
     sys = catalog.random_dense_system(par, (1,) * equations, seed=0)
-    t_rows, rows = _best(lambda: km._map_rows(sys, 3, km._km_blocks(sys, 3), 3))
+    t_rows, (rows, _) = _best(lambda: km._map_rows(sys, 3, km._km_blocks(sys, 3), 3))
     N = np.random.default_rng(0).integers(0, p, size=(delta, X.matrix.shape[1]))
     t_nx, _ = _best(lambda: linalg.matmul_transposed(N, X.matrix, F))
     nnz = len(X.matrix.rows)
@@ -277,9 +302,9 @@ def bench_f5(p=9716633):
     on the 11-solution count at d = 3 and the 42-solution count at d = 4."""
     F = GF(p)
     sys = _schubert_count(5, 2, F)
-    blocks, A = _f5_matrix(sys, 3)
+    blocks, (A, _) = _f5_matrix(sys, 3)
     t_f5, keep = _best(lambda: km._f5_rows(sys, 3, blocks))
-    _, A42 = _f5_matrix(_schubert_count(9, 0, F), 4)
+    _, (A42, _) = _f5_matrix(_schubert_count(9, 0, F), 4)
     return [
         ("F5 prefix pivots", f"{len(blocks)} eqs, keeps {len(keep)}", t_f5, None),
         _bench_rref_f5(A, p),
@@ -324,15 +349,12 @@ def bench_schubert(p=9716633):
 
 
 def _mult_step(coeffs, blocks, field):
-    """The solver's step: M_j from one block echelon, then the exact checks."""
-    delta = len(blocks[0])
-    rows = [[x for blk in blocks for x in blk[r]] for r in range(delta)]
-    R = linalg.take_rows(linalg.echelon(rows, field).rows, range(delta))
-    mats = [
-        tuple(row[(j + 1) * delta : (j + 2) * delta] for row in R)
-        for j in range(len(blocks) - 1)
-    ]
-    return mats, linalg.commuting_check(coeffs, mats, field)
+    """The solver's step: the integer T_j = den M_j from one echelon of the
+    stacked blocks, then the exact checks; returns (T, den, checks)."""
+    delta = blocks.shape[1]
+    E = linalg.echelon(np.hstack(list(blocks)), field)
+    T = E.rows[:, delta:].reshape(delta, len(blocks) - 1, delta).transpose(1, 0, 2)
+    return T, E.den, linalg.commuting_check(coeffs, T, E.den, field)
 
 
 def bench_mult_qq():
@@ -342,13 +364,13 @@ def bench_mult_qq():
     Nx = solver._multiplied_kernels(sys, N, 2)
     delta = N.nullity
     rng = random.Random(0)
-    c = [QQ.from_int(rng.randint(1, 2 * delta * delta + 1)) for _ in Nx]
-    Nh = linalg.combine(c, Nx, QQ)
+    c = [rng.randint(1, 2 * delta * delta + 1) for _ in Nx]
+    Nh = linalg.integer_form(linalg.combine(c, Nx, QQ), QQ)[0]
     B = linalg.first_independent_columns(Nh, QQ, count=delta)
-    blocks = [[[M[r][g] for g in B] for r in range(delta)] for M in (Nh, *Nx)]
-    t, (mats, ok) = _best(lambda: _mult_step(c, blocks, QQ))
+    blocks = np.concatenate(([Nh], Nx))[:, :, B]
+    t, (T, den, ok) = _best(lambda: _mult_step(c, blocks, QQ))
     assert ok == (True, None)
-    tc, _ = _best(lambda: linalg.commuting_check(c, mats, QQ))
+    tc, _ = _best(lambda: linalg.commuting_check(c, T, den, QQ))
     return t, tc, f"{delta}x{delta * len(blocks)}"
 
 
@@ -372,10 +394,10 @@ def bench_mult_fp(delta=11, nmats=20, p=9716633):
     P, S = rand(delta, delta), rand(delta, delta)
     Pinv = linalg.invert(P, F)
     mats = [linalg.matmul(linalg.matmul(P, diag(d), F), Pinv, F) for d in D]
-    blocks = [S] + [linalg.matmul(S, M, F) for M in mats]
-    t, (got, ok) = _best(lambda: _mult_step(c, blocks, F))
-    assert ok == (True, None) and [list(map(list, M)) for M in got] == mats
-    tc, _ = _best(lambda: linalg.commuting_check(c, got, F))
+    blocks = np.array([S] + [linalg.matmul(S, M, F) for M in mats], dtype=np.int64)
+    t, (T, _, ok) = _best(lambda: _mult_step(c, blocks, F))
+    assert ok == (True, None) and T.tolist() == mats
+    tc, _ = _best(lambda: linalg.commuting_check(c, T, 1, F))
     return t, tc, f"{delta}x{delta * len(blocks)}"
 
 
@@ -408,9 +430,11 @@ def main():
     print(f"{'subduct one row':<22}{'Duffing d = 1':<22}{'QQ':>12}{t * 1e6:9.1f}us")
     for shape, points, t in bench_support():
         print(f"{'graded_support':<22}{shape:<22}{'QQ':>12}{t * 1e3:9.1f}ms   {points}")
-    t, shape, steps, primes = bench_echelon_qq()
-    print(f"{'echelon QQ':<22}{shape:<22}{primes[0]:>12}{t * 1e3:9.1f}ms"
-          f"   {steps} lifting steps, primes {primes}")
+    for name, fn in (("echelon QQ", bench_echelon_qq),
+                     ("km_matrix QQ reduced", bench_km_osculating)):
+        t, shape, steps, primes = fn()
+        print(f"{name:<22}{shape:<22}{primes[0]:>12}{t * 1e3:9.1f}ms"
+              f"   {steps} lifting steps, primes {primes}")
     for label, field, t, raw, kept in bench_schubert():
         p = field.modulus or "QQ"
         print(f"{'schubert_equations':<22}{label:<22}{p:>12}{t * 1e3:9.1f}ms"

@@ -2,8 +2,9 @@
 
 Subcommands mirror the pipeline stages: check (truncated Khovanskii
 verification), basis, hilbert, km, solve, schubert, catalog. Exit codes:
-0 success, 1 input/parse errors, 2 mathematical failures (non-Khovanskii
-generators, non-stabilizing nullity), 3 unsupported field operations.
+0 success, 1 input/parse errors (usage errors and out-of-range options
+included), 2 mathematical failures (non-Khovanskii generators,
+non-stabilizing nullity), 3 unsupported field operations.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def cmd_basis(args):
 
 def cmd_hilbert(args):
     par, _ = load_system(_read_input(args.file))
+    if args.dmax < par.n + 2:
+        raise cat.InputError(
+            f"--dmax must be at least n + 2 = {par.n + 2} for this system, "
+            f"got {args.dmax}"
+        )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         hd = hilbert_numerator(par, args.dmax)
@@ -237,6 +243,18 @@ def cmd_catalog(args):
     return EXIT_OK
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def check(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    check.__name__ = "int"  # argparse names the type in its messages
+    return check
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="khovsolve",
@@ -247,12 +265,12 @@ def build_parser():
 
     sp = sub.add_parser("check", help="truncated Khovanskii-basis verification")
     sp.add_argument("file", help="system JSON file, or - for stdin")
-    sp.add_argument("--dmax", type=int, default=3)
+    sp.add_argument("--dmax", type=_int_at_least(1), default=3)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("basis", help="graded basis of one degree")
     sp.add_argument("file")
-    sp.add_argument("-d", "--degree", type=int, required=True)
+    sp.add_argument("-d", "--degree", type=_int_at_least(0), required=True)
     sp.set_defaults(fn=cmd_basis)
 
     sp = sub.add_parser("hilbert", help="Hilbert function, numerator, regularity")
@@ -262,7 +280,7 @@ def build_parser():
 
     sp = sub.add_parser("km", help="Khovanskii-Macaulay matrix")
     sp.add_argument("file")
-    sp.add_argument("-d", "--degree", type=int, required=True)
+    sp.add_argument("-d", "--degree", type=_int_at_least(0), required=True)
     sp.add_argument("--reduce", action="store_true")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=cmd_km)
@@ -305,8 +323,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:
+        # argparse exits 0 after --help, and 2 after printing a usage error
+        return EXIT_OK if not err.code else EXIT_INPUT
     try:
         return args.fn(args)
     except (SystemFileError, cat.InputError, FileNotFoundError, KeyError) as err:

@@ -21,8 +21,8 @@ Every expansion in the graded basis, on every field, is one run of the
 sparse batched subduction kernel `_kernels.modp_subduct_batch`, a
 level-scheduled triangular solve on COO rows: int64 residues over a prime
 below 2**31 and object arrays of field elements otherwise. `expand` takes
-many polynomials at a time and returns a `linalg.Sparse`, and `subduct`
-is its one-row case.
+many polynomials at a time and returns a `linalg.Sparse` in integer form
+(`linalg.integer_form`), and `subduct` is its one-row case.
 
 The multiplication maps X_j^(d), which send b_{d,gamma} to the expansion
 of b_{d,gamma} * phi_j in degree d+1, are formed as key sums and expanded
@@ -492,7 +492,7 @@ def _subduct_coo(basis, rows, cols, vals, ncols, field):
     return ck // nb, ck % nb, cv, rk // ncols, rk % ncols, rv
 
 
-def _expansion(basis, nrows, crow, celem, cvals, rrow):
+def _expansion(basis, nrows, crow, celem, cvals, rrow, field):
     """(C, outside): the coefficients as a `linalg.Sparse` in support
     positions, and the rows with a remainder, which keep no entries."""
     outside = _unique(rrow)[0]
@@ -502,7 +502,8 @@ def _expansion(basis, nrows, crow, celem, cvals, rrow):
     nb = len(basis.positions)
     crow, ccol, cvals = crow[keep], basis.positions[celem[keep]], cvals[keep]
     order = np.argsort(crow * nb + ccol, kind="stable")
-    return linalg.Sparse((nrows, nb), crow[order], ccol[order], cvals[order]), outside
+    vals, den = linalg.integer_form(cvals[order], field)
+    return linalg.Sparse((nrows, nb), crow[order], ccol[order], vals, den), outside
 
 
 def _poly_rows(basis, polys, field):
@@ -555,16 +556,16 @@ def expand(par: Parameterization, polys, d: int):
     Returns (C, outside): C is a `linalg.Sparse` with one row per
     polynomial of the iterable `polys` and one column per point of d.A in
     support order, and `outside` lists the rows with a nonzero remainder,
-    which hold no entries. The values of C are an int64 array over a prime
-    below 2**31 and an object array otherwise, Fractions over QQ and Python
-    ints over a larger prime. All polynomials run through one call of the
-    sparse batched kernel `_kernels.modp_subduct_batch`.
+    which hold no entries. Its values are in integer form
+    (`linalg.integer_form`), over QQ numerators over C.den. All
+    polynomials run through one call of the sparse batched kernel
+    `_kernels.modp_subduct_batch`.
     """
     polys = list(polys)
     basis = _batch_basis(par, d)
     rows, cols, vals, ncols, _ = _poly_rows(basis, polys, par.field)
     crow, elem, cv, rrow, _, _ = _subduct_coo(basis, rows, cols, vals, ncols, par.field)
-    C, outside = _expansion(basis, len(polys), crow, elem, cv, rrow)
+    C, outside = _expansion(basis, len(polys), crow, elem, cv, rrow, par.field)
     return C, outside.tolist()
 
 
@@ -617,7 +618,7 @@ def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
     crow, elem, cv, rrow, rcol, rv = _subduct_coo(
         basis, rows, col[at[ncols:]], vals, ncols + len(extra), par.field
     )
-    C, outside = _expansion(basis, m * H, crow, elem, cv, rrow)
+    C, outside = _expansion(basis, m * H, crow, elem, cv, rrow, par.field)
     # the remainders over the monomials they use, in the weight order;
     # rrow is sorted, so its inverse numbers the rows as `outside`
     used, rcol = _unique(rcol)
@@ -630,7 +631,8 @@ def multiplication_map(par: Parameterization, d: int) -> MultiplicationMap:
     worder = _weight_order(par, exps)
     rcol = np.argsort(worder, kind="stable")[rcol]
     order = np.argsort(rrow * len(used) + rcol, kind="stable")
-    R = linalg.Sparse((len(outside), len(used)), rrow[order], rcol[order], rv[order])
+    rv, rden = linalg.integer_form(rv[order], par.field)
+    R = linalg.Sparse((len(outside), len(used)), rrow[order], rcol[order], rv, rden)
     X = MultiplicationMap(
         d, C, tuple(outside.tolist()), R, tuple(map(tuple, exps[worder].tolist()))
     )

@@ -161,9 +161,9 @@ class StructuredSystem:
                 form = None
             elif form is None:
                 row = slice(starts[k], starts[k + 1])
+                vals = linalg.field_values(C.vals[row], C.den, par.field)
                 terms = sorted(
-                    zip(C.cols[row].tolist(), C.vals[row].tolist()),
-                    key=lambda t: key(points[t[0]][1:]),
+                    zip(C.cols[row].tolist(), vals), key=lambda t: key(points[t[0]][1:])
                 )
                 form = {witness_monomial(par, d, points[c]): v for c, v in terms}
             self._forms[i] = form
@@ -290,12 +290,11 @@ def _map_combination(sys, d, blocks, dkm):
                 cols.append(j * H + np.arange(H))
                 vals.extend([c] * H)
             else:
-                R = linalg.sparse_from_dense(
-                    _map_rows(sys, d - 1, [(i, g, e - 1)], dkm), par.field
-                )
-                rows.append(first + R.rows)
-                cols.append(j * H + R.cols)
-                vals.extend(R.vals)
+                A, den = _map_rows(sys, d - 1, [(i, g, e - 1)], dkm)
+                r, c = np.nonzero(A)
+                rows.append(first + r)
+                cols.append(j * H + c)
+                vals.extend(linalg.field_values(A[r, c], den, par.field))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     if X.outside:
         used = rows[np.isin(cols, X.outside)]
@@ -307,7 +306,8 @@ def _map_combination(sys, d, blocks, dkm):
 
 
 def _map_rows(sys, d, blocks, dkm):
-    """The stacked matrices R(f, d) of the blocks (`_map_combination`)."""
+    """The stacked matrices R(f, d) of the blocks (`_map_combination`), as
+    (integer array, denominator) from `linalg.combine_rows`."""
     return linalg.combine_rows(*_map_combination(sys, d, blocks, dkm), sys.par.field)
 
 
@@ -343,7 +343,7 @@ def _f5_rows(sys, d, blocks):
         if not prefix:
             continue
         pivots = linalg.prefix_pivots(
-            _map_rows(sys, e, [blocks[k] for k in prefix], e),
+            _map_rows(sys, e, [blocks[k] for k in prefix], e)[0],
             [len(graded_support(par, e - blocks[k][2])) for k in prefix],
             par.field,
         )
@@ -372,21 +372,21 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     labels = _row_labels(sys, d)
-    rows, formed, keep, ech = [], range(len(labels)), range(len(labels)), None
+    rows, den, formed, keep, ech = [], 1, range(len(labels)), range(len(labels)), None
     if labels:
         blocks = _km_blocks(sys, d)
         S, X = _map_combination(sys, d, blocks, d)
         if reduce:
             formed = _f5_rows(sys, d, blocks)
             S = linalg.sparse_rows(S, formed)
-        rows = linalg.combine_rows(S, X, par.field)
+        rows, den = linalg.combine_rows(S, X, par.field)
         if reduce:
             keep, ech = linalg.independent_rows(rows, par.field, return_echelon=True)
     return KMMatrix(
         degree=d,
         row_labels=tuple(labels[formed[k]] for k in keep),
         col_labels=graded_support(par, d).points,
-        entries=linalg.take_rows(rows, keep),
+        entries=linalg.take_rows(rows, keep, par.field, den),
         reduced=bool(reduce),
         field=par.field,
         echelon=ech,

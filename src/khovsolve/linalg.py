@@ -12,31 +12,30 @@ runs mod word-size primes for the pivots and the pivot rows; Dixon's
 p-adic lifting and rational reconstruction then give the exact RREF,
 which is accepted only with an exact certificate that the kernel
 annihilates every input row. `commuting_check` runs the exact checks of
-multiplication matrices on integer matrices through one stacked product.
+multiplication matrices through one stacked product.
 
-Matrices are lists of rows of field elements or arrays of the field's
-dtype (`array_dtype`): int64 with entries in [0, p) over a prime below
-2**31, object arrays of Fractions or Python ints otherwise. This is the
-only module that tells the forms apart: products, linear combinations
-and eliminations over a small prime run through `_kernels`, and results
-come back as lists. Sparse matrices (`Sparse`, a COO triple whose values
-are an array of the field's dtype) have two products, numpy scatters on
-every field: the dense combination of their rows S @ X, an array, and the
-product A @ X^T with a dense A. They can be made dense and have rows
-selected. `prefix_pivots` gives the pivot columns of every leading run of
-row blocks from one incremental elimination.
+Matrices are integer arrays: int64 over a prime below 2**31 (entries in
+[0, p)) and over QQ while entries stay below 2**62, Python ints
+otherwise. Over QQ an array holds the numerators over one denominator,
+which changes no pivot, source row or RREF. `integer_form` makes this
+form from field elements, for the subduction's output and for lists from
+callers, and `field_values` turns it back for the results. Sparse
+matrices (`Sparse`, a COO triple over a denominator) have two numpy
+scatter products: S @ X and A @ X^T with a dense A. `prefix_pivots`
+gives the pivot columns of every leading run of row blocks from one
+incremental elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, log2
+from math import isqrt, lcm, log2
 
 import numpy as np
 
 from . import _kernels
-from .fields import QQ, PrimeField, is_prime
+from .fields import NUMPY_MODULUS_LIMIT, QQ, PrimeField, is_prime
 
 __all__ = [
     "SingularMatrixError",
@@ -54,7 +53,6 @@ __all__ = [
     "Sparse",
     "sparse",
     "dense",
-    "sparse_from_dense",
     "sparse_rows",
     "combine_rows",
     "matmul_transposed",
@@ -63,6 +61,8 @@ __all__ = [
     "is_small_prime",
     "array_dtype",
     "first_independent_columns",
+    "integer_form",
+    "field_values",
 ]
 
 
@@ -81,6 +81,49 @@ def array_dtype(field):
 
 
 # ---------------------------------------------------------------------------
+# integer form: field elements in, field elements out
+# ---------------------------------------------------------------------------
+
+_INT64_LIMIT = 1 << 62
+
+
+def integer_form(values, field):
+    """(A, den): an array-like of field elements as integers over one denominator.
+
+    Over QQ, A holds the numerators over den, the least common denominator
+    of the entries: int64 when every one is below 2**62 in absolute value,
+    Python ints otherwise. Over F_p, A is the array of the field's dtype
+    and den is 1.
+    """
+    if field != QQ:
+        return np.asarray(values, dtype=array_dtype(field)), 1
+    V = np.asarray(values, dtype=object)
+    flat = V.ravel().tolist()
+    den = lcm(*(x.denominator for x in flat))
+    nums = ([x.numerator for x in flat] if den == 1
+            else [x.numerator * (den // x.denominator) for x in flat])
+    big = max(max(nums, default=0), -min(nums, default=0))
+    A = np.array(nums, dtype=np.int64 if big < _INT64_LIMIT else object)
+    return A.reshape(V.shape), den
+
+
+def field_values(A, den, field):
+    """The entries of the 1-D integer array A over den as field elements:
+    Fractions over QQ (each zero the shared QQ.zero), ints over F_p."""
+    if field != QQ:
+        return A.tolist()
+    return [Fraction(x, den) if x else QQ.zero for x in A.tolist()]
+
+
+def _integers(rows, field):
+    """`integer_form(rows, field)` without den; an int64 array is taken as
+    it is (over QQ as numerators over a common denominator)."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        return rows
+    return integer_form(rows, field)[0]
+
+
+# ---------------------------------------------------------------------------
 # rationals: mod-p echelon, p-adic lifting, exact certificate
 # ---------------------------------------------------------------------------
 
@@ -89,23 +132,8 @@ def array_dtype(field):
 LIFT_PRIME = 11863279
 
 _FLOAT_EXACT = 1 << 53
-_INT64_LIMIT = 1 << 62
 # about where the two mod-p eliminations take the same time (20 x 20)
 _SMALL_RREF = 400
-
-
-def _integer_rows(rows):
-    """Each row scaled to a primitive integer row: the same row space."""
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        if den == 1:
-            ints = [x.numerator for x in row]
-        else:
-            ints = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*ints)
-        out.append([x // g for x in ints] if g > 1 else ints)
-    return out
 
 
 def _prime_below(p):
@@ -211,13 +239,14 @@ def _lift(A, p, piv, sources):
     and free columns) is a kernel vector of A, one per free column, with
     no entry right of its free column but that column. S is invertible mod
     p, hence over QQ. So the rank over QQ is the rank mod p, the pivot
-    columns are the same, and [I | T / D] is the RREF of A. None means
-    that p is unlucky: its rank profile is not the one over QQ.
+    columns are the same, and [I | T / D] is the RREF of A, kept as the
+    numerators [D I | T] over D. None means that p is unlucky: its rank
+    profile is not the one over QQ.
     """
     m, n = A.shape
     r = len(piv)
     if r == 0:
-        return None if A.any() else Echelon([], (), ())
+        return None if A.any() else Echelon(np.zeros((0, n), np.int64), (), ())
     pivset = set(piv)
     free = [c for c in range(n) if c not in pivset]
     chosen = set(sources)
@@ -229,11 +258,8 @@ def _lift(A, p, piv, sources):
     if wpiv != list(range(r)):
         return None
     C = W[:, r:]  # S^-1 mod p
-    rows = [[QQ.zero] * n for _ in range(r)]
-    for i, pc in enumerate(piv):
-        rows[i][pc] = QQ.one
     if not free:  # rank n, as S is invertible: the RREF is the identity
-        return Echelon(rows, tuple(piv), tuple(sources))
+        return Echelon(np.eye(n, dtype=np.int64), tuple(piv), tuple(sources))
 
     b = A[:, free]
     l1 = max(sum(map(abs, row)) for row in AP.tolist())
@@ -282,18 +308,10 @@ def _lift(A, p, piv, sources):
     else:
         return None
 
-    nf = len(free)
-    for k, t in zip(kin.tolist(), T.tolist()):
-        if t:
-            rows[k // nf][free[k % nf]] = Fraction(t, den)
-    return Echelon(rows, tuple(piv), tuple(sources))
-
-
-def _integer_matrix(rows):
-    """The primitive integer rows of a QQ matrix, int64 when they fit."""
-    ints = _integer_rows(rows)
-    big = max((max(max(r), -min(r)) for r in ints if r), default=0)
-    return np.array(ints, dtype=np.int64 if big < _INT64_LIMIT else object)
+    R = np.zeros((r, n), dtype=np.int64 if max(tmax, den) < _INT64_LIMIT else object)
+    R[np.arange(r), piv] = den
+    R[kin // len(free), np.asarray(free)[kin % len(free)]] = T
+    return Echelon(R, tuple(piv), tuple(sources), den)
 
 
 def _passed_over_zeros(A, piv, sources):
@@ -318,8 +336,9 @@ def _passed_over_zeros(A, piv, sources):
     return True
 
 
-def _echelon_qq(rows):
-    """The RREF over QQ, lifted from a prime whose rank profile is the one over QQ.
+def _echelon_qq(A):
+    """The RREF over QQ of the integer array A, lifted from a prime whose
+    rank profile is the one over QQ.
 
     `_lift` certifies the pivots, the rank and the RREF exactly. The
     source rows it returns are independent over QQ whatever the prime, and
@@ -332,7 +351,6 @@ def _echelon_qq(rows):
     (LIFT_PRIME, then the primes below it) is lifted only when the next
     prime below gives the same pivots and sources.
     """
-    A = _integer_matrix(rows)
     p = LIFT_PRIME
     profile = _rank_profile(A, p)
     if _passed_over_zeros(A, *profile):
@@ -400,59 +418,49 @@ def _rref_modp_python(rows, p):
 class Echelon:
     """Reduced row echelon form (RREF) of a matrix, on every field.
 
-    `rows` are the nonzero rows of the RREF: Fraction rows over QQ, an
-    int64 array over a prime below 2**31, lists of ints otherwise.
-    `pivots` are the pivot columns and `sources` the input rows that carry
-    them, in order.
+    `rows`, an integer array, holds the nonzero rows of the RREF as
+    numerators over `den` (1 over F_p). `pivots` are the pivot columns and
+    `sources` the input rows that carry them, in order.
     """
 
-    rows: object
+    rows: np.ndarray
     pivots: tuple
     sources: tuple
+    den: int = 1
 
 
 def echelon(rows, field) -> Echelon:
     """The RREF by one forward elimination with first-nonzero pivoting.
 
-    `rows` is a list of rows or, over a prime field below 2**31, an int64
-    array with entries in [0, p); it is not modified. Over QQ the
-    elimination runs mod LIFT_PRIME and the RREF is lifted p-adically and
-    certified exactly (`_lift`).
+    `rows` is a list of rows of field elements or an integer array (over
+    QQ numerators over any common denominator, below 2**31 int64 in
+    [0, p)); it is not modified. Over QQ the elimination runs mod
+    LIFT_PRIME and the RREF is lifted p-adically and certified (`_lift`).
     """
     if len(rows) == 0:
-        return Echelon([], (), ())
+        return Echelon(np.zeros((0, 0), np.int64), (), ())
     if field == QQ:
-        return _echelon_qq(rows)
-    if is_small_prime(field):
-        R, piv, src = _rref_mod(np.array(rows, dtype=np.int64), field.modulus)
-        return Echelon(R, tuple(piv), tuple(src))
-    R, piv_cols, piv_src = _rref_modp_python(rows, field.modulus)
-    return Echelon(R, tuple(piv_cols), tuple(piv_src))
+        return _echelon_qq(_integers(rows, QQ))
+    R, piv, src = _rref_mod(np.array(rows, dtype=array_dtype(field)), field.modulus)
+    return Echelon(R, tuple(piv), tuple(src))
 
 
 def kernel_from_echelon(E: Echelon, field, ncols):
     """Basis of the right nullspace of the matrix E came from.
 
     One vector per free column f in order: x_f = 1, x_pc = -R[i][f] at
-    the pivot column pc of row i of the RREF R, and 0 elsewhere.
+    the pivot column pc of row i of the RREF R, and 0 elsewhere, formed
+    as integers over E.den.
     """
     pivset = set(E.pivots)
     free = [f for f in range(ncols) if f not in pivset]
-    if isinstance(E.rows, np.ndarray):
-        p = field.modulus
-        K = np.zeros((len(free), ncols), dtype=np.int64)
-        K[np.arange(len(free)), free] = 1
-        K[:, list(E.pivots)] = (-E.rows[:, free]).T % p
-        return K.tolist()
-    basis = []
-    for f in free:
-        x = [field.zero] * ncols
-        x[f] = field.one
-        for row, pc in zip(E.rows, E.pivots):
-            if row[f]:
-                x[pc] = field.neg(row[f])
-        basis.append(x)
-    return basis
+    K = np.zeros((len(free), ncols), dtype=E.rows.dtype)
+    K[np.arange(len(free)), free] = E.den
+    if E.pivots:
+        K[:, list(E.pivots)] = -E.rows[:, free].T
+        if field.modulus is not None:
+            K %= field.modulus
+    return [list(v) for v in take_rows(K, range(len(K)), field, E.den)]
 
 
 def kernel(rows, field, ncols):
@@ -479,9 +487,12 @@ def independent_rows(rows, field, return_echelon=False):
 
 
 def _matmul_mod(A, B, p):
-    if A.dtype == object:
-        return A @ B % p
-    return _kernels.modp_matmul(A, B, p)
+    """A @ B, mod p unless p is None: int64 operands mod a prime below
+    2**31 by `_kernels.modp_matmul`, all else as one object-array product."""
+    if p is not None and p < NUMPY_MODULUS_LIMIT and A.dtype == B.dtype == np.int64:
+        return _kernels.modp_matmul(A, B, p)
+    P = A.astype(object) @ B.astype(object)
+    return P if p is None else P % p
 
 
 def prefix_pivots(rows, sizes, field):
@@ -497,18 +508,14 @@ def prefix_pivots(rows, sizes, field):
     which misses the old pivots, so the union is the pivot set of the
     echelon of the whole prefix.
 
-    Over QQ this is the rank profile mod LIFT_PRIME of the primitive
-    integer rows, with no second prime and no lift. Columns independent mod
-    p carry a minor that is nonzero mod p, hence over QQ, so each set holds
-    columns independent on the prefix's row space over QQ; an unlucky prime
-    only makes it smaller than the pivot set over QQ.
+    Over QQ this is the rank profile mod LIFT_PRIME of the integer rows,
+    with no second prime and no lift. Columns independent mod p carry a
+    minor that is nonzero mod p, hence over QQ, so each set holds columns
+    independent on the prefix's row space over QQ; an unlucky prime only
+    makes it smaller than the pivot set over QQ.
     """
-    if field == QQ:
-        p = LIFT_PRIME
-        A = (_integer_matrix(rows) % p).astype(np.int64)
-    else:
-        p = field.modulus
-        A = np.array(rows, dtype=np.int64 if is_small_prime(field) else object) % p
+    p = LIFT_PRIME if field == QQ else field.modulus
+    A = _integers(rows, field) % p
     free = np.arange(A.shape[1])
     R, piv, out, first = A[:0], [], [], 0
     for size in sizes:
@@ -536,59 +543,37 @@ def identity(n, field):
 
 
 def matmul(A, B, field):
-    """A @ B as a list of rows; A and B are lists of rows or int64 arrays."""
+    """A @ B as a list of rows; A and B are lists of rows or arrays."""
     if len(A) == 0 or len(B) == 0:
         return []
-    if is_small_prime(field):
-        return _kernels.modp_matmul(
-            np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64),
-            field.modulus,
-        ).tolist()
-    n = len(B[0])
-    out = []
-    for rowa in A:
-        row = [field.zero] * n
-        for a, rowb in zip(rowa, B):
-            # truthiness: far cheaper than == zero on a Fraction
-            if not a:
-                continue
-            for j, b in enumerate(rowb):
-                if b:
-                    row[j] = field.add(row[j], field.mul(a, b))
-        out.append(row)
-    return out
+    dtype = array_dtype(field)
+    A, B = np.asarray(A, dtype=dtype), np.asarray(B, dtype=dtype)
+    return _matmul_mod(A, B, field.modulus).tolist()
 
 
 def combine(coeffs, mats, field):
     """sum_j coeffs[j] * mats[j] for equal-shaped matrices, as a list of rows."""
-    if is_small_prime(field):
-        stack = np.asarray(mats, dtype=np.int64)
-        flat = _kernels.modp_matmul(
-            np.asarray([coeffs], dtype=np.int64),
-            stack.reshape(len(mats), -1), field.modulus,
-        )
-        return flat.reshape(stack.shape[1:]).tolist()
-    out = [[field.zero] * len(mats[0][0]) for _ in mats[0]]
-    for c, M in zip(coeffs, mats):
-        for acc, row in zip(out, M):
-            for j, x in enumerate(row):
-                if x:
-                    acc[j] = field.add(acc[j], field.mul(c, x))
-    return out
+    dtype = array_dtype(field)
+    stack = np.asarray(mats, dtype=dtype)
+    flat = _matmul_mod(
+        np.asarray([coeffs], dtype=dtype), stack.reshape(len(stack), -1), field.modulus
+    )
+    return flat.reshape(stack.shape[1:]).tolist()
 
 
 @dataclass(frozen=True)
 class Sparse:
-    """A sparse matrix as a COO triple, entries in row order.
+    """A sparse matrix as a COO triple over a denominator, entries in row order.
 
-    `rows` and `cols` are int64 arrays; `vals` holds the nonzero field
-    elements as an array of the field's dtype (`array_dtype`).
+    `rows` and `cols` are int64 arrays; `vals` holds the nonzero entries
+    in integer form (`integer_form`), over QQ the numerators over `den`.
     """
 
     shape: tuple
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    den: int = 1
 
     def row_starts(self):
         """The CSR row pointer: row r holds entries row_starts[r]:row_starts[r+1]."""
@@ -597,26 +582,19 @@ class Sparse:
 
 
 def sparse(shape, rows, cols, vals, field) -> Sparse:
-    """The `Sparse` matrix with entries vals[k] at (rows[k], cols[k])."""
+    """The `Sparse` matrix with the field elements vals[k] at (rows[k], cols[k])."""
     rows = np.asarray(rows, dtype=np.int64)
     order = np.argsort(rows, kind="stable")
     cols = np.asarray(cols, dtype=np.int64)[order]
-    vals = np.asarray(vals, dtype=array_dtype(field))[order]
-    return Sparse(tuple(shape), rows[order], cols, vals)
+    vals, den = integer_form(vals, field)
+    return Sparse(tuple(shape), rows[order], cols, vals[order], den)
 
 
 def dense(S: Sparse, field):
-    """S as an array of the field's dtype, with the field's zero off its entries."""
+    """S as an array of field elements, with the field's zero off its entries."""
     out = np.full(S.shape, field.zero, dtype=array_dtype(field))
-    out[S.rows, S.cols] = S.vals
+    out[S.rows, S.cols] = field_values(S.vals, S.den, field)
     return out
-
-
-def sparse_from_dense(C, field) -> Sparse:
-    """The nonzero entries of the matrix C."""
-    C = np.asarray(C, dtype=array_dtype(field))
-    rows, cols = np.nonzero(C != 0)
-    return Sparse(C.shape, rows, cols, C[rows, cols])
 
 
 def sparse_rows(S: Sparse, keep) -> Sparse:
@@ -626,14 +604,27 @@ def sparse_rows(S: Sparse, keep) -> Sparse:
     new[keep] = np.arange(len(keep))
     mask = new[S.rows] >= 0
     rows = new[S.rows[mask]]
-    return Sparse((len(keep), S.shape[1]), rows, S.cols[mask], S.vals[mask])
+    return Sparse((len(keep), S.shape[1]), rows, S.cols[mask], S.vals[mask], S.den)
+
+
+def _exact(a, b, S: Sparse):
+    """Integer arrays a, b as they are when sums of as many products of
+    their entries as a row of S has entries stay in int64 (below 2**62),
+    as object arrays otherwise."""
+    if a.dtype == b.dtype == np.int64:
+        terms = np.bincount(S.rows, minlength=1).max()
+        amax, bmax = (int(np.abs(x).max(initial=0)) for x in (a, b))
+        if int(terms) * amax * bmax < _INT64_LIMIT:
+            return a, b
+    return a.astype(object), b.astype(object)
 
 
 def combine_rows(S: Sparse, X: Sparse, field):
-    """The dense product S @ X, an array of the field's dtype.
+    """(A, den): the dense product S @ X is the integer array A over den.
 
     Row i is sum_r S[i, r] * X[r]: every product of a coefficient and an
-    entry is scattered into place by one `np.add.at`.
+    entry is scattered into place by one `np.add.at`. Over QQ it runs on
+    the numerators, and den is S.den * X.den.
     """
     m, n = S.shape[0], X.shape[1]
     p = field.modulus
@@ -642,36 +633,40 @@ def combine_rows(S: Sparse, X: Sparse, field):
     k = np.repeat(np.arange(len(S.cols)), count)
     # position in X of each term: its row's first entry plus its rank
     pos = np.arange(len(k)) + np.repeat(first - (np.cumsum(count) - count), count)
-    terms = S.vals[k] * X.vals[pos]
-    out = np.full(m * n, field.zero, dtype=array_dtype(field))
+    a, b = S.vals, X.vals
+    if p is None:
+        a, b = _exact(a, b, S)
+    terms = a[k] * b[pos]
+    out = np.zeros(m * n, dtype=terms.dtype)
     np.add.at(out, S.rows[k] * n + X.cols[pos], terms if p is None else terms % p)
     if p is not None:
         out %= p
-    return out.reshape(m, n)
+    return out.reshape(m, n), S.den * X.den
 
 
 def matmul_transposed(A, X: Sparse, field):
-    """A @ X^T as a list of rows, for a dense A with X.shape[1] columns."""
-    if len(A) == 0:
-        return []
+    """A @ V^T for an integer array A with X.shape[1] columns and X = V / X.den:
+    over QQ the numerators of A @ X^T over X.den."""
     p = field.modulus
-    dtype = array_dtype(field)
-    W = np.asarray(A, dtype=dtype)[:, X.cols] * X.vals
-    out = np.full((W.shape[0], X.shape[0]), field.zero, dtype=dtype)
+    A = np.asarray(A, dtype=None if p is None else array_dtype(field))
+    b = X.vals
+    if p is None:
+        A, b = _exact(A, b, X)
+    W = A[:, X.cols] * b
+    out = np.zeros((A.shape[0], X.shape[0]), dtype=W.dtype)
     starts = X.row_starts()
     filled = np.flatnonzero(np.diff(starts))
     if filled.size:
         # X's entries are in row order: one segment sum per nonempty row
         T = np.add.reduceat(W if p is None else W % p, starts[filled], axis=1)
         out[:, filled] = T if p is None else T % p
-    return out.tolist()
+    return out
 
 
-def take_rows(rows, keep):
-    """Rows `keep` of a matrix, as tuples of Python field elements."""
-    if isinstance(rows, np.ndarray):
-        return tuple(tuple(rows[k].tolist()) for k in keep)
-    return tuple(tuple(rows[k]) for k in keep)
+def take_rows(A, keep, field, den=1):
+    """Rows `keep` of the integer array A over den, as tuples of field
+    elements, converted one row at a time."""
+    return tuple(tuple(field_values(A[k], den, field)) for k in keep)
 
 
 def invert(rows, field):
@@ -683,51 +678,32 @@ def invert(rows, field):
     if E.pivots != tuple(range(n)):
         rk = sum(pc < n for pc in E.pivots)
         raise SingularMatrixError(f"singular matrix: rank {rk} < {n}")
-    return [list(row[n:]) for row in take_rows(E.rows, range(n))]
+    return [list(row[n:]) for row in take_rows(E.rows, range(n), field, E.den)]
 
 
-def commuting_check(coeffs, mats, field):
-    """Exact checks of matrices M_j that should commute and sum to I.
+def commuting_check(coeffs, mats, den, field):
+    """Exact checks of matrices M_j = T_j / den that should commute and sum to I.
 
-    Returns (identity, pair): whether sum_j coeffs[j] * mats[j] is the
-    identity, and the first (j, k), j < k, with M_j M_k != M_k M_j, or None
-    when all commute. Both checks run on integer matrices T_j = D M_j, with
-    D the common denominator over QQ and D = 1 over F_p. Every T_j T_k
-    comes from one product vstack(T) @ hstack(T), whose block (j, k) is
-    compared with block (k, j): float64 or int64 while the entries allow
-    it, object ints otherwise, and `_kernels.modp_matmul` below 2**31.
+    `mats` is the L x n x n integer array of the T_j, `coeffs` are
+    integers, and den is 1 over F_p. Returns (identity, pair): whether
+    sum_j coeffs[j] * M_j is the identity, and the first (j, k), j < k,
+    with M_j M_k != M_k M_j, or None when all commute. Every T_j T_k comes
+    from one product vstack(T) @ hstack(T), whose block (j, k) is compared
+    with block (k, j): float64 or int64 while the entries allow it, object
+    ints otherwise, and `_kernels.modp_matmul` below 2**31.
     """
-    L, n = len(mats), len(mats[0])
-    p = None if field == QQ else field.modulus
-    if p is None:
-        cden = lcm(*(c.denominator for c in coeffs))
-        cs = [c.numerator * (cden // c.denominator) for c in coeffs]
-        D = lcm(*(x.denominator for M in mats for row in M for x in row))
-        flat = [
-            [x.numerator * (D // x.denominator) for row in M for x in row]
-            for M in mats
-        ]
-        diag = D * cden
-    else:
-        cs, flat, diag = list(coeffs), [[x for row in M for x in row] for M in mats], 1
-    total = (np.array(cs, dtype=object) @ np.array(flat, dtype=object)).reshape(n, n)
-    if p is not None:
-        total %= p
-    target = np.zeros((n, n), dtype=object)
-    np.fill_diagonal(target, diag)
-    is_identity = np.array_equal(total, target)
+    T = np.asarray(mats)
+    L, n = T.shape[:2]
+    p = field.modulus
+    total = _matmul_mod(np.asarray([coeffs], dtype=T.dtype), T.reshape(L, -1), p)
+    is_identity = np.array_equal(total.reshape(n, n), np.eye(n, dtype=object) * den)
 
-    tmax = max(abs(x) for row in flat for x in row)
+    tmax = int(np.abs(T).max())
     bound = n * tmax * tmax
     small = is_small_prime(field) or (p is None and bound < _INT64_LIMIT)
-    T = np.array(flat, dtype=np.int64 if small else object).reshape(L, n, n)
+    T = T.astype(np.int64 if small else object)
     V, H = T.reshape(L * n, n), T.transpose(1, 0, 2).reshape(n, L * n)
-    if is_small_prime(field):
-        P = _kernels.modp_matmul(V, H, p)
-    elif small:
-        P = _matmul_exact(V, H, bound)
-    else:
-        P = V @ H if p is None else V @ H % p
+    P = _matmul_exact(V, H, bound) if small and p is None else _matmul_mod(V, H, p)
     P = P.reshape(L, n, L, n)
     differ = (P != P.transpose(2, 1, 0, 3)).any(axis=(1, 3))
     pairs = np.argwhere(np.triu(differ, 1))
@@ -738,17 +714,17 @@ def first_independent_columns(rows, field, count=None):
     """The leftmost `count` (default all) independent column indices.
 
     The pivot columns of any echelon form are exactly these. Over QQ they
-    are read off the rank profile mod p of the primitive integer rows, with
-    no lifting: columns independent mod p are independent over QQ, and
-    they are the leftmost ones unless p divides one of the pivot values
-    met over QQ. So, as in `_echelon_qq`, the profiles of LIFT_PRIME and
-    the primes below it are taken until two consecutive primes agree.
+    are read off the rank profile mod p of the integer rows, with no
+    lifting: columns independent mod p are independent over QQ, and they
+    are the leftmost ones unless p divides one of the pivot values met
+    over QQ. So, as in `_echelon_qq`, the profiles of LIFT_PRIME and the
+    primes below it are taken until two consecutive primes agree.
     """
     if field != QQ:
         return list(echelon(rows, field).pivots[:count])
     if len(rows) == 0:
         return []
-    A = _integer_matrix(rows)
+    A = _integers(rows, QQ)
     p = LIFT_PRIME
     piv = _rank_profile(A, p)[0]
     while True:

@@ -69,12 +69,11 @@ def kernel_basis(M: KMMatrix, field=None) -> KernelBasis:
         field = M.field
     if field is None:
         raise ValueError("KM matrix carries no field; pass one explicitly")
-    ncols = len(M.col_labels)
-    if M.echelon is not None and field == M.field:
-        vecs = linalg.kernel_from_echelon(M.echelon, field, ncols)
-    else:
-        vecs = linalg.kernel([list(r) for r in M.entries], field, ncols)
-    return KernelBasis(M.degree, tuple(tuple(v) for v in vecs), M.col_labels)
+    E = M.echelon
+    if E is None or field != M.field:
+        E = linalg.echelon(M.entries, field)
+    vecs = linalg.kernel_from_echelon(E, field, len(M.col_labels))
+    return KernelBasis(M.degree, tuple(map(tuple, vecs)), M.col_labels)
 
 
 @dataclass(frozen=True)
@@ -96,19 +95,22 @@ _LEFT_ALGEBRA = (
 
 
 def _multiplied_kernels(sys: StructuredSystem, N: KernelBasis, d: int):
-    """N_{x_j} for each generator j, as delta x HF(d) rows.
+    """N_{x_j} for each generator j, an (ell+1) x delta x HF(d) integer array.
 
     Column gamma of N_{x_j} is N applied to the degree-(d+1) expansion of
     b_{d,gamma} * phi_j, which is row (j, gamma) of the cached sparse map
-    X^(d): all blocks come from one product N X^T.
+    X^(d): all blocks come from one product N X^T. Over QQ the blocks are
+    its numerators over one common denominator, which is dropped: it
+    scales every N_{x_j} alike and changes no M_j.
     """
     par = sys.par
     X = multiplication_map(par, d)
     if X.outside:
         raise SolverError(_LEFT_ALGEBRA.format(d + 1))
     nd = len(graded_support(par, d))
-    Nx = linalg.matmul_transposed(N.N, X.matrix, par.field)
-    return [[row[j * nd : (j + 1) * nd] for row in Nx] for j in range(par.ell + 1)]
+    A = linalg.integer_form(N.N, par.field)[0]
+    Nx = linalg.matmul_transposed(A, X.matrix, par.field)
+    return Nx.reshape(len(A), par.ell + 1, nd).transpose(1, 0, 2)
 
 
 def multiplication_matrices(
@@ -119,8 +121,11 @@ def multiplication_matrices(
     N_{x_j}[:, gamma] applies N to the expansion of b_{d,gamma} * phi_j,
     h is a random linear form in the generators, B is the leftmost set of
     delta independent columns of N_h, and M_j = (N_h)|B^-1 (N_{x_j})|B,
-    all read off one echelon. sum c_j M_j = I and the pairwise commutation
-    are checked exactly (`linalg.commuting_check`).
+    all read off one echelon. Over QQ every matrix from N_{x_j} to the
+    RREF is an integer array (the numerators over a common denominator,
+    which changes no M_j); the M_j become Fractions only at the end.
+    sum c_j M_j = I and the pairwise commutation are checked exactly on
+    the integer blocks (`linalg.commuting_check`).
     """
     par = sys.par
     field = par.field
@@ -136,8 +141,7 @@ def multiplication_matrices(
     last_err = None
     for _ in range(retries):
         if field == QQ:
-            c = [field.from_int(rng.randint(1, 2 * delta * delta + 1))
-                 for _ in range(par.ell + 1)]
+            c = [rng.randint(1, 2 * delta * delta + 1) for _ in range(par.ell + 1)]
         else:
             c = []
             for _ in range(par.ell + 1):
@@ -145,16 +149,13 @@ def multiplication_matrices(
                 while x == 0:
                     x = rng.randrange(field.modulus)
                 c.append(x)
-        Nh = linalg.combine(c, Nx, field)
+        Nh = np.array(linalg.combine(c, Nx, field), dtype=linalg.array_dtype(field))
         B = linalg.first_independent_columns(Nh, field, count=delta)
         rank = len(B)
         if rank == delta:
             # the RREF of [N_h|B | N_{x_0}|B | ... | N_{x_ell}|B] is
             # [I | M_0 | ... | M_ell]
-            E = linalg.echelon(
-                [[blk[r][g] for blk in (Nh, *Nx) for g in B] for r in range(delta)],
-                field,
-            )
+            E = linalg.echelon(np.hstack([Nh[:, B], *Nx[:, :, B]]), field)
             rank = sum(pc < delta for pc in E.pivots)
         if rank < delta:
             last_err = SolverError(
@@ -163,12 +164,8 @@ def multiplication_matrices(
                 f"the kernel overcounts the solutions; try a larger --dreg"
             )
             continue
-        R = linalg.take_rows(E.rows, range(delta))
-        mats = [
-            tuple(row[(j + 1) * delta : (j + 2) * delta] for row in R)
-            for j in range(par.ell + 1)
-        ]
-        is_identity, pair = linalg.commuting_check(c, mats, field)
+        T = E.rows[:, delta:].reshape(delta, par.ell + 1, delta).transpose(1, 0, 2)
+        is_identity, pair = linalg.commuting_check(c, T, E.den, field)
         if not is_identity:
             raise SolverError("internal error: sum c_j M_j is not the identity")
         if pair is not None:
@@ -179,9 +176,9 @@ def multiplication_matrices(
             )
         return MultiplicationSystem(
             delta=delta,
-            h_coeffs=tuple(c),
+            h_coeffs=tuple(map(field.from_int, c)),
             B_cols=tuple(sup_d.points[g] for g in B),
-            mats=tuple(mats),
+            mats=tuple(linalg.take_rows(Tj, range(delta), field, E.den) for Tj in T),
             seed=seed,
             degree=d,
         )

@@ -312,3 +312,30 @@ def test_schubert_over_fp_takes_the_default_dreg(tmp_path, capsys):
     assert json.loads(out.read_text()) == {"delta": 2, "dreg": 2, "field": "Fp:101"}
     assert main(args + ["--adaptive"]) == 1
     assert "adaptive search over F_p needs --dreg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["km", "{file}"],
+    ["solve", "{file}", "--dreg", "x"],
+    ["transmogrify", "{file}"],
+], ids=["missing-degree", "non-integer-dreg", "unknown-subcommand"])
+def test_usage_errors_are_input_errors(argv, duffing_file, capsys):
+    assert main([a.format(file=duffing_file) for a in argv]) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["km", "{file}", "-d", "-1"], "must be at least 0, got -1"),
+    (["basis", "{file}", "-d", "-2"], "must be at least 0, got -2"),
+    (["check", "{file}", "--dmax", "0"], "must be at least 1, got 0"),
+    (["hilbert", "{file}", "--dmax", "1"], "--dmax must be at least n + 2 = 4"),
+], ids=["km-degree", "basis-degree", "check-dmax", "hilbert-dmax"])
+def test_out_of_range_options_are_input_errors(argv, message, duffing_file, capsys):
+    assert main([a.format(file=duffing_file) for a in argv]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["solve", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out

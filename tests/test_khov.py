@@ -249,14 +249,14 @@ def _expand_cases(par, rng):
 
 def test_expand_equals_subduct():
     # one batch against one subduction per polynomial: int64 arrays for the
-    # primes below 2**31, object arrays over QQ and larger primes
+    # primes below 2**31 and for the numerators over QQ, object arrays for
+    # larger primes
     rng = random.Random(23)
     for F in (QQ, GF(9716633), GF(2**31 - 1), GF(2**61 - 1)):
         for par in (catalog.del_pezzo(field=F), catalog.pluecker_chart(2, 4, F)):
             for d, polys, n_outside in _expand_cases(par, rng):
                 C, outside = expand(par, iter(polys), d)
-                small = F.modulus in (9716633, 2**31 - 1)
-                assert C.vals.dtype == (np.int64 if small else object)
+                assert C.vals.dtype == (object if F.modulus == 2**61 - 1 else np.int64)
                 assert C.shape[0] == len(polys)
                 assert not set(C.rows.tolist()) & set(outside)
                 dense = linalg.dense(C, F)
@@ -365,17 +365,19 @@ def test_expand_and_subduct_match_the_dict_loop(field, surface, d, data):
 @pytest.mark.parametrize("field", EXPAND_FIELDS, ids=str)
 def test_expansion_entry_types(field):
     # Fractions over QQ and Python ints off the primes below 2**31, in the
-    # expansion, the subduction and the multiplication map
+    # expansion, the subduction and the multiplication map; the sparse
+    # values are integers (numerators over QQ), int64 while they fit
     par = catalog.del_pezzo(field=field)
     polys = [b * phi for _, b in graded_basis(par, 1).elements for phi in par.phi]
     C, _ = expand(par, polys, 2)
-    small = field.modulus in (9716633, 2**31 - 1)
-    assert C.vals.dtype == (np.int64 if small else object)
+    X = multiplication_map(par, 1).matrix
+    small = field.modulus != 2**61 - 1
     kind = Fraction if field == QQ else int
-    if not small:
-        assert {type(x) for x in C.vals.tolist()} == {kind}
-        assert multiplication_map(par, 1).matrix.vals.dtype == object
-        assert {type(x) for x in multiplication_map(par, 1).matrix.vals} == {kind}
+    for S in (C, X):
+        assert S.vals.dtype == (np.int64 if small else object)
+        assert {type(x) for x in linalg.field_values(S.vals, S.den, field)} == {kind}
+        if not small:
+            assert {type(x) for x in S.vals.tolist()} == {int}
     res = subduct(par, polys[-1] + parse_polynomial("t1^9", par.varnames, field), 2)
     assert res.coeffs and {type(c) for c in res.coeffs.values()} == {kind}
     assert {type(c) for c in res.remainder.terms.values()} == {kind}

@@ -69,7 +69,10 @@ def assert_matches_oracle(rows):
     E = linalg.echelon(rows, QQ)
     assert E.pivots == tuple(pivots)
     assert E.sources == tuple(sources)
-    assert E.rows == R
+    # the rows are the numerators of the RREF over E.den
+    assert E.rows.dtype in (np.int64, object)
+    rref = [list(r) for r in linalg.take_rows(E.rows, range(len(E.rows)), QQ, E.den)]
+    assert rref == R
     free = [f for f in range(ncols) if f not in pivots]
     expect = []
     for f in free:
@@ -81,7 +84,7 @@ def assert_matches_oracle(rows):
     K = linalg.kernel(rows, QQ, ncols)
     assert K == expect
     assert all(type(x) is Fraction for v in K for x in v)
-    assert all(type(x) is Fraction for row in E.rows for x in row)
+    assert all(type(x) is Fraction for row in rref for x in row)
 
 
 @given(small_matrices())
@@ -226,9 +229,10 @@ def test_sparse_products_match_loops(field):
     rng = random.Random(5)
     X = _random_sparse(rng, 9, 7, field)
     X[4] = [field.zero] * 7
-    Xs = linalg.sparse_from_dense(np.array(X, dtype=np.int64)
-                                  if linalg.is_small_prime(field) else X, field)
+    nz = [(r, c, x) for r, row in enumerate(X) for c, x in enumerate(row) if x]
+    Xs = linalg.sparse((9, 7), *zip(*reversed(nz)), field)
     assert Xs.shape == (9, 7) and (np.diff(Xs.rows) >= 0).all()
+    assert (linalg.dense(Xs, field) == np.array(X, dtype=object)).all()
     S = _random_sparse(rng, 6, 9, field, density=0.5)
     S[2] = [field.zero] * 9
     terms = [(i, r, c) for i, row in enumerate(S) for r, c in enumerate(row) if c]
@@ -237,15 +241,21 @@ def test_sparse_products_match_loops(field):
     terms += [(i, r, field.sub(c, field.one)), (i, r, field.one)]
     rng.shuffle(terms)
     rows, cols, vals = zip(*terms)
-    got = linalg.combine_rows(linalg.sparse((6, 9), rows, cols, vals, field), Xs, field)
-    got = [list(r) for r in got]
+    # the products run on integer arrays, numerators over a denominator
+    # over QQ; the field elements are their values over it
+    got, den = linalg.combine_rows(
+        linalg.sparse((6, 9), rows, cols, vals, field), Xs, field
+    )
+    assert got.dtype == (object if field == FBIG else np.int64)
+    got = [list(r) for r in linalg.take_rows(got, range(6), field, den)]
     assert got == _matmul_loops(S, X, field)
-    assert {type(x) for r in got for x in r} <= {type(field.zero), np.int64}
-    A = _random_sparse(rng, 4, 7, field, density=0.8)
-    got = linalg.matmul_transposed(A, Xs, field)
-    assert got == _matmul_loops(A, [list(c) for c in zip(*X)], field)
     assert {type(x) for r in got for x in r} == {type(field.zero)}
-    assert linalg.matmul_transposed([], Xs, field) == []
+    A = _random_sparse(rng, 4, 7, field, density=0.8)
+    A_int, aden = linalg.integer_form(A, field)
+    got = linalg.matmul_transposed(A_int, Xs, field)
+    got = [list(r) for r in linalg.take_rows(got, range(4), field, aden * Xs.den)]
+    assert got == _matmul_loops(A, [list(c) for c in zip(*X)], field)
+    assert linalg.matmul_transposed(A_int[:0], Xs, field).shape == (0, 9)
 
 
 def test_matmul_and_combine_modp_match_python():
@@ -472,7 +482,7 @@ def test_block_echelon_is_inverse_times_blocks(system):
     rows = [[x for blk in [S, *blocks] for x in blk[r]] for r in range(n)]
     E = linalg.echelon(rows, field)
     assert E.pivots == tuple(range(n))
-    R = [list(row) for row in linalg.take_rows(E.rows, range(n))]
+    R = [list(row) for row in linalg.take_rows(E.rows, range(n), field, E.den)]
     for j, blk in enumerate(blocks):
         X = [row[(j + 1) * n : (j + 2) * n] for row in R]
         assert X == linalg.matmul(inv, blk, field)
@@ -482,7 +492,7 @@ def test_block_echelon_is_inverse_times_blocks(system):
 
 
 def _commuting_family(field, n, k, rng):
-    """k matrices P diag(l_j) P^-1 and coefficients with sum c_j M_j = I."""
+    """k matrices P diag(l_j) P^-1 and integer coefficients with sum c_j M_j = I."""
     while True:
         P = [[field.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         if linalg.rank(P, field) == n:
@@ -495,21 +505,23 @@ def _commuting_family(field, n, k, rng):
         mats.append(linalg.matmul(linalg.matmul(P, diag, field), Pinv, field))
     # M_0 = I makes (1, 0, ..., 0) a valid coefficient vector
     mats[0] = linalg.identity(n, field)
-    return [field.one] + [field.zero] * (k - 1), mats
+    return [1] + [0] * (k - 1), mats
 
 
 @pytest.mark.parametrize("field", BLOCK_FIELDS, ids=str)
 def test_commuting_check(field):
+    # the checks run on integer matrices T_j = den M_j
     rng = random.Random(5)
     coeffs, mats = _commuting_family(field, 4, 4, rng)
-    assert linalg.commuting_check(coeffs, mats, field) == (True, None)
+    T, den = linalg.integer_form(mats, field)
+    assert linalg.commuting_check(coeffs, T, den, field) == (True, None)
     # a wrong coefficient breaks the identity, not the commutation
-    wrong = [field.from_int(2)] + coeffs[1:]
-    assert linalg.commuting_check(wrong, mats, field) == (False, None)
+    wrong = [2] + coeffs[1:]
+    assert linalg.commuting_check(wrong, T, den, field) == (False, None)
     # one changed entry of M_2 breaks its commutation with M_1 and M_3
-    bad = [[list(r) for r in M] for M in mats]
-    bad[2][0][1] = field.add(bad[2][0][1], field.one)
-    assert linalg.commuting_check(coeffs, bad, field) == (True, (1, 2))
+    bad = T.copy()
+    bad[2, 0, 1] = field.add(bad[2, 0, 1], den)
+    assert linalg.commuting_check(coeffs, bad, den, field) == (True, (1, 2))
 
 
 @pytest.mark.parametrize("scale, kind", [
@@ -522,14 +534,16 @@ def test_commuting_check_entry_sizes(scale, kind, monkeypatch):
     big = Fraction(scale, 3)
     scaled = [mats[0]] + [[[x * big for x in r] for r in M] for M in mats[1:]]
     calls = _spy(monkeypatch, "_matmul_exact")
-    assert linalg.commuting_check(coeffs, scaled, QQ) == (True, None)
+    T, den = linalg.integer_form(scaled, QQ)
+    assert linalg.commuting_check(coeffs, T, den, QQ) == (True, None)
     if kind == "object":
         assert not calls
     else:
         V, H, bound = calls[0]
         assert V.dtype == np.int64 and (bound <= 2**53) == (kind == "float64")
     scaled[1][2][0] += Fraction(1, 7)
-    assert linalg.commuting_check(coeffs, scaled, QQ) == (True, (1, 2))
+    T, den = linalg.integer_form(scaled, QQ)
+    assert linalg.commuting_check(coeffs, T, den, QQ) == (True, (1, 2))
 
 
 def test_small_prime_echelon_uses_python_elimination_below_400_entries(monkeypatch):

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from khovsolve import catalog, linalg, solver
@@ -316,13 +317,14 @@ def test_corrupted_multiplication_matrix_does_not_commute(field, monkeypatch):
         E = real(rows, fld)
         if len(rows[0]) != delta * (sys.par.ell + 2):
             return E
-        # add 1 to M_1[0][1] and subtract c_1 / c_2 from M_2[0][1]: sum c_j
-        # M_j is still the identity, but the matrices no longer commute
-        R = [list(r) for r in linalg.take_rows(E.rows, range(delta))]
+        # E.rows holds T_j = den M_j: add c_2 to T_1[0][1] and subtract c_1
+        # from T_2[0][1], so that sum c_j M_j is still the identity, but the
+        # matrices no longer commute
+        R = E.rows.copy()
         c = corrupt.coeffs
-        R[0][2 * delta + 1] = fld.add(R[0][2 * delta + 1], fld.one)
-        R[0][3 * delta + 1] = fld.sub(R[0][3 * delta + 1], fld.div(c[1], c[2]))
-        return linalg.Echelon(R, E.pivots, E.sources)
+        R[0, 2 * delta + 1] = fld.add(R[0, 2 * delta + 1], c[2])
+        R[0, 3 * delta + 1] = fld.sub(R[0, 3 * delta + 1], c[1])
+        return linalg.Echelon(R, E.pivots, E.sources, E.den)
 
     real_combine = linalg.combine
 
@@ -415,3 +417,103 @@ def test_product_leaving_the_algebra_raises(monkeypatch):
     monkeypatch.setitem(sys.par._maps, 2, dataclasses.replace(X, outside=(0,)))
     with pytest.raises(SolverError, match="left the graded algebra at degree 3"):
         multiplication_matrices(sys, N, 2, seed=0)
+
+
+def _scaled_duffing(field):
+    """Duffing with generators scaled by (1, 1, 2, 1/3, 3/5) and Fraction
+    coefficient forms: the maps and the KM rows have denominators."""
+    from khovsolve.khov import build_parameterization
+    from khovsolve.km import Equation, StructuredSystem
+    from khovsolve.poly import WeightOrder, parse_polynomial
+
+    def elt(q):
+        q = Fraction(q)
+        return field.div(field.from_int(q.numerator), field.from_int(q.denominator))
+
+    varnames = ("t1", "t2")
+    scales = (1, 1, 2, Fraction(1, 3), Fraction(3, 5))
+    phi = [
+        parse_polynomial(s, varnames, field).scale(elt(c))
+        for s, c in zip(("1", "t1", "t2", "t1*(t1^2+t2^2)", "t2*(t1^2+t2^2)"), scales)
+    ]
+    par = build_parameterization(phi, WeightOrder((0, -1)), field)
+    forms = (
+        {(1, 0, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0, 0): Fraction(3),
+         (0, 0, 1, 0, 0): Fraction(5, 4), (0, 0, 0, 1, 0): Fraction(7, 9)},
+        {(1, 0, 0, 0, 0): Fraction(11, 3), (0, 1, 0, 0, 0): Fraction(-13, 2),
+         (0, 0, 1, 0, 0): Fraction(17), (0, 0, 0, 0, 1): Fraction(19, 5)},
+    )
+    eqs = [
+        Equation(degree=1, coeff_form={a: elt(c) for a, c in form.items()})
+        for form in forms
+    ]
+    return StructuredSystem(par, eqs)
+
+
+def test_qq_denominators_through_the_pipeline():
+    # no benchmark system has a map or form with a denominator: this one
+    # runs the numerators over a common denominator end to end
+    from khovsolve.khov import graded_basis, multiplication_map, subduct
+
+    sys = _scaled_duffing(QQ)
+    par = sys.par
+    assert max(multiplication_map(par, d).matrix.den for d in range(3)) > 1
+    M = km_matrix(sys, 3)
+    sup = graded_support(par, 3)
+    for (i, gamma), row in zip(M.row_labels, M.entries):
+        b = dict(graded_basis(par, 3 - sys.equations[i].degree).elements)[gamma]
+        assert list(row) == subduct(par, b * sys.equations[i].f, 3).vector(sup)
+    assert any(x.denominator > 1 for row in M.entries for x in row)
+    N = kernel_basis(km_matrix(sys, 3, reduce=True))
+    assert N.nullity == 5
+    for v in N.N:
+        for row in M.entries:
+            assert sum(a * x for a, x in zip(row, v)) == 0
+    sols = solve(sys, dreg=3, seed=0)
+    assert len(sols) == 5 and sols.diagnostics["certified"]
+    assert max(sols.residuals) <= 1e-8
+    fp = _scaled_duffing(GF(P))
+    N = kernel_basis(km_matrix(fp, 3, reduce=True))
+    assert multiplication_matrices(fp, N, 2, seed=0).delta == 5
+
+
+def test_qq_eliminations_see_no_fractions(monkeypatch):
+    # from the multiplication maps to the multiplication matrices, every
+    # matrix an elimination reads is an integer array
+    flags = catalog.random_flags(6, 3, seed=4, field=QQ)
+    conds = [catalog.SchubertCondition((2, 4, 6), f) for f in flags]
+    inst = catalog.schubert_equations(3, 6, conds)
+    seen = []
+    for name in ("echelon", "prefix_pivots", "first_independent_columns"):
+        real = getattr(linalg, name)
+
+        def spy(rows, *args, real=real, name=name, **kwargs):
+            seen.append((name, rows))
+            return real(rows, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, spy)
+    assert len(solve(inst.sys, dreg=2, seed=0)) == 2
+    assert {name for name, _ in seen} == {
+        "echelon", "prefix_pivots", "first_independent_columns"
+    }
+    for name, rows in seen:
+        assert isinstance(rows, np.ndarray), name
+        assert not any(isinstance(x, Fraction) for x in rows.ravel().tolist()), name
+
+
+def test_qq_n_h_entries_beyond_int64(monkeypatch):
+    # N_h of this Duffing instance holds integers of both signs beyond
+    # int64, which numpy turns into floats unless told the dtype
+    sys = catalog.duffing(coeffs=((14, 3, 47, 7), (6, 4, 26, 40))).sys
+    seen = []
+    real = linalg.first_independent_columns
+
+    def spy(rows, *args, **kwargs):
+        seen.append(rows)
+        return real(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "first_independent_columns", spy)
+    sols = solve(sys, dreg=3, seed=814788427)
+    assert len(sols) == 5 and max(sols.residuals) <= 1e-8
+    assert seen[0].dtype == object
+    assert max(abs(x) for x in seen[0].ravel().tolist()) >= 2**63
