@@ -57,8 +57,9 @@ The Schubert rows time `catalog.schubert_equations` on the Gr(3,6)
 problem shapes of the pipeline benchmark (seeded random flags):
 (2,4,6)^3 and (3,5,6) + 4 x (2,5,6) over QQ, and 5 x (3,5,6) +
 2 x (2,5,6) over F_9716633. The chart is built once outside the timing,
-so a row is the minors, their expansion in the degree-1 basis and the
-choice of independent ones; each prints the raw and kept equation counts.
+so a row is the check of the given chart, the minors as linear forms in
+the Pluecker coordinates and the choice of independent ones; each prints
+the raw and kept equation counts.
 
 The last rows time the multiplication-matrix step of the solver: the
 block echelon of the integer blocks [N_h|B | N_{x_0}|B | ... |

@@ -12,7 +12,6 @@ import itertools
 import random
 import warnings
 from dataclasses import dataclass, field as dc_field
-from math import comb
 
 from . import linalg
 from .fields import QQ
@@ -20,7 +19,7 @@ from .khov import (
     Parameterization,
     build_parameterization,
     check_khovanskii_truncated,
-    expand,
+    graded_support,
 )
 from .km import Equation, StructuredSystem
 from .poly import MultiPoly, WeightOrder, parse_polynomial
@@ -164,43 +163,27 @@ def bott_samelson(field=QQ) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 
 
-def _chart_matrix(k, m, field):
-    """The k x m matrix [I | T] with T filled row-major by t_1..t_n."""
+def _pluecker_generators(k, m, field):
+    """The k x k minors phi_S of the chart [I | T], S in lexicographic order.
+
+    T is filled row-major by t_1..t_n. Each minor is the Leibniz sum over
+    the permutations of its columns, in `itertools.permutations` order;
+    an entry of I is 1 or 0, so the nonzero terms are distinct monomials
+    with coefficient +-1.
+    """
     n = k * (m - k)
     varnames = tuple(f"t{i}" for i in range(1, n + 1))
-    rows = []
-    for a in range(k):
-        row = []
-        for b in range(k):
-            c = field.one if a == b else field.zero
-            row.append(MultiPoly.constant(field, varnames, c))
-        for b in range(m - k):
-            row.append(MultiPoly.variable(field, varnames, a * (m - k) + b))
-        rows.append(row)
-    return rows, varnames
-
-
-def _chart_minors(k, m, field):
-    """Every minor det H[R, S], |R| = |S|, of the chart matrix H = [I | T].
-
-    Returns (minors, varnames): minors maps (R, S), increasing row and
-    column tuples, to a MultiPoly, the empty minor being 1. Each minor is
-    the expansion along its first row over the minors one size smaller;
-    its terms come in the lexicographic order of the permutations.
-    """
-    H, varnames = _chart_matrix(k, m, field)
-    minors = {((), ()): MultiPoly.constant(field, varnames, field.one)}
-    for size in range(1, k + 1):
-        for R in itertools.combinations(range(k), size):
-            for S in itertools.combinations(range(m), size):
-                total = MultiPoly.zero(field, varnames)
-                for j, c in enumerate(S):
-                    if H[R[0]][c].is_zero():
-                        continue
-                    term = H[R[0]][c] * minors[R[1:], S[:j] + S[j + 1:]]
-                    total = total - term if j % 2 else total + term
-                minors[R, S] = total
-    return minors, varnames
+    sign = (field.one, field.neg(field.one))
+    phi = []
+    for S in itertools.combinations(range(m), k):
+        terms = {}
+        for perm in itertools.permutations(S):
+            if all(c >= k or c == r for r, c in enumerate(perm)):
+                cells = {r * (m - k) + c - k for r, c in enumerate(perm) if c >= k}
+                inv = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+                terms[tuple(int(v in cells) for v in range(n))] = sign[inv % 2]
+        phi.append(MultiPoly(field, varnames, terms, _normalized=True))
+    return tuple(phi)
 
 
 def _pluecker_weights(k, m):
@@ -217,37 +200,25 @@ def _pluecker_weights(k, m):
 def pluecker_chart(k, m, field=QQ, validate_degree=2) -> Parameterization:
     """Gr(k,m) parameterized by the k x k minors of [I | t-block].
 
-    Minors are listed in lexicographic column-set order. The weight
-    vector is checked to give a Khovanskii basis up to validate_degree;
-    a small randomized weight search is the fallback.
+    Minors are listed in lexicographic column-set order. Under the
+    diagonal weights `_pluecker_weights` the maximal minors are a
+    Khovanskii (SAGBI) basis (Sturmfels, Algorithms in Invariant Theory,
+    Thm 3.2.9); with validate_degree >= 1 the truncated check confirms it
+    up to that degree and a failure raises ValueError.
     """
     if not (1 <= k < m):
         raise InputError(f"need 1 <= k < m, got k={k}, m={m}")
-    minors, varnames = _chart_minors(k, m, field)
-    phi = [minors[tuple(range(k)), S] for S in itertools.combinations(range(m), k)]
-    candidates = [_pluecker_weights(k, m)]
-    rng = random.Random(k * 1000 + m)
-    for _ in range(20):
-        candidates.append(tuple(-rng.randint(1, 50) for _ in varnames))
-    last = None
-    for w in candidates:
-        try:
-            par = build_parameterization(phi, WeightOrder(w), field)
-        except ValueError as err:
-            last = err
-            continue
-        if validate_degree < 1:
-            return par
-        report = check_khovanskii_truncated(par, validate_degree)
-        if report.passed:
-            return par
-        last = ValueError(
-            f"weight {w} fails the truncated Khovanskii check: "
-            f"{report.first_failure()}"
-        )
-    raise ValueError(
-        f"no diagonal-selecting weight found for Gr({k},{m}): {last}"
+    par = build_parameterization(
+        _pluecker_generators(k, m, field), WeightOrder(_pluecker_weights(k, m)), field
     )
+    if validate_degree >= 1:
+        report = check_khovanskii_truncated(par, validate_degree)
+        if not report.passed:
+            raise ValueError(
+                f"the Pluecker chart of Gr({k},{m}) fails the truncated "
+                f"Khovanskii check at degree {report.first_failure().degree}"
+            )
+    return par
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +305,23 @@ def _flag_minor(flag, rows, cols, memo, field):
     return d
 
 
-def _condition_minors(chart, cond, k, m, field):
-    """Yield (rows, cols, minor) for every minor one condition asks for.
+def _condition_minors(cond, k, m, field):
+    """Yield (rows, cols, form) for every minor one condition asks for.
 
     For each i with size = k+alpha_i-i+1 <= m these are all size x size
     minors of the stacked matrix (H; F_{alpha_i}), whose rows 0..k-1 are
-    the chart's. Each is the Laplace expansion along its chart rows R_H:
-    the sum over |R_H|-subsets S of its columns C of
-    +-det H[R_H, S] * det F[R_F, C - S], the sign that of moving S to the
-    front of C. `chart` is `_chart_minors`; the flag minors are memoized
-    over the whole condition.
+    the chart's, as linear forms {generator index: coefficient} in the
+    Pluecker coordinates, zeros dropped. Each minor is the Laplace
+    expansion along its chart rows R_H: the sum over |R_H|-subsets S of
+    its columns C of +-det H[R_H, S] * det F[R_F, C - S], the sign that of
+    moving S to the front of C. With R^c the chart rows not in R_H,
+    det H[R_H, S] is 0 when S meets the identity columns R^c, so those
+    S are skipped, and otherwise +-phi_S' for S' = S + R^c, expanded
+    along those columns. The flag minors are memoized over the whole
+    condition.
     """
     memo = {}
-    varnames = chart[(), ()].varnames
+    index = {S: j for j, S in enumerate(itertools.combinations(range(m), k))}
     for i, ai in enumerate(cond.alpha, start=1):
         size = k + ai - i + 1
         if size > m:
@@ -354,21 +329,23 @@ def _condition_minors(chart, cond, k, m, field):
         for rows in itertools.combinations(range(k + ai), size):
             rh = tuple(r for r in rows if r < k)
             rf = tuple(r - k for r in rows if r >= k)
+            missing = tuple(r for r in range(k) if r not in rh)
             h = len(rh)
             for cols in itertools.combinations(range(m), size):
-                terms = {}
-                for pos in itertools.combinations(range(size), h):
+                form = {}
+                allowed = [q for q, c in enumerate(cols) if c not in missing]
+                for pos in itertools.combinations(allowed, h):
                     rest = tuple(c for q, c in enumerate(cols) if q not in pos)
                     c = _flag_minor(cond.flag, rf, rest, memo, field)
                     if c == field.zero:
                         continue
-                    if (sum(pos) - h * (h - 1) // 2) % 2:
-                        c = field.neg(c)
-                    hminor = chart[rh, tuple(cols[q] for q in pos)]
-                    for e, v in hminor.terms.items():
-                        terms[e] = field.add(terms.get(e, field.zero), field.mul(v, c))
-                terms = {e: v for e, v in terms.items() if v != field.zero}
-                yield rows, cols, MultiPoly(field, varnames, terms, _normalized=True)
+                    full = tuple(sorted(missing + tuple(cols[q] for q in pos)))
+                    odd = sum(pos) - h * (h - 1) // 2 + sum(
+                        r + full.index(r) for r in missing)
+                    j = index[full]
+                    form[j] = field.add(form.get(j, field.zero),
+                                        field.neg(c) if odd % 2 else c)
+                yield rows, cols, {j: v for j, v in form.items() if v != field.zero}
 
 
 def schubert_equations(
@@ -377,10 +354,12 @@ def schubert_equations(
     """Linear equations in Pluecker coordinates cutting out a Schubert problem.
 
     For each condition (alpha, F) and each i with k+alpha_i-i+1 <= m, all
-    minors of that size of the stacked matrix (H; F_{alpha_i}) are formed
-    as t-polynomials by Laplace expansion along the chart rows
-    (`_condition_minors`), expressed in the degree-1 basis, and linearly
-    dependent ones are dropped.
+    minors of that size of the stacked matrix (H; F_{alpha_i}) are linear
+    forms in the Pluecker generators (`_condition_minors`). The nonzero
+    ones are the raw equations, and the first linearly independent ones,
+    with the generators as columns in the order of the degree-1 support,
+    are kept, each as its coefficient form. A given `par` must be the
+    chart `pluecker_chart(k, m, field)` builds.
     """
     if not (1 <= k < m):
         raise InputError(f"need 1 <= k < m, got k={k}, m={m}")
@@ -406,24 +385,27 @@ def schubert_equations(
         )
     if par is None:
         par = pluecker_chart(k, m, field, validate_degree=validate_degree)
-    chart, varnames = _chart_minors(k, m, field)
-    if par.field != field or par.varnames != varnames:
-        raise InputError(f"par is not a chart of Gr({k},{m}) over {field}")
-    minors = [
-        d
+    elif par.field != field or par.phi != _pluecker_generators(k, m, field):
+        raise InputError(f"par is not the Pluecker chart of Gr({k},{m}) over {field}")
+    forms = [
+        form
         for cond in conditions
-        for _, _, d in _condition_minors(chart, cond, k, m, field)
-        if not d.is_zero()
+        for _, _, form in _condition_minors(cond, k, m, field)
+        if form
     ]
 
-    # express in the degree-1 basis and keep an independent subset
-    vectors, outside = expand(par, minors, 1)
-    if outside:
-        raise ValueError(
-            "a Schubert minor is not linear in the Pluecker coordinates"
-        )
-    keep = linalg.independent_rows(linalg.dense(vectors, field), field)
-    eqs = [Equation(f=minors[i], degree=1) for i in keep]
+    # columns in support order, generator j at the point (1, lead phi_j);
+    # a kept form lists its generators by leading exponent in the term order
+    index = graded_support(par, 1).index
+    gens = range(len(par.phi))
+    cols = sorted(gens, key=lambda j: index[par.column(j)])
+    keep = linalg.independent_rows([[f.get(j, field.zero) for j in cols] for f in forms], field)
+    order = sorted(gens, key=lambda j: par.ord.key(par.column(j)[1:]))
+    unit = [tuple(int(i == j) for i in gens) for j in gens]
+    eqs = [
+        Equation(degree=1, coeff_form={unit[j]: forms[r][j] for j in order if j in forms[r]})
+        for r in keep
+    ]
     sys = StructuredSystem(par, eqs, validate=False)
 
     expected = dreg = None
@@ -437,7 +419,7 @@ def schubert_equations(
         recommended_dreg=dreg,
         note=f"Schubert problem on Gr({k},{m})",
         extras={
-            "n_raw_equations": len(minors),
+            "n_raw_equations": len(forms),
             "n_equations": len(eqs),
         },
     )

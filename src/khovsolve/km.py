@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 import numpy as np
 
@@ -81,20 +82,21 @@ class Equation:
 
 def _expand_coeff_form(par: Parameterization, coeff_form, degree):
     F = par.field
-    f = MultiPoly.zero(F, par.varnames)
+    terms = {}
     for alpha, c in coeff_form.items():
-        alpha = tuple(int(a) for a in alpha)
+        alpha = tuple(map(int, alpha))
         if len(alpha) != par.ell + 1 or sum(alpha) != degree:
             raise ValueError(
                 f"coefficient exponent {alpha} is not a degree-{degree} "
                 f"monomial in {par.ell + 1} generators"
             )
-        m = MultiPoly.constant(F, par.varnames, c)
-        for j, a in enumerate(alpha):
-            if a:
-                m = m * par.phi[j] ** a
-        f = f + m
-    return f
+        # phi_j itself for a first power: phi_j ** 1 would be one more product
+        g = reduce(MultiPoly.__mul__, [par.phi[j] if a == 1 else par.phi[j] ** a
+                                       for j, a in enumerate(alpha) if a])
+        for e, v in g.terms.items():
+            terms[e] = F.add(terms.get(e, F.zero), F.mul(c, v))
+    terms = {e: v for e, v in terms.items() if v != F.zero}
+    return MultiPoly(F, par.varnames, terms, _normalized=True)
 
 
 class StructuredSystem:

@@ -221,6 +221,19 @@ def _rank_profile(A, p):
     return piv, src
 
 
+def _lift_bounds(A, piv, free, r):
+    """(l1, amax, log_h2) of the integer matrix A, exactly: the largest
+    row l1 norm at the pivot columns, the largest |entry| at the free
+    columns, and the sum of log2 of the squared norms of the first r rows
+    (at least 1 each), the Hadamard bound of `_lift`. Python ints carry
+    the sums once one could pass 2**62."""
+    E = np.abs(A)
+    if int(E.max()) ** 2 * A.shape[1] >= _INT64_LIMIT:
+        E = E.astype(object)
+    log_h2 = sum(log2(max(1, s)) for s in (E[:r] * E[:r]).sum(axis=1).tolist())
+    return int(E[:, piv].sum(axis=1).max()), int(E[:, free].max()), log_h2
+
+
 def _lift(A, p, piv, sources):
     """The RREF of the integer matrix A from its profile mod p, or None.
 
@@ -262,13 +275,10 @@ def _lift(A, p, piv, sources):
         return Echelon(np.eye(n, dtype=np.int64), tuple(piv), tuple(sources))
 
     b = A[:, free]
-    l1 = max(sum(map(abs, row)) for row in AP.tolist())
-    amax = max(max(map(abs, row), default=0) for row in b.tolist())
+    l1, amax, log_h2 = _lift_bounds(A, piv, free, r)
     # |b_k| stays at most max(amax, l1), and |A_P x_k| at most l1 * (p-1)
     if A.dtype == object or amax + l1 * p >= _INT64_LIMIT:
         AP, b = AP.astype(object), b.astype(object)
-    # Hadamard: the numerators and denominators of X are at most H
-    log_h2 = sum(log2(max(1, sum(x * x for x in row))) for row in A[:r].tolist())
     steps = int((1 + log_h2 + log2(l1 + amax + 1)) / log2(p)) + 2
 
     right = (np.asarray(piv)[:, None] > np.asarray(free)[None, :]).ravel()

@@ -362,7 +362,7 @@ def _default_dreg(sys: StructuredSystem, uncertified=None):
     return regularity_bound(hd.hreg, degrees, n=n) + 1
 
 
-def _adaptive_dreg(sys: StructuredSystem, reduce: bool):
+def _adaptive_dreg(sys: StructuredSystem):
     """Smallest d with equal KM nullity at d and d+1 (heuristic)."""
     par = sys.par
     degrees = sys.degrees
@@ -370,11 +370,7 @@ def _adaptive_dreg(sys: StructuredSystem, reduce: bool):
     d = max(degrees) + 1
     prev = None
     while d <= cap:
-        M = km_matrix(sys, d, reduce=reduce)
-        rk = len(M.entries) if M.reduced else linalg.rank(
-            [list(r) for r in M.entries], par.field
-        )
-        nullity = hilbert_function(par, d) - rk
+        nullity = hilbert_function(par, d) - len(km_matrix(sys, d, reduce=True).entries)
         if prev is not None and nullity == prev and nullity > 0:
             return d
         prev = nullity
@@ -404,7 +400,6 @@ def solve(
     dreg=None,
     seed: int = 0,
     adaptive: bool = False,
-    reduce: bool = True,
     normalize: str = "raw",
 ) -> SolutionSet:
     """End-to-end solve; see module docstring for the pipeline."""
@@ -417,7 +412,7 @@ def solve(
         if s == par.n and not adaptive:
             dreg = _default_dreg(sys, uncertified)
         elif adaptive:
-            dreg = _adaptive_dreg(sys, reduce)
+            dreg = _adaptive_dreg(sys)
         else:
             raise SolverError(
                 f"got {s} equations on a {par.n}-dimensional variety; the "
@@ -425,7 +420,7 @@ def solve(
                 f"enable the adaptive degree search"
             )
     check_dreg(sys, dreg)
-    M = km_matrix(sys, dreg, reduce=reduce)
+    M = km_matrix(sys, dreg, reduce=True)
     N = kernel_basis(M)
     ms = multiplication_matrices(sys, N, dreg - 1, seed=seed)
     if isinstance(par.field, PrimeField):

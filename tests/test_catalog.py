@@ -6,7 +6,12 @@ import pytest
 
 from khovsolve import catalog, linalg
 from khovsolve.fields import GF, QQ
-from khovsolve.khov import check_khovanskii_truncated
+from khovsolve.khov import (
+    DegreeCheck,
+    KhovanskiiReport,
+    build_parameterization,
+    check_khovanskii_truncated,
+)
 from khovsolve.poly import MultiPoly
 
 P = 9716633
@@ -167,6 +172,18 @@ def _leibniz(rows, field, varnames):
     return total
 
 
+def _chart(k, m, field):
+    """The chart matrix [I | T] with T filled row-major by t_1..t_n."""
+    varnames = tuple(f"t{i}" for i in range(1, k * (m - k) + 1))
+    H = [
+        [MultiPoly.constant(field, varnames, field.one if a == b else field.zero)
+         for b in range(k)]
+        + [MultiPoly.variable(field, varnames, a * (m - k) + b) for b in range(m - k)]
+        for a in range(k)
+    ]
+    return H, varnames
+
+
 @pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF"])
 @pytest.mark.parametrize("flags", ["random", "osculating"])
 @pytest.mark.parametrize("k,m,alphas", [
@@ -176,9 +193,10 @@ def _leibniz(rows, field, varnames):
 ])
 def test_schubert_minors_match_leibniz(field, flags, k, m, alphas):
     # every minor of every stacked matrix (H; F_{alpha_i}), zero or not,
-    # equals the Leibniz determinant of its entries
-    chart, varnames = catalog._chart_minors(k, m, field)
-    H, _ = catalog._chart_matrix(k, m, field)
+    # as the linear form sum_S c_S phi_S equals the Leibniz determinant of
+    # its entries
+    H, varnames = _chart(k, m, field)
+    phi = catalog.pluecker_chart(k, m, field, validate_degree=0).phi
     if flags == "random":
         fl = catalog.random_flags(m, len(alphas), seed=m, field=field)
     else:
@@ -195,9 +213,13 @@ def test_schubert_minors_match_leibniz(field, flags, k, m, alphas):
             for i, a in enumerate(alpha, start=1)
             if k + a - i + 1 <= m
         )
-        minors = list(catalog._condition_minors(chart, cond, k, m, field))
+        minors = list(catalog._condition_minors(cond, k, m, field))
         assert len(minors) == expected
-        for rows, cols, d in minors:
+        for rows, cols, form in minors:
+            assert all(c != field.zero for c in form.values())
+            d = MultiPoly.zero(field, varnames)
+            for j, c in form.items():
+                d = d + phi[j].scale(c)
             sub = [[stacked[r][c] for c in cols] for r in rows]
             assert d == _leibniz(sub, field, varnames)
             dropped += sum(r < k for r in rows) < k
@@ -206,12 +228,40 @@ def test_schubert_minors_match_leibniz(field, flags, k, m, alphas):
 
 
 def test_pluecker_generators_are_the_full_chart_minors():
-    chart, varnames = catalog._chart_minors(3, 6, QQ)
-    H, _ = catalog._chart_matrix(3, 6, QQ)
+    H, varnames = _chart(3, 6, QQ)
     par = catalog.pluecker_chart(3, 6, validate_degree=0)
     for S, f in zip(itertools.combinations(range(6), 3), par.phi):
-        assert f == chart[(0, 1, 2), S]
         assert f == _leibniz([[row[c] for c in S] for row in H], QQ, varnames)
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for m in range(2, 7) for k in range(1, m)])
+def test_diagonal_weights_give_a_khovanskii_basis(k, m):
+    # the maximal minors are a SAGBI basis under the diagonal weights:
+    # distinct leading exponents and the truncated check at degree 2
+    par = catalog.pluecker_chart(k, m, validate_degree=0)
+    assert par.ord.omega == catalog._pluecker_weights(k, m)
+    assert len({par.column(j) for j in range(len(par.phi))}) == len(par.phi)
+    assert check_khovanskii_truncated(par, 2).passed
+
+
+def test_pluecker_chart_failed_check_names_the_degree(monkeypatch):
+    par = catalog.pluecker_chart(2, 4, validate_degree=0)
+    failed = KhovanskiiReport(2, (DegreeCheck(1, 6, 6, True, ()), DegreeCheck(2, 20, 21, False, ())))
+    monkeypatch.setattr(catalog, "check_khovanskii_truncated", lambda p, d: failed)
+    with pytest.raises(ValueError, match="check at degree 2"):
+        catalog.pluecker_chart(2, 4)
+    assert catalog.pluecker_chart(2, 4, validate_degree=0).phi == par.phi
+
+
+def test_schubert_rejects_a_chart_with_permuted_generators():
+    chart = catalog.pluecker_chart(2, 4, validate_degree=0)
+    phi = chart.phi[1:] + chart.phi[:1]
+    permuted = build_parameterization(phi, chart.ord, QQ)
+    assert permuted.varnames == chart.varnames
+    conds = [catalog.SchubertCondition((2, 4), f) for f in catalog.random_flags(4, 4, seed=0)]
+    assert catalog.schubert_equations(2, 4, conds, par=chart).extras["n_equations"] == 4
+    with pytest.raises(catalog.InputError, match="not the Pluecker chart"):
+        catalog.schubert_equations(2, 4, conds, par=permuted)
 
 
 def _conds(alpha, count, seed, field=QQ):

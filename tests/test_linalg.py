@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 
 import numpy as np
 import pytest
@@ -353,6 +353,20 @@ def test_qq_lift_object_arrays_many_steps(monkeypatch):
     assert_matches_oracle(rows)
     assert {A.dtype for A, *_ in lifts} == {np.dtype(object)}
     assert max(len(d) for d, _ in digits) >= 20
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 40, 1 << 70], ids=["int64", "squares-overflow", "object"])
+def test_lift_bounds_match_loops(scale):
+    # the reductions give the exact integers of the loops over every entry,
+    # also where int64 squares or entries would overflow
+    rng = random.Random(scale)
+    rows = [[rng.randint(-scale, scale) * rng.randint(0, 1) for _ in range(9)] for _ in range(7)]
+    A = linalg._integers([[Fraction(x) for x in r] for r in rows], QQ)
+    piv, free, r = [0, 2, 3, 7], [1, 4, 5, 6, 8], 4
+    l1 = max(sum(abs(row[c]) for c in piv) for row in rows)
+    amax = max(abs(row[c]) for row in rows for c in free)
+    log_h2 = sum(log2(max(1, sum(x * x for x in row))) for row in rows[:r])
+    assert linalg._lift_bounds(A, piv, free, r) == (l1, amax, log_h2)
 
 
 P = linalg.LIFT_PRIME
