@@ -366,7 +366,7 @@ def bench_mult_qq():
     delta = N.nullity
     rng = random.Random(0)
     c = [rng.randint(1, 2 * delta * delta + 1) for _ in Nx]
-    Nh = linalg.integer_form(linalg.combine(c, Nx, QQ), QQ)[0]
+    Nh = linalg.combine(c, Nx, QQ)
     B = linalg.first_independent_columns(Nh, QQ, count=delta)
     blocks = np.concatenate(([Nh], Nx))[:, :, B]
     t, (T, den, ok) = _best(lambda: _mult_step(c, blocks, QQ))

@@ -399,7 +399,7 @@ def schubert_equations(
     index = graded_support(par, 1).index
     gens = range(len(par.phi))
     cols = sorted(gens, key=lambda j: index[par.column(j)])
-    keep = linalg.independent_rows([[f.get(j, field.zero) for j in cols] for f in forms], field)
+    keep, _ = linalg.independent_rows([[f.get(j, field.zero) for j in cols] for f in forms], field)
     order = sorted(gens, key=lambda j: par.ord.key(par.column(j)[1:]))
     unit = [tuple(int(i == j) for i in gens) for j in gens]
     eqs = [

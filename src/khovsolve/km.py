@@ -200,14 +200,14 @@ class StructuredSystem:
 class KMMatrix:
     """KM matrix in one degree.
 
-    A reduced matrix also keeps the `linalg.Echelon` of the elimination
-    that selected its rows, so its kernel needs no second elimination.
+    Its rows are a `linalg.Rows`. A reduced matrix also keeps the Echelon
+    of the elimination that selected them: its kernel needs no other.
     """
 
     degree: int
     row_labels: tuple  # of (equation index, gamma)
     col_labels: tuple  # points of d.A in support order
-    entries: tuple  # rows of field elements
+    entries: linalg.Rows  # integers over one denominator, read as field elements
     reduced: bool
     field: object = None
     echelon: object = dc_field(default=None, compare=False, repr=False)
@@ -373,22 +373,22 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
     par = sys.par
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    labels = _row_labels(sys, d)
-    rows, den, formed, keep, ech = [], 1, range(len(labels)), range(len(labels)), None
+    labels, cols = _row_labels(sys, d), graded_support(par, d).points
+    rows, den, keep, ech = np.zeros((0, len(cols)), np.int64), 1, range(len(labels)), None
     if labels:
         blocks = _km_blocks(sys, d)
         S, X = _map_combination(sys, d, blocks, d)
         if reduce:
             formed = _f5_rows(sys, d, blocks)
-            S = linalg.sparse_rows(S, formed)
+            S, labels = linalg.sparse_rows(S, formed), [labels[k] for k in formed]
         rows, den = linalg.combine_rows(S, X, par.field)
         if reduce:
-            keep, ech = linalg.independent_rows(rows, par.field, return_echelon=True)
+            keep, ech = linalg.independent_rows(rows, par.field)
     return KMMatrix(
         degree=d,
-        row_labels=tuple(labels[formed[k]] for k in keep),
-        col_labels=graded_support(par, d).points,
-        entries=linalg.take_rows(rows, keep, par.field, den),
+        row_labels=tuple(labels[k] for k in keep),
+        col_labels=cols,
+        entries=linalg.Rows(rows if len(keep) == len(rows) else rows[keep], den, par.field),
         reduced=bool(reduce),
         field=par.field,
         echelon=ech,

@@ -19,7 +19,7 @@ Matrices are integer arrays: int64 over a prime below 2**31 (entries in
 otherwise. Over QQ an array holds the numerators over one denominator,
 which changes no pivot, source row or RREF. `integer_form` makes this
 form from field elements, for the subduction's output and for lists from
-callers, and `field_values` turns it back for the results. Sparse
+callers, and the results keep it as `Rows`, read by `field_values`. Sparse
 matrices (`Sparse`, a COO triple over a denominator) have two numpy
 scatter products: S @ X and A @ X^T with a dense A. `prefix_pivots`
 gives the pivot columns of every leading run of row blocks from one
@@ -56,7 +56,7 @@ __all__ = [
     "sparse_rows",
     "combine_rows",
     "matmul_transposed",
-    "take_rows",
+    "Rows",
     "identity",
     "is_small_prime",
     "array_dtype",
@@ -439,6 +439,37 @@ class Echelon:
     den: int = 1
 
 
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A result matrix: the integer array A over den (1 over F_p), read-only.
+
+    It reads as a sequence of rows of field elements: `len` is the row
+    count and rows[i] is a tuple of ints over F_p and of Fractions over
+    QQ (`field_values`). As an array it is A itself over F_p, copied only
+    for another dtype, and an object array of Fractions over QQ.
+    """
+
+    A: np.ndarray
+    den: int
+    field: object
+
+    def __post_init__(self):
+        self.A.flags.writeable = False
+
+    def __len__(self):
+        return len(self.A)
+
+    def __getitem__(self, i):
+        return tuple(field_values(self.A[i], self.den, self.field))
+
+    def __array__(self, dtype=None, copy=None):
+        if self.field != QQ:
+            return self.A if dtype is None else self.A.astype(dtype, copy=False)
+        F = np.array(field_values(self.A.ravel(), self.den, QQ), dtype=object)
+        F = F.reshape(self.A.shape)
+        return F if dtype is None else F.astype(dtype)
+
+
 def echelon(rows, field) -> Echelon:
     """The RREF by one forward elimination with first-nonzero pivoting.
 
@@ -459,8 +490,8 @@ def kernel_from_echelon(E: Echelon, field, ncols):
     """Basis of the right nullspace of the matrix E came from.
 
     One vector per free column f in order: x_f = 1, x_pc = -R[i][f] at
-    the pivot column pc of row i of the RREF R, and 0 elsewhere, formed
-    as integers over E.den.
+    the pivot column pc of row i of the RREF R, and 0 elsewhere, as the
+    `Rows` of integers over E.den.
     """
     pivset = set(E.pivots)
     free = [f for f in range(ncols) if f not in pivset]
@@ -470,30 +501,29 @@ def kernel_from_echelon(E: Echelon, field, ncols):
         K[:, list(E.pivots)] = -E.rows[:, free].T
         if field.modulus is not None:
             K %= field.modulus
-    return [list(v) for v in take_rows(K, range(len(K)), field, E.den)]
+    return Rows(K, E.den, field)
 
 
 def kernel(rows, field, ncols):
-    """Basis of the right nullspace, one vector per free column in order."""
+    """Basis of the right nullspace, as lists, one per free column in order."""
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    return kernel_from_echelon(echelon(rows, field), field, ncols)
+    return [list(v) for v in kernel_from_echelon(echelon(rows, field), field, ncols)]
 
 
 def rank(rows, field):
     return len(echelon(rows, field).pivots)
 
 
-def independent_rows(rows, field, return_echelon=False):
-    """Indices of a maximal linearly independent row subset.
+def independent_rows(rows, field):
+    """(indices, echelon): the indices of a maximal linearly independent
+    row subset, with the `Echelon` of the elimination that selected them.
 
     Selected by exact forward elimination with first-nonzero pivoting;
-    deterministic for a given matrix. With `return_echelon`, the
-    elimination's `Echelon` is returned too, as (indices, echelon).
+    deterministic for a given matrix.
     """
     E = echelon(rows, field)
-    keep = sorted(E.sources)
-    return (keep, E) if return_echelon else keep
+    return sorted(E.sources), E
 
 
 def _matmul_mod(A, B, p):
@@ -562,13 +592,13 @@ def matmul(A, B, field):
 
 
 def combine(coeffs, mats, field):
-    """sum_j coeffs[j] * mats[j] for equal-shaped matrices, as a list of rows."""
+    """sum_j coeffs[j] * mats[j] for equal-shaped matrices, as an array."""
     dtype = array_dtype(field)
     stack = np.asarray(mats, dtype=dtype)
     flat = _matmul_mod(
         np.asarray([coeffs], dtype=dtype), stack.reshape(len(stack), -1), field.modulus
     )
-    return flat.reshape(stack.shape[1:]).tolist()
+    return flat.reshape(stack.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -673,12 +703,6 @@ def matmul_transposed(A, X: Sparse, field):
     return out
 
 
-def take_rows(A, keep, field, den=1):
-    """Rows `keep` of the integer array A over den, as tuples of field
-    elements, converted one row at a time."""
-    return tuple(tuple(field_values(A[k], den, field)) for k in keep)
-
-
 def invert(rows, field):
     """Exact inverse of a square matrix: the right half of the RREF of [A | I]."""
     n = len(rows)
@@ -688,7 +712,7 @@ def invert(rows, field):
     if E.pivots != tuple(range(n)):
         rk = sum(pc < n for pc in E.pivots)
         raise SingularMatrixError(f"singular matrix: rank {rk} < {n}")
-    return [list(row[n:]) for row in take_rows(E.rows, range(n), field, E.den)]
+    return [list(row[n:]) for row in Rows(E.rows, E.den, field)]
 
 
 def commuting_check(coeffs, mats, den, field):

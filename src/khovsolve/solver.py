@@ -53,10 +53,10 @@ class UnsupportedFieldError(SolverError):
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Rows span the exact right kernel of a KM matrix."""
+    """The rows of N, a `linalg.Rows`, span the exact right kernel of a KM matrix."""
 
     degree: int
-    N: tuple  # delta' rows of length HF(degree)
+    N: linalg.Rows  # delta' rows of length HF(degree)
     col_labels: tuple
 
     @property
@@ -64,16 +64,12 @@ class KernelBasis:
         return len(self.N)
 
 
-def kernel_basis(M: KMMatrix, field=None) -> KernelBasis:
-    if field is None:
-        field = M.field
-    if field is None:
-        raise ValueError("KM matrix carries no field; pass one explicitly")
+def kernel_basis(M: KMMatrix) -> KernelBasis:
     E = M.echelon
-    if E is None or field != M.field:
-        E = linalg.echelon(M.entries, field)
-    vecs = linalg.kernel_from_echelon(E, field, len(M.col_labels))
-    return KernelBasis(M.degree, tuple(map(tuple, vecs)), M.col_labels)
+    if E is None:
+        E = linalg.echelon(M.entries.A, M.field)
+    N = linalg.kernel_from_echelon(E, M.field, len(M.col_labels))
+    return KernelBasis(M.degree, N, M.col_labels)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class MultiplicationSystem:
     delta: int
     h_coeffs: tuple
     B_cols: tuple  # selected degree-d basis labels
-    mats: tuple  # ell+1 matrices, delta x delta
+    mats: tuple  # ell+1 delta x delta `linalg.Rows` over one denominator
     seed: int
     degree: int  # the lower degree d (kernel taken at d+1)
 
@@ -92,6 +88,8 @@ _LEFT_ALGEBRA = (
     "generator product left the graded algebra at degree {}; the "
     "Khovanskii property fails"
 )
+_DRAWS = 5  # random h, or random combinations to diagonalize, tried before giving up
+_OFFDIAGONAL_TOL = 1e-6  # the largest residue of a certified joint diagonalization
 
 
 def _multiplied_kernels(sys: StructuredSystem, N: KernelBasis, d: int):
@@ -108,13 +106,12 @@ def _multiplied_kernels(sys: StructuredSystem, N: KernelBasis, d: int):
     if X.outside:
         raise SolverError(_LEFT_ALGEBRA.format(d + 1))
     nd = len(graded_support(par, d))
-    A = linalg.integer_form(N.N, par.field)[0]
-    Nx = linalg.matmul_transposed(A, X.matrix, par.field)
-    return Nx.reshape(len(A), par.ell + 1, nd).transpose(1, 0, 2)
+    Nx = linalg.matmul_transposed(N.N.A, X.matrix, par.field)
+    return Nx.reshape(N.nullity, par.ell + 1, nd).transpose(1, 0, 2)
 
 
 def multiplication_matrices(
-    sys: StructuredSystem, N: KernelBasis, d: int, seed: int = 0, retries: int = 5
+    sys: StructuredSystem, N: KernelBasis, d: int, seed: int = 0
 ) -> MultiplicationSystem:
     """Multiplication matrices from a kernel basis at degree d+1.
 
@@ -123,7 +120,7 @@ def multiplication_matrices(
     delta independent columns of N_h, and M_j = (N_h)|B^-1 (N_{x_j})|B,
     all read off one echelon. Over QQ every matrix from N_{x_j} to the
     RREF is an integer array (the numerators over a common denominator,
-    which changes no M_j); the M_j become Fractions only at the end.
+    which changes no M_j), and the M_j are `linalg.Rows` of that RREF.
     sum c_j M_j = I and the pairwise commutation are checked exactly on
     the integer blocks (`linalg.commuting_check`).
     """
@@ -139,7 +136,7 @@ def multiplication_matrices(
 
     rng = random.Random(seed)
     last_err = None
-    for _ in range(retries):
+    for _ in range(_DRAWS):
         if field == QQ:
             c = [rng.randint(1, 2 * delta * delta + 1) for _ in range(par.ell + 1)]
         else:
@@ -149,7 +146,7 @@ def multiplication_matrices(
                 while x == 0:
                     x = rng.randrange(field.modulus)
                 c.append(x)
-        Nh = np.array(linalg.combine(c, Nx, field), dtype=linalg.array_dtype(field))
+        Nh = linalg.combine(c, Nx, field)
         B = linalg.first_independent_columns(Nh, field, count=delta)
         rank = len(B)
         if rank == delta:
@@ -159,7 +156,7 @@ def multiplication_matrices(
             rank = sum(pc < delta for pc in E.pivots)
         if rank < delta:
             last_err = SolverError(
-                f"N_h has rank {rank} < {delta} for {retries} random h: the "
+                f"N_h has rank {rank} < {delta} for {_DRAWS} random h: the "
                 f"degree dreg = {d + 1} is likely below the regularity set, so "
                 f"the kernel overcounts the solutions; try a larger --dreg"
             )
@@ -178,7 +175,7 @@ def multiplication_matrices(
             delta=delta,
             h_coeffs=tuple(map(field.from_int, c)),
             B_cols=tuple(sup_d.points[g] for g in B),
-            mats=tuple(linalg.take_rows(Tj, range(delta), field, E.den) for Tj in T),
+            mats=tuple(linalg.Rows(Tj, E.den, field) for Tj in T),
             seed=seed,
             degree=d,
         )
@@ -197,9 +194,7 @@ class SolutionSet:
         return len(self.coords)
 
 
-def extract_solutions(
-    ms: MultiplicationSystem, seed: int = 0, tol: float = 1e-6, retries: int = 5
-) -> SolutionSet:
+def extract_solutions(ms: MultiplicationSystem, seed: int = 0) -> SolutionSet:
     """Joint eigenvalues of the multiplication matrices, over QQ only.
 
     A single random real combination T of the matrices is diagonalized
@@ -207,19 +202,18 @@ def extract_solutions(
     diagonalizes every M_j, and coordinate j of solution i is the i-th
     diagonal entry of V^-1 M_j V.
     """
-    first = ms.mats[0][0][0] if ms.delta else None
-    if isinstance(first, int):
+    if ms.mats[0].field != QQ:
         raise UnsupportedFieldError(
             "eigenvalue extraction needs rational coefficients; over a "
             "finite field use the multiplication matrices directly or the "
             "brute-force oracle"
         )
-    mats = [np.array([[float(x) for x in row] for row in m]) for m in ms.mats]
+    mats = [np.array(m, dtype=float) for m in ms.mats]
     delta = ms.delta
     scale = max(1.0, max(np.abs(m).max() for m in mats))
     rng = random.Random(seed)
     clustered = True
-    for _ in range(retries):
+    for _ in range(_DRAWS):
         r = [rng.random() for _ in mats]
         T = sum(rj * m for rj, m in zip(r, mats))
         w, V = np.linalg.eig(T)
@@ -234,7 +228,7 @@ def extract_solutions(
     if clustered:
         uncertified.append(
             "eigenvalues of the random combination stay clustered after "
-            f"{retries} draws; the solution scheme is possibly non-reduced"
+            f"{_DRAWS} draws; the solution scheme is possibly non-reduced"
         )
         warnings.warn(uncertified[-1], stacklevel=2)
     coords = np.empty((delta, len(mats)), dtype=complex)
@@ -262,10 +256,10 @@ def extract_solutions(
         "real": real_flags,
         "eigen_gap_clustered": clustered,
     }
-    if offdiag / scale > tol:
+    if offdiag / scale > _OFFDIAGONAL_TOL:
         uncertified.append(
             f"joint diagonalization off-diagonal residue {offdiag / scale:.3e} "
-            f"exceeds {tol:.1e}"
+            f"exceeds {_OFFDIAGONAL_TOL:.1e}"
         )
         warnings.warn(uncertified[-1], stacklevel=2)
     diagnostics["certified"] = not uncertified

@@ -354,9 +354,9 @@ def _rows_formed(monkeypatch):
     counts = []
     real = linalg.independent_rows
 
-    def spy(rows, field, return_echelon=False):
+    def spy(rows, field):
         counts.append(len(rows))
-        return real(rows, field, return_echelon)
+        return real(rows, field)
 
     monkeypatch.setattr(linalg, "independent_rows", spy)
     return counts

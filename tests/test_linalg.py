@@ -71,7 +71,7 @@ def assert_matches_oracle(rows):
     assert E.sources == tuple(sources)
     # the rows are the numerators of the RREF over E.den
     assert E.rows.dtype in (np.int64, object)
-    rref = [list(r) for r in linalg.take_rows(E.rows, range(len(E.rows)), QQ, E.den)]
+    rref = [list(r) for r in linalg.Rows(E.rows, E.den, QQ)]
     assert rref == R
     free = [f for f in range(ncols) if f not in pivots]
     expect = []
@@ -145,7 +145,7 @@ def test_independent_rows_spans_row_space():
             [field.from_int(rng.randint(-4, 4)) for _ in range(5)]
             for _ in range(8)
         ]
-        keep = linalg.independent_rows(rows, field)
+        keep, _ = linalg.independent_rows(rows, field)
         sub = [rows[i] for i in keep]
         assert linalg.rank(sub, field) == len(keep) == linalg.rank(rows, field)
 
@@ -247,13 +247,13 @@ def test_sparse_products_match_loops(field):
         linalg.sparse((6, 9), rows, cols, vals, field), Xs, field
     )
     assert got.dtype == (object if field == FBIG else np.int64)
-    got = [list(r) for r in linalg.take_rows(got, range(6), field, den)]
+    got = [list(r) for r in linalg.Rows(got, den, field)]
     assert got == _matmul_loops(S, X, field)
     assert {type(x) for r in got for x in r} == {type(field.zero)}
     A = _random_sparse(rng, 4, 7, field, density=0.8)
     A_int, aden = linalg.integer_form(A, field)
     got = linalg.matmul_transposed(A_int, Xs, field)
-    got = [list(r) for r in linalg.take_rows(got, range(4), field, aden * Xs.den)]
+    got = [list(r) for r in linalg.Rows(got, aden * Xs.den, field)]
     assert got == _matmul_loops(A, [list(c) for c in zip(*X)], field)
     assert linalg.matmul_transposed(A_int[:0], Xs, field).shape == (0, 9)
 
@@ -278,7 +278,7 @@ def test_matmul_and_combine_modp_match_python():
         [sum(c * M[r][j] for c, M in zip(coeffs, mats)) % p for j in range(6)]
         for r in range(4)
     ]
-    got = linalg.combine(coeffs, mats, F)
+    got = linalg.combine(coeffs, mats, F).tolist()
     assert got == expect
     assert {type(x) for row in got for x in row} == {int}
 
@@ -496,7 +496,7 @@ def test_block_echelon_is_inverse_times_blocks(system):
     rows = [[x for blk in [S, *blocks] for x in blk[r]] for r in range(n)]
     E = linalg.echelon(rows, field)
     assert E.pivots == tuple(range(n))
-    R = [list(row) for row in linalg.take_rows(E.rows, range(n), field, E.den)]
+    R = [list(row) for row in linalg.Rows(E.rows, E.den, field)]
     for j, blk in enumerate(blocks):
         X = [row[(j + 1) * n : (j + 2) * n] for row in R]
         assert X == linalg.matmul(inv, blk, field)

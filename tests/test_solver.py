@@ -150,9 +150,9 @@ def test_del_pezzo_delta_over_fp(d):
     ms = multiplication_matrices(sys, N, dreg - 1, seed=0)
     assert ms.delta == 5 * d * d
     _check_mult_invariants(sys, ms)
-    # the int64 pipeline hands back plain Python ints
+    # the int64 arrays read back as rows of plain Python ints
     for rows in (M.entries, N.N, *ms.mats):
-        assert isinstance(rows, tuple)
+        assert isinstance(rows, linalg.Rows) and rows.A.dtype == np.int64
         assert all(type(x) is int for row in rows for x in row)
 
 
@@ -298,12 +298,40 @@ def test_seed_determinism(duffing):
     assert a.diagnostics["h_coeffs"] == b.diagnostics["h_coeffs"]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(P), GF(2**61 - 1)], ids=str)
+def test_results_read_as_rows_of_field_elements(field):
+    # KM matrix, kernel and M_j are integer arrays over a denominator that
+    # read as rows of field elements; above 2**31 the arrays are object ints
+    sys = catalog.duffing(field=field).sys
+    M = km_matrix(sys, 3, reduce=True)
+    N = kernel_basis(M)
+    ms = multiplication_matrices(sys, N, 2, seed=0)
+    kind = Fraction if field == QQ else int
+    for R in (M.entries, N.N, *ms.mats):
+        rows = list(R)
+        assert len(R) == len(rows) == R.A.shape[0] > 0
+        assert all(type(row) is tuple for row in rows)
+        assert all(type(x) is kind for row in rows for x in row)
+        assert rows == [tuple(Fraction(x, R.den) for x in row) for row in R.A.tolist()]
+        O = np.array(R, dtype=object)
+        assert O.shape == R.A.shape and O.tolist() == [list(row) for row in rows]
+        assert all(type(x) is kind for x in O.ravel())
+        if field == QQ:
+            assert np.array(R, dtype=float).tolist() == [[float(x) for x in row] for row in rows]
+        else:
+            assert np.asarray(R) is R.A and np.array(R, dtype=R.A.dtype) is R.A
+            assert not R.A.flags.writeable
+        if field == GF(P):
+            assert R.A.dtype == np.int64
+        if field == GF(2**61 - 1):
+            assert R.A.dtype == object
+
+
 def test_multiplication_matrices_are_fractions_over_qq(duffing):
-    # extract_solutions tells the fields apart by isinstance(first, int)
     N = kernel_basis(km_matrix(duffing.sys, 3, reduce=True))
     ms = multiplication_matrices(duffing.sys, N, 2, seed=0)
     assert all(type(x) is Fraction for m in ms.mats for row in m for x in row)
-    assert all(isinstance(m, tuple) and isinstance(m[0], tuple) for m in ms.mats)
+    assert all(isinstance(m, linalg.Rows) and isinstance(m[0], tuple) for m in ms.mats)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(P)], ids=str)
