@@ -406,7 +406,7 @@ def schubert_equations(
         Equation(degree=1, coeff_form={unit[j]: forms[r][j] for j in order if j in forms[r]})
         for r in keep
     ]
-    sys = StructuredSystem(par, eqs, validate=False)
+    sys = StructuredSystem(par, eqs)
 
     expected = dreg = None
     if (k, m) == (3, 6):
@@ -490,7 +490,7 @@ def random_dense_system(par, degrees, seed=0, zero_coeffs=()):
                 c = rng.randrange(1, field.modulus)
             form[alpha] = c
         eqs.append(Equation(degree=d, coeff_form=form))
-    return StructuredSystem(par, eqs, validate=False)
+    return StructuredSystem(par, eqs)
 
 
 def _compositions(d, parts):

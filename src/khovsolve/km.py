@@ -62,34 +62,54 @@ class NotInAlgebraError(ValueError):
 class Equation:
     """One equation: a polynomial f with its homogeneous degree d_i.
 
-    `coeff_form` optionally gives f as coefficients c_alpha over generator
-    exponent vectors alpha (len ell+1, sum = d_i), so that
+    `coeff_form` gives f as coefficients c_alpha over generator exponent
+    vectors alpha (len ell+1, sum = d_i), so that
     f = sum c_alpha * prod phi_j**alpha_j. Either f or coeff_form may be
-    omitted; the missing one is derived.
+    omitted. In a `StructuredSystem` every equation has its form, and an f
+    not given is derived from it, through the system's parameterization,
+    when `f` is first read. An equation built alone from a form reads f as
+    None.
     """
 
-    __slots__ = ("f", "degree", "coeff_form")
+    __slots__ = ("_f", "degree", "coeff_form", "_par")
 
     def __init__(self, f=None, degree=None, coeff_form=None):
         if f is None and coeff_form is None:
             raise ValueError("equation needs f or coeff_form")
         if degree is None or degree < 1:
             raise ValueError(f"equation degree must be a positive integer, got {degree}")
-        self.f = f
+        self._f = f
         self.degree = int(degree)
         self.coeff_form = dict(coeff_form) if coeff_form is not None else None
+        self._par = None  # set by a StructuredSystem when f is to be derived
+
+    @property
+    def f(self):
+        if self._f is None and self._par is not None:
+            self._f = _expand_coeff_form(self._par, self.coeff_form, self.degree)
+        return self._f
 
 
-def _expand_coeff_form(par: Parameterization, coeff_form, degree):
-    F = par.field
-    terms = {}
+def _checked_form(par: Parameterization, coeff_form, degree):
+    """The form with int-tuple exponents; ValueError unless each exponent
+    vector is a degree-`degree` monomial in the ell+1 generators."""
+    form = {}
     for alpha, c in coeff_form.items():
         alpha = tuple(map(int, alpha))
-        if len(alpha) != par.ell + 1 or sum(alpha) != degree:
+        if len(alpha) != par.ell + 1 or min(alpha) < 0 or sum(alpha) != degree:
             raise ValueError(
                 f"coefficient exponent {alpha} is not a degree-{degree} "
                 f"monomial in {par.ell + 1} generators"
             )
+        form[alpha] = c
+    return form
+
+
+def _expand_coeff_form(par: Parameterization, coeff_form, degree):
+    """f = sum c_alpha prod phi_j**alpha_j of a checked degree-`degree` form."""
+    F = par.field
+    terms = {}
+    for alpha, c in coeff_form.items():
         # phi_j itself for a first power: phi_j ** 1 would be one more product
         g = reduce(MultiPoly.__mul__, [par.phi[j] if a == 1 else par.phi[j] ** a
                                        for j, a in enumerate(alpha) if a])
@@ -102,98 +122,75 @@ def _expand_coeff_form(par: Parameterization, coeff_form, degree):
 class StructuredSystem:
     """A parameterization together with equations in its graded pieces.
 
-    The equations of one degree are expanded in its graded basis by one
-    `khov.expand` call, on validation or on the first request for a
-    coefficient form among them, which is then read off its row.
+    Each equation is held as its coefficient form, which is what the KM
+    rows, the residuals and system files read. A given form has its
+    exponent vectors checked, and where f was given too, it must expand to
+    f. The forms of the equations given by f alone are read off one
+    `khov.expand` call per degree, which raises NotInAlgebraError for the
+    first equation outside its graded piece. No f is formed here: one not
+    given is derived from the form on first read (`Equation.f`).
     """
 
-    def __init__(self, par: Parameterization, equations, validate=True):
+    def __init__(self, par: Parameterization, equations):
         self.par = par
-        eqs, given_both = [], set()
+        eqs, by_degree = [], {}
         for i, eq in enumerate(equations):
             if not isinstance(eq, Equation):
                 f, degree = eq
                 eq = Equation(f=f, degree=degree)
-            if eq.f is None:
-                eq = Equation(
-                    f=_expand_coeff_form(par, eq.coeff_form, eq.degree),
-                    degree=eq.degree,
-                    coeff_form=eq.coeff_form,
-                )
-            elif eq.coeff_form is not None:
-                given_both.add(i)
+            f = eq._f if eq._par is None else None  # a derived f was not given
+            form = eq.coeff_form
+            if form is None:
+                by_degree.setdefault(eq.degree, []).append(i)
+            else:
+                form = _checked_form(par, form, eq.degree)
+                if f is not None and _expand_coeff_form(par, form, eq.degree) != f:
+                    raise ValueError(f"equation {i}: coefficient form does not expand to f")
+            eq = Equation(f=f, degree=eq.degree, coeff_form=form)
+            if f is None:
+                eq._par = par
             eqs.append(eq)
         self.equations = tuple(eqs)
-        self._forms = {}
-        if validate:
-            self._validate(given_both)
+        outside = [i for d, idx in by_degree.items() for i in self._read_forms(d, idx)]
+        if outside:
+            i = min(outside)
+            res = subduct(par, self.equations[i].f, self.equations[i].degree)
+            raise NotInAlgebraError(
+                f"equation {i} is not in the degree-{self.equations[i].degree} graded "
+                f"piece (subduction remainder {res.remainder.to_string()})"
+            )
 
     @property
     def degrees(self):
         return tuple(eq.degree for eq in self.equations)
 
-    def _validate(self, given_both):
-        """Every equation lies in its graded piece, and where f and the
-        coefficient form were both given, the form expands to f."""
-        for i, eq in enumerate(self.equations):
-            self._form(i)
-            if i in given_both and (
-                _expand_coeff_form(self.par, eq.coeff_form, eq.degree) != eq.f
-            ):
-                raise ValueError(f"equation {i}: coefficient form does not expand to f")
+    def _read_forms(self, d, idx):
+        """Set the forms of the degree-d equations `idx` from one `expand`.
 
-    def _expand_degree(self, d):
-        """Keep the coefficient form of each degree-d equation, from one `expand`.
-
-        None marks an equation outside its graded piece. A form not given
-        is read off the row: the label beta of each coefficient becomes a
-        generator exponent vector via its witness chain, in the order
-        subduction meets the labels.
+        Returns those outside the graded piece. A form is read off the
+        row: the label beta of each coefficient becomes a generator
+        exponent vector via its witness chain, in the order subduction
+        meets the labels.
         """
         par = self.par
-        idx = [i for i, eq in enumerate(self.equations) if eq.degree == d]
         C, outside = expand(par, [self.equations[i].f for i in idx], d)
-        outside = set(outside)
         points = graded_support(par, d).points
         key = par.ord.key
         starts = C.row_starts().tolist()
         for k, i in enumerate(idx):
-            form = self.equations[i].coeff_form
-            if k in outside:
-                form = None
-            elif form is None:
-                row = slice(starts[k], starts[k + 1])
-                vals = linalg.field_values(C.vals[row], C.den, par.field)
-                terms = sorted(
-                    zip(C.cols[row].tolist(), vals), key=lambda t: key(points[t[0]][1:])
-                )
-                form = {witness_monomial(par, d, points[c]): v for c, v in terms}
-            self._forms[i] = form
-
-    def _form(self, i):
-        """The coefficient form of equation i; NotInAlgebraError outside its piece."""
-        eq = self.equations[i]
-        if i not in self._forms:
-            self._expand_degree(eq.degree)
-        form = self._forms[i]
-        if form is None:
-            res = subduct(self.par, eq.f, eq.degree)
-            raise NotInAlgebraError(
-                f"equation {i} is not in the degree-{eq.degree} graded "
-                f"piece (subduction remainder {res.remainder.to_string()})"
+            row = slice(starts[k], starts[k + 1])
+            vals = linalg.field_values(C.vals[row], C.den, par.field)
+            terms = sorted(
+                zip(C.cols[row].tolist(), vals), key=lambda t: key(points[t[0]][1:])
             )
-        return form
+            self.equations[i].coeff_form = {
+                witness_monomial(par, d, points[c]): v for c, v in terms
+            }
+        return [idx[k] for k in outside]
 
     def coefficient_form(self, i):
-        """Coefficients of equation i over generator monomials.
-
-        The supplied form, or else the one read off its expansion; raises
-        NotInAlgebraError when f lies outside its graded piece.
-        """
-        eq = self.equations[i]
-        if eq.coeff_form is not None:
-            return dict(eq.coeff_form)
-        return dict(self._form(i))
+        """Coefficients of equation i over generator monomials."""
+        return dict(self.equations[i].coeff_form)
 
 
 @dataclass(frozen=True)
@@ -236,22 +233,15 @@ def _row_labels(sys, d):
 
 
 def _nonzero_remainder_error(sys, d, i):
-    report = check_khovanskii_truncated(sys.par, d)
-    if report.passed:
-        detail = (
-            f"the generators pass the truncated Khovanskii check up to "
-            f"degree {d}, so equation {i} is not in the graded algebra"
-        )
-    else:
-        c = report.first_failure()
-        detail = (
-            f"the generators fail the truncated Khovanskii check at degree "
-            f"{c.degree} (rank {c.rank} > {c.expected}); the graded basis "
-            f"is incomplete"
-        )
+    """The error for a KM row of equation i in degree d that reads an
+    outside row of a map: every form lies in the algebra, so the
+    generators fail the truncated Khovanskii check at d or below."""
+    c = check_khovanskii_truncated(sys.par, d).first_failure()
     return NotInAlgebraError(
         f"nonzero subduction remainder while building KM rows for "
-        f"equation {i} at degree {d}: {detail}"
+        f"equation {i} at degree {d}: the generators fail the truncated "
+        f"Khovanskii check at degree {c.degree} (rank {c.rank} > "
+        f"{c.expected}); the graded basis is incomplete"
     )
 
 
@@ -262,7 +252,6 @@ def _split(form):
     """
     parts = {}
     for alpha, c in form.items():
-        alpha = tuple(alpha)
         j = next(k for k, a in enumerate(alpha) if a)
         parts.setdefault(j, {})[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]] = c
     return parts
@@ -315,16 +304,8 @@ def _map_rows(sys, d, blocks, dkm):
 
 def _km_blocks(sys, d):
     """(i, coefficient form, d_i) of every equation with rows in degree d."""
-    blocks = []
-    for i, eq in enumerate(sys.equations):
-        if d < eq.degree:
-            continue
-        try:
-            form = sys.coefficient_form(i)
-        except NotInAlgebraError as err:
-            raise _nonzero_remainder_error(sys, d, i) from err
-        blocks.append((i, form, eq.degree))
-    return blocks
+    return [(i, eq.coeff_form, eq.degree)
+            for i, eq in enumerate(sys.equations) if d >= eq.degree]
 
 
 def _f5_rows(sys, d, blocks):

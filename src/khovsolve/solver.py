@@ -297,8 +297,7 @@ def residuals(sys: StructuredSystem, coords) -> tuple:
     """Scaled homogeneous backward errors, one per solution row.
 
     residual = max_i |sum_a c_{i,a} x^a| / (|c_i|_2 * |x|_2^{d_i}), using
-    the coefficient form of each equation (derived by subduction when
-    absent).
+    the coefficient form of each equation.
     """
     forms = [sys.coefficient_form(i) for i in range(len(sys.equations))]
     F = sys.par.field
@@ -357,16 +356,18 @@ def _default_dreg(sys: StructuredSystem, uncertified=None):
 
 
 def _adaptive_dreg(sys: StructuredSystem):
-    """Smallest d with equal KM nullity at d and d+1 (heuristic)."""
+    """(d, its reduced KM matrix) for the smallest d with equal KM nullity
+    at d - 1 and d (heuristic)."""
     par = sys.par
     degrees = sys.degrees
     cap = sum(degrees) + 10
     d = max(degrees) + 1
     prev = None
     while d <= cap:
-        nullity = hilbert_function(par, d) - len(km_matrix(sys, d, reduce=True).entries)
+        M = km_matrix(sys, d, reduce=True)
+        nullity = hilbert_function(par, d) - len(M.entries)
         if prev is not None and nullity == prev and nullity > 0:
-            return d
+            return d, M
         prev = nullity
         d += 1
     raise SolverError(
@@ -401,12 +402,12 @@ def solve(
     s = len(sys.equations)
     if s == 0:
         raise SolverError("no equations given")
-    uncertified = []
+    uncertified, M = [], None
     if dreg is None:
         if s == par.n and not adaptive:
             dreg = _default_dreg(sys, uncertified)
         elif adaptive:
-            dreg = _adaptive_dreg(sys)
+            dreg, M = _adaptive_dreg(sys)
         else:
             raise SolverError(
                 f"got {s} equations on a {par.n}-dimensional variety; the "
@@ -414,8 +415,11 @@ def solve(
                 f"enable the adaptive degree search"
             )
     check_dreg(sys, dreg)
-    M = km_matrix(sys, dreg, reduce=True)
-    N = kernel_basis(M)
+    if M is None:
+        M = km_matrix(sys, dreg, reduce=True)
+    # keep only the shape: the reduced matrix holds its rows and their echelon
+    N, shape = kernel_basis(M), M.shape
+    del M
     ms = multiplication_matrices(sys, N, dreg - 1, seed=seed)
     if isinstance(par.field, PrimeField):
         raise UnsupportedFieldError(
@@ -434,7 +438,7 @@ def solve(
             "dreg": dreg,
             "delta": ms.delta,
             "nullity": N.nullity,
-            "km_shape": M.shape,
+            "km_shape": shape,
             "seed": seed,
             "h_coeffs": ms.h_coeffs,
         }

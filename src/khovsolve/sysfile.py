@@ -13,6 +13,8 @@ Schema:
 }
 
 Exact scalars are serialized as decimal strings, "num/den" over QQ.
+Either form of an equation is read; files are written with "coeffs", the
+coefficient form every equation of a StructuredSystem has.
 """
 
 from __future__ import annotations
@@ -128,21 +130,16 @@ def system_to_dict(par: Parameterization, sys: StructuredSystem = None):
         "equations": [],
     }
     if sys is not None:
-        for eq in sys.equations:
-            if eq.coeff_form is not None:
-                data["equations"].append(
-                    {
-                        "degree": eq.degree,
-                        "coeffs": [
-                            {"alpha": list(a), "c": par.field.fmt(c)}
-                            for a, c in sorted(eq.coeff_form.items())
-                        ],
-                    }
-                )
-            else:
-                data["equations"].append(
-                    {"degree": eq.degree, "poly": eq.f.to_string()}
-                )
+        data["equations"] = [
+            {
+                "degree": eq.degree,
+                "coeffs": [
+                    {"alpha": list(a), "c": par.field.fmt(c)}
+                    for a, c in sorted(eq.coeff_form.items())
+                ],
+            }
+            for eq in sys.equations
+        ]
     return data
 
 

@@ -48,6 +48,25 @@ def test_system_file_round_trip():
     assert [e.f for e in sys2.equations] == [e.f for e in sys.equations]
 
 
+def test_poly_equation_is_written_as_coefficient_form():
+    # a file equation given as "poly" loads; it is written back with the
+    # coefficient form read off its expansion, which reloads to the same
+    # f and the same KM rows
+    from khovsolve import catalog
+    from khovsolve.km import km_matrix
+
+    sys = catalog.duffing().sys
+    data = json.loads(dump_system(sys.par, sys))
+    data["equations"][0] = {"degree": 1, "poly": sys.equations[0].f.to_string()}
+    par, loaded = load_system(json.dumps(data))
+    written = json.loads(dump_system(par, loaded))
+    assert [sorted(e) for e in written["equations"]] == [["coeffs", "degree"]] * 2
+    _, reloaded = load_system(json.dumps(written))
+    assert [e.f for e in reloaded.equations] == [e.f for e in sys.equations]
+    assert ([list(r) for r in km_matrix(reloaded, 3).entries]
+            == [list(r) for r in km_matrix(loaded, 3).entries])
+
+
 def test_load_system_rejects_garbage():
     with pytest.raises(SystemFileError):
         load_system("not json {")

@@ -166,14 +166,14 @@ def test_equation_not_in_graded_piece():
 
 
 def test_unvalidated_equation_outside_graded_piece():
-    # the second equation, t2^2, has a nonzero remainder in degree 1
+    # the second equation, t2^2, has a nonzero remainder in degree 1: the
+    # expansion that reads its coefficient form raises at construction
     for field in (QQ, GF(9716633)):
         par = catalog.duffing(field=field).sys.par
         eqs = [Equation(f=par.phi[1], degree=1),
                Equation(f=parse_polynomial("t2^2", par.varnames, field), degree=1)]
-        sys = StructuredSystem(par, eqs, validate=False)
-        with pytest.raises(NotInAlgebraError, match="for equation 1 at degree 2"):
-            km_matrix(sys, 2)
+        with pytest.raises(NotInAlgebraError, match="equation 1 is not in the degree-1"):
+            StructuredSystem(par, eqs)
 
 
 def test_km_detects_incomplete_basis():
@@ -189,8 +189,26 @@ def test_km_detects_incomplete_basis():
         ]
         par = build_parameterization(phi, WeightOrder((-1, 0)))
         f = par.phi[1]
-        sys = StructuredSystem(par, [Equation(f=f, degree=1)], validate=False)
+        sys = StructuredSystem(par, [Equation(f=f, degree=1)])
         with pytest.raises(NotInAlgebraError, match="Khovanskii"):
+            km_matrix(sys, 2)
+
+
+def test_form_of_higher_degree_outside_the_basis_raises_at_km():
+    # phi_1^2 on the generators above is a degree-2 form: the system
+    # builds, and its KM rows in degree 2 read the products of X^(1) that
+    # leave the incomplete degree-2 basis
+    from khovsolve.khov import build_parameterization
+    from khovsolve.poly import WeightOrder
+
+    for field in (QQ, GF(9716633)):
+        phi = [
+            parse_polynomial(s, ("t1", "t2"), field)
+            for s in ("t1 + t2", "t1*t2", "t1*t2^2")
+        ]
+        par = build_parameterization(phi, WeightOrder((-1, 0)))
+        sys = StructuredSystem(par, [Equation(degree=2, coeff_form={(0, 2, 0): field.one})])
+        with pytest.raises(NotInAlgebraError, match="Khovanskii check at degree 2"):
             km_matrix(sys, 2)
 
 
@@ -257,30 +275,30 @@ def test_validation_expands_once_per_degree(monkeypatch):
 
 
 def test_each_coefficient_form_expands_once(monkeypatch):
-    # a form given alone is expanded to f once; a form given with f is
-    # expanded once more, to compare
+    # a form given alone is expanded to f on the first read of f only, and
+    # then kept; a form given with f is expanded once, to compare
     par = catalog.duffing().sys.par
     dense = catalog.random_dense_system(par, (1, 2, 1), seed=3).equations
     calls = _count_calls(monkeypatch, km, "_expand_coeff_form")
-    StructuredSystem(par, [Equation(degree=eq.degree, coeff_form=eq.coeff_form)
-                           for eq in dense])
-    assert len(calls) == 3
+    sys = StructuredSystem(par, [Equation(degree=eq.degree, coeff_form=eq.coeff_form)
+                                 for eq in dense])
+    assert len(calls) == 0
+    eq = sys.equations[1]
+    f = eq.f
+    assert len(calls) == 1
+    assert eq.f is f
+    assert len(calls) == 1
     del calls[:]
-    StructuredSystem(par, dense)
-    assert len(calls) == 3
+    StructuredSystem(par, [Equation(f=f, degree=eq.degree, coeff_form=eq.coeff_form)])
+    assert len(calls) == 1
 
 
 def test_not_in_algebra_only_for_the_equation_asked_for():
     par = catalog.duffing().sys.par
     eqs = [Equation(f=par.phi[1], degree=1),
            Equation(f=parse_polynomial("t2^2", par.varnames), degree=1)]
-    sys = StructuredSystem(par, eqs, validate=False)
-    assert sys.coefficient_form(0) == {(0, 1, 0, 0, 0): Fraction(1)}
     message = ("equation 1 is not in the degree-1 graded piece "
                "(subduction remainder t2^2)")
-    with pytest.raises(NotInAlgebraError) as err:
-        sys.coefficient_form(1)
-    assert str(err.value) == message
     with pytest.raises(NotInAlgebraError) as err:
         StructuredSystem(par, eqs)
     assert str(err.value) == message
@@ -342,7 +360,7 @@ def test_f5_drops_the_pivots_of_each_prefix(field):
     expect = set()
     for i in range(1, len(sys.equations)):
         e = d - sys.equations[i].degree
-        P = km_matrix(StructuredSystem(par, sys.equations[:i], validate=False), e)
+        P = km_matrix(StructuredSystem(par, sys.equations[:i]), e)
         pivots = linalg.echelon([list(r) for r in P.entries], field).pivots
         expect |= {(i, P.col_labels[c]) for c in pivots}
     assert expect
@@ -394,7 +412,7 @@ def test_f5_unlucky_prime_in_a_qq_prefix(monkeypatch):
     sys = StructuredSystem(par, [
         Equation(degree=1, coeff_form={alpha[0]: Fraction(P), alpha[1]: Fraction(1)}),
         dense,
-    ], validate=False)
+    ])
     labels = km._row_labels(sys, 2)
     kept = km._f5_rows(sys, 2, km._km_blocks(sys, 2)).tolist()
     assert [lab for k, lab in enumerate(labels) if k not in kept] == [(1, points[1])]
@@ -420,7 +438,7 @@ def test_outside_row_used_only_by_dropped_rows_still_raises():
         sys = StructuredSystem(par, [
             Equation(degree=1, coeff_form={a: field.from_int(c) for a, c in f.items()})
             for f in forms
-        ], validate=False)
+        ])
         labels = km._row_labels(sys, 3)
         kept = km._f5_rows(sys, 3, km._km_blocks(sys, 3)).tolist()
         assert all(labels[k][0] < 2 for k in kept)

@@ -82,6 +82,67 @@ def test_duffing_adaptive_dreg(duffing):
     assert len(sols) == 5
 
 
+def test_adaptive_dreg_builds_each_km_matrix_once(duffing, monkeypatch):
+    # the search's matrix at the degree it returns is the one solved
+    degrees = []
+    real = solver.km_matrix
+
+    def spy(sys, d, reduce=False):
+        degrees.append(d)
+        return real(sys, d, reduce=reduce)
+
+    monkeypatch.setattr(solver, "km_matrix", spy)
+    sols = solve(duffing.sys, adaptive=True, seed=0)
+    assert degrees == [2, 3]
+    assert sols.diagnostics["dreg"] == 3
+    assert sols.diagnostics["km_shape"] == (23, 28)
+    assert len(sols) == 5
+
+
+def _expanded(par, form):
+    """sum c_alpha prod phi_j**alpha_j, term by term."""
+    f = None
+    for alpha, c in form.items():
+        g = par.phi[0] ** 0
+        for j, a in enumerate(alpha):
+            g = g * par.phi[j] ** a
+        f = g.scale(c) if f is None else f + g.scale(c)
+    return f
+
+
+def test_pipeline_forms_no_polynomial_from_a_form(monkeypatch):
+    # the KM rows, kernels, multiplication matrices and residuals read the
+    # coefficient forms: no f is expanded from one unless it is read
+    from khovsolve import km
+
+    calls = []
+    real = km._expand_coeff_form
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(km, "_expand_coeff_form", spy)
+    sys = catalog.duffing().sys
+    assert len(solve(sys, dreg=3, seed=0)) == 5
+    F = GF(P)
+    conds = [
+        catalog.SchubertCondition((3, 5, 6), f)
+        for f in catalog.random_flags(6, 5, seed=1, field=F)
+    ] + [
+        catalog.SchubertCondition((2, 5, 6), f)
+        for f in catalog.random_flags(6, 2, seed=2, field=F)
+    ]
+    gr36 = catalog.schubert_equations(3, 6, conds, field=F).sys
+    N = kernel_basis(km_matrix(gr36, 3, reduce=True))
+    assert multiplication_matrices(gr36, N, 2, seed=0).delta == 11
+    assert calls == []
+    for s in (sys, gr36):
+        for eq in s.equations:
+            assert eq.f == _expanded(s.par, eq.coeff_form)
+    assert len(calls) == len(sys.equations) + len(gr36.equations)
+
+
 def test_solutions_satisfy_original_equations(duffing):
     # plug the affine points t = (x1/x0, x2/x0) back into the t-equations
     sols = solve(duffing.sys, dreg=3, seed=0, normalize="first")
