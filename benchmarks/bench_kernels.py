@@ -1,16 +1,14 @@
 """Time the mod-p kernels at the shapes the solver produces.
 
 Shapes follow the Gr(3,6) count 5x(3,5,6)+2x(2,5,6) over F_9716633 at
-degree 3: a 2275 x 980 KM matrix of rank 969, the expansion of its rows
-against the 980-element degree-3 basis (3346 monomials), and the 11 x 980
-kernel times the 980 x 3500 expansion of the multiplied degree-2 basis.
-Each kernel is also timed at p = 2**31 - 1, where products leave the
-float64 range and run as chunked int64 matmul. Prints the best of three
-runs and the rate in Gop/s, one Gop being 1e9 multiply-adds (m*n*rank
-for a row reduction, m*k*n for a product, the basis terms touched for a
-subduction). The subduction row runs the sparse kernel on 313 rows in the
-span of a random basis, given as COO keys, with the basis's level plan
-(`_kernels.subduction_levels`) built once outside the timing.
+degree 3: a 2275 x 980 KM matrix of rank 969, and the 11 x 980 kernel
+times the 980 x 3500 expansion of the multiplied degree-2 basis. Each
+kernel is also timed at p = 2**31 - 1, where products leave the float64
+range and run as chunked int64 matmul. Prints the best of three runs and
+the rate in Gop/s, one Gop being 1e9 multiply-adds (m*n*rank for a row
+reduction, m*k*n for a product). The batched subduction kernel
+(`_kernels.modp_subduct_batch`) is timed inside the map rows below, at
+the shapes the multiplication maps give it.
 
 The exact echelon over QQ, `linalg.echelon`, is timed on the 360 x 175 KM
 matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded random
@@ -40,12 +38,10 @@ products into degree 5) of the same chart, the maps and bases of the
 degrees below cached and the CSR basis of the target degree built within
 the timing, each with its `tracemalloc` peak.
 
-Two rows guard the expansion over QQ, where the batched subduction runs
+One row guards the expansion over QQ, where the batched subduction runs
 on object arrays of Fractions: building X^(3) of the osculating Gr(2,5)
 chart (`khov.multiplication_map(par, 3)`, 1750 products into degree 4,
-the CSR bases cached), with its `tracemalloc` peak, and one call of the
-one-row `khov.subduct` on the first Duffing equation in degree 1 (mean
-over 2000 calls).
+the CSR bases cached), with its `tracemalloc` peak.
 
 The support rows time `khov.graded_support` for every degree up to the
 one shown, on a fresh copy of the chart each run: the Gr(2,5) chart of
@@ -101,44 +97,10 @@ def _low_rank(rng, m, n, rank, p):
     return _kernels.modp_matmul(U, V, p)
 
 
-def _random_basis(rng, nbasis, ncols, p, terms=5):
-    """Sparse CSR basis with increasing leading columns, like graded bases,
-    and its level plan."""
-    leadpos = np.sort(rng.choice(ncols, size=nbasis, replace=False))
-    vals, cols, indptr, leadinv = [], [], [0], []
-    for lp in leadpos:
-        lead = int(rng.integers(1, p))
-        vals.append(lead)
-        cols.append(int(lp))
-        tail = np.arange(int(lp) + 1, ncols)
-        for c in np.sort(rng.choice(tail, size=min(tail.size, terms - 1), replace=False)):
-            vals.append(int(rng.integers(1, p)))
-            cols.append(int(c))
-        indptr.append(len(vals))
-        leadinv.append(pow(lead, p - 2, p))
-    basis = tuple(np.array(x, dtype=np.int64) for x in (vals, cols, indptr, leadpos, leadinv))
-    return basis + (_kernels.subduction_levels(*basis[1:4]),)
-
-
 def bench_rref(rng, m, n, rank, p):
     A = _low_rank(rng, m, n, rank, p)
     t, piv = _best(lambda: _kernels.modp_rref(A.copy(), p))
     return t, m * n * len(piv) / 1e9
-
-
-def bench_subduct(rng, batch, nbasis, ncols, p):
-    basis = _random_basis(rng, nbasis, ncols, p)
-    # rows in the span of the basis: the dense batch the KM rows expand
-    coef = rng.integers(0, p, size=(batch, nbasis)).astype(np.int64)
-    B = np.zeros((nbasis, ncols), dtype=np.int64)
-    vals, cols, indptr = basis[:3]
-    for b in range(nbasis):
-        B[b, cols[indptr[b] : indptr[b + 1]]] = vals[indptr[b] : indptr[b + 1]]
-    G = _kernels.modp_matmul(coef, B, p)
-    rows, cols = np.nonzero(G)
-    keys, gvals = rows * ncols + cols, G[rows, cols]
-    t, _ = _best(lambda: _kernels.modp_subduct_batch(keys, gvals, ncols, *basis, p))
-    return t, batch * vals.size / 1e9
 
 
 def bench_matmul(rng, m, k, n, p):
@@ -256,20 +218,6 @@ def bench_map_qq():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return t, peak, "{}x{}".format(*X.matrix.shape)
-
-
-def bench_subduct_row(calls=2000):
-    """Mean seconds of one-row subduct on a Duffing equation in degree 1."""
-    sys = catalog.duffing().sys
-    f, par = sys.equations[0].f, sys.par
-    khov.subduct(par, f, 1)
-
-    def run():
-        for _ in range(calls):
-            khov.subduct(par, f, 1)
-
-    t, _ = _best(run)
-    return t / calls
 
 
 def _schubert_count(n1, n2, F):
@@ -408,7 +356,6 @@ def main():
     cases = [
         ("modp_rref", "2275x980 rank 969", bench_rref, (2275, 980, 969)),
         ("modp_rref", "700x350 rank 345", bench_rref, (700, 350, 345)),
-        ("modp_subduct_batch", "313x3346 / 980", bench_subduct, (313, 980, 3346)),
         ("modp_matmul", "11x980 @ 980x3500", bench_matmul, (11, 980, 3500)),
         ("modp_matmul", "2275x64 @ 64x980", bench_matmul, (2275, 64, 980)),
     ]
@@ -427,8 +374,6 @@ def main():
     t, peak, shape = bench_map_qq()
     print(f"{'multiplication_map':<22}{shape + ' X^(3)':<22}{'QQ':>12}{t * 1e3:9.1f}ms"
           f"   tracemalloc peak {peak / 2**20:.1f} MB")
-    t = bench_subduct_row()
-    print(f"{'subduct one row':<22}{'Duffing d = 1':<22}{'QQ':>12}{t * 1e6:9.1f}us")
     for shape, points, t in bench_support():
         print(f"{'graded_support':<22}{shape:<22}{'QQ':>12}{t * 1e3:9.1f}ms   {points}")
     for name, fn in (("echelon QQ", bench_echelon_qq),

@@ -41,6 +41,7 @@ from .solver import (
     extract_solutions,
     kernel_basis,
     multiplication_matrices,
+    multiplication_system,
     normalize_solutions,
     residuals,
     solve,
@@ -82,6 +83,7 @@ __all__ = [
     "kernel_basis",
     "MultiplicationSystem",
     "multiplication_matrices",
+    "multiplication_system",
     "SolutionSet",
     "extract_solutions",
     "solve",

@@ -532,9 +532,5 @@ def get_instance(name, field=QQ, seed=0):
         par = pluecker_chart(k, m, field)
         n = k * (m - k)
         sys = random_dense_system(par, (1,) * n, seed=seed)
-        hp_degree = None
-        return ProblemInstance(
-            sys, expected_count=hp_degree, recommended_dreg=None,
-            note=f"random linear equations on Gr({k},{m})",
-        )
+        return ProblemInstance(sys, note=f"random linear equations on Gr({k},{m})")
     raise KeyError(f"unknown catalog entry {name!r}")

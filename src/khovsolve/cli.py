@@ -4,7 +4,14 @@ Subcommands mirror the pipeline stages: check (truncated Khovanskii
 verification), basis, hilbert, km, solve, schubert, catalog. Exit codes:
 0 success, 1 input/parse errors (usage errors and out-of-range options
 included), 2 mathematical failures (non-Khovanskii generators,
-non-stabilizing nullity), 3 unsupported field operations.
+non-stabilizing nullity, no degree for a non-square problem), 3
+unsupported field operations. A command reports a failure by raising;
+`main` alone maps each exception to its exit code.
+
+`solve` and `schubert` over QQ run `solver.solve`; `schubert` over F_p
+runs the same `solver.multiplication_system` without the eigenvalue step
+and prints the solution count, with the same degree choice (`--dreg`,
+the regularity bound when s = n, or `--adaptive`).
 """
 
 from __future__ import annotations
@@ -103,8 +110,7 @@ def cmd_hilbert(args):
 def cmd_km(args):
     par, system = load_system(_read_input(args.file))
     if system is None:
-        print("error: system file has no equations", file=_sys.stderr)
-        return EXIT_INPUT
+        raise SystemFileError("system file has no equations")
     M = km_matrix(system, args.degree, reduce=args.reduce)
     rows, cols = km_shape(system, args.degree)
     print(f"shape: {M.shape[0]} x {M.shape[1]}"
@@ -152,9 +158,8 @@ def _solution_json(sols):
 
 def cmd_solve(args):
     par, system = load_system(_read_input(args.file))
-    if system is None or not system.equations:
-        print("error: positive-dimensional (no equations)", file=_sys.stderr)
-        return EXIT_MATH
+    if system is None:
+        raise solver.SolverError("positive-dimensional (no equations)")
     sols = solver.solve(
         system,
         dreg=args.dreg,
@@ -183,11 +188,7 @@ def cmd_schubert(args):
     if args.osculating:
         svals = _int_list(args.osculating, "--osculating")
         if len(svals) != len(alphas):
-            print(
-                "error: need one osculating parameter per condition",
-                file=_sys.stderr,
-            )
-            return EXIT_INPUT
+            raise cat.InputError("need one osculating parameter per condition")
         flags = [cat.osculating_flag(s, args.m, field) for s in svals]
     else:
         flags = cat.random_flags(args.m, len(alphas), seed=args.seed, field=field)
@@ -200,15 +201,6 @@ def cmd_schubert(args):
         f"equations: {inst.extras['n_equations']} "
         f"(raw {inst.extras['n_raw_equations']})"
     )
-    square = len(inst.sys.equations) == inst.sys.par.n
-    if dreg is None and not args.adaptive and not square:
-        # with s = n the solver derives dreg from the regularity bound
-        print(
-            "error: no recommended dreg for this problem; pass --dreg or "
-            "--adaptive",
-            file=_sys.stderr,
-        )
-        return EXIT_INPUT
     if field == QQ:
         sols = solver.solve(
             inst.sys, dreg=dreg, seed=args.seed, adaptive=args.adaptive,
@@ -216,15 +208,9 @@ def cmd_schubert(args):
         )
         _write_output(args.out, _solution_json(sols))
     else:
-        if dreg is None and args.adaptive:
-            print("error: adaptive search over F_p needs --dreg", file=_sys.stderr)
-            return EXIT_INPUT
-        if dreg is None:  # s = n, as checked above
-            dreg = solver._default_dreg(inst.sys)
-        solver.check_dreg(inst.sys, dreg)  # solve checks it over QQ
-        M = km_matrix(inst.sys, dreg, reduce=True)
-        N = solver.kernel_basis(M)
-        ms = solver.multiplication_matrices(inst.sys, N, dreg - 1, seed=args.seed)
+        ms, dreg, _, _ = solver.multiplication_system(
+            inst.sys, dreg, args.seed, args.adaptive
+        )
         _write_output(
             args.out,
             json.dumps(
@@ -330,7 +316,10 @@ def main(argv=None):
         return EXIT_OK if not err.code else EXIT_INPUT
     try:
         return args.fn(args)
-    except (SystemFileError, cat.InputError, FileNotFoundError, KeyError) as err:
+    except (SystemFileError, cat.InputError, OSError, UnicodeDecodeError,
+            KeyError) as err:
+        # an unreadable or undecodable file too: UnicodeDecodeError is a
+        # ValueError, which would otherwise read as a math failure
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_INPUT
     except solver.UnsupportedFieldError as err:

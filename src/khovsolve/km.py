@@ -90,16 +90,17 @@ class Equation:
         return self._f
 
 
-def _checked_form(par: Parameterization, coeff_form, degree):
-    """The form with int-tuple exponents; ValueError unless each exponent
-    vector is a degree-`degree` monomial in the ell+1 generators."""
+def _checked_form(par: Parameterization, i, coeff_form, degree):
+    """The form of equation i with int-tuple exponents; ValueError naming
+    the equation unless each exponent vector is a degree-`degree` monomial
+    in the ell+1 generators."""
     form = {}
     for alpha, c in coeff_form.items():
         alpha = tuple(map(int, alpha))
         if len(alpha) != par.ell + 1 or min(alpha) < 0 or sum(alpha) != degree:
             raise ValueError(
-                f"coefficient exponent {alpha} is not a degree-{degree} "
-                f"monomial in {par.ell + 1} generators"
+                f"equation {i}: coefficient exponent {list(alpha)} is not a "
+                f"degree-{degree} monomial in {par.ell + 1} generators"
             )
         form[alpha] = c
     return form
@@ -143,7 +144,7 @@ class StructuredSystem:
             if form is None:
                 by_degree.setdefault(eq.degree, []).append(i)
             else:
-                form = _checked_form(par, form, eq.degree)
+                form = _checked_form(par, i, form, eq.degree)
                 if f is not None and _expand_coeff_form(par, form, eq.degree) != f:
                     raise ValueError(f"equation {i}: coefficient form does not expand to f")
             eq = Equation(f=f, degree=eq.degree, coeff_form=form)

@@ -106,11 +106,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def _check_compatible(self, other):
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
@@ -199,9 +194,6 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading exponent")
         return min(self.terms, key=order.key)
-
-    def leading_coefficient(self, order: WeightOrder):
-        return self.terms[self.leading_exponent(order)]
 
     def evaluate(self, point):
         """Exact evaluation at a tuple of field elements."""

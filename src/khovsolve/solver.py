@@ -6,6 +6,10 @@ the multiplication matrices M_j = (N_h)|B^-1 (N_{x_j})|B for a random
 linear form h, and read off the solutions as joint eigenvalues. The
 eigenvalue of M_j at a solution z is x_j(z)/h(z), so the rows of the
 output are homogeneous coordinates.
+
+`multiplication_system` runs every step up to the M_j, on any field: it
+is the one place that chooses and checks dreg. `solve` adds the
+eigenvalues over QQ; a count over F_p reads the delta of its result.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ __all__ = [
     "kernel_basis",
     "MultiplicationSystem",
     "multiplication_matrices",
+    "multiplication_system",
     "SolutionSet",
     "extract_solutions",
     "solve",
-    "check_dreg",
     "residuals",
     "brute_force_affine",
     "normalize_solutions",
@@ -376,18 +380,43 @@ def _adaptive_dreg(sys: StructuredSystem):
     )
 
 
-def check_dreg(sys: StructuredSystem, dreg: int):
-    """Raise SolverError unless the KM degree dreg exceeds every equation degree.
+def multiplication_system(sys: StructuredSystem, dreg, seed: int, adaptive: bool):
+    """The count pipeline on any field: degree, KM matrix, kernel, M_j.
 
-    The one check of dreg for `solve` and the CLI: the multiplication
-    matrices are formed in degree dreg - 1, which must still be at least
-    the degree of every equation.
+    dreg is the given degree or, when None, the adaptive search's (whose
+    KM matrix is reused) or, with s = n, the regularity bound's. It must
+    exceed every equation degree, as the M_j are formed in degree
+    dreg - 1. Returns (MultiplicationSystem, dreg, KM shape, uncertified
+    reasons); the kernel's nullity is the system's delta.
     """
+    par = sys.par
+    s = len(sys.equations)
+    if s == 0:
+        raise SolverError("no equations given")
+    uncertified, M = [], None
+    if dreg is None:
+        if adaptive:
+            dreg, M = _adaptive_dreg(sys)
+        elif s == par.n:
+            dreg = _default_dreg(sys, uncertified)
+        else:
+            raise SolverError(
+                f"got {s} equations on a {par.n}-dimensional variety; the "
+                f"regularity bound needs s = n. Pass dreg explicitly or "
+                f"enable the adaptive degree search"
+            )
     if dreg < max(sys.degrees) + 1:
         raise SolverError(
             f"dreg = {dreg} leaves no room for the degree shift; need at "
             f"least {max(sys.degrees) + 1}"
         )
+    if M is None:
+        M = km_matrix(sys, dreg, reduce=True)
+    # keep only the shape: the reduced matrix holds its rows and their echelon
+    N, shape = kernel_basis(M), M.shape
+    del M
+    ms = multiplication_matrices(sys, N, dreg - 1, seed=seed)
+    return ms, dreg, shape, uncertified
 
 
 def solve(
@@ -397,35 +426,13 @@ def solve(
     adaptive: bool = False,
     normalize: str = "raw",
 ) -> SolutionSet:
-    """End-to-end solve; see module docstring for the pipeline."""
-    par = sys.par
-    s = len(sys.equations)
-    if s == 0:
-        raise SolverError("no equations given")
-    uncertified, M = [], None
-    if dreg is None:
-        if s == par.n and not adaptive:
-            dreg = _default_dreg(sys, uncertified)
-        elif adaptive:
-            dreg, M = _adaptive_dreg(sys)
-        else:
-            raise SolverError(
-                f"got {s} equations on a {par.n}-dimensional variety; the "
-                f"regularity bound needs s = n. Pass dreg explicitly or "
-                f"enable the adaptive degree search"
-            )
-    check_dreg(sys, dreg)
-    if M is None:
-        M = km_matrix(sys, dreg, reduce=True)
-    # keep only the shape: the reduced matrix holds its rows and their echelon
-    N, shape = kernel_basis(M), M.shape
-    del M
-    ms = multiplication_matrices(sys, N, dreg - 1, seed=seed)
-    if isinstance(par.field, PrimeField):
+    """`multiplication_system`, then the joint eigenvalues, over QQ only."""
+    if isinstance(sys.par.field, PrimeField):
         raise UnsupportedFieldError(
             "eigenvalue extraction is unsupported over finite fields; "
-            "use multiplication_matrices and brute_force_affine instead"
+            "use multiplication_system and brute_force_affine instead"
         )
+    ms, dreg, shape, uncertified = multiplication_system(sys, dreg, seed, adaptive)
     sols = extract_solutions(ms, seed=seed)
     coords = normalize_solutions(sols.coords, normalize)
     res = residuals(sys, sols.coords)
@@ -437,7 +444,7 @@ def solve(
             "uncertified": uncertified,
             "dreg": dreg,
             "delta": ms.delta,
-            "nullity": N.nullity,
+            "nullity": ms.delta,
             "km_shape": shape,
             "seed": seed,
             "h_coeffs": ms.h_coeffs,

@@ -23,7 +23,7 @@ import json
 
 from .fields import GF, QQ
 from .khov import Parameterization, build_parameterization
-from .km import Equation, StructuredSystem
+from .km import Equation, NotInAlgebraError, StructuredSystem
 from .poly import WeightOrder, parse_polynomial
 
 __all__ = [
@@ -89,31 +89,33 @@ def load_system(data):
     except ValueError as err:
         raise SystemFileError(f"bad generators: {err}") from err
     eqs = [_equation(i, spec, par) for i, spec in enumerate(eq_specs)]
-    sys = StructuredSystem(par, eqs) if eqs else None
-    return par, sys
+    if not eqs:
+        return par, None
+    try:
+        return par, StructuredSystem(par, eqs)
+    except NotInAlgebraError:
+        raise
+    except ValueError as err:  # a coefficient form that names its equation
+        raise SystemFileError(str(err)) from err
 
 
 def _equation(i, spec, par):
-    """Equation i of a system file; SystemFileError names it when malformed."""
+    """Equation i of a system file; SystemFileError names it when malformed.
+
+    The exponents of a coefficient form are checked by `StructuredSystem`.
+    """
     field = par.field
     try:
         degree = int(spec["degree"])
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
         if "poly" in spec:
             return Equation(f=parse_polynomial(spec["poly"], par.varnames, field),
                             degree=degree)
         if "coeffs" not in spec:
             raise ValueError("needs 'poly' or 'coeffs'")
-        form = {}
-        for item in spec["coeffs"]:
-            alpha = tuple(int(a) for a in item["alpha"])
-            if len(alpha) != par.ell + 1 or min(alpha) < 0 or sum(alpha) != degree:
-                raise ValueError(
-                    f"coefficient exponent {list(alpha)} is not a degree-{degree} "
-                    f"monomial in {par.ell + 1} generators"
-                )
-            form[alpha] = field.parse(str(item["c"]))
+        form = {
+            tuple(int(a) for a in item["alpha"]): field.parse(str(item["c"]))
+            for item in spec["coeffs"]
+        }
         return Equation(degree=degree, coeff_form=form)
     except KeyError as err:
         raise SystemFileError(f"equation {i}: missing {err}") from err

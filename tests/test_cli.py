@@ -176,6 +176,11 @@ def test_solve_command_stdin(duffing_file, capsys, monkeypatch):
 
 def test_exit_code_input_errors(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json")]) == 1
+    assert main(["check", str(tmp_path)]) == 1  # a directory
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    assert main(["solve", str(undecodable), "--dreg", "3"]) == 1
+    assert "codec can't decode" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     assert main(["solve", str(bad), "--dreg", "3"]) == 1
@@ -240,9 +245,11 @@ def _malformed_duffing(change):
         (lambda eq: eq["coeffs"][0].update(alpha=[0, 1, 0, 1, 0]),
          "coefficient exponent [0, 1, 0, 1, 0] is not a degree-1 monomial"),
         (lambda eq: eq.update(degree="x"), "invalid literal for int()"),
+        (lambda eq: eq.update(degree=0), "degree must be a positive integer, got 0"),
         (lambda eq: eq["coeffs"][0].update(c="1/0"), "Fraction(1, 0)"),
     ],
-    ids=["alpha-length", "alpha-degree", "degree-not-integer", "zero-denominator"],
+    ids=["alpha-length", "alpha-degree", "degree-not-integer", "degree-zero",
+         "zero-denominator"],
 )
 def test_exit_code_malformed_equation(tmp_path, capsys, change, message):
     # a malformed equation spec is an input error naming the equation
@@ -254,6 +261,14 @@ def test_exit_code_malformed_equation(tmp_path, capsys, change, message):
     assert main(["solve", str(path), "--dreg", "3"]) == 1
     err = capsys.readouterr().err
     assert "equation 1: " in err and message in err
+
+
+def test_file_equation_outside_its_graded_piece_is_a_math_error(tmp_path, capsys):
+    # load_system turns a malformed form into an input error, but not this
+    path = tmp_path / "outside.json"
+    path.write_text(_malformed_duffing(lambda eq: eq.update(poly="t1^7")))
+    assert main(["solve", str(path), "--dreg", "3"]) == 2
+    assert "equation 1 is not in the degree-1 graded piece" in capsys.readouterr().err
 
 
 def test_exit_code_math_error(tmp_path, capsys):
@@ -322,15 +337,25 @@ def test_schubert_command_needs_matching_osculating_count(capsys):
     assert rc == 1
 
 
-def test_schubert_over_fp_takes_the_default_dreg(tmp_path, capsys):
-    # s = n: the regularity bound gives dreg over F_p as over QQ
+def test_schubert_over_fp_takes_the_default_dreg(tmp_path):
+    # s = n: the regularity bound gives dreg over F_p as over QQ, and so
+    # does the adaptive search
     out = tmp_path / "gr24.json"
     args = ["schubert", "--k", "2", "--m", "4",
-            "--conditions", "2,4;2,4;2,4;2,4", "--field", "Fp:101"]
-    assert main(args + ["--out", str(out)]) == 0
+            "--conditions", "2,4;2,4;2,4;2,4", "--field", "Fp:101", "--out", str(out)]
+    assert main(args) == 0
     assert json.loads(out.read_text()) == {"delta": 2, "dreg": 2, "field": "Fp:101"}
-    assert main(args + ["--adaptive"]) == 1
-    assert "adaptive search over F_p needs --dreg" in capsys.readouterr().err
+    assert main(args + ["--adaptive"]) == 0
+    assert json.loads(out.read_text()) == {"delta": 2, "dreg": 3, "field": "Fp:101"}
+
+
+@pytest.mark.parametrize("field", ["QQ", "Fp:101"])
+def test_schubert_without_a_degree_is_a_math_error(field, capsys):
+    # s = 5 > n = 4 and no --dreg: the solver's error, as from `solve`
+    rc = main(["schubert", "--k", "2", "--m", "4",
+               "--conditions", "1,4;2,4;2,4", "--field", field])
+    assert rc == 2
+    assert "regularity bound needs s = n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

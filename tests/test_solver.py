@@ -260,11 +260,15 @@ def test_brute_force_guards():
         brute_force_affine(big)
 
 
-def test_solve_rejects_finite_fields():
+def test_solve_rejects_finite_fields(monkeypatch):
+    # before any KM work: the count over F_p is `multiplication_system`'s
     par = catalog.del_pezzo(field=GF(P))
     sys = catalog.random_dense_system(par, (1, 1), seed=7)
+    calls = []
+    monkeypatch.setattr(solver, "km_matrix", lambda *args, **kw: calls.append(args))
     with pytest.raises(UnsupportedFieldError):
         solve(sys, dreg=3)
+    assert calls == []
 
 
 def test_extract_rejects_integer_matrices():
