@@ -3,8 +3,9 @@
 Shapes follow the Gr(3,6) count 5x(3,5,6)+2x(2,5,6) over F_9716633 at
 degree 3: a 2275 x 980 KM matrix of rank 969, and the 11 x 980 kernel
 times the 980 x 3500 expansion of the multiplied degree-2 basis. Each
-kernel is also timed at p = 2**31 - 1, where products leave the float64
-range and run as chunked int64 matmul. Prints the best of three runs and
+kernel is also timed at p = 2**31 - 1, where the panel block of the
+elimination runs in int64 and products split their second factor into
+16-bit halves to stay on float64 BLAS. Prints the best of three runs and
 the rate in Gop/s, one Gop being 1e9 multiply-adds (m*n*rank for a row
 reduction, m*k*n for a product). The batched subduction kernel
 (`_kernels.modp_subduct_batch`) is timed inside the map rows below, at

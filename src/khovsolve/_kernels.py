@@ -6,13 +6,13 @@ the pivot rows are solved for the free columns after the last panel.
 Entries are residues in [0, p) with p < 2**31, so the product of two
 entries fits in int64; the batched subduction, on sparse rows held as
 sorted integer keys, also runs exactly on object arrays of field
-elements. Matrix products use delayed reduction (Dumas,
-Giorgi and Pernet, "Dense linear algebra over word-size prime fields",
-ACM TOMS 2008): the inner dimension is cut into chunks short enough that
-every dot product of a chunk is exact before a single reduction mod p.
-The chunks run through float64 BLAS while chunk * (p-1)**2 <= 2**53 and
-through int64 matmul while chunk * (p-1)**2 < 2**63; larger moduli go to
-the generic Python path of the callers.
+elements. Delayed reduction (Dumas, Giorgi and Pernet, "Dense linear
+algebra over word-size prime fields", ACM TOMS 2008) keeps the
+arithmetic exact with few reductions mod p: a matrix product reduces
+once per chunk of its inner dimension, on float64 BLAS (`modp_matmul`),
+and the factorization of a panel once every `chunk` rank-1 updates of a
+small block (`_delayed`). The panel works only on the rows that meet it.
+Larger moduli go to the generic Python path of the callers.
 """
 
 from __future__ import annotations
@@ -31,27 +31,46 @@ _INT64_MAX = (1 << 63) - 1
 
 
 def _delayed(p):
-    """(dtype, chunk): the longest exact inner dimension for modulus p."""
+    """(dtype, chunk): the element-wise arithmetic of the panel block for
+    modulus p, and the number of products of two residues it can sum
+    exactly, that is, of rank-1 updates between two reductions mod p.
+
+    float64 while (p-1)**2 <= 2**53 (p up to about 9.5e7), int64 above.
+    Only the panel block uses it: every matrix product runs on float64
+    (`modp_matmul`).
+    """
     bound = (p - 1) ** 2
     if bound <= _FLOAT_EXACT:
         return np.float64, _FLOAT_EXACT // bound
     return np.int64, _INT64_MAX // bound
 
 
-def modp_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p as an int64 array, for entries in [0, p).
-
-    A and B may be int64, or float64 arrays that `_delayed` selects for
-    p; the result is exact either way.
-    """
-    dtype, chunk = _delayed(p)
-    A = A.astype(dtype, copy=False)
-    B = B.astype(dtype, copy=False)
+def _float_product(A, B, p, chunk):
+    """A @ B mod p for float64 A, B whose chunk-term dot products are exact."""
     C = None
     for lo in range(0, max(A.shape[1], 1), chunk):
         X = (A[:, lo : lo + chunk] @ B[lo : lo + chunk]).astype(np.int64) % p
         C = X if C is None else (C + X) % p
     return C
+
+
+def modp_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p as an int64 array, for entries in [0, p), p < 2**31.
+
+    A and B may be int64 or float64; the products run on float64 BLAS.
+    When a PANEL-term dot product could pass 2**53, B is split into its
+    16-bit halves, A @ B = (A @ B_hi) * 2**16 + A @ B_lo, and each half
+    is exact over chunks of 2**53 // ((p-1) * (2**16-1)) >= 64 terms.
+    """
+    A = A.astype(np.float64, copy=False)
+    if PANEL * (p - 1) ** 2 <= _FLOAT_EXACT:
+        B = B.astype(np.float64, copy=False)
+        return _float_product(A, B, p, _FLOAT_EXACT // (p - 1) ** 2)
+    B = B.astype(np.int64, copy=False)
+    chunk = _FLOAT_EXACT // ((p - 1) * 0xFFFF)
+    lo = _float_product(A, (B & 0xFFFF).astype(np.float64), p, chunk)
+    hi = _float_product(A, (B >> 16).astype(np.float64), p, chunk)
+    return (hi * 0x10000 + lo) % p
 
 
 # ---------------------------------------------------------------------------
@@ -64,56 +83,69 @@ def _factor_panel(A, src, p, r, c0, c1):
 
     Pivoting follows the unblocked rule: the first row at or below the
     current one that is nonzero in the column, once the panel's earlier
-    pivots are eliminated from it. Rows are swapped in A and src, and the
-    k pivots found land in rows r..r+k-1. Returns the pivot columns and W,
-    whose row for a panel pivot column holds that pivot row reduced on the
-    panel (first w entries) and its coefficients over the panel's pivot
-    rows as they stood at the start (last w entries), so W[pivots, w:w+k]
-    = S^-1 for the pivot block S.
+    pivots are eliminated from it. Only the rows nonzero on the panel can
+    carry a pivot, so they alone are copied, into a block holding their
+    values on the panel (first w columns) and their coefficients over the
+    panel's pivot rows (last w), which is reduced Gauss-Jordan by rank-1
+    updates on the columns j..w+t of pivot t at column j. The row swaps of
+    the unblocked rule, also those that move rows zero on the panel, are
+    replayed on positions and applied to A and src once at the end, so
+    the k pivots found land in rows r..r+k-1. Returns the pivot columns
+    and S^-1 mod p for the pivot block S of those rows.
     """
     m = A.shape[0]
     w = c1 - c0
-    dtype, _ = _delayed(p)
-    r0 = r
-    # panel-start values of the candidate rows, swapped along with A
-    Ap = A[r0:, c0:c1].astype(dtype)
-    W = np.zeros((w, 2 * w), np.int64)
+    dtype, chunk = _delayed(p)
+    cand = np.flatnonzero(A[r:, c0:c1].any(axis=1))
+    k = len(cand)
+    blk = np.zeros((k, 2 * w), dtype)
+    blk[:, :w] = A[r + cand, c0:c1]
+    # rows and positions are counted from r: perm[i] is the row at
+    # position i, blkof[i] the block row of row i or -1, and key[b] the
+    # position of block row b, m once it is a pivot row
+    perm = np.arange(m - r)
+    blkof = np.full(m - r, -1)
+    blkof[cand] = np.arange(k)
+    key = cand.copy()
     cols = []
-    # columns are reduced `span` at a time: a run of columns that are zero
-    # on the rows r.. costs about log2 of its length in products, and
-    # span is back to 1 after each pivot
-    j, span = 0, 1
-    while j < w:
-        b = min(w, j + span)
-        R = (A[r:, c0 + j : c0 + b] - modp_matmul(Ap[r - r0 :], W[:, j:b], p)) % p
-        # (column, row) of the nonzeros, first column first
-        hit, at = np.nonzero(R.T)
-        if hit.size == 0:
-            j, span = b, 2 * span
-            continue
-        j, span = j + int(hit[0]), 1
-        i = r + int(at[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-            src[[r, i]] = src[[i, r]]
-            Ap[[r - r0, i - r0]] = Ap[[i - r0, r - r0]]
-        t = r - r0
-        raw = np.zeros(2 * w, np.int64)
-        raw[:w] = A[r, c0:c1]
-        raw[w + t] = 1
-        raw = (raw - modp_matmul(Ap[t : t + 1], W, p)[0]) % p
-        raw = raw * pow(int(raw[j]), p - 2, p) % p
-        f = W[:, j]
-        rows = np.flatnonzero(f)
-        if rows.size:
-            W[rows] = (W[rows] - np.outer(f[rows], raw)) % p
-        W[j] = raw
-        cols.append(c0 + j)
-        r += 1
-        j += 1
-        if r == m:
+    t = 0
+    for j in range(w):
+        if t == k:
             break
-    return cols, W
+        f = blk[:, j] % p
+        hit = np.flatnonzero(f)
+        if hit.size == 0:
+            continue
+        pos = key[hit]
+        s = int(pos.argmin())
+        i = int(pos[s])
+        if i == m:
+            continue
+        b = int(hit[s])
+        if i != t:
+            other = int(blkof[perm[t]])
+            perm[t], perm[i] = perm[i], perm[t]
+            if other >= 0:
+                key[other] = i
+        key[b] = m
+        blk[b, w + t] = 1
+        row = blk[b, j : w + t + 1] % p
+        row *= pow(int(f[b]), p - 2, p)
+        row %= p
+        f[b] = 0
+        blk[hit, j : w + t + 1] -= np.outer(f[hit], row)
+        blk[b, j : w + t + 1] = row
+        cols.append(c0 + j)
+        t += 1
+        # entries only fall from [0, p), by at most (p-1)**2 per update:
+        # exact for `chunk` updates between reductions
+        if t % chunk == 0:
+            blk %= p
+    # the rows r.. are zero left of the panel
+    moved = np.flatnonzero(perm != np.arange(m - r))
+    A[r + moved, c0:] = A[r + perm[moved], c0:]
+    src[r + moved] = src[r + perm[moved]]
+    return cols, (blk[blkof[perm[:t]], w : w + t] % p).astype(np.int64)
 
 
 def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
@@ -124,12 +156,14 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
     length m) is given, row swaps are mirrored in it, so src[:rank] names
     the input rows carrying pivots.
 
-    The elimination is blocked and runs forward only: a panel of PANEL
-    columns is pivoted on its own, its pivot rows are reduced to the
-    identity on the panel's pivot columns, and only the rows below that
-    are nonzero at those columns are updated, on the columns from the
-    panel onwards, with one delayed-reduction product. KM matrices are
-    sparse, and the rows below stay so far longer than the rows above
+    The elimination is blocked and runs forward only. A panel of PANEL
+    columns is pivoted on its own, by rank-1 updates on a block of only
+    the rows that meet it (`_factor_panel`), which gives its pivot rows
+    and S^-1 for their pivot block S. One product S^-1 A reduces the
+    pivot rows to the identity on the panel's pivot columns, and only the
+    rows below that are nonzero at those columns are updated, on the
+    columns from the panel onwards, with one more product. KM matrices
+    are sparse, and the rows below stay so far longer than the rows above
     would. After the last panel the pivot rows are solved for the free
     columns, from the last panel up, one product for each panel but the
     last. Pivots, row swaps and the result are those of the unblocked
@@ -147,7 +181,7 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
         if r == m:
             break
         c1 = min(n, c0 + PANEL)
-        cols, W = _factor_panel(A, src, p, r, c0, c1)
+        cols, Sinv = _factor_panel(A, src, p, r, c0, c1)
         if not cols:
             continue
         r0, r = r, r + len(cols)
@@ -155,7 +189,6 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
         panels.append((r0, r))
         # pivot rows: S^-1 times their panel-start values, the identity on
         # the panel's pivot columns
-        Sinv = W[np.asarray(cols) - c0, c1 - c0 : c1 - c0 + len(cols)]
         B = modp_matmul(Sinv, A[r0:r, c0:], p)
         A[r0:r, c0:] = B
         # the rows below that meet the pivot columns lose their entries there

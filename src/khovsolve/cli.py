@@ -11,7 +11,9 @@ unsupported field operations. A command reports a failure by raising;
 `solve` and `schubert` over QQ run `solver.solve`; `schubert` over F_p
 runs the same `solver.multiplication_system` without the eigenvalue step
 and prints the solution count, with the same degree choice (`--dreg`,
-the regularity bound when s = n, or `--adaptive`).
+the regularity bound when s = n, or `--adaptive`). Without `--dreg`,
+`schubert` takes the degree of the Gr(k,m) table when the problem has
+one, unless `--adaptive` asks for the search.
 """
 
 from __future__ import annotations
@@ -196,7 +198,9 @@ def cmd_schubert(args):
         cat.SchubertCondition(alpha=a, flag=f) for a, f in zip(alphas, flags)
     ]
     inst = cat.schubert_equations(args.k, args.m, conditions, field=field)
-    dreg = args.dreg if args.dreg is not None else inst.recommended_dreg
+    dreg = args.dreg
+    if dreg is None and not args.adaptive:
+        dreg = inst.recommended_dreg
     print(
         f"equations: {inst.extras['n_equations']} "
         f"(raw {inst.extras['n_raw_equations']})"

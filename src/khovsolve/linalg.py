@@ -205,14 +205,16 @@ def _rref_mod(M, p):
 
     M is int64, or an object array for a prime above 2**31. Below
     _SMALL_RREF entries the plain Python elimination is the faster one:
-    the blocked kernel spends several numpy calls on every column.
+    the blocked kernel spends several numpy calls on every column. The
+    blocked kernel reduces M in place, and the RREF rows are a view of
+    it, so the caller passes an array it owns.
     """
     if M.size <= _SMALL_RREF or M.dtype == object:
         R, piv, src = _rref_modp_python(M.tolist(), p)
         return np.array(R, dtype=M.dtype).reshape(len(piv), M.shape[1]), piv, src
     src = np.arange(M.shape[0], dtype=np.int64)
     piv = _kernels.modp_rref(M, p, src).tolist()
-    return M[: len(piv)].copy(), piv, src[: len(piv)].tolist()
+    return M[: len(piv)], piv, src[: len(piv)].tolist()
 
 
 def _rank_profile(A, p):

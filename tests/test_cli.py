@@ -310,6 +310,22 @@ def test_schubert_command_over_fp(tmp_path):
     assert data["dreg"] == 2
 
 
+def test_schubert_adaptive_overrides_the_table_degree(tmp_path):
+    # (2,4,6)^3 is in the Gr(3,6) table at dreg 2; --adaptive without
+    # --dreg runs the search, which stops at dreg 3
+    out = tmp_path / "schubert.json"
+    rc = main(
+        [
+            "schubert", "--k", "3", "--m", "6",
+            "--conditions", "2,4,6;2,4,6;2,4,6",
+            "--field", "Fp:9716633", "--adaptive",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert json.loads(out.read_text()) == {"delta": 2, "dreg": 3, "field": "Fp:9716633"}
+
+
 @pytest.mark.parametrize("dreg", ["0", "1"])
 def test_schubert_dreg_without_room_for_the_shift(dreg, capsys):
     # the same SolverError, exit 2, over QQ (inside solve) and over F_p

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from khovsolve import _kernels, linalg
 
 P = 9716633
-# 2**31 - 1 leaves the float64 range of delayed reduction: int64 chunks
+# 2**31 - 1: the panel block runs in int64, products on 16-bit halves
 PRIMES = (2, 7, 101, P, 2**31 - 1)
 
 
@@ -108,6 +108,55 @@ def test_rref_blocked_panels_match_python(p):
     zero_rows = _low_rank(rng, panel + 40, panel + 20, panel + 10, p)
     zero_rows[rng.random(zero_rows.shape[0]) < 0.3] = 0
     cases.append(np.vstack([zero_rows, np.zeros((20, zero_rows.shape[1]), np.int64)]))
+    for A in cases:
+        _assert_rref_matches_python(np.asarray(A, dtype=np.int64), p)
+
+
+# one prime per regime of the panel block's delayed reduction: float64
+# reduced every 8 updates (mid-panel), float64 every 64, int64 every 2
+# updates, and float64 never reduced within a panel
+REGIMES = {
+    33554393: (np.float64, 8),
+    linalg.LIFT_PRIME: (np.float64, 64),
+    2**31 - 1: (np.int64, 2),
+    2: (np.float64, 2**53),
+}
+
+
+def _panels_with_gaps(rng, p):
+    """Three panels; every row is zero on some panel, and rows zero on a
+    panel sit at its top position and between the rows that meet it."""
+    panel = _kernels.PANEL
+    n = 3 * panel + 7
+    A = rng.integers(0, p, size=(3 * panel, n))
+    # the first row misses the first two panels: it starts at the top, is
+    # swapped down to the top position of the second panel, and is a
+    # pivot row of the third
+    A[0, : 2 * panel] = 0
+    # below, rows alternate between missing the second panel and meeting it
+    A[panel:, :panel] = 0
+    A[panel::2, panel : 2 * panel] = 0
+    # a few rows also miss the third panel, and one row is zero
+    A[panel + 3 :: 7, 2 * panel :] = 0
+    A[panel + 5] = 0
+    return A
+
+
+@pytest.mark.parametrize("p", sorted(REGIMES))
+def test_panel_regimes_match_python(p):
+    assert _kernels._delayed(p) == REGIMES[p]
+    rng = np.random.default_rng(p % 997)
+    panel = _kernels.PANEL
+    cases = [
+        # dense: every row is a candidate, and a panel makes 64 updates
+        rng.integers(0, p, size=(panel + 40, 2 * panel + 9)),
+        rng.integers(p // 2, p, size=(2 * panel, panel + 3)),
+        _low_rank(rng, 2 * panel, 2 * panel + 5, panel + 17, p),
+        _panels_with_gaps(rng, p),
+    ]
+    sparse = rng.integers(0, p, size=(3 * panel, 2 * panel + 30))
+    sparse[rng.random(sparse.shape) < 0.85] = 0
+    cases.append(sparse)
     for A in cases:
         _assert_rref_matches_python(np.asarray(A, dtype=np.int64), p)
 
@@ -299,7 +348,7 @@ def test_subduct_batch_empty_and_missed_rows():
 
 
 def test_matmul_variants_agree():
-    # float64 chunks for small moduli, int64 chunks for 2**31 - 1; inner
+    # float64 chunks, on 16-bit halves of B for 2**31 - 1; inner
     # dimensions longer than one chunk are reduced between chunks
     rng = np.random.default_rng(7)
     for p in PRIMES:
@@ -313,6 +362,23 @@ def test_matmul_variants_agree():
             )
     A = np.full((2, 300), P - 1, dtype=np.int64)
     assert _kernels.modp_matmul(A, A.T, P).tolist() == [[300 % P] * 2] * 2
+
+
+@pytest.mark.parametrize("p", [33554393, 2**31 - 1])
+def test_matmul_splits_large_moduli(p):
+    # B in 16-bit halves: each half exact in float64 over chunks of at
+    # least 64 terms; entries near p - 1 and an inner dimension of
+    # several chunks
+    rng = np.random.default_rng(3)
+    chunk = 2**53 // ((p - 1) * 0xFFFF)
+    assert chunk >= _kernels.PANEL
+    k = 2 * chunk + 5
+    A = rng.integers(p - 1000, p, size=(4, k)).astype(np.int64)
+    B = rng.integers(0, p, size=(k, 6)).astype(np.int64)
+    B[:, 0] = p - 1
+    expect = _matmul_reference(A, B, p)
+    assert np.array_equal(_kernels.modp_matmul(A, B, p), expect)
+    assert np.array_equal(_kernels.modp_matmul(A.astype(np.float64), B, p), expect)
 
 
 def test_rref_type_check():
