@@ -14,11 +14,15 @@ the shapes the multiplication maps give it.
 The exact echelon over QQ, `linalg.echelon`, is timed on the 360 x 175 KM
 matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded random
 flags), given as rows of Fractions, with the number of p-adic lifting
-steps and the primes whose rank profiles were computed. The next row
-times `km_matrix(reduce=True)` of the 11-solution osculating Gr(3,6)
-problem 2 x (2,5,6) + 5 x (3,5,6) (flags at 1, -1, 2, -2, 3, -3, 4) over
-QQ at degree 3, the maps cached: its F5 rows, their integer product and
-the exact echelon of the kept rows, with the same counts.
+steps, the primes of its mod-p eliminations, the mod-p eliminations
+per echelon and the full rational reconstructions
+(`linalg._from_digits`) per lift. The next row times
+`km_matrix(reduce=True)` of the 11-solution osculating Gr(3,6) problem
+2 x (2,5,6) + 5 x (3,5,6) (flags at 1, -1, 2, -2, 3, -3, 4) over QQ at
+degree 3, the maps cached: its F5 rows, their integer product and the
+exact echelon of the kept rows, with the same counts (the F5 prefix
+pivots are not counted as echelon eliminations) and its `tracemalloc`
+peak.
 
 The F5 rows time the row criterion of `km_matrix(reduce=True)` on the
 Gr(3,6) count itself (seeded random flags, d = 3, F_9716633): the prefix
@@ -112,49 +116,76 @@ def bench_matmul(rng, m, k, n, p):
 
 
 def _lifting(fn):
-    """(result, lifting steps of the last lift, primes profiled) of fn()."""
-    primes, steps = [], []
-    profile, digits = linalg._rank_profile, linalg._from_digits
-
-    def count_profile(A, p):
-        primes.append(p)
-        return profile(A, p)
+    """The counts of the QQ echelons in fn(): (result, lifting steps of
+    the last lift, primes of the mod-p eliminations, mod-p eliminations
+    per echelon, reconstructions per lift)."""
+    primes, steps, counts = [], [], {"echelons": 0, "lifts": 0}
+    real = {name: getattr(linalg, name) for name in
+            ("_from_digits", "_echelon_qq", "_rref_mod", "_lift")}
+    inside = []
 
     def count_digits(ds, p):
         steps.append(len(ds))
-        return digits(ds, p)
+        return real["_from_digits"](ds, p)
 
-    linalg._rank_profile, linalg._from_digits = count_profile, count_digits
+    def count_echelon(A):
+        counts["echelons"] += 1
+        inside.append(True)
+        try:
+            return real["_echelon_qq"](A)
+        finally:
+            inside.pop()
+
+    def count_rref(M, p, *slots):
+        if inside:
+            primes.append(p)
+        return real["_rref_mod"](M, p, *slots)
+
+    def count_lift(*args):
+        counts["lifts"] += 1
+        return real["_lift"](*args)
+
+    spies = {"_from_digits": count_digits, "_echelon_qq": count_echelon,
+             "_rref_mod": count_rref, "_lift": count_lift}
+    for name, spy in spies.items():
+        setattr(linalg, name, spy)
     try:
         out = fn()
     finally:
-        linalg._rank_profile, linalg._from_digits = profile, digits
-    return out, steps[-1], primes
+        for name, f in real.items():
+            setattr(linalg, name, f)
+    return (out, steps[-1], primes, len(primes) / counts["echelons"],
+            len(steps) / counts["lifts"])
 
 
 def bench_echelon_qq():
-    """(seconds, shape, lifting steps, primes) of one QQ KM echelon."""
+    """(seconds, shape, counts of `_lifting`, None) of one QQ KM echelon."""
     flags = catalog.random_flags(6, 3, seed=0, field=QQ)
     conds = [catalog.SchubertCondition((2, 4, 6), f) for f in flags]
     inst = catalog.schubert_equations(3, 6, conds)
     rows = [list(r) for r in km.km_matrix(inst.sys, 2).entries]
-    _, steps, primes = _lifting(lambda: linalg.echelon(rows, QQ))
+    _, *counts = _lifting(lambda: linalg.echelon(rows, QQ))
     t, _ = _best(lambda: linalg.echelon(rows, QQ))
-    return t, f"{len(rows)}x{len(rows[0])}", steps, primes
+    return t, f"{len(rows)}x{len(rows[0])}", counts, None
 
 
 def bench_km_osculating():
-    """(seconds, shape, lifting steps, primes) of the reduced QQ KM matrix
-    of the 11-solution osculating Gr(3,6) problem at degree 3."""
+    """(seconds, shape, counts of `_lifting`, tracemalloc peak bytes) of the
+    reduced QQ KM matrix of the 11-solution osculating Gr(3,6) problem at
+    degree 3."""
     alphas = [(2, 5, 6)] * 2 + [(3, 5, 6)] * 5
     conds = [
         catalog.SchubertCondition(a, catalog.osculating_flag(s, 6))
         for a, s in zip(alphas, (1, -1, 2, -2, 3, -3, 4))
     ]
     sys = catalog.schubert_equations(3, 6, conds).sys
-    M, steps, primes = _lifting(lambda: km.km_matrix(sys, 3, reduce=True))
+    M, *counts = _lifting(lambda: km.km_matrix(sys, 3, reduce=True))
     t, _ = _best(lambda: km.km_matrix(sys, 3, reduce=True))
-    return t, "{}x{}".format(*M.shape), steps, primes
+    tracemalloc.start()
+    km.km_matrix(sys, 3, reduce=True)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return t, "{}x{}".format(*M.shape), counts, peak
 
 
 def bench_maps(p=9716633, delta=11, equations=13):
@@ -379,9 +410,11 @@ def main():
         print(f"{'graded_support':<22}{shape:<22}{'QQ':>12}{t * 1e3:9.1f}ms   {points}")
     for name, fn in (("echelon QQ", bench_echelon_qq),
                      ("km_matrix QQ reduced", bench_km_osculating)):
-        t, shape, steps, primes = fn()
+        t, shape, (steps, primes, eliminations, rebuilds), peak = fn()
+        memory = f", tracemalloc peak {peak / 2**20:.1f} MB" if peak else ""
         print(f"{name:<22}{shape:<22}{primes[0]:>12}{t * 1e3:9.1f}ms"
-              f"   {steps} lifting steps, primes {primes}")
+              f"   {steps} lifting steps, primes {primes}, {eliminations:g} mod-p"
+              f" eliminations per echelon, {rebuilds:g} reconstructions per lift{memory}")
     for label, field, t, raw, kept in bench_schubert():
         p = field.modulus or "QQ"
         print(f"{'schubert_equations':<22}{label:<22}{p:>12}{t * 1e3:9.1f}ms"

@@ -3,12 +3,14 @@
 The elimination is a forward-only blocked RREF on int64 arrays: each
 panel updates only the rows below it that meet its pivot columns, and
 the pivot rows are solved for the free columns after the last panel.
-Entries are residues in [0, p) with p < 2**31, so the product of two
-entries fits in int64; the batched subduction, on sparse rows held as
-sorted integer keys, also runs exactly on object arrays of field
-elements. Delayed reduction (Dumas, Giorgi and Pernet, "Dense linear
-algebra over word-size prime fields", ACM TOMS 2008) keeps the
-arithmetic exact with few reductions mod p: a matrix product reduces
+Coefficient slots, zero columns after the matrix's own, make the same
+elimination give S^-1 for the pivot block S of its source rows (for the
+p-adic lifting over QQ). Entries are residues in [0, p) with p < 2**31,
+so the product of two entries fits in int64; the batched subduction, on
+sparse rows held as sorted integer keys, also runs exactly on object
+arrays of field elements. Delayed reduction (Dumas, Giorgi and Pernet,
+"Dense linear algebra over word-size prime fields", ACM TOMS 2008) keeps
+the arithmetic exact with few reductions mod p: a matrix product reduces
 once per chunk of its inner dimension, on float64 BLAS (`modp_matmul`),
 and the factorization of a panel once every `chunk` rank-1 updates of a
 small block (`_delayed`). The panel works only on the rows that meet it.
@@ -148,13 +150,22 @@ def _factor_panel(A, src, p, r, c0, c1):
     return cols, (blk[blkof[perm[:t]], w : w + t] % p).astype(np.int64)
 
 
-def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
+def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None, slots: int = 0) -> np.ndarray:
     """In-place reduced row echelon form of int64 matrix A mod p.
 
     Returns the pivot column indices; pivot rule is first nonzero row
     scanning columns left to right. When `src` (an int64 index vector of
     length m) is given, row swaps are mirrored in it, so src[:rank] names
     the input rows carrying pivots.
+
+    The last `slots` columns of A, zero on input and at least the rank in
+    number, are coefficient slots: they are never pivoted, and when a row
+    becomes pivot t its slot t is set to 1, after which it is updated
+    like any other column. Each pivot row is then the combination, with
+    the coefficients in its slots, of the source rows of the pivots so
+    far, so at the end A[:rank, n:n+rank] holds S^-1 mod p for the pivot
+    block S of the source rows, in source order (n the columns before the
+    slots).
 
     The elimination is blocked and runs forward only. A panel of PANEL
     columns is pivoted on its own, by rank-1 updates on a block of only
@@ -172,6 +183,7 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
     if A.dtype != np.int64:
         raise TypeError("expected int64 matrix")
     m, n = A.shape
+    n -= slots
     if src is None:
         src = np.arange(m, dtype=np.int64)
     piv = []
@@ -187,28 +199,33 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None) -> np.ndarray:
         r0, r = r, r + len(cols)
         piv.extend(cols)
         panels.append((r0, r))
+        # the slots after the first r are still zero in every row
+        end = n + min(r, slots)
+        if slots:
+            A[np.arange(r0, r), n + np.arange(r0, r)] = 1
         # pivot rows: S^-1 times their panel-start values, the identity on
         # the panel's pivot columns
-        B = modp_matmul(Sinv, A[r0:r, c0:], p)
-        A[r0:r, c0:] = B
+        B = modp_matmul(Sinv, A[r0:r, c0:end], p)
+        A[r0:r, c0:end] = B
         # the rows below that meet the pivot columns lose their entries there
         L = A[r:, cols]
         hit = np.flatnonzero(L.any(axis=1))
-        U = A[r + hit, c0:]
+        U = A[r + hit, c0:end]
         U -= modp_matmul(L[hit], B, p)
         U %= p
-        A[r + hit, c0:] = U
+        A[r + hit, c0:end] = U
     piv = np.asarray(piv, dtype=np.int64)
     # X, the pivot rows at the free columns, is solved from the last panel
     # up: a panel's rows lose their entries at the later pivot columns
-    free = np.ones(n, bool)
+    W = A[:, : n + min(r, slots)]
+    free = np.ones(W.shape[1], bool)
     free[piv] = False
-    X = A[: len(piv), free]
+    X = W[: len(piv), free]
     for r0, r1 in reversed(panels[:-1]):
         later = piv[r1:]
-        X[r0:r1] = (X[r0:r1] - modp_matmul(A[r0:r1, later], X[r1:], p)) % p
-        A[r0:r1, later] = 0
-        A[r0:r1, free] = X[r0:r1]
+        X[r0:r1] = (X[r0:r1] - modp_matmul(W[r0:r1, later], X[r1:], p)) % p
+        W[r0:r1, later] = 0
+        W[r0:r1, free] = X[r0:r1]
     return piv
 
 

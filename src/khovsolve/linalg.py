@@ -8,8 +8,12 @@ RREF from `_kernels`, which updates only the rows below each panel that
 meet its pivot columns and solves the pivot rows for the free columns at
 the end, or a plain Python row reduction for matrices of at most 400
 entries and for larger primes. Over the rationals one of the two
-runs mod word-size primes for the pivots and the pivot rows; Dixon's
-p-adic lifting and rational reconstruction then give the exact RREF,
+runs mod word-size primes for the pivots and the source rows. The
+elimination of the prime to be lifted carries coefficient slots, zero
+columns after the matrix's own, that end as S^-1 mod p for the source
+rows S at the pivot columns, so each prime costs one elimination.
+Dixon's p-adic lifting with that S^-1 and one rational reconstruction,
+tried once an entry's fraction is stable, then give the exact RREF,
 which is accepted only with an exact certificate that the kernel
 annihilates every input row. `commuting_check` runs the exact checks of
 multiplication matrices through one stacked product.
@@ -200,27 +204,36 @@ def _matmul_exact(A, B, bound):
     return A @ B
 
 
-def _rref_mod(M, p):
+def _rref_mod(M, p, slots=0):
     """(RREF rows, pivots, sources) of the matrix M mod p, M in [0, p).
 
-    M is int64, or an object array for a prime above 2**31. Below
-    _SMALL_RREF entries the plain Python elimination is the faster one:
-    the blocked kernel spends several numpy calls on every column. The
-    blocked kernel reduces M in place, and the RREF rows are a view of
-    it, so the caller passes an array it owns.
+    M is int64, or an object array for a prime above 2**31; its last
+    `slots` columns are coefficient slots (`_kernels.modp_rref`), and the
+    RREF rows keep them. Below _SMALL_RREF entries the plain Python
+    elimination is the faster one: the blocked kernel spends several
+    numpy calls on every column. The blocked kernel reduces M in place,
+    and the RREF rows are a view of it, so the caller passes an array it
+    owns.
     """
     if M.size <= _SMALL_RREF or M.dtype == object:
-        R, piv, src = _rref_modp_python(M.tolist(), p)
+        R, piv, src = _rref_modp_python(M.tolist(), p, slots)
         return np.array(R, dtype=M.dtype).reshape(len(piv), M.shape[1]), piv, src
     src = np.arange(M.shape[0], dtype=np.int64)
-    piv = _kernels.modp_rref(M, p, src).tolist()
+    piv = _kernels.modp_rref(M, p, src, slots).tolist()
     return M[: len(piv)], piv, src[: len(piv)].tolist()
 
 
 def _rank_profile(A, p):
-    """Pivot columns and source rows of the integer matrix A mod p."""
-    _, piv, src = _rref_mod((A % p).astype(np.int64), p)
-    return piv, src
+    """(pivots, sources, C) of the integer matrix A mod p: the pivot
+    columns, the source rows, and C = S^-1 mod p for the source rows S at
+    the pivot columns, from one elimination with min(m, n) coefficient
+    slots."""
+    m, n = A.shape
+    M = np.zeros((m, n + min(m, n)), np.int64)
+    M[:, :n] = A % p
+    R, piv, src = _rref_mod(M, p, min(m, n))
+    # a copy, so that M is freed
+    return piv, src, R[:, n : n + len(piv)].copy()
 
 
 def _lift_bounds(A, piv, free, r):
@@ -236,13 +249,17 @@ def _lift_bounds(A, piv, free, r):
     return int(E[:, piv].sum(axis=1).max()), int(E[:, free].max()), log_h2
 
 
-def _lift(A, p, piv, sources):
+def _lift(A, p, piv, sources, C):
     """The RREF of the integer matrix A from its profile mod p, or None.
 
     With S the source rows at the pivot columns and B at the free columns,
-    Dixon lifting finds the p-adic digits of X = S^-1 B (S^-1 mod p comes
-    from one elimination of [S | I]), and T / D is rebuilt from X mod p**K
-    by rational reconstruction. It is accepted only when all of this holds:
+    Dixon lifting finds the p-adic digits of X = S^-1 B from C = S^-1 mod
+    p, which the profile's elimination gives (`_rank_profile`), and T / D
+    is rebuilt from X mod p**K by rational reconstruction. That is tried
+    only when one entry of X, the probe, reads as the same fraction on two
+    consecutive digits, or at the last step allowed, so a lift
+    reconstructs once, or twice when another entry takes over as the
+    probe. It is accepted only when all of this holds:
 
     * every lifting step divides b_k - A_P x_k by p exactly, on all rows
       of A, sources or not, so A_P X = A_F (mod p**K);
@@ -267,12 +284,6 @@ def _lift(A, p, piv, sources):
     chosen = set(sources)
     A = A[sources + [i for i in range(m) if i not in chosen]]
     AP = A[:, piv]
-    W, wpiv, _ = _rref_mod(
-        np.hstack([(AP[:r] % p).astype(np.int64), np.eye(r, dtype=np.int64)]), p
-    )
-    if wpiv != list(range(r)):
-        return None
-    C = W[:, r:]  # S^-1 mod p
     if not free:  # rank n, as S is invertible: the RREF is the identity
         return Echelon(np.eye(n, dtype=np.int64), tuple(piv), tuple(sources))
 
@@ -286,8 +297,8 @@ def _lift(A, p, piv, sources):
     right = (np.asarray(piv)[:, None] > np.asarray(free)[None, :]).ravel()
     kin, kout = np.flatnonzero(~right), np.flatnonzero(right)
     digits = []
-    probe, u, mod = None, 0, 1
-    for _ in range(steps):
+    probe, u, mod, frac = None, 0, 1, None
+    for step in range(steps):
         x = _kernels.modp_matmul(C, (b[:r] % p).astype(np.int64), p)
         flat = x.ravel()
         if flat[kout].any():
@@ -306,13 +317,14 @@ def _lift(A, p, piv, sources):
                 nz = np.flatnonzero(digits[0])
                 probe = int(nz[-1]) if nz.size else 0
             u += int(digits[-1][probe]) * (mod // p)
-            nd = _rational(u, mod, bound)
-            if nd is None:
+            prev, frac = frac, _rational(u, mod, bound)
+            if (frac is None or frac != prev) and step < steps - 1:
                 continue
             U = _from_digits(digits, p)
-            T, den, miss = _reconstruct(U, mod, bound, nd[1])
+            T, den, miss = _reconstruct(U, mod, bound, frac[1] if frac else 1)
             if miss is not None:
                 probe, u = miss, int(U[miss])
+                frac = _rational(u, mod, bound)
                 continue
         tmax = int(np.abs(T).max()) if T.size else 0
         if mod > 2 * (l1 * tmax + amax * den):
@@ -362,21 +374,30 @@ def _echelon_qq(A):
     once. Otherwise, or if that lift fails, the profile of a prime
     (LIFT_PRIME, then the primes below it) is lifted only when the next
     prime below gives the same pivots and sources.
+
+    The profile of the prime that may be lifted next comes from one
+    elimination with coefficient slots (`_rank_profile`), which also
+    gives the S^-1 mod p its lift starts from; the next prime only checks
+    it, by an elimination without slots. So an echelon is one elimination
+    when `_passed_over_zeros` holds and the lift succeeds, and two when
+    the two primes agree and the lift succeeds. Only when a check prime
+    is the next to be lifted (the primes disagree, or the lift fails) is
+    its profile computed again, with slots.
     """
     p = LIFT_PRIME
     profile = _rank_profile(A, p)
-    if _passed_over_zeros(A, *profile):
+    if _passed_over_zeros(A, *profile[:2]):
         E = _lift(A, p, *profile)
         if E is not None:
             return E
     while True:
         q = _prime_below(p)
-        other = _rank_profile(A, q)
-        if other == profile:
+        # a check needs no slots: q's S^-1 is needed only if q is lifted next
+        if _rref_mod((A % q).astype(np.int64), q)[1:] == profile[:2]:
             E = _lift(A, p, *profile)
             if E is not None:
                 return E
-        p, profile = q, other
+        p, profile = q, _rank_profile(A, q)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +405,17 @@ def _echelon_qq(A):
 # ---------------------------------------------------------------------------
 
 
-def _rref_modp_python(rows, p):
-    """Plain RREF mod p; returns (reduced_rows, pivot_cols, pivot_sources)."""
+def _rref_modp_python(rows, p, slots=0):
+    """Plain RREF mod p; returns (reduced_rows, pivot_cols, pivot_sources).
+
+    The last `slots` columns are coefficient slots, as in
+    `_kernels.modp_rref`: never pivoted, and slot t of a row is set to 1
+    when it becomes pivot t.
+    """
     M = [[x % p for x in r] for r in rows]
     m = len(M)
-    n = len(M[0]) if m else 0
+    width = len(M[0]) if m else 0
+    n = width - slots
     src = list(range(m))
     piv_cols = []
     piv_src = []
@@ -404,6 +431,8 @@ def _rref_modp_python(rows, p):
         if pr != r:
             M[r], M[pr] = M[pr], M[r]
             src[r], src[pr] = src[pr], src[r]
+        if slots:
+            M[r][n + r] = 1
         inv = pow(M[r][c], p - 2, p)
         M[r] = [x * inv % p for x in M[r]]
         rowr = M[r]
@@ -411,7 +440,7 @@ def _rref_modp_python(rows, p):
             if i != r and M[i][c]:
                 f = M[i][c]
                 rowi = M[i]
-                for j in range(c, n):
+                for j in range(c, width):
                     rowi[j] = (rowi[j] - f * rowr[j]) % p
         piv_cols.append(c)
         piv_src.append(src[r])

@@ -279,7 +279,8 @@ def normalize_solutions(coords, mode: str = "raw"):
     """Normalize homogeneous coordinate rows.
 
     "raw" leaves the x_j(z)/h(z) values; "first" divides each row by its
-    first coordinate (error if one vanishes numerically).
+    first coordinate, and a row whose first coordinate vanishes
+    numerically raises `SolverError`.
     """
     if mode == "raw":
         return [list(row) for row in coords]
@@ -289,7 +290,7 @@ def normalize_solutions(coords, mode: str = "raw"):
     for i, row in enumerate(coords):
         scale_row = max(abs(x) for x in row)
         if abs(row[0]) <= 1e-12 * max(1.0, scale_row):
-            raise ValueError(
+            raise SolverError(
                 f"solution {i} has (numerically) vanishing first coordinate; "
                 f"use raw normalization"
             )

@@ -278,6 +278,22 @@ def test_exit_code_math_error(tmp_path, capsys):
     assert main(["solve", str(path), "--dreg", "2"]) == 2
 
 
+def test_vanishing_first_coordinate_is_a_math_error(tmp_path, capsys):
+    # t1 = 0, t2 = 2 on the chart (t1, 1, t2): the one solution has first
+    # coordinate 0, so --normalize first cannot divide by it
+    def eq(*terms):
+        return {"degree": 1, "coeffs": [{"alpha": a, "c": c} for a, c in terms]}
+
+    path = tmp_path / "zero_first.json"
+    path.write_text(json.dumps({
+        "field": "QQ", "vars": ["t1", "t2"], "weight": [0, -1], "phi": ["t1", "1", "t2"],
+        "equations": [eq(([1, 0, 0], "1")), eq(([0, 1, 0], "-2"), ([0, 0, 1], "1"))],
+    }))
+    assert main(["solve", str(path), "--dreg", "2"]) == 0
+    assert main(["solve", str(path), "--dreg", "2", "--normalize", "first"]) == 2
+    assert "vanishing first coordinate" in capsys.readouterr().err
+
+
 def test_rank_deficient_nh_suggests_larger_dreg(duffing_file, capsys):
     # dreg 2 is below the regularity set of Duffing (the default is 3)
     assert main(["solve", duffing_file, "--dreg", "2"]) == 2

@@ -161,6 +161,51 @@ def test_panel_regimes_match_python(p):
         _assert_rref_matches_python(np.asarray(A, dtype=np.int64), p)
 
 
+def _eliminate(A, p, slots, blocked):
+    """(RREF rows, pivots, sources) of A mod p by one of the two eliminations."""
+    if not blocked:
+        return linalg._rref_modp_python(A.tolist(), p, slots)
+    R, src = A.copy(), np.arange(A.shape[0], dtype=np.int64)
+    piv = _kernels.modp_rref(R, p, src, slots).tolist()
+    return R[: len(piv)].tolist(), piv, src[: len(piv)].tolist()
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "python"])
+@pytest.mark.parametrize("p", [2, 101, linalg.LIFT_PRIME, 2**31 - 1])
+def test_slots_hold_the_inverse_of_the_pivot_block(p, blocked):
+    # the slots change no pivot, source or RREF entry, and end as C with
+    # C S = I for the pivot block S of the source rows
+    rng = np.random.default_rng(p % 991)
+    panel = _kernels.PANEL
+    sparse = rng.integers(0, p, size=(60, 2 * panel + 12))
+    sparse[rng.random(sparse.shape) < 0.93] = 0
+    zero_rows = _low_rank(rng, 40, panel + 9, 25, p)
+    zero_rows[::3] = 0
+    cases = [
+        rng.integers(0, p, size=(30, 25)),  # dense
+        sparse,
+        _low_rank(rng, 50, panel + 20, 12, p),
+        rng.integers(0, p, size=(90, 12)),  # tall
+        rng.integers(0, p, size=(10, 2 * panel + 3)),  # wide
+        zero_rows,
+        np.zeros((4, 7), dtype=np.int64),
+    ]
+    for A in cases:
+        A = np.asarray(A, dtype=np.int64)
+        m, n = A.shape
+        R, piv, src = _eliminate(A, p, 0, blocked)
+        slotted = np.zeros((m, n + min(m, n)), dtype=np.int64)
+        slotted[:, :n] = A
+        Rs, piv_s, src_s = _eliminate(slotted, p, min(m, n), blocked)
+        assert (piv_s, src_s) == (piv, src)
+        Rs = np.array(Rs, dtype=np.int64).reshape(len(piv), slotted.shape[1])
+        assert Rs[:, :n].tolist() == R
+        r = len(piv)
+        C, S = Rs[:, n : n + r], A[src][:, piv]
+        assert (_matmul_reference(C, S, p) == np.eye(r, dtype=np.int64)).all()
+        assert not Rs[:, n + r :].any()
+
+
 @given(modp_matrices())
 @settings(max_examples=40, deadline=None)
 def test_rref_is_reduced(Ap):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt, log2
+from math import gcd, isqrt, log2
 
 import numpy as np
 import pytest
@@ -412,6 +412,98 @@ def test_qq_one_prime_when_passed_over_rows_are_structural_zeros(monkeypatch):
     profiles.clear()
     assert_matches_oracle(qq_matrix([[P, 1], [1, 0]]))
     assert len({p for _, p in profiles}) > 1
+
+
+def _gr36_km_matrix():
+    """The QQ KM matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2, as
+    integer rows (360 x 175, rank 173)."""
+    from khovsolve import catalog, km
+
+    flags = catalog.random_flags(6, 3, seed=0, field=QQ)
+    conds = [catalog.SchubertCondition((2, 4, 6), f) for f in flags]
+    M = km.km_matrix(catalog.schubert_equations(3, 6, conds).sys, 2)
+    return linalg._integers(M.entries.A, QQ)
+
+
+Q2 = linalg._prime_below(Q)
+
+
+@pytest.mark.parametrize("rows, expect", [
+    # no row is passed over, or only structural zeros: P's profile is
+    # lifted at once, and the whole echelon is one elimination
+    ([[2, 1, 0, 3], [1, 1, 1, 0], [0, 4, 1, 1]], [(P, True)]),
+    ([[0, 0, 2, 1], [0, 3, 0, 1], [5, 1, 0, 0], [5, 4, 0, 1]], [(P, True)]),
+    # row 1 is passed over at column 1, where it is not a structural zero:
+    # Q checks P's profile
+    ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], [(P, True), (Q, False)]),
+    # P is unlucky (as in test_qq_unlucky_first_prime): Q, which
+    # disagrees, is profiled again with slots before Q2 checks it
+    ([[P, 1], [1, 0]], [(P, True), (Q, False), (Q, True), (Q2, False)]),
+    # the lift from P fails twice, and Q2's profile is lifted
+    ([[P * Q, 1], [0, 1]], [(P, True), (Q, False), (Q, True), (Q2, False), (Q2, True),
+                            (linalg._prime_below(Q2), False)]),
+], ids=["dense", "structural-zeros", "passed-over", "unlucky", "two-primes"])
+def test_qq_echelon_slots_only_where_a_lift_may_follow(rows, expect, monkeypatch):
+    # each (prime, slotted) elimination: S^-1 for a lift comes from the
+    # slots of its prime's profile, and a check prime carries none
+    eliminations = _spy(monkeypatch, "_rref_mod")
+    profiles = _spy(monkeypatch, "_rank_profile")
+    lifts = _spy(monkeypatch, "_lift")
+    E = linalg.echelon(qq_matrix(rows), QQ)
+    assert [(e[1], len(e) > 2) for e in eliminations] == expect
+    assert [p for p, slotted in expect if slotted] == [p for _, p in profiles]
+    assert lifts[-1][2:4] == (list(E.pivots), list(E.sources))
+    assert_matches_oracle(qq_matrix(rows))
+
+
+def test_qq_echelon_of_a_km_matrix_reconstructs_at_most_twice(monkeypatch):
+    A = _gr36_km_matrix()
+    eliminations = _spy(monkeypatch, "_rref_mod")
+    lifts = _spy(monkeypatch, "_lift")
+    digits = _spy(monkeypatch, "_from_digits")
+    E = linalg.echelon(A, QQ)
+    # a second prime, without slots, checks the profile, as the rule passes
+    # over rows that are not structural zeros; the one lift reconstructs the
+    # whole matrix at most twice
+    assert [(e[1], len(e) > 2) for e in eliminations] == [(P, True), (Q, False)]
+    assert len(lifts) == 1 and 1 <= len(digits) <= 2
+    R, pivots, sources = _gauss_jordan_integers(A.tolist())
+    assert (E.pivots, E.sources) == (tuple(pivots), tuple(sources))
+    assert [list(r) for r in linalg.Rows(E.rows, E.den, QQ)] == R
+
+
+def _gauss_jordan_integers(rows):
+    """`_gauss_jordan` on integer rows, kept as integer multiples of its
+    rows (divided by their content after each update): the same zero
+    pattern at every step, so the same pivots and swaps, at a fraction of
+    the cost of Fraction arithmetic."""
+    M = [list(r) for r in rows]
+    src = list(range(len(M)))
+    pivots = []
+    for c in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        src[r], src[pr] = src[pr], src[r]
+        a = M[r][c]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                g = gcd(a, M[i][c])
+                row = [a // g * x - M[i][c] // g * y for x, y in zip(M[i], M[r])]
+                g = gcd(*row)
+                M[i] = [x // g for x in row] if g else row
+        pivots.append(c)
+    r = len(pivots)
+    R = [[Fraction(x, row[c]) for x in row] for row, c in zip(M, pivots)]
+    return R, pivots, src[:r]
+
+
+@given(small_matrices())
+@settings(max_examples=40, deadline=None)
+def test_integer_oracle_matches_fraction_oracle(rows):
+    assert _gauss_jordan_integers(rows) == _gauss_jordan(rows)
 
 
 @st.composite

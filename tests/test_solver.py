@@ -286,7 +286,7 @@ def test_normalize_solutions():
     assert normalize_solutions(rows, "raw") == [list(r) for r in rows]
     out = normalize_solutions(rows, "first")
     assert out[0] == [1.0, 2.0, -3.0]
-    with pytest.raises(ValueError):
+    with pytest.raises(SolverError):
         normalize_solutions([(0.0, 1.0)], "first")
     with pytest.raises(ValueError):
         normalize_solutions(rows, "euclidean")
