@@ -51,7 +51,7 @@ def hilbert_function(par: Parameterization, d: int) -> int:
     return len(graded_support(par, d))
 
 
-def numerator_from_hf(hf, n: int, certify_window=None) -> HilbertData:
+def numerator_from_hf(hf, n: int) -> HilbertData:
     """Numerator of HS(u) = P(u)/(1-u)^(n+1) from HF values.
 
     `hf` lists HF(0..Dmax). Certification is heuristic: the coefficient
@@ -61,8 +61,6 @@ def numerator_from_hf(hf, n: int, certify_window=None) -> HilbertData:
     """
     hf = tuple(int(x) for x in hf)
     dmax = len(hf) - 1
-    if certify_window is None:
-        certify_window = n + 2
     if dmax < n + 2:
         raise ValueError(
             f"need HF values through degree {n + 2}, got only {dmax}"
@@ -75,11 +73,11 @@ def numerator_from_hf(hf, n: int, certify_window=None) -> HilbertData:
         p.append(s)
     b = max((k for k in range(dmax + 1) if p[k]), default=0)
     a = min((k for k in range(dmax + 1) if p[k]), default=0)
-    certified = dmax - b >= certify_window
+    certified = dmax - b >= n + 2
     if not certified:
         warnings.warn(
             f"Hilbert numerator not certified: top exponent {b} leaves a "
-            f"trailing zero window of {dmax - b} < {certify_window}; "
+            f"trailing zero window of {dmax - b} < {n + 2}; "
             f"recompute with a larger Dmax",
             stacklevel=2,
         )

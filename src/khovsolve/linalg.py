@@ -8,10 +8,11 @@ RREF from `_kernels`, which updates only the rows below each panel that
 meet its pivot columns and solves the pivot rows for the free columns at
 the end, or a plain Python row reduction for matrices of at most 400
 entries and for larger primes. Over the rationals one of the two
-runs mod word-size primes for the pivots and the source rows. The
-elimination of the prime to be lifted carries coefficient slots, zero
-columns after the matrix's own, that end as S^-1 mod p for the source
-rows S at the pivot columns, so each prime costs one elimination.
+runs mod word-size primes for the pivots and the source rows, trusted
+once the next prime below gives the same (`_agreed_profile`). The
+elimination of a prime that may be lifted carries coefficient slots,
+zero columns after the matrix's own, that end as S^-1 mod p for the
+source rows S at the pivot columns; a check prime carries none.
 Dixon's p-adic lifting with that S^-1 and one rational reconstruction,
 tried once an entry's fraction is stable, then give the exact RREF,
 which is accepted only with an exact certificate that the kernel
@@ -236,6 +237,11 @@ def _rank_profile(A, p):
     return piv, src, R[:, n : n + len(piv)].copy()
 
 
+def _pivots_mod(A, p):
+    """(pivots, sources) of the integer matrix A mod p, without slots."""
+    return _rref_mod((A % p).astype(np.int64, copy=False), p)[1:]
+
+
 def _lift_bounds(A, piv, free, r):
     """(l1, amax, log_h2) of the integer matrix A, exactly: the largest
     row l1 norm at the pivot columns, the largest |entry| at the free
@@ -338,66 +344,40 @@ def _lift(A, p, piv, sources, C):
     return Echelon(R, tuple(piv), tuple(sources), den)
 
 
-def _passed_over_zeros(A, piv, sources):
-    """True when every row the elimination mod p passed over is zero over QQ.
+def _agreed_profile(A, p, slotted):
+    """(p, profile): the rank profile of the integer matrix A mod the first
+    prime p, counting down from the given one (`_prime_below`), that the
+    next prime below repeats: the same pivots and the same sources.
 
-    At step k the first-nonzero rule takes pivots[k] from sources[k] and
-    passes over the rows before it in the current order. Each of those
-    must be a structural zero at that column: zero by the zero pattern of
-    A alone, whose reduced rows take the union of their own pattern and
-    that of every pivot row eliminated from them.
+    The profile is (pivots, sources), with C = S^-1 mod p when `slotted`
+    (`_rank_profile`). The pivots and sources are those of the
+    first-nonzero rule over QQ unless p divides a value the rule meets;
+    two consecutive primes that agree are taken as the sign that neither
+    did. A check prime carries no slots; when it disagrees and slots are
+    needed, it is profiled again with them.
     """
-    S = A != 0
-    order = list(range(A.shape[0]))
-    for k, (c, x) in enumerate(zip(piv, sources)):
-        j = order.index(x, k)
-        if S[order[k:j], c].any():
-            return False
-        order[k], order[j] = x, order[k]
-        hit = np.flatnonzero(S[:, c])
-        S[hit] |= S[x]
-        S[hit, c] = False
-    return True
+    profile = _rank_profile(A, p) if slotted else _pivots_mod(A, p)
+    while True:
+        q = _prime_below(p)
+        check = _pivots_mod(A, q)
+        if check == profile[:2]:
+            return p, profile
+        p, profile = q, _rank_profile(A, q) if slotted else check
 
 
 def _echelon_qq(A):
-    """The RREF over QQ of the integer array A, lifted from a prime whose
-    rank profile is the one over QQ.
-
-    `_lift` certifies the pivots, the rank and the RREF exactly. The
-    source rows it returns are independent over QQ whatever the prime, and
-    they are the rows the first-nonzero rule picks over QQ unless p
-    divides one of the values that rule meets. When every row the
-    elimination mod LIFT_PRIME passed over is a structural zero
-    (`_passed_over_zeros`), it is zero over QQ too, and a certified lift
-    then has the sources of the rule over QQ; so its profile is lifted at
-    once. Otherwise, or if that lift fails, the profile of a prime
-    (LIFT_PRIME, then the primes below it) is lifted only when the next
-    prime below gives the same pivots and sources.
-
-    The profile of the prime that may be lifted next comes from one
-    elimination with coefficient slots (`_rank_profile`), which also
-    gives the S^-1 mod p its lift starts from; the next prime only checks
-    it, by an elimination without slots. So an echelon is one elimination
-    when `_passed_over_zeros` holds and the lift succeeds, and two when
-    the two primes agree and the lift succeeds. Only when a check prime
-    is the next to be lifted (the primes disagree, or the lift fails) is
-    its profile computed again, with slots.
+    """The RREF over QQ of the integer array A: the profile `_agreed_profile`
+    gives from LIFT_PRIME down, lifted and certified by `_lift`. If the
+    lift fails, the search goes on below that prime. The source rows are
+    independent over QQ whatever the prime.
     """
     p = LIFT_PRIME
-    profile = _rank_profile(A, p)
-    if _passed_over_zeros(A, *profile[:2]):
+    while True:
+        p, profile = _agreed_profile(A, p, True)
         E = _lift(A, p, *profile)
         if E is not None:
             return E
-    while True:
-        q = _prime_below(p)
-        # a check needs no slots: q's S^-1 is needed only if q is lifted next
-        if _rref_mod((A % q).astype(np.int64), q)[1:] == profile[:2]:
-            E = _lift(A, p, *profile)
-            if E is not None:
-                return E
-        p, profile = q, _rank_profile(A, q)
+        p = _prime_below(p)
 
 
 # ---------------------------------------------------------------------------
@@ -779,22 +759,12 @@ def first_independent_columns(rows, field, count=None):
     """The leftmost `count` (default all) independent column indices.
 
     The pivot columns of any echelon form are exactly these. Over QQ they
-    are read off the rank profile mod p of the integer rows, with no
-    lifting: columns independent mod p are independent over QQ, and they
-    are the leftmost ones unless p divides one of the pivot values met
-    over QQ. So, as in `_echelon_qq`, the profiles of LIFT_PRIME and the
-    primes below it are taken until two consecutive primes agree.
+    are the pivots of the profile `_agreed_profile` takes without slots,
+    with no lifting: columns independent mod p are independent over QQ.
     """
     if field != QQ:
         return list(echelon(rows, field).pivots[:count])
     if len(rows) == 0:
         return []
-    A = _integers(rows, QQ)
-    p = LIFT_PRIME
-    piv = _rank_profile(A, p)[0]
-    while True:
-        p = _prime_below(p)
-        other = _rank_profile(A, p)[0]
-        if other == piv:
-            return piv[:count]
-        piv = other
+    _, (piv, _) = _agreed_profile(_integers(rows, QQ), LIFT_PRIME, False)
+    return piv[:count]

@@ -458,18 +458,22 @@ def solve(
     )
 
 
-def brute_force_affine(sys: StructuredSystem, max_modulus: int = 10_000):
+# the largest modulus `brute_force_affine` scans
+BRUTE_FORCE_MAX_MODULUS = 10_000
+
+
+def brute_force_affine(sys: StructuredSystem):
     """Exhaustive affine solution scan over a small prime field.
 
-    Returns all t in F_p^n with every equation vanishing exactly. Only
-    sensible for p <= 10**4 and n <= 3.
+    Returns all t in F_p^n with every equation vanishing exactly. The scan
+    takes p <= BRUTE_FORCE_MAX_MODULUS and n <= 3 only.
     """
     par = sys.par
     F = par.field
     if not isinstance(F, PrimeField):
         raise UnsupportedFieldError("brute force scan needs a finite field")
     p = F.modulus
-    if p > max_modulus:
+    if p > BRUTE_FORCE_MAX_MODULUS:
         raise ValueError(f"modulus {p} too large for exhaustive scan")
     if par.n > 3:
         raise ValueError(f"dimension {par.n} too large for exhaustive scan")

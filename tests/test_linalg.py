@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt, log2
+from math import gcd, isqrt, lcm, log2
 
 import numpy as np
 import pytest
@@ -187,14 +187,16 @@ def test_first_independent_columns_leftmost():
 
 def test_first_independent_columns_qq_unlucky_prime(monkeypatch):
     # column 0's only nonzero entry is LIFT_PRIME: mod that prime the
-    # pivots are [1, 2]; the next two primes agree on the ones over QQ
+    # pivots are [1, 2]; the next two primes agree on the ones over QQ,
+    # and no elimination carries slots, as nothing is lifted
     P = linalg.LIFT_PRIME
     Q = linalg._prime_below(P)
-    profiles = _spy(monkeypatch, "_rank_profile")
+    eliminations = _spy(monkeypatch, "_rref_mod")
     lifts = _spy(monkeypatch, "_lift")
     A = qq_matrix([[P, 0, 1], [0, 1, 1]])
     assert linalg.first_independent_columns(A, QQ) == [0, 1]
-    assert [p for _, p in profiles] == [P, Q, linalg._prime_below(Q)]
+    assert [(e[1], len(e) > 2) for e in eliminations] == [
+        (P, False), (Q, False), (linalg._prime_below(Q), False)]
     assert not lifts
     assert linalg.first_independent_columns(A, QQ, count=1) == [0]
 
@@ -401,19 +403,6 @@ def test_qq_unlucky_first_prime(rows, prime, monkeypatch):
     assert_matches_oracle(qq_matrix(rows))
 
 
-def test_qq_one_prime_when_passed_over_rows_are_structural_zeros(monkeypatch):
-    # the elimination mod P passes over rows that are zero in the pivot
-    # column by their zero pattern alone, so P's profile is lifted at once
-    profiles = _spy(monkeypatch, "_rank_profile")
-    rows = [[0, 0, 2, 1], [0, 3, 0, 1], [5, 1, 0, 0], [5, 4, 0, 1]]
-    assert_matches_oracle(qq_matrix(rows))
-    assert {p for _, p in profiles} == {P}
-    # here row 0 is passed over at column 0, where it holds P: two primes
-    profiles.clear()
-    assert_matches_oracle(qq_matrix([[P, 1], [1, 0]]))
-    assert len({p for _, p in profiles}) > 1
-
-
 def _gr36_km_matrix():
     """The QQ KM matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2, as
     integer rows (360 x 175, rank 173)."""
@@ -429,12 +418,10 @@ Q2 = linalg._prime_below(Q)
 
 
 @pytest.mark.parametrize("rows, expect", [
-    # no row is passed over, or only structural zeros: P's profile is
-    # lifted at once, and the whole echelon is one elimination
-    ([[2, 1, 0, 3], [1, 1, 1, 0], [0, 4, 1, 1]], [(P, True)]),
-    ([[0, 0, 2, 1], [0, 3, 0, 1], [5, 1, 0, 0], [5, 4, 0, 1]], [(P, True)]),
-    # row 1 is passed over at column 1, where it is not a structural zero:
-    # Q checks P's profile
+    # Q checks P's profile, whether the rule passes over no row, only
+    # structural zeros, or a row that is not zero in the pivot column
+    ([[2, 1, 0, 3], [1, 1, 1, 0], [0, 4, 1, 1]], [(P, True), (Q, False)]),
+    ([[0, 0, 2, 1], [0, 3, 0, 1], [5, 1, 0, 0], [5, 4, 0, 1]], [(P, True), (Q, False)]),
     ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], [(P, True), (Q, False)]),
     # P is unlucky (as in test_qq_unlucky_first_prime): Q, which
     # disagrees, is profiled again with slots before Q2 checks it
@@ -462,14 +449,34 @@ def test_qq_echelon_of_a_km_matrix_reconstructs_at_most_twice(monkeypatch):
     lifts = _spy(monkeypatch, "_lift")
     digits = _spy(monkeypatch, "_from_digits")
     E = linalg.echelon(A, QQ)
-    # a second prime, without slots, checks the profile, as the rule passes
-    # over rows that are not structural zeros; the one lift reconstructs the
-    # whole matrix at most twice
+    # a second prime, without slots, checks the profile; the one lift
+    # reconstructs the whole matrix at most twice
     assert [(e[1], len(e) > 2) for e in eliminations] == [(P, True), (Q, False)]
     assert len(lifts) == 1 and 1 <= len(digits) <= 2
     R, pivots, sources = _gauss_jordan_integers(A.tolist())
     assert (E.pivots, E.sources) == (tuple(pivots), tuple(sources))
     assert [list(r) for r in linalg.Rows(E.rows, E.den, QQ)] == R
+
+
+def test_qq_echelon_of_duffing_f5_rows_is_the_oracle(monkeypatch):
+    # the F5 rows of Duffing's KM matrix at degree 3 (23 x 28, rank 23):
+    # every row the rule passes over mod P is a structural zero, yet Q
+    # checks P's profile as on any other matrix
+    from khovsolve import catalog, km
+
+    sys = catalog.duffing().sys
+    blocks = km._km_blocks(sys, 3)
+    S, X = km._map_combination(sys, 3, blocks, 3)
+    S = linalg.sparse_rows(S, km._f5_rows(sys, 3, blocks))
+    A = linalg.combine_rows(S, X, QQ)[0]
+    eliminations = _spy(monkeypatch, "_rref_mod")
+    E = linalg.echelon(A, QQ)
+    assert [(e[1], len(e) > 2) for e in eliminations] == [(P, True), (Q, False)]
+    R, pivots, sources = _gauss_jordan_integers(A.tolist())
+    den = lcm(*(x.denominator for r in R for x in r))
+    assert E.den == den
+    assert E.rows.tolist() == [[int(x * den) for x in r] for r in R]
+    assert (E.pivots, E.sources) == (tuple(pivots), tuple(sources))
 
 
 def _gauss_jordan_integers(rows):
