@@ -27,7 +27,7 @@ peak.
 The F5 rows time the row criterion of `km_matrix(reduce=True)` on the
 Gr(3,6) count itself (seeded random flags, d = 3, F_9716633): the prefix
 pivots of the 13 equations in degree 2 (`km._f5_rows`: the 240 x 175
-prefix rows and their incremental elimination), and the blocked
+prefix rows and the one elimination they are read off), and the blocked
 elimination of the 1041 rows it keeps, of rank 969, to set beside the
 2275 x 980 one above. One more row eliminates the 4074 x 4116 F5 rows of
 the 42-solution count 9 x (3,5,6) (flags seeded 1) at degree 4, the

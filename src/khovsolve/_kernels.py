@@ -83,53 +83,37 @@ def modp_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 def _factor_panel(A, src, p, r, c0, c1):
     """Pivot the columns c0..c1-1 of the rows r.. of A; A keeps its values.
 
-    Pivoting follows the unblocked rule: the first row at or below the
-    current one that is nonzero in the column, once the panel's earlier
-    pivots are eliminated from it. Only the rows nonzero on the panel can
-    carry a pivot, so they alone are copied, into a block holding their
-    values on the panel (first w columns) and their coefficients over the
-    panel's pivot rows (last w), which is reduced Gauss-Jordan by rank-1
-    updates on the columns j..w+t of pivot t at column j. The row swaps of
-    the unblocked rule, also those that move rows zero on the panel, are
-    replayed on positions and applied to A and src once at the end, so
-    the k pivots found land in rows r..r+k-1. Returns the pivot columns
-    and S^-1 mod p for the pivot block S of those rows.
+    Pivoting follows the rule of `modp_rref`, applied once the panel's
+    earlier pivots are eliminated from the rows. Only the rows nonzero on
+    the panel can carry a pivot, so they alone are copied, into a block
+    holding their values on the panel (first w columns) and their
+    coefficients over the panel's pivot rows (last w), which is reduced
+    Gauss-Jordan by rank-1 updates on the columns j..w+t of pivot t at
+    column j. At the end the k pivot rows move, with their `src`, to rows
+    r..r+k-1, and the rows there to the places they left. Returns the
+    pivot columns and S^-1 mod p for the pivot block S of those rows.
     """
-    m = A.shape[0]
     w = c1 - c0
     dtype, chunk = _delayed(p)
-    cand = np.flatnonzero(A[r:, c0:c1].any(axis=1))
+    cand = r + np.flatnonzero(A[r:, c0:c1].any(axis=1))
     k = len(cand)
     blk = np.zeros((k, 2 * w), dtype)
-    blk[:, :w] = A[r + cand, c0:c1]
-    # rows and positions are counted from r: perm[i] is the row at
-    # position i, blkof[i] the block row of row i or -1, and key[b] the
-    # position of block row b, m once it is a pivot row
-    perm = np.arange(m - r)
-    blkof = np.full(m - r, -1)
-    blkof[cand] = np.arange(k)
-    key = cand.copy()
-    cols = []
-    t = 0
+    blk[:, :w] = A[cand, c0:c1]
+    # the input row of each block row; the largest int64 once a pivot row
+    key = src[cand]
+    cols, order = [], []
     for j in range(w):
-        if t == k:
+        if len(order) == k:
             break
         f = blk[:, j] % p
         hit = np.flatnonzero(f)
         if hit.size == 0:
             continue
-        pos = key[hit]
-        s = int(pos.argmin())
-        i = int(pos[s])
-        if i == m:
+        b = int(hit[key[hit].argmin()])
+        if key[b] == _INT64_MAX:
             continue
-        b = int(hit[s])
-        if i != t:
-            other = int(blkof[perm[t]])
-            perm[t], perm[i] = perm[i], perm[t]
-            if other >= 0:
-                key[other] = i
-        key[b] = m
+        t = len(order)
+        key[b] = _INT64_MAX
         blk[b, w + t] = 1
         row = blk[b, j : w + t + 1] % p
         row *= pow(int(f[b]), p - 2, p)
@@ -138,25 +122,35 @@ def _factor_panel(A, src, p, r, c0, c1):
         blk[hit, j : w + t + 1] -= np.outer(f[hit], row)
         blk[b, j : w + t + 1] = row
         cols.append(c0 + j)
-        t += 1
+        order.append(b)
         # entries only fall from [0, p), by at most (p-1)**2 per update:
         # exact for `chunk` updates between reductions
-        if t % chunk == 0:
+        if len(order) % chunk == 0:
             blk %= p
-    # the rows r.. are zero left of the panel
-    moved = np.flatnonzero(perm != np.arange(m - r))
-    A[r + moved, c0:] = A[r + perm[moved], c0:]
-    src[r + moved] = src[r + perm[moved]]
-    return cols, (blk[blkof[perm[:t]], w : w + t] % p).astype(np.int64)
+    # the pivot rows move to r..r+t-1, and the other rows there to the
+    # places of the pivot rows below; the rows r.. are zero left of the panel
+    t = len(order)
+    piv, top = cand[order], np.arange(r, r + t)
+    below = piv >= r + t
+    taken = np.zeros(t, bool)
+    taken[piv[~below] - r] = True
+    frm = np.concatenate((piv, top[~taken]))
+    to = np.concatenate((top, piv[below]))
+    A[to, c0:] = A[frm, c0:]
+    src[to] = src[frm]
+    return cols, (blk[order, w : w + t] % p).astype(np.int64)
 
 
 def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None, slots: int = 0) -> np.ndarray:
     """In-place reduced row echelon form of int64 matrix A mod p.
 
-    Returns the pivot column indices; pivot rule is first nonzero row
-    scanning columns left to right. When `src` (an int64 index vector of
-    length m) is given, row swaps are mirrored in it, so src[:rank] names
-    the input rows carrying pivots.
+    Returns the pivot column indices. Columns are scanned left to right,
+    and the pivot of a column is the row first in the input among the
+    rows not yet pivots that are nonzero there, which reveals the rank
+    profile matrix (Dumas, Pernet and Sultan, ISSAC 2015): the pivots of
+    the first k input rows are those whose source row is below k. `src`
+    (an int64 index vector of length m, by default 0..m-1) moves with
+    the rows, so src[:rank] names the input rows carrying pivots.
 
     The last `slots` columns of A, zero on input and at least the rank in
     number, are coefficient slots: they are never pivoted, and when a row
@@ -177,7 +171,7 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None, slots: int = 0) -> 
     are sparse, and the rows below stay so far longer than the rows above
     would. After the last panel the pivot rows are solved for the free
     columns, from the last panel up, one product for each panel but the
-    last. Pivots, row swaps and the result are those of the unblocked
+    last. Pivots, sources and the RREF are those of the unblocked
     Gauss-Jordan elimination with the same pivot rule.
     """
     if A.dtype != np.int64:

@@ -315,7 +315,7 @@ def _f5_rows(sys, d, blocks):
     Row (i, gamma) goes when gamma is a pivot column of the echelon of the
     prefix f_1..f_{i-1} in degree e = d - d_i. The prefix rows are KM rows
     in degree e (from X^(e-1)), and the pivots of every prefix in degree e
-    come from one incremental elimination (`linalg.prefix_pivots`).
+    are read off one elimination of all of them (`linalg.prefix_pivots`).
     """
     par = sys.par
     sizes = [len(graded_support(par, d - deg)) for _, _, deg in blocks]

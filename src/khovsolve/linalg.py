@@ -1,15 +1,18 @@
 """Exact linear algebra over QQ and F_p.
 
 Every rank, kernel, inverse and row selection comes from one forward
-elimination with first-nonzero pivoting, kept as an `Echelon` that holds
-the reduced row echelon form (RREF) on every field, and kernels are read
-off it. Over a prime below 2**31 the elimination is the blocked int64
-RREF from `_kernels`, which updates only the rows below each panel that
-meet its pivot columns and solves the pivot rows for the free columns at
-the end, or a plain Python row reduction for matrices of at most 400
-entries and for larger primes. Over the rationals one of the two
-runs mod word-size primes for the pivots and the source rows, trusted
-once the next prime below gives the same (`_agreed_profile`). The
+elimination, kept as an `Echelon` that holds the reduced row echelon
+form (RREF) on every field, and kernels are read off it. The pivot of
+each column is the row first in the input among those not yet pivots
+(`_kernels.modp_rref`), so the source rows are the first independent
+rows in input order. Over a prime below 2**31 the elimination is the
+blocked int64 RREF from `_kernels`, which updates only the rows below
+each panel that meet its pivot columns and solves the pivot rows for
+the free columns at the end, or a plain Python row reduction for
+matrices of at most 400 entries and for larger primes. Over the
+rationals one of the two runs mod word-size primes for the pivots and
+the source rows, trusted once the next prime below gives the same
+(`_agreed_profile`). The
 elimination of a prime that may be lifted carries coefficient slots,
 zero columns after the matrix's own, that end as S^-1 mod p for the
 source rows S at the pivot columns; a check prime carries none.
@@ -27,8 +30,8 @@ form from field elements, for the subduction's output and for lists from
 callers, and the results keep it as `Rows`, read by `field_values`. Sparse
 matrices (`Sparse`, a COO triple over a denominator) have two numpy
 scatter products: S @ X and A @ X^T with a dense A. `prefix_pivots`
-gives the pivot columns of every leading run of row blocks from one
-incremental elimination.
+reads the pivot columns of every leading run of row blocks off one
+elimination.
 """
 
 from __future__ import annotations
@@ -350,8 +353,8 @@ def _agreed_profile(A, p, slotted):
     next prime below repeats: the same pivots and the same sources.
 
     The profile is (pivots, sources), with C = S^-1 mod p when `slotted`
-    (`_rank_profile`). The pivots and sources are those of the
-    first-nonzero rule over QQ unless p divides a value the rule meets;
+    (`_rank_profile`). The pivots and sources are the first independent
+    columns and rows over QQ unless p divides a minor that decides them;
     two consecutive primes that agree are taken as the sign that neither
     did. A check prime carries no slots; when it disagrees and slots are
     needed, it is profiled again with them.
@@ -388,9 +391,10 @@ def _echelon_qq(A):
 def _rref_modp_python(rows, p, slots=0):
     """Plain RREF mod p; returns (reduced_rows, pivot_cols, pivot_sources).
 
-    The last `slots` columns are coefficient slots, as in
-    `_kernels.modp_rref`: never pivoted, and slot t of a row is set to 1
-    when it becomes pivot t.
+    The pivot rule and the slots are those of `_kernels.modp_rref`: the
+    pivot of a column is the row first in the input among those not yet
+    pivots that are nonzero there, and the last `slots` columns are never
+    pivoted, slot t of a row being set to 1 when it becomes pivot t.
     """
     M = [[x % p for x in r] for r in rows]
     m = len(M)
@@ -401,13 +405,10 @@ def _rref_modp_python(rows, p, slots=0):
     piv_src = []
     r = 0
     for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if M[i][c]:
-                pr = i
-                break
-        if pr < 0:
+        hit = [i for i in range(r, m) if M[i][c]]
+        if not hit:
             continue
+        pr = min(hit, key=src.__getitem__)
         if pr != r:
             M[r], M[pr] = M[pr], M[r]
             src[r], src[pr] = src[pr], src[r]
@@ -482,7 +483,7 @@ class Rows:
 
 
 def echelon(rows, field) -> Echelon:
-    """The RREF by one forward elimination with first-nonzero pivoting.
+    """The RREF by one forward elimination with input-order pivoting.
 
     `rows` is a list of rows of field elements or an integer array (over
     QQ numerators over any common denominator, below 2**31 int64 in
@@ -527,12 +528,9 @@ def rank(rows, field):
 
 
 def independent_rows(rows, field):
-    """(indices, echelon): the indices of a maximal linearly independent
-    row subset, with the `Echelon` of the elimination that selected them.
-
-    Selected by exact forward elimination with first-nonzero pivoting;
-    deterministic for a given matrix.
-    """
+    """(indices, echelon): the first independent rows in input order, each
+    row not in the span of those before it, with the `Echelon` of the
+    elimination that selected them (its sources)."""
     E = echelon(rows, field)
     return sorted(E.sources), E
 
@@ -550,14 +548,10 @@ def prefix_pivots(rows, sizes, field):
     """Pivot columns of the echelon of each leading run of row blocks.
 
     `rows` stacks blocks of `sizes` rows; entry k of the result is the
-    sorted tuple of pivot columns of the rows of blocks 0..k together. One
-    incremental elimination gives them all. The RREF kept so far is stored
-    at its free columns only, as it is the identity at its pivots. Each
-    block is reduced against it, the remainder (at the free columns) is
-    eliminated on its own, and its new pivots are cleared from the kept
-    rows. The new pivots are the leading columns of the remainder's span,
-    which misses the old pivots, so the union is the pivot set of the
-    echelon of the whole prefix.
+    sorted tuple of pivot columns of the rows of blocks 0..k together.
+    One elimination of all the rows gives them all: under the input-order
+    pivot rule (`_kernels.modp_rref`) the pivots of a leading run of rows
+    are the pivots whose source row lies in it.
 
     Over QQ this is the rank profile mod LIFT_PRIME of the integer rows,
     with no second prime and no lift. Columns independent mod p carry a
@@ -565,26 +559,13 @@ def prefix_pivots(rows, sizes, field):
     independent on the prefix's row space over QQ; an unlucky prime only
     makes it smaller than the pivot set over QQ.
     """
-    p = LIFT_PRIME if field == QQ else field.modulus
-    A = _integers(rows, field) % p
-    free = np.arange(A.shape[1])
-    R, piv, out, first = A[:0], [], [], 0
-    for size in sizes:
-        B = A[first : first + size, free]
-        if piv:
-            B = (B - _matmul_mod(A[first : first + size, piv], R, p)) % p
-        first += size
-        R2, new, _ = _rref_mod(B, p)
-        if new:
-            if piv:
-                R = (R - _matmul_mod(R[:, new], R2, p)) % p
-            rest = np.ones(len(free), dtype=bool)
-            rest[new] = False
-            R = np.vstack([R, R2])[:, rest]
-            piv += free[new].tolist()
-            free = free[rest]
-        out.append(tuple(sorted(piv)))
-    return out
+    if field == QQ:
+        piv, src = _pivots_mod(_integers(rows, QQ), LIFT_PRIME)
+    else:
+        E = echelon(rows, field)
+        piv, src = E.pivots, E.sources
+    return [tuple(sorted(c for c, s in zip(piv, src) if s < end))
+            for end in np.cumsum(sizes).tolist()]
 
 
 def identity(n, field):

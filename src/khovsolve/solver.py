@@ -82,10 +82,7 @@ class MultiplicationSystem:
 
     delta: int
     h_coeffs: tuple
-    B_cols: tuple  # selected degree-d basis labels
     mats: tuple  # ell+1 delta x delta `linalg.Rows` over one denominator
-    seed: int
-    degree: int  # the lower degree d (kernel taken at d+1)
 
 
 _LEFT_ALGEBRA = (
@@ -135,7 +132,6 @@ def multiplication_matrices(
     delta = N.nullity
     if delta == 0:
         raise SolverError("kernel is trivial; the system has no solutions on X")
-    sup_d = graded_support(par, d)
     Nx = _multiplied_kernels(sys, N, d)
 
     rng = random.Random(seed)
@@ -178,10 +174,7 @@ def multiplication_matrices(
         return MultiplicationSystem(
             delta=delta,
             h_coeffs=tuple(map(field.from_int, c)),
-            B_cols=tuple(sup_d.points[g] for g in B),
             mats=tuple(linalg.Rows(Tj, E.den, field) for Tj in T),
-            seed=seed,
-            degree=d,
         )
     raise last_err
 

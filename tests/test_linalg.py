@@ -38,17 +38,19 @@ def small_matrices(draw):
 
 
 def _gauss_jordan(rows):
-    """Oracle: Fraction Gauss-Jordan with the first-nonzero pivot rule.
+    """Oracle: Fraction Gauss-Jordan with the input-order pivot rule.
 
-    Returns (RREF rows, pivot columns, source rows); a pivot row found
-    below the current one is swapped into place.
+    The pivot of a column is the row first in the input among those not
+    yet pivots that are nonzero there; it is swapped into place. Returns
+    (RREF rows, pivot columns, source rows).
     """
     M = [[Fraction(x) for x in r] for r in rows]
     src = list(range(len(M)))
     pivots = []
     for c in range(len(M[0]) if M else 0):
         r = len(pivots)
-        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        pr = min((i for i in range(r, len(M)) if M[i][c]), key=src.__getitem__,
+                 default=None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
@@ -489,7 +491,8 @@ def _gauss_jordan_integers(rows):
     pivots = []
     for c in range(len(M[0]) if M else 0):
         r = len(pivots)
-        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        pr = min((i for i in range(r, len(M)) if M[i][c]), key=src.__getitem__,
+                 default=None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
@@ -554,6 +557,67 @@ def test_prefix_pivots_qq_unlucky_prime_are_still_independent():
     assert linalg.echelon(rows, QQ).pivots == (0, 1, 2)
     for k, piv in enumerate(got):
         assert linalg.rank([[r[c] for c in piv] for r in rows[: k + 1]], QQ) == len(piv)
+
+
+def _first_independent_rows(rows, p=None):
+    """Oracle with no pivot rule: row i is kept iff it raises the rank of
+    the rows kept so far, over QQ (p None, in Fractions) or mod p. The
+    kept rows are held as a basis with distinct leading columns, against
+    which each row is reduced; it raises the rank iff something is left."""
+    basis, keep = {}, []
+    for i, row in enumerate(rows):
+        v = [Fraction(x) if p is None else x % p for x in row]
+        for c, b in sorted(basis.items()):
+            if v[c]:
+                f = v[c]
+                v = [x - f * y if p is None else (x - f * y) % p for x, y in zip(v, b)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = 1 / v[lead] if p is None else pow(v[lead], p - 2, p)
+            basis[lead] = [x * inv if p is None else x * inv % p for x in v]
+            keep.append(i)
+    return keep
+
+
+ROW_FIELDS = [QQ, F101, GF(2**31 - 1), FBIG]
+
+
+@st.composite
+def dependent_rows(draw, field):
+    """Integer rows C @ B for sparse random C (m x k) and B (k x n), up to
+    40 x 30, so rows depend on earlier and later ones alike. Half the
+    matrices pass 400 entries, where the blocked kernel runs. Over QQ
+    some entries of B are multiples of LIFT_PRIME."""
+    low = 21 if draw(st.booleans()) else 1
+    m, n = draw(st.integers(low, 40)), draw(st.integers(low, 30))
+    k = draw(st.integers(1, min(m, n) + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.3, 0.7]))
+    C = rng.integers(-3, 4, size=(m, k)) * (rng.random((m, k)) < density)
+    B = rng.integers(-3, 4, size=(k, n)) * (rng.random((k, n)) < density)
+    if field == QQ:
+        return (C @ np.where(rng.random((k, n)) < 0.1, B * P, B)).tolist()
+    p = field.modulus
+    B = B % p if p > 2**31 else rng.integers(0, p, size=(k, n)) * (B != 0)
+    return ((C.astype(object) @ B.astype(object)) % p).tolist()
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_independent_rows_are_the_first_independent_rows(field, data):
+    rows = data.draw(dependent_rows(field))
+    keep, E = linalg.independent_rows(qq_matrix(rows) if field == QQ else rows, field)
+    assert keep == _first_independent_rows(rows, field.modulus)
+    assert len(keep) == len(E.pivots)
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+def test_independent_rows_skip_a_multiple_of_an_earlier_row(field):
+    # row 1 is 2 * row 0, and only row 2 meets column 0
+    rows = [[0, 1], [0, 2], [1, 0]]
+    keep, _ = linalg.independent_rows(qq_matrix(rows) if field == QQ else rows, field)
+    assert keep == [0, 2] == _first_independent_rows(rows, field.modulus)
 
 
 def test_lift_prime_is_the_largest_one_float64_panel_allows():
