@@ -14,7 +14,9 @@ the arithmetic exact with few reductions mod p: a matrix product reduces
 once per chunk of its inner dimension, on float64 BLAS (`modp_matmul`),
 and the factorization of a panel once every `chunk` rank-1 updates of a
 small block (`_delayed`). The panel works only on the rows that meet it.
-Larger moduli go to the generic Python path of the callers.
+Small matrices, and object arrays for larger moduli, take the unblocked
+Gauss-Jordan elimination `modp_rref_small`, with the same pivot rule and
+slots.
 """
 
 from __future__ import annotations
@@ -221,6 +223,49 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None, slots: int = 0) -> 
         W[r0:r1, later] = 0
         W[r0:r1, free] = X[r0:r1]
     return piv
+
+
+def modp_rref_small(A: np.ndarray, p: int, src: np.ndarray = None, slots: int = 0) -> np.ndarray:
+    """`modp_rref` for a small int64 or object matrix A, reduced mod p on
+    entry: the same pivots, sources, slots and RREF, in place, by unblocked
+    Gauss-Jordan elimination.
+
+    No row moves until the pivot rows go to the top at the end, so the
+    pivot of a column is its first nonzero row among those not yet
+    pivots: the row first in the input, `src` being increasing on entry
+    (it moves with the rows as in `modp_rref`). Each pivot is a few numpy
+    calls on whole columns and rows, where the blocked kernel spends
+    several on every column of a panel: on a few hundred entries this is
+    the faster one. Object arrays hold residues of a prime of any size.
+    """
+    m, n = A.shape
+    n -= slots
+    if src is None:
+        src = np.arange(m, dtype=np.int64)
+    A %= p
+    free = np.ones(m, A.dtype)
+    piv, rows = [], []
+    for c in range(n):
+        if len(piv) == m:
+            break
+        hit = (A[:, c] * free).nonzero()[0]
+        if not hit.size:
+            continue
+        b = hit[0]
+        free[b] = 0
+        if slots:
+            A[b, n + len(piv)] = 1
+        row = A[b, c:] * pow(A.item(b, c), -1, p) % p
+        # every row loses its entry at c; row b, a multiple of `row`, ends zero
+        A[:, c:] -= A[:, c, None] * row
+        A[:, c:] %= p
+        A[b, c:] = row
+        piv.append(c)
+        rows.append(b)
+    order = np.array(rows + free.nonzero()[0].tolist(), dtype=np.int64)
+    A[:] = A[order]
+    src[:] = src[order]
+    return np.array(piv, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

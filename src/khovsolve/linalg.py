@@ -5,11 +5,12 @@ elimination, kept as an `Echelon` that holds the reduced row echelon
 form (RREF) on every field, and kernels are read off it. The pivot of
 each column is the row first in the input among those not yet pivots
 (`_kernels.modp_rref`), so the source rows are the first independent
-rows in input order. Over a prime below 2**31 the elimination is the
-blocked int64 RREF from `_kernels`, which updates only the rows below
+rows in input order. Both eliminations live in `_kernels`: over a prime
+below 2**31 the blocked int64 RREF, which updates only the rows below
 each panel that meet its pivot columns and solves the pivot rows for
-the free columns at the end, or a plain Python row reduction for
-matrices of at most 400 entries and for larger primes. Over the
+the free columns at the end, and an unblocked Gauss-Jordan elimination
+for matrices of at most 400 entries and for the object arrays of larger
+primes; `linalg` holds no elimination of its own. Over the
 rationals one of the two runs mod word-size primes for the pivots and
 the source rows, trusted once the next prime below gives the same
 (`_agreed_profile`). The
@@ -20,7 +21,8 @@ Dixon's p-adic lifting with that S^-1 and one rational reconstruction,
 tried once an entry's fraction is stable, then give the exact RREF,
 which is accepted only with an exact certificate that the kernel
 annihilates every input row. `commuting_check` runs the exact checks of
-multiplication matrices through one stacked product.
+multiplication matrices through one stacked product: object ints over QQ,
+`_kernels.modp_matmul` below 2**31.
 
 Matrices are integer arrays: int64 over a prime below 2**31 (entries in
 [0, p)) and over QQ while entries stay below 2**62, Python ints
@@ -213,17 +215,16 @@ def _rref_mod(M, p, slots=0):
 
     M is int64, or an object array for a prime above 2**31; its last
     `slots` columns are coefficient slots (`_kernels.modp_rref`), and the
-    RREF rows keep them. Below _SMALL_RREF entries the plain Python
-    elimination is the faster one: the blocked kernel spends several
-    numpy calls on every column. The blocked kernel reduces M in place,
-    and the RREF rows are a view of it, so the caller passes an array it
-    owns.
+    RREF rows keep them. Object arrays and matrices of at most
+    _SMALL_RREF entries go to the unblocked `_kernels.modp_rref_small`,
+    the faster one there: the blocked kernel spends several numpy calls
+    on every column. Either reduces M in place, and the RREF rows are a
+    view of it, so the caller passes an array it owns.
     """
-    if M.size <= _SMALL_RREF or M.dtype == object:
-        R, piv, src = _rref_modp_python(M.tolist(), p, slots)
-        return np.array(R, dtype=M.dtype).reshape(len(piv), M.shape[1]), piv, src
     src = np.arange(M.shape[0], dtype=np.int64)
-    piv = _kernels.modp_rref(M, p, src, slots).tolist()
+    small = M.size <= _SMALL_RREF or M.dtype == object
+    rref = _kernels.modp_rref_small if small else _kernels.modp_rref
+    piv = rref(M, p, src, slots).tolist()
     return M[: len(piv)], piv, src[: len(piv)].tolist()
 
 
@@ -381,54 +382,6 @@ def _echelon_qq(A):
         if E is not None:
             return E
         p = _prime_below(p)
-
-
-# ---------------------------------------------------------------------------
-# prime fields
-# ---------------------------------------------------------------------------
-
-
-def _rref_modp_python(rows, p, slots=0):
-    """Plain RREF mod p; returns (reduced_rows, pivot_cols, pivot_sources).
-
-    The pivot rule and the slots are those of `_kernels.modp_rref`: the
-    pivot of a column is the row first in the input among those not yet
-    pivots that are nonzero there, and the last `slots` columns are never
-    pivoted, slot t of a row being set to 1 when it becomes pivot t.
-    """
-    M = [[x % p for x in r] for r in rows]
-    m = len(M)
-    width = len(M[0]) if m else 0
-    n = width - slots
-    src = list(range(m))
-    piv_cols = []
-    piv_src = []
-    r = 0
-    for c in range(n):
-        hit = [i for i in range(r, m) if M[i][c]]
-        if not hit:
-            continue
-        pr = min(hit, key=src.__getitem__)
-        if pr != r:
-            M[r], M[pr] = M[pr], M[r]
-            src[r], src[pr] = src[pr], src[r]
-        if slots:
-            M[r][n + r] = 1
-        inv = pow(M[r][c], p - 2, p)
-        M[r] = [x * inv % p for x in M[r]]
-        rowr = M[r]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                rowi = M[i]
-                for j in range(c, width):
-                    rowi[j] = (rowi[j] - f * rowr[j]) % p
-        piv_cols.append(c)
-        piv_src.append(src[r])
-        r += 1
-        if r == m:
-            break
-    return M[:r], piv_cols, piv_src
 
 
 # ---------------------------------------------------------------------------
@@ -715,22 +668,16 @@ def commuting_check(coeffs, mats, den, field):
     sum_j coeffs[j] * M_j is the identity, and the first (j, k), j < k,
     with M_j M_k != M_k M_j, or None when all commute. Every T_j T_k comes
     from one product vstack(T) @ hstack(T), whose block (j, k) is compared
-    with block (k, j): float64 or int64 while the entries allow it, object
-    ints otherwise, and `_kernels.modp_matmul` below 2**31.
+    with block (k, j): mod p by `_matmul_mod`, and over QQ as object ints,
+    whose entries, hundreds of bits on the solve path, pass int64 anyway.
     """
     T = np.asarray(mats)
     L, n = T.shape[:2]
     p = field.modulus
     total = _matmul_mod(np.asarray([coeffs], dtype=T.dtype), T.reshape(L, -1), p)
     is_identity = np.array_equal(total.reshape(n, n), np.eye(n, dtype=object) * den)
-
-    tmax = int(np.abs(T).max())
-    bound = n * tmax * tmax
-    small = is_small_prime(field) or (p is None and bound < _INT64_LIMIT)
-    T = T.astype(np.int64 if small else object)
     V, H = T.reshape(L * n, n), T.transpose(1, 0, 2).reshape(n, L * n)
-    P = _matmul_exact(V, H, bound) if small and p is None else _matmul_mod(V, H, p)
-    P = P.reshape(L, n, L, n)
+    P = _matmul_mod(V, H, p).reshape(L, n, L, n)
     differ = (P != P.transpose(2, 1, 0, 3)).any(axis=(1, 3))
     pairs = np.argwhere(np.triu(differ, 1))
     return is_identity, (tuple(pairs[0].tolist()) if pairs.size else None)

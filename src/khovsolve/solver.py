@@ -91,6 +91,7 @@ _LEFT_ALGEBRA = (
 )
 _DRAWS = 5  # random h, or random combinations to diagonalize, tried before giving up
 _OFFDIAGONAL_TOL = 1e-6  # the largest residue of a certified joint diagonalization
+_RESIDUAL_TOL = 1e-8  # the largest residual of a certified solution set
 
 
 def _multiplied_kernels(sys: StructuredSystem, N: KernelBasis, d: int):
@@ -197,7 +198,8 @@ def extract_solutions(ms: MultiplicationSystem, seed: int = 0) -> SolutionSet:
     A single random real combination T of the matrices is diagonalized
     numerically; its eigenvector matrix simultaneously (approximately)
     diagonalizes every M_j, and coordinate j of solution i is the i-th
-    diagonal entry of V^-1 M_j V.
+    diagonal entry of V^-1 M_j V. The M_j are held as one float stack of
+    shape (ell+1) x delta x delta, which every step below reads at once.
     """
     if ms.mats[0].field != QQ:
         raise UnsupportedFieldError(
@@ -205,19 +207,15 @@ def extract_solutions(ms: MultiplicationSystem, seed: int = 0) -> SolutionSet:
             "finite field use the multiplication matrices directly or the "
             "brute-force oracle"
         )
-    mats = [np.array(m, dtype=float) for m in ms.mats]
-    delta = ms.delta
-    scale = max(1.0, max(np.abs(m).max() for m in mats))
+    M = np.stack([np.asarray(m, dtype=float) for m in ms.mats])
+    scale = max(1.0, np.abs(M).max())
+    upper = np.triu_indices(ms.delta, 1)
     rng = random.Random(seed)
     clustered = True
     for _ in range(_DRAWS):
-        r = [rng.random() for _ in mats]
-        T = sum(rj * m for rj, m in zip(r, mats))
-        w, V = np.linalg.eig(T)
-        gap = min(
-            (abs(w[i] - w[k]) for i in range(delta) for k in range(i + 1, delta)),
-            default=np.inf,
-        )
+        r = np.array([rng.random() for _ in ms.mats])
+        w, V = np.linalg.eig((r[:, None, None] * M).sum(axis=0))
+        gap = np.abs(w[upper[0]] - w[upper[1]]).min(initial=np.inf)
         if gap > 1e-8 * max(1.0, np.abs(w).max()):
             clustered = False
             break
@@ -228,29 +226,19 @@ def extract_solutions(ms: MultiplicationSystem, seed: int = 0) -> SolutionSet:
             f"{_DRAWS} draws; the solution scheme is possibly non-reduced"
         )
         warnings.warn(uncertified[-1], stacklevel=2)
-    coords = np.empty((delta, len(mats)), dtype=complex)
-    offdiag = 0.0
-    for j, m in enumerate(mats):
-        D = np.linalg.solve(V, m @ V)
-        coords[:, j] = np.diag(D)
-        if delta > 1:
-            off = D - np.diag(np.diag(D))
-            offdiag = max(offdiag, float(np.abs(off).max()))
-    comm = 0.0
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            comm = max(
-                comm, float(np.abs(mats[j] @ mats[k] - mats[k] @ mats[j]).max())
-            )
-    real_flags = tuple(
-        bool(np.all(np.abs(row.imag) <= 1e-8 * (1.0 + np.abs(row).max())))
-        for row in coords
-    )
+    D = np.linalg.solve(V, M @ V)
+    coords = np.diagonal(D, axis1=1, axis2=2).T.copy()
+    D[:, np.arange(ms.delta), np.arange(ms.delta)] = 0
+    offdiag = float(np.abs(D).max())
+    # M_j M_k - M_k M_j for all k > j, from one product of M_j each way
+    comm = max((float(np.abs(M[j] @ M[j + 1:] - M[j + 1:] @ M[j]).max())
+                for j in range(len(M) - 1)), default=0.0)
+    real = np.abs(coords.imag) <= 1e-8 * (1.0 + np.abs(coords).max(axis=1, keepdims=True))
     diagnostics = {
         "offdiagonal": offdiag,
         "offdiagonal_relative": offdiag / scale,
         "commutator_float": comm,
-        "real": real_flags,
+        "real": tuple(real.all(axis=1).tolist()),
         "eigen_gap_clustered": clustered,
     }
     if offdiag / scale > _OFFDIAGONAL_TOL:
@@ -262,7 +250,7 @@ def extract_solutions(ms: MultiplicationSystem, seed: int = 0) -> SolutionSet:
     diagnostics["certified"] = not uncertified
     diagnostics["uncertified"] = uncertified
     return SolutionSet(
-        coords=tuple(tuple(row) for row in coords),
+        coords=tuple(map(tuple, coords)),
         residuals=(),
         diagnostics=diagnostics,
     )
@@ -279,48 +267,42 @@ def normalize_solutions(coords, mode: str = "raw"):
         return [list(row) for row in coords]
     if mode != "first":
         raise ValueError(f"unknown normalization {mode!r}")
-    out = []
-    for i, row in enumerate(coords):
-        scale_row = max(abs(x) for x in row)
-        if abs(row[0]) <= 1e-12 * max(1.0, scale_row):
-            raise SolverError(
-                f"solution {i} has (numerically) vanishing first coordinate; "
-                f"use raw normalization"
-            )
-        out.append([x / row[0] for x in row])
-    return out
+    if not len(coords):
+        return []
+    C = np.asarray(coords)
+    first = C[:, :1]
+    vanishing = np.abs(first[:, 0]) <= 1e-12 * np.maximum(1.0, np.abs(C).max(axis=1))
+    if vanishing.any():
+        raise SolverError(
+            f"solution {int(vanishing.argmax())} has (numerically) vanishing "
+            f"first coordinate; use raw normalization"
+        )
+    return list(map(list, C / first))
 
 
 def residuals(sys: StructuredSystem, coords) -> tuple:
     """Scaled homogeneous backward errors, one per solution row.
 
     residual = max_i |sum_a c_{i,a} x^a| / (|c_i|_2 * |x|_2^{d_i}), using
-    the coefficient form of each equation.
+    the coefficient form of each equation. Every solution is evaluated at
+    once: the monomials x^a of an equation are the products over j of the
+    powers x_j^{a_j}, from its exponent matrix.
     """
     forms = [sys.coefficient_form(i) for i in range(len(sys.equations))]
-    F = sys.par.field
-    if F != QQ:
+    if sys.par.field != QQ:
         raise UnsupportedFieldError("residuals need rational coefficients")
-    out = []
-    for row in coords:
-        x = [complex(v) for v in row]
-        xnorm = np.sqrt(sum(abs(v) ** 2 for v in x))
-        worst = 0.0
-        for i, form in enumerate(forms):
-            val = 0j
-            cnorm2 = 0.0
-            for alpha, c in form.items():
-                cf = float(c)
-                cnorm2 += cf * cf
-                term = cf
-                for j, a in enumerate(alpha):
-                    if a:
-                        term = term * x[j] ** a
-                val += term
-            denom = np.sqrt(cnorm2) * xnorm ** sys.equations[i].degree
-            worst = max(worst, abs(val) / denom if denom else abs(val))
-        out.append(float(worst))
-    return tuple(out)
+    if not len(coords):
+        return ()
+    X = np.asarray(coords, dtype=complex)
+    xnorm = np.sqrt((np.abs(X) ** 2).sum(axis=1))
+    worst = np.zeros(len(X))
+    for eq, form in zip(sys.equations, forms):
+        E = np.array(list(form), dtype=np.int64).reshape(len(form), X.shape[1])
+        c = np.array(list(form.values()), dtype=float)
+        val = np.abs((X[:, None, :] ** E).prod(axis=2) @ c)
+        denom = np.sqrt(c @ c) * xnorm ** eq.degree
+        worst = np.maximum(worst, np.divide(val, denom, out=val.copy(), where=denom != 0))
+    return tuple(worst.tolist())
 
 
 def _default_dreg(sys: StructuredSystem, uncertified=None):
@@ -432,6 +414,12 @@ def solve(
     res = residuals(sys, sols.coords)
     diagnostics = dict(sols.diagnostics)
     uncertified += sols.diagnostics["uncertified"]
+    worst = float(np.max(res, initial=0.0))
+    if not worst <= _RESIDUAL_TOL:
+        uncertified.append(
+            f"largest residual {worst:.3e} exceeds {_RESIDUAL_TOL:.1e}"
+        )
+        warnings.warn(uncertified[-1], stacklevel=2)
     diagnostics.update(
         {
             "certified": not uncertified,

@@ -153,6 +153,18 @@ def test_solve_command_reports_certification(duffing_file, tmp_path):
     assert data["uncertified"] == []
 
 
+def test_solve_command_marks_a_large_residual(duffing_file, tmp_path, monkeypatch):
+    from khovsolve import solver
+
+    monkeypatch.setattr(solver, "residuals", lambda sys, coords: (1e-3,) * len(coords))
+    out_json = tmp_path / "sols.json"
+    with pytest.warns(UserWarning, match="largest residual"):
+        assert main(["solve", duffing_file, "--out", str(out_json)]) == 0
+    data = json.loads(out_json.read_text())
+    assert data["certified"] is False
+    assert data["uncertified"] == ["largest residual 1.000e-03 exceeds 1.0e-08"]
+
+
 def test_solve_command_deterministic(duffing_file, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

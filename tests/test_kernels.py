@@ -1,4 +1,4 @@
-"""The mod-p kernels against plain Python references."""
+"""The mod-p kernels against each other and against plain Python references."""
 
 from fractions import Fraction
 
@@ -22,15 +22,22 @@ def _matmul_reference(A, B, p):
     ).reshape(A.shape[0], B.shape[1])
 
 
-def _assert_rref_matches_python(A, p):
+def _eliminate(A, p, slots=0, blocked=True):
+    """(RREF rows, pivots, sources) of A mod p by one of the two eliminations."""
+    R, src = A.copy(), np.arange(A.shape[0], dtype=np.int64)
+    rref = _kernels.modp_rref if blocked else _kernels.modp_rref_small
+    piv = rref(R, p, src, slots).tolist()
+    return R[: len(piv)].tolist(), piv, src[: len(piv)].tolist()
+
+
+def _assert_rref_matches_small(A, p):
+    # the blocked kernel against the unblocked one; its rows past the rank
+    # are zero
     R = A.copy()
     src = np.arange(A.shape[0], dtype=np.int64)
     piv = _kernels.modp_rref(R, p, src)
-    rows, piv_cols, piv_src = linalg._rref_modp_python(A.tolist(), p)
-    rank = len(piv_cols)
-    assert piv.tolist() == piv_cols
-    assert src[:rank].tolist() == piv_src
-    assert R[:rank].tolist() == rows
+    rank = len(piv)
+    assert (R[:rank].tolist(), piv.tolist(), src[:rank].tolist()) == _eliminate(A, p, blocked=False)
     assert not R[rank:].any()
 
 
@@ -49,7 +56,7 @@ def modp_matrices(draw):
 @settings(max_examples=60, deadline=None)
 def test_rref_variants_agree(Ap):
     A, p = Ap
-    _assert_rref_matches_python(A, p)
+    _assert_rref_matches_small(A, p)
 
 
 @st.composite
@@ -69,7 +76,7 @@ def sparse_modp_matrices(draw):
 @settings(max_examples=30, deadline=None)
 def test_rref_sparse_panels_match_python(Ap):
     A, p = Ap
-    _assert_rref_matches_python(A, p)
+    _assert_rref_matches_small(A, p)
 
 
 def _low_rank(rng, m, n, rank, p):
@@ -109,7 +116,7 @@ def test_rref_blocked_panels_match_python(p):
     zero_rows[rng.random(zero_rows.shape[0]) < 0.3] = 0
     cases.append(np.vstack([zero_rows, np.zeros((20, zero_rows.shape[1]), np.int64)]))
     for A in cases:
-        _assert_rref_matches_python(np.asarray(A, dtype=np.int64), p)
+        _assert_rref_matches_small(np.asarray(A, dtype=np.int64), p)
 
 
 # one prime per regime of the panel block's delayed reduction: float64
@@ -158,19 +165,10 @@ def test_panel_regimes_match_python(p):
     sparse[rng.random(sparse.shape) < 0.85] = 0
     cases.append(sparse)
     for A in cases:
-        _assert_rref_matches_python(np.asarray(A, dtype=np.int64), p)
+        _assert_rref_matches_small(np.asarray(A, dtype=np.int64), p)
 
 
-def _eliminate(A, p, slots, blocked):
-    """(RREF rows, pivots, sources) of A mod p by one of the two eliminations."""
-    if not blocked:
-        return linalg._rref_modp_python(A.tolist(), p, slots)
-    R, src = A.copy(), np.arange(A.shape[0], dtype=np.int64)
-    piv = _kernels.modp_rref(R, p, src, slots).tolist()
-    return R[: len(piv)].tolist(), piv, src[: len(piv)].tolist()
-
-
-@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "python"])
+@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "small"])
 @pytest.mark.parametrize("p", [2, 101, linalg.LIFT_PRIME, 2**31 - 1])
 def test_slots_hold_the_inverse_of_the_pivot_block(p, blocked):
     # the slots change no pivot, source or RREF entry, and end as C with
@@ -204,6 +202,60 @@ def test_slots_hold_the_inverse_of_the_pivot_block(p, blocked):
         C, S = Rs[:, n : n + r], A[src][:, piv]
         assert (_matmul_reference(C, S, p) == np.eye(r, dtype=np.int64)).all()
         assert not Rs[:, n + r :].any()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_small_elimination_matches_blocked(p):
+    # with and without slots, on int64 arrays, on the same residues as
+    # object ints, and on entries outside [0, p), which it reduces on entry
+    rng = np.random.default_rng(p % 983)
+    sparse = rng.integers(0, p, size=(12, 30))
+    sparse[rng.random(sparse.shape) < 0.8] = 0
+    zero_rows = _low_rank(rng, 9, 11, 4, p)
+    zero_rows[::2] = 0
+    cases = [
+        rng.integers(0, p, size=(6, 6)),
+        sparse,
+        _low_rank(rng, 10, 14, 3, p),
+        rng.integers(0, p, size=(20, 5)),  # tall
+        rng.integers(0, p, size=(3, 40)),  # wide
+        zero_rows,
+        np.zeros((4, 7), dtype=np.int64),
+    ]
+    for A in cases:
+        m, n = A.shape
+        for slots in (0, min(m, n)):
+            M = np.zeros((m, n + slots), dtype=np.int64)
+            M[:, :n] = A
+            expect = _eliminate(M, p, slots)
+            assert _eliminate(M, p, slots, blocked=False) == expect
+            assert _eliminate(M.astype(object), p, slots, blocked=False) == expect
+            M[:, :n] += p * rng.integers(-2, 3, size=A.shape)
+            assert _eliminate(M, p, slots, blocked=False) == expect
+
+
+def test_small_elimination_over_a_large_prime():
+    # GF(2**61 - 1) on object arrays, beyond the blocked kernel: on random
+    # integer matrices the pivots and sources are those of the blocked
+    # kernel mod LIFT_PRIME, the slots hold C with C S = I, and the RREF
+    # rows are C times the source rows, the identity at the pivots
+    p, q = 2**61 - 1, linalg.LIFT_PRIME
+    rng = np.random.default_rng(61)
+    for m, n, rank in ((12, 9, 5), (6, 20, 6), (30, 15, 15), (8, 8, 0)):
+        A = rng.integers(-9, 10, size=(m, rank)) @ rng.integers(-9, 10, size=(rank, n))
+        A = A.astype(object)
+        M = np.zeros((m, n + min(m, n)), dtype=object)
+        M[:, :n] = A
+        R, piv, src = _eliminate(M, p, min(m, n), blocked=False)
+        assert _eliminate(A, p, blocked=False) == ([r[:n] for r in R], piv, src)
+        assert (piv, src) == _eliminate((A % q).astype(np.int64), q)[1:]
+        r = len(piv)
+        R = np.array(R, dtype=object).reshape(r, M.shape[1])
+        C, S = R[:, n : n + r], A[src][:, piv]
+        assert ((C @ S) % p == np.eye(r, dtype=np.int64)).all()
+        assert not ((C @ A[src] - R[:, :n]) % p).any()
+        assert (R[:, piv] == np.eye(r, dtype=np.int64)).all()
+        assert not R[:, n + r :].any()
 
 
 @given(modp_matrices())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khovsolve import linalg
+from khovsolve import _kernels, linalg
 from khovsolve.fields import GF, QQ
 
 F101 = GF(101)
@@ -701,35 +701,39 @@ def test_commuting_check(field):
     assert linalg.commuting_check(coeffs, bad, den, field) == (True, (1, 2))
 
 
-@pytest.mark.parametrize("scale, kind", [
-    (1, "float64"), (1 << 20, "int64"), (1 << 70, "object"),
-], ids=["float64", "int64", "object"])
-def test_commuting_check_entry_sizes(scale, kind, monkeypatch):
-    # products past the float64 range run on int64, past int64 on object ints
+@pytest.mark.parametrize("scale", [1, 1 << 20, 1 << 70], ids=["float64", "int64", "object"])
+def test_commuting_check_entry_sizes(scale):
+    # entries that fit float64, int64 and neither: one object product each
     rng = random.Random(8)
     coeffs, mats = _commuting_family(QQ, 3, 3, rng)
     big = Fraction(scale, 3)
     scaled = [mats[0]] + [[[x * big for x in r] for r in M] for M in mats[1:]]
-    calls = _spy(monkeypatch, "_matmul_exact")
     T, den = linalg.integer_form(scaled, QQ)
     assert linalg.commuting_check(coeffs, T, den, QQ) == (True, None)
-    if kind == "object":
-        assert not calls
-    else:
-        V, H, bound = calls[0]
-        assert V.dtype == np.int64 and (bound <= 2**53) == (kind == "float64")
     scaled[1][2][0] += Fraction(1, 7)
     T, den = linalg.integer_form(scaled, QQ)
     assert linalg.commuting_check(coeffs, T, den, QQ) == (True, (1, 2))
 
 
-def test_small_prime_echelon_uses_python_elimination_below_400_entries(monkeypatch):
-    calls = _spy(monkeypatch, "_rref_modp_python")
+def test_small_prime_echelon_uses_small_elimination_below_400_entries(monkeypatch):
+    calls = []
+    real = _kernels.modp_rref_small
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "modp_rref_small", spy)
     F = GF(9716633)
     rng = random.Random(2)
     rows = [[rng.randrange(F.modulus) for _ in range(6)] for _ in range(5)]
     E = linalg.echelon(rows, F)
     assert len(calls) == 1
-    R, piv, src = linalg._rref_modp_python(rows, F.modulus)
-    assert E.pivots == tuple(piv) and E.sources == tuple(src)
-    assert E.rows.tolist() == R
+    R, src = np.array(rows, dtype=np.int64), np.arange(5, dtype=np.int64)
+    piv = _kernels.modp_rref(R, F.modulus, src)
+    assert E.pivots == tuple(piv.tolist()) and E.sources == tuple(src[: len(piv)].tolist())
+    assert E.rows.tolist() == R[: len(piv)].tolist()
+    # past 400 entries the blocked kernel runs
+    big = [[rng.randrange(F.modulus) for _ in range(21)] for _ in range(20)]
+    assert linalg.echelon(big, F).pivots == tuple(range(20))
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -609,3 +610,110 @@ def test_qq_n_h_entries_beyond_int64(monkeypatch):
     assert len(sols) == 5 and max(sols.residuals) <= 1e-8
     assert seen[0].dtype == object
     assert max(abs(x) for x in seen[0].ravel().tolist()) >= 2**63
+
+
+def test_large_residual_is_marked(duffing, monkeypatch):
+    # Duffing's residuals are far below the bound; a residual of 1e-3
+    # is a reason in `uncertified`, not only a number
+    sols = solve(duffing.sys, seed=0)
+    assert max(sols.residuals) < 1e-12 and sols.diagnostics["certified"] is True
+    monkeypatch.setattr(solver, "residuals", lambda sys, coords: (1e-3,) * len(coords))
+    with pytest.warns(UserWarning, match="largest residual"):
+        sols = solve(duffing.sys, seed=0)
+    assert sols.diagnostics["certified"] is False
+    assert sols.diagnostics["uncertified"] == ["largest residual 1.000e-03 exceeds 1.0e-08"]
+
+
+def _float_system(*mats):
+    """A MultiplicationSystem over QQ with the integer matrices `mats`."""
+    mats = tuple(linalg.Rows(np.array(m, dtype=np.int64), 1, QQ) for m in mats)
+    return solver.MultiplicationSystem(len(mats[0]), (QQ.one,) + (QQ.zero,) * (len(mats) - 1), mats)
+
+
+def test_repeated_eigenvalue_is_clustered():
+    # diagonal M_j with equal first two entries: every combination repeats
+    # an eigenvalue, and the solutions are still read off the diagonal
+    ms = _float_system(np.eye(3), np.diag([2, 2, 5]), np.diag([1, 1, 3]))
+    with pytest.warns(UserWarning, match="clustered"):
+        sols = extract_solutions(ms)
+    diag = sols.diagnostics
+    assert diag["eigen_gap_clustered"] is True and diag["certified"] is False
+    assert len(diag["uncertified"]) == 1 and "clustered" in diag["uncertified"][0]
+    assert sorted(tuple(complex(x).real for x in row) for row in sols.coords) == [
+        (1, 2, 1), (1, 2, 1), (1, 5, 3)]
+    assert diag["offdiagonal"] == 0.0 and diag["real"] == (True, True, True)
+
+
+def test_non_reduced_point_gives_the_offdiagonal_reason():
+    # a triple point: M_1 = 2I + N_1 and M_2 = 3I + N_2 with independent
+    # commuting nilpotents, in a basis that makes neither triangular; no
+    # eigenvector matrix of a combination diagonalizes both
+    P = np.array([[1, 0, 0], [1, 1, 0], [2, 1, 1]])
+    Pinv = np.array([[1, 0, 0], [-1, 1, 0], [-1, -1, 1]])
+    N1, N2 = np.zeros((3, 3), int), np.zeros((3, 3), int)
+    N1[0, 1] = N2[0, 2] = 1
+    I = np.eye(3, dtype=int)
+    ms = _float_system(I, P @ (2 * I + N1) @ Pinv, P @ (3 * I + N2) @ Pinv)
+    assert linalg.commuting_check([1, 0, 0], np.stack([np.asarray(m.A) for m in ms.mats]),
+                                  1, QQ) == (True, None)
+    with pytest.warns(UserWarning, match="off-diagonal"):
+        sols = extract_solutions(ms)
+    diag = sols.diagnostics
+    assert diag["offdiagonal_relative"] > solver._OFFDIAGONAL_TOL
+    assert diag["certified"] is False
+    assert any(r.startswith("joint diagonalization off-diagonal residue")
+               for r in diag["uncertified"])
+
+
+def test_osculating_gr25_solutions_are_real():
+    conds = [catalog.SchubertCondition((3, 5), catalog.osculating_flag(s, 5))
+             for s in (1, -1, 2, -2, 3, -3)]
+    sols = solve(catalog.schubert_equations(2, 5, conds).sys, seed=0)
+    assert sols.diagnostics["real"] == (True,) * 5
+    assert sols.diagnostics["eigen_gap_clustered"] is False
+
+
+def test_duffing_float_commutator_is_small(duffing):
+    ms = multiplication_matrices(duffing.sys, kernel_basis(km_matrix(duffing.sys, 3, reduce=True)), 2)
+    scale = max(1.0, max(np.abs(np.array(m, dtype=float)).max() for m in ms.mats))
+    diag = extract_solutions(ms).diagnostics
+    assert 0 <= diag["commutator_float"] <= 1e-9 * scale
+    assert type(diag["commutator_float"]) is float and type(diag["offdiagonal"]) is float
+
+
+def _residual_oracle(sys, row):
+    """The scaled backward error of one row, one equation term at a time."""
+    x = [complex(v) for v in row]
+    xnorm = sum(abs(v) ** 2 for v in x) ** 0.5
+    worst = 0.0
+    for i, eq in enumerate(sys.equations):
+        val, cnorm2 = 0j, 0.0
+        for alpha, c in sys.coefficient_form(i).items():
+            term = float(c)
+            cnorm2 += term * term
+            for xj, a in zip(x, alpha):
+                term *= xj ** a
+            val += term
+        denom = cnorm2 ** 0.5 * xnorm ** eq.degree
+        worst = max(worst, abs(val) / denom if denom else abs(val))
+    return worst
+
+
+def test_residuals_match_a_per_term_oracle():
+    sys = catalog.random_dense_system(catalog.del_pezzo(), (2, 1), seed=3)
+    assert max(eq.degree for eq in sys.equations) == 2
+    forms = [sys.coefficient_form(i) for i in range(len(sys.equations))]
+    # an equation with zero coefficients: zero norm, residual |value| = 0
+    forms.append({alpha: QQ.zero for alpha in forms[0]})
+    wide = types.SimpleNamespace(par=sys.par, equations=[*sys.equations, sys.equations[0]],
+                                 coefficient_form=forms.__getitem__)
+    rng = np.random.default_rng(4)
+    ell = sys.par.ell + 1
+    rows = rng.normal(size=(6, ell)) + 1j * rng.normal(size=(6, ell))
+    rows = [tuple(r) for r in rows] + [(0j,) * ell]
+    rows += list(solve(sys, seed=0).coords)
+    for s in (sys, wide):
+        got = residuals(s, rows)
+        assert type(got) is tuple and all(type(r) is float for r in got)
+        assert got == pytest.approx([_residual_oracle(s, r) for r in rows], rel=1e-12, abs=1e-15)
+    assert residuals(sys, rows)[6] == 0.0
