@@ -348,9 +348,7 @@ def _condition_minors(cond, k, m, field):
                 yield rows, cols, {j: v for j, v in form.items() if v != field.zero}
 
 
-def schubert_equations(
-    k, m, conditions, field=QQ, par=None, validate_degree=2
-) -> ProblemInstance:
+def schubert_equations(k, m, conditions, field=QQ, par=None) -> ProblemInstance:
     """Linear equations in Pluecker coordinates cutting out a Schubert problem.
 
     For each condition (alpha, F) and each i with k+alpha_i-i+1 <= m, all
@@ -384,7 +382,7 @@ def schubert_equations(
             f"zero-dimensional Schubert problem"
         )
     if par is None:
-        par = pluecker_chart(k, m, field, validate_degree=validate_degree)
+        par = pluecker_chart(k, m, field)
     elif par.field != field or par.phi != _pluecker_generators(k, m, field):
         raise InputError(f"par is not the Pluecker chart of Gr({k},{m}) over {field}")
     forms = [

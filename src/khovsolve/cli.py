@@ -277,7 +277,7 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="end-to-end solve")
     sp.add_argument("file")
-    sp.add_argument("--dreg", type=int)
+    sp.add_argument("--dreg", type=_int_at_least(1))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--adaptive", action="store_true")
     sp.add_argument("--normalize", choices=("raw", "first"), default="raw")
@@ -294,7 +294,7 @@ def build_parser():
     )
     sp.add_argument("--osculating", help="comma-separated parameters s_j")
     sp.add_argument("--field", default="QQ", help='"QQ" or "Fp:<prime>"')
-    sp.add_argument("--dreg", type=int)
+    sp.add_argument("--dreg", type=_int_at_least(1))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--adaptive", action="store_true")
     sp.add_argument("--normalize", choices=("raw", "first"), default="raw")

@@ -46,7 +46,6 @@ def is_prime(n: int) -> bool:
 class Rationals:
     """The field of rational numbers, elements are `Fraction` in lowest terms."""
 
-    kind = "rationals"
     modulus = None
     zero = Fraction(0)
     one = Fraction(1)
@@ -99,8 +98,6 @@ QQ = Rationals()
 
 class PrimeField:
     """F_p for a prime p below 2**62; elements are ints in [0, p)."""
-
-    kind = "prime"
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:

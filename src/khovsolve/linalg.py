@@ -17,12 +17,13 @@ the source rows, trusted once the next prime below gives the same
 elimination of a prime that may be lifted carries coefficient slots,
 zero columns after the matrix's own, that end as S^-1 mod p for the
 source rows S at the pivot columns; a check prime carries none.
-Dixon's p-adic lifting with that S^-1 and one rational reconstruction,
-tried once an entry's fraction is stable, then give the exact RREF,
-which is accepted only with an exact certificate that the kernel
-annihilates every input row. `commuting_check` runs the exact checks of
-multiplication matrices through one stacked product: object ints over QQ,
-`_kernels.modp_matmul` below 2**31.
+Dixon's p-adic lifting with that S^-1 then gives the exact RREF, by one
+rational reconstruction once a weighted sum of every unknown reads as the
+same fraction on two consecutive digits (an int64 sum while unknowns *
+(p-1) * max weight < 2**63), accepted only with an exact certificate that
+the kernel annihilates every input row. `commuting_check` runs the exact
+checks of multiplication matrices through one stacked product: object
+ints over QQ, `_kernels.modp_matmul` below 2**31.
 
 Matrices are integer arrays: int64 over a prime below 2**31 (entries in
 [0, p)) and over QQ while entries stay below 2**62, Python ints
@@ -142,6 +143,7 @@ def _integers(rows, field):
 LIFT_PRIME = 11863279
 
 _FLOAT_EXACT = 1 << 53
+_WEIGHT_PERIOD = 251
 # about where the two mod-p eliminations take the same time (20 x 20)
 _SMALL_RREF = 400
 
@@ -266,10 +268,11 @@ def _lift(A, p, piv, sources, C):
     Dixon lifting finds the p-adic digits of X = S^-1 B from C = S^-1 mod
     p, which the profile's elimination gives (`_rank_profile`), and T / D
     is rebuilt from X mod p**K by rational reconstruction. That is tried
-    only when one entry of X, the probe, reads as the same fraction on two
-    consecutive digits, or at the last step allowed, so a lift
-    reconstructs once, or twice when another entry takes over as the
-    probe. It is accepted only when all of this holds:
+    only when a weighted sum of all unknowns of X (weights 1 to
+    _WEIGHT_PERIOD cycled; int64 while unknowns * (p-1) * max weight <
+    2**63) reads as the same fraction on two consecutive digits, or at the
+    last step, from that fraction's denominator; a missed entry gets one
+    more weight. It is accepted only when all of this holds:
 
     * every lifting step divides b_k - A_P x_k by p exactly, on all rows
       of A, sources or not, so A_P X = A_F (mod p**K);
@@ -306,8 +309,9 @@ def _lift(A, p, piv, sources, C):
 
     right = (np.asarray(piv)[:, None] > np.asarray(free)[None, :]).ravel()
     kin, kout = np.flatnonzero(~right), np.flatnonzero(right)
+    w = 1 + np.arange(kin.size, dtype=np.int64) % _WEIGHT_PERIOD
     digits = []
-    probe, u, mod, frac = None, 0, 1, None
+    u, mod, frac = 0, 1, None
     for step in range(steps):
         x = _kernels.modp_matmul(C, (b[:r] % p).astype(np.int64), p)
         flat = x.ravel()
@@ -318,24 +322,18 @@ def _lift(A, p, piv, sources, C):
             return None
         b //= p
         digits.append(flat[kin])
+        u += int(w @ digits[-1]) * mod
         mod *= p
         bound = isqrt(mod // 2)
-        if not kin.size:
-            T, den = np.zeros(0, dtype=object), 1
-        else:
-            if probe is None:
-                nz = np.flatnonzero(digits[0])
-                probe = int(nz[-1]) if nz.size else 0
-            u += int(digits[-1][probe]) * (mod // p)
-            prev, frac = frac, _rational(u, mod, bound)
-            if (frac is None or frac != prev) and step < steps - 1:
-                continue
-            U = _from_digits(digits, p)
-            T, den, miss = _reconstruct(U, mod, bound, frac[1] if frac else 1)
-            if miss is not None:
-                probe, u = miss, int(U[miss])
-                frac = _rational(u, mod, bound)
-                continue
+        prev, frac = frac, _rational(u % mod, mod, bound)
+        if (frac is None or frac != prev) and step < steps - 1:
+            continue
+        U = _from_digits(digits, p)
+        T, den, miss = _reconstruct(U, mod, bound, frac[1] if frac else 1)
+        if miss is not None:
+            w[miss] += 1
+            u = int(w @ U)
+            continue
         tmax = int(np.abs(T).max()) if T.size else 0
         if mod > 2 * (l1 * tmax + amax * den):
             break
@@ -411,7 +409,8 @@ class Rows:
     It reads as a sequence of rows of field elements: `len` is the row
     count and rows[i] is a tuple of ints over F_p and of Fractions over
     QQ (`field_values`). As an array it is A itself over F_p, copied only
-    for another dtype, and an object array of Fractions over QQ.
+    for another dtype, and an object array of Fractions over QQ;
+    `copy=False` refuses a conversion that needs a copy.
     """
 
     A: np.ndarray
@@ -429,7 +428,12 @@ class Rows:
 
     def __array__(self, dtype=None, copy=None):
         if self.field != QQ:
+            # A itself even for copy=True: a KM matrix copy costs 17 MB
+            if copy is False and dtype is not None and dtype != self.A.dtype:
+                raise ValueError(f"{self.A.dtype} to {dtype} needs a copy")
             return self.A if dtype is None else self.A.astype(dtype, copy=False)
+        if copy is False:
+            raise ValueError("a matrix over QQ is an array of new Fractions")
         F = np.array(field_values(self.A.ravel(), self.den, QQ), dtype=object)
         F = F.reshape(self.A.shape)
         return F if dtype is None else F.astype(dtype)

@@ -119,10 +119,11 @@ def multiplication_matrices(
 
     N_{x_j}[:, gamma] applies N to the expansion of b_{d,gamma} * phi_j,
     h is a random linear form in the generators, B is the leftmost set of
-    delta independent columns of N_h, and M_j = (N_h)|B^-1 (N_{x_j})|B,
-    all read off one echelon. Over QQ every matrix from N_{x_j} to the
-    RREF is an integer array (the numerators over a common denominator,
-    which changes no M_j), and the M_j are `linalg.Rows` of that RREF.
+    delta independent columns of N_h, read off its rank profile, and
+    M_j = (N_h)|B^-1 (N_{x_j})|B, all read off one block echelon. Over QQ
+    every matrix from N_{x_j} to the RREF is an integer array (the
+    numerators over a common denominator, which changes no M_j), and the
+    M_j are `linalg.Rows` of that RREF.
     sum c_j M_j = I and the pairwise commutation are checked exactly on
     the integer blocks (`linalg.commuting_check`).
     """

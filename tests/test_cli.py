@@ -354,9 +354,10 @@ def test_schubert_adaptive_overrides_the_table_degree(tmp_path):
     assert json.loads(out.read_text()) == {"delta": 2, "dreg": 3, "field": "Fp:9716633"}
 
 
-@pytest.mark.parametrize("dreg", ["0", "1"])
+@pytest.mark.parametrize("dreg", ["1"])
 def test_schubert_dreg_without_room_for_the_shift(dreg, capsys):
-    # the same SolverError, exit 2, over QQ (inside solve) and over F_p
+    # the same SolverError, exit 2, over QQ (inside solve) and over F_p;
+    # a dreg below 1 is an input error (test_out_of_range_options_are_input_errors)
     errors = []
     for field in ("QQ", "Fp:101"):
         rc = main([
@@ -417,7 +418,14 @@ def test_usage_errors_are_input_errors(argv, duffing_file, capsys):
     (["basis", "{file}", "-d", "-2"], "must be at least 0, got -2"),
     (["check", "{file}", "--dmax", "0"], "must be at least 1, got 0"),
     (["hilbert", "{file}", "--dmax", "1"], "--dmax must be at least n + 2 = 4"),
-], ids=["km-degree", "basis-degree", "check-dmax", "hilbert-dmax"])
+    (["solve", "{file}", "--dreg", "-1"], "must be at least 1, got -1"),
+    (["solve", "{file}", "--dreg", "0"], "must be at least 1, got 0"),
+    (["schubert", "--k", "3", "--m", "6", "--conditions", "2,4,6;2,4,6;2,4,6",
+      "--dreg", "-3"], "must be at least 1, got -3"),
+    (["schubert", "--k", "2", "--m", "4", "--conditions", "2,4;2,4;2,4;2,4",
+      "--field", "Fp:101", "--dreg", "0"], "must be at least 1, got 0"),
+], ids=["km-degree", "basis-degree", "check-dmax", "hilbert-dmax", "solve-dreg-negative",
+        "solve-dreg-zero", "schubert-dreg-negative", "schubert-dreg-zero"])
 def test_out_of_range_options_are_input_errors(argv, message, duffing_file, capsys):
     assert main([a.format(file=duffing_file) for a in argv]) == 1
     assert message in capsys.readouterr().err

@@ -287,6 +287,20 @@ def test_matmul_and_combine_modp_match_python():
     assert {type(x) for row in got for x in row} == {int}
 
 
+def test_rows_as_an_array_refuses_copy_false_where_a_copy_is_needed():
+    A = np.arange(6, dtype=np.int64).reshape(2, 3)
+    R = linalg.Rows(A, 1, F101)
+    assert np.asarray(R) is R.A
+    assert np.asarray(R, dtype=np.float64).tolist() == A.tolist()
+    Rq = linalg.Rows(A, 2, QQ)
+    assert np.array(Rq)[0, 1] == Fraction(1, 2)
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # numpy 1 passes no copy
+        assert np.array(R, copy=False) is R.A
+        for M, dtype in ((R, np.float64), (Rq, None)):
+            with pytest.raises(ValueError):
+                np.array(M, dtype=dtype, copy=False)
+
+
 def test_qq_handles_denominators():
     M = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]
     assert linalg.rank(M, QQ) == 1
@@ -445,19 +459,61 @@ def test_qq_echelon_slots_only_where_a_lift_may_follow(rows, expect, monkeypatch
     assert_matches_oracle(qq_matrix(rows))
 
 
-def test_qq_echelon_of_a_km_matrix_reconstructs_at_most_twice(monkeypatch):
+def test_qq_echelon_of_a_km_matrix_reconstructs_once(monkeypatch):
     A = _gr36_km_matrix()
     eliminations = _spy(monkeypatch, "_rref_mod")
     lifts = _spy(monkeypatch, "_lift")
     digits = _spy(monkeypatch, "_from_digits")
     E = linalg.echelon(A, QQ)
     # a second prime, without slots, checks the profile; the one lift
-    # reconstructs the whole matrix at most twice
+    # reconstructs the whole matrix once
     assert [(e[1], len(e) > 2) for e in eliminations] == [(P, True), (Q, False)]
-    assert len(lifts) == 1 and 1 <= len(digits) <= 2
+    assert len(lifts) == 1 and len(digits) == 1
     R, pivots, sources = _gauss_jordan_integers(A.tolist())
     assert (E.pivots, E.sources) == (tuple(pivots), tuple(sources))
     assert [list(r) for r in linalg.Rows(E.rows, E.den, QQ)] == R
+
+
+@pytest.mark.parametrize("name", ["duffing", "delpezzo", "bottsamelson"])
+def test_qq_f5_km_echelon_reconstructs_once_per_lift(name, monkeypatch):
+    # the weighted sum of every unknown settles only with the whole of X,
+    # so the F5 echelon's one lift rebuilds the matrix once
+    from khovsolve import catalog, km
+
+    sys = catalog.get_instance(name, seed=0).sys
+    lifts = _spy(monkeypatch, "_lift")
+    digits = _spy(monkeypatch, "_from_digits")
+    km.km_matrix(sys, 3, reduce=True)
+    assert len(lifts) == len(digits) == 1
+
+
+def test_qq_lift_when_the_weighted_sum_loses_a_factor_of_two(monkeypatch):
+    # the RREF [1, 1/2, 0, 1/2] has X = (1/2, 0, 1/2), and the weights of
+    # the two halves sum to an even number: the weighted sum is an integer,
+    # so `_reconstruct` starts from denominator 1 and finds D = 2 through
+    # its per-entry fallback
+    w = 1 + np.arange(3) % linalg._WEIGHT_PERIOD
+    assert (w[0] + w[2]) % 2 == 0
+    rows = qq_matrix([[2, 1, 0, 1]])
+    starts = _spy(monkeypatch, "_reconstruct")
+    E = linalg.echelon(rows, QQ)
+    assert [den for *_, den in starts] == [1] and E.den == 2
+    assert_matches_oracle(rows)
+
+
+def test_qq_lift_waits_for_an_entry_the_weighted_sum_missed(monkeypatch):
+    # [2D, 2N, -N] has X = (N/D, -N/(2D)), whose weighted sum is 0 and
+    # settles at once; the 200-bit entries settle only at digit 19, and a
+    # miss gives its entry one more weight, so the lift does not rebuild
+    # X again before then
+    assert list(1 + np.arange(2) % linalg._WEIGHT_PERIOD) == [1, 2]
+    N, D = 7**71, 3**127 - 2
+    rows = [[2 * D, 2 * N, -N]]
+    digits = _spy(monkeypatch, "_from_digits")
+    E = linalg.echelon(rows, QQ)
+    assert len(digits) <= 3 and len(digits[-1][0]) == 19
+    assert E.den == 2 * D
+    assert_matches_oracle(qq_matrix(rows))
 
 
 def test_qq_echelon_of_duffing_f5_rows_is_the_oracle(monkeypatch):
