@@ -44,9 +44,12 @@ degrees below cached and the CSR basis of the target degree built within
 the timing, each with its `tracemalloc` peak.
 
 One row guards the expansion over QQ, where the batched subduction runs
-on object arrays of Fractions: building X^(3) of the osculating Gr(2,5)
-chart (`khov.multiplication_map(par, 3)`, 1750 products into degree 4,
-the CSR bases cached), with its `tracemalloc` peak.
+on object arrays of exact numbers, ints where a value is integral and
+Fractions where it is not (the Gr(2,5) chart, with integer coefficients
+and unit leading coefficients, forms only ints): building X^(3) of the
+osculating Gr(2,5) chart (`khov.multiplication_map(par, 3)`, 1750
+products into degree 4, the CSR bases cached), with its `tracemalloc`
+peak.
 
 The support rows time `khov.graded_support` for every degree up to the
 one shown, on a fresh copy of the chart each run: the Gr(2,5) chart of

@@ -8,10 +8,12 @@ elimination give S^-1 for the pivot block S of its source rows (for the
 p-adic lifting over QQ). Entries are residues in [0, p) with p < 2**31,
 so the product of two entries fits in int64; the batched subduction, on
 sparse rows held as sorted integer keys, also runs exactly on object
-arrays of field elements. Delayed reduction (Dumas, Giorgi and Pernet,
-"Dense linear algebra over word-size prime fields", ACM TOMS 2008) keeps
-the arithmetic exact with few reductions mod p: a matrix product reduces
-once per chunk of its inner dimension, on float64 BLAS (`modp_matmul`),
+arrays: residues of a larger prime, or over QQ exact numbers, ints where
+a value is integral and Fractions only where it is not. Delayed
+reduction (Dumas, Giorgi and Pernet, "Dense linear algebra over
+word-size prime fields", ACM TOMS 2008) keeps the arithmetic exact with
+few reductions mod p: a matrix product reduces once per chunk of its
+inner dimension, on float64 BLAS (`modp_matmul`),
 and the factorization of a panel once every `chunk` rank-1 updates of a
 small block (`_delayed`). The panel works only on the rows that meet it.
 Small matrices, and object arrays for larger moduli, take the unblocked
@@ -276,9 +278,10 @@ def modp_rref_small(A: np.ndarray, p: int, src: np.ndarray = None, slots: int = 
 def merge_coo(keys, vals, p):
     """Sorted distinct keys with the sum of the values of each, zeros dropped.
 
-    Values are int64 residues in [0, p) or object arrays of field
-    elements; p None means exact arithmetic. One stable argsort groups
-    equal keys and `np.add.reduceat` sums each group.
+    Values are int64 residues in [0, p) or object arrays of exact numbers
+    (ints and Fractions over QQ, residues of a larger prime); p None means
+    exact arithmetic. One stable argsort groups equal keys and
+    `np.add.reduceat` sums each group.
     """
     if keys.size == 0:
         return keys, vals
@@ -351,8 +354,10 @@ def modp_subduct_batch(keys, vals, ncols, bvals, bcols, bindptr, leadpos, leadin
     Returns (ckeys, cvals, keys, vals): the coefficient matrix as sorted
     keys row * len(leadpos) + element with their values, and the remainder
     G - C B as sorted keys and values in the form of G. Values are int64
-    residues mod p, or object arrays of field elements; p None means exact
-    arithmetic (over QQ), and every step is reduced mod p otherwise.
+    residues mod p, or object arrays of exact numbers; p None means exact
+    arithmetic over QQ, on ints where values are integral and Fractions
+    where they are not (numpy's object products turn int x Fraction into
+    a Fraction), and every step is reduced mod p otherwise.
     """
     nbasis = len(leadpos)
     order = np.argsort(keys, kind="stable")

@@ -23,6 +23,7 @@ import csv
 import json
 import sys as _sys
 import warnings
+from functools import cache
 
 from . import catalog as cat
 from . import solver
@@ -245,7 +246,10 @@ def _int_at_least(low):
     return check
 
 
+@cache
 def build_parser():
+    """The parser of every subcommand, built once per process: each
+    `parse_args` returns a new namespace, so calls share no options."""
     p = argparse.ArgumentParser(
         prog="khovsolve",
         description="Solve polynomial systems on unirational varieties "

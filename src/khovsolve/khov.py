@@ -20,9 +20,13 @@ view.
 Every expansion in the graded basis, on every field, is one run of the
 sparse batched subduction kernel `_kernels.modp_subduct_batch`, a
 level-scheduled triangular solve on COO rows: int64 residues over a prime
-below 2**31 and object arrays of field elements otherwise. `expand` takes
-many polynomials at a time and returns a `linalg.Sparse` in integer form
-(`linalg.integer_form`), and `subduct` is its one-row case.
+below 2**31 and object arrays otherwise, over QQ of exact numbers
+(`linalg.field_array`: ints where a value is integral, Fractions only
+where it is not; every catalog chart has integer coefficients and unit
+leading coefficients, so its arrays hold ints). `expand` takes many
+polynomials at a time and returns a `linalg.Sparse` in integer form
+(`linalg.integer_form`), and `subduct` is its one-row case; it and
+`graded_basis` give field elements, Fractions over QQ.
 
 The multiplication maps X_j^(d), which send b_{d,gamma} to the expansion
 of b_{d,gamma} * phi_j in degree d+1, are formed as key sums and expanded
@@ -251,7 +255,8 @@ def graded_basis(par: Parameterization, d: int) -> GradedBasis:
     basis = _batch_basis(par, d)
     points = graded_support(par, d).points
     monomials = basis.monomials
-    cols, vals, ptr = basis.bcols.tolist(), basis.bvals.tolist(), basis.bindptr.tolist()
+    cols, ptr = basis.bcols.tolist(), basis.bindptr.tolist()
+    vals = _elements(basis.bvals, par.field)
     elements = [None] * len(points)
     for r, pos in enumerate(basis.positions.tolist()):
         terms = {monomials[cols[t]]: vals[t] for t in range(ptr[r], ptr[r + 1])}
@@ -278,16 +283,22 @@ class SubductionResult:
         return row
 
 
+def _elements(vals, field):
+    """The values of an exact array (`linalg.field_array`) as field
+    elements: Fractions over QQ."""
+    return linalg.field_values(*linalg.integer_form(vals, field), field)
+
+
 def _generator_terms(par):
     """(exps, vals, ptr): the terms of phi_0..phi_ell as CSR rows, cached.
 
     exps holds one int64 exponent vector per term and vals the
-    coefficients in the field's dtype; phi_j owns the terms ptr[j]:ptr[j+1].
+    coefficients as `linalg.field_array`; phi_j owns the terms ptr[j]:ptr[j+1].
     """
     if par._terms is None:
         terms = [t for f in par.phi for t in f.terms.items()]
         exps = np.array([e for e, _ in terms], dtype=np.int64).reshape(len(terms), par.n)
-        vals = np.array([c for _, c in terms], dtype=linalg.array_dtype(par.field))
+        vals = linalg.field_array([c for _, c in terms], par.field)
         ptr = np.cumsum([0] + [len(f.terms) for f in par.phi])
         par._terms = (exps, vals, ptr)
     return par._terms
@@ -396,7 +407,8 @@ class _BatchBasis:
     support positions and `rowof` back), so the leading columns `leadpos`
     increase and every other term of an element lies right of its leading
     column. `bvals` and `leadinv` (inverses of the leading coefficients)
-    have the field's dtype (`linalg.array_dtype`); `levels` is the plan of
+    are exact arrays as `linalg.field_array`: over QQ ints where a value is
+    integral, Fractions where it is not; `levels` is the plan of
     `_kernels.subduction_levels`. The tuple views `monomials` and `colpos`
     (monomial -> column) are built on first use.
     """
@@ -433,10 +445,9 @@ def _batch_basis(par, d):
     if cached is not None:
         return cached
     F = par.field
-    dtype = linalg.array_dtype(F)
     if d == 0:
         zero = np.zeros(1, np.int64)
-        one = np.array([F.one], dtype=dtype)
+        one = linalg.field_array([F.one], F)
         batch = _BatchBasis(
             np.zeros((1, par.n), np.int64), zero, zero, zero, zero, zero,
             np.array([0, 1]), zero, one, one, [zero],
@@ -467,7 +478,7 @@ def _batch_basis(par, d):
     bcols, bvals = cols[order], vals[order]
     bindptr = np.concatenate(([0], np.cumsum(count[positions])))
     leadpos = lead[positions]
-    leadinv = np.array([F.inv(x) for x in bvals[bindptr[:-1]].tolist()], dtype=dtype)
+    leadinv = linalg.field_array([F.inv(x) for x in bvals[bindptr[:-1]].tolist()], F)
     batch = _BatchBasis(
         exps, keys, keycol, positions, rowof, bcols, bindptr, leadpos, bvals,
         leadinv, _kernels.subduction_levels(bcols, bindptr, leadpos),
@@ -524,7 +535,7 @@ def _poly_rows(basis, polys, field):
             vals.append(c)
     return (
         np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-        np.array(vals, dtype=linalg.array_dtype(field)),
+        linalg.field_array(vals, field),
         len(colpos) + len(extra), list(extra),
     )
 
@@ -537,16 +548,17 @@ def subduct(par: Parameterization, g: MultiPoly, d: int) -> SubductionResult:
     is zero exactly when g lies in the span of the degree-d basis; it
     never has support on a basis leading monomial.
     """
-    if g.field != par.field or g.varnames != par.varnames:
+    F = par.field
+    if g.field != F or g.varnames != par.varnames:
         raise ValueError("polynomial is not over the parameterization's ring")
     basis = _batch_basis(par, d)
-    rows, cols, vals, ncols, extra = _poly_rows(basis, [g], par.field)
-    _, elem, cv, _, rcol, rv = _subduct_coo(basis, rows, cols, vals, ncols, par.field)
+    rows, cols, vals, ncols, extra = _poly_rows(basis, [g], F)
+    _, elem, cv, _, rcol, rv = _subduct_coo(basis, rows, cols, vals, ncols, F)
     points = graded_support(par, d).points
-    coeffs = dict(zip([points[k] for k in basis.positions[elem]], cv.tolist()))
+    coeffs = dict(zip([points[k] for k in basis.positions[elem]], _elements(cv, F)))
     monomials = basis.monomials + extra
-    rest = dict(zip([monomials[j] for j in rcol.tolist()], rv.tolist()))
-    remainder = MultiPoly(par.field, par.varnames, rest, _normalized=True)
+    rest = dict(zip([monomials[j] for j in rcol.tolist()], _elements(rv, F)))
+    remainder = MultiPoly(F, par.varnames, rest, _normalized=True)
     return SubductionResult(d, coeffs, remainder)
 
 

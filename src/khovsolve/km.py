@@ -277,7 +277,7 @@ def _map_combination(sys, d, blocks, dkm):
     for (i, form, e), first in zip(blocks, np.cumsum([0] + sizes).tolist()):
         for j, g in _split(form).items():
             if e == 1:
-                (c,) = g.values()
+                (c,) = linalg.field_array(list(g.values()), par.field).tolist()
                 rows.append(first + np.arange(H))
                 cols.append(j * H + np.arange(H))
                 vals.extend([c] * H)

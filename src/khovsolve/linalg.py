@@ -30,11 +30,12 @@ Matrices are integer arrays: int64 over a prime below 2**31 (entries in
 otherwise. Over QQ an array holds the numerators over one denominator,
 which changes no pivot, source row or RREF. `integer_form` makes this
 form from field elements, for the subduction's output and for lists from
-callers, and the results keep it as `Rows`, read by `field_values`. Sparse
-matrices (`Sparse`, a COO triple over a denominator) have two numpy
-scatter products: S @ X and A @ X^T with a dense A. `prefix_pivots`
-reads the pivot columns of every leading run of row blocks off one
-elimination.
+callers, and the results keep it as `Rows`, read by `field_values`;
+`field_array` holds field elements for exact arithmetic on arrays, over
+QQ as ints where they are integral. Sparse matrices (`Sparse`, a COO
+triple over a denominator) have two numpy scatter products: S @ X and
+A @ X^T with a dense A. `prefix_pivots` reads the pivot columns of every
+leading run of row blocks off one elimination.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ __all__ = [
     "first_independent_columns",
     "integer_form",
     "field_values",
+    "field_array",
 ]
 
 
@@ -124,6 +126,21 @@ def field_values(A, den, field):
     if field != QQ:
         return A.tolist()
     return [Fraction(x, den) if x else QQ.zero for x in A.tolist()]
+
+
+def field_array(values, field):
+    """The field elements `values` as a 1-D array for exact arithmetic.
+
+    Over F_p the array of the field's dtype. Over QQ an object array that
+    holds an int for each integral entry and the Fraction otherwise: numpy
+    multiplies and sums such entries exactly, as ints wherever they stay
+    integral.
+    """
+    if field != QQ:
+        return np.asarray(values, dtype=array_dtype(field))
+    return np.array(
+        [x.numerator if x.denominator == 1 else x for x in values], dtype=object
+    )
 
 
 def _integers(rows, field):

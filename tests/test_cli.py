@@ -186,6 +186,29 @@ def test_solve_command_stdin(duffing_file, capsys, monkeypatch):
     assert data["delta"] == 5
 
 
+def test_main_calls_share_no_options(duffing_file, tmp_path, monkeypatch):
+    # the parser is built once per process; each call parses its own argv
+    from khovsolve import cli, solver
+
+    seen = []
+    real = solver.solve
+
+    def spy(system, **options):
+        seen.append(options)
+        return real(system, **options)
+
+    monkeypatch.setattr(solver, "solve", spy)
+    out = str(tmp_path / "sols.json")
+    assert main(["solve", duffing_file, "--adaptive", "--normalize", "first",
+                 "--out", out]) == 0
+    assert main(["solve", duffing_file, "--out", out]) == 0
+    assert seen == [
+        {"dreg": None, "seed": 0, "adaptive": True, "normalize": "first"},
+        {"dreg": None, "seed": 0, "adaptive": False, "normalize": "raw"},
+    ]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_exit_code_input_errors(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json")]) == 1
     assert main(["check", str(tmp_path)]) == 1  # a directory

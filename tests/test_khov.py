@@ -570,3 +570,61 @@ def test_object_keys_when_monomial_keys_overflow(field):
     assert (fail.degree, fail.rank, fail.new_leading_exponents) == (
         2, 10, ((2**40, 3 * 2**40),)
     )
+
+
+def _scaled_duffing():
+    """The Duffing chart with phi_1 scaled by 2 and phi_3 by 1/3: still a
+    Khovanskii basis, with leading coefficients 2 and 1/3."""
+    par = catalog.duffing().sys.par
+    phi = list(par.phi)
+    phi[1], phi[3] = phi[1].scale(Fraction(2)), phi[3].scale(Fraction(1, 3))
+    return build_parameterization(phi, par.ord)
+
+
+def _combination(par, coeffs, elements):
+    g = MultiPoly.zero(par.field, par.varnames)
+    for c, b in zip(coeffs, elements):
+        g = g + b.scale(c)
+    return g
+
+
+def test_non_unit_leading_coefficients_expand_exactly():
+    # ints and Fractions mix in the exact arrays; every expansion still
+    # gives sum coeff * b + remainder = input, in MultiPoly arithmetic
+    par = _scaled_duffing()
+    leadinv = khov._batch_basis(par, 1).leadinv.tolist()
+    assert sorted(leadinv) == [Fraction(1, 2), 1, 1, 1, 3]
+    assert check_khovanskii_truncated(par, 3).passed
+    rng = random.Random(5)
+    for d, polys, _ in _expand_cases(par, rng):
+        sup = graded_support(par, d)
+        bas = [b for _, b in graded_basis(par, d).elements]
+        assert all(type(c) is Fraction for b in bas for c in b.terms.values())
+        C, outside = expand(par, polys, d)
+        rows = linalg.dense(C, par.field)
+        for r, g in enumerate(polys):
+            res = subduct(par, g, d)
+            coeffs = res.vector(sup)
+            assert all(type(c) is Fraction for c in res.coeffs.values())
+            assert all(type(c) is Fraction for c in res.remainder.terms.values())
+            assert _combination(par, coeffs, bas) + res.remainder == g
+            assert (r in outside) == (not res.remainder.is_zero())
+            if r not in outside:
+                assert rows[r].tolist() == coeffs
+        X = multiplication_map(par, d - 1)
+        assert X.outside == ()
+        rows = linalg.dense(X.matrix, par.field)
+        lower = graded_basis(par, d - 1).elements
+        for j, phi in enumerate(par.phi):
+            for k, (_, b) in enumerate(lower):
+                assert _combination(par, rows[j * len(lower) + k], bas) == b * phi
+
+
+def test_catalog_chart_arrays_hold_ints():
+    # integer coefficients and unit leading coefficients: no Fraction is
+    # formed in the basis arrays of the Gr(2,5) chart over QQ
+    par = catalog.pluecker_chart(2, 5, QQ, validate_degree=0)
+    for d in (0, 1, 2, 3):
+        basis = khov._batch_basis(par, d)
+        assert {type(x) for x in basis.bvals.tolist()} == {int}
+        assert {type(x) for x in basis.leadinv.tolist()} == {int}
