@@ -2,14 +2,18 @@
 
 Shapes follow the Gr(3,6) count 5x(3,5,6)+2x(2,5,6) over F_9716633 at
 degree 3: a 2275 x 980 KM matrix of rank 969, and the 11 x 980 kernel
-times the 980 x 3500 expansion of the multiplied degree-2 basis. Each
-kernel is also timed at p = 2**31 - 1, where the panel block of the
-elimination runs in int64 and products split their second factor into
-16-bit halves to stay on float64 BLAS. Prints the best of three runs and
-the rate in Gop/s, one Gop being 1e9 multiply-adds (m*n*rank for a row
-reduction, m*k*n for a product). The batched subduction kernel
-(`_kernels.modp_subduct_batch`) is timed inside the map rows below, at
-the shapes the multiplication maps give it.
+times the 980 x 3500 expansion of the multiplied degree-2 basis. The
+panel block of the elimination is int64 at every prime (numpy's float64
+remainder is several times slower than the int64 one), reduced mod p
+once every (2**63 - 1) // (p-1)**2 rank-1 updates: 97691 at 9716633,
+never within a panel. Each kernel is also timed at p = 2**31 - 1, where
+the panel block is reduced every 2 updates and products split their
+second factor into 16-bit halves to stay on float64 BLAS. Prints the
+best of three runs and the rate in Gop/s, one Gop being 1e9
+multiply-adds (m*n*rank for a row reduction, m*k*n for a product). The
+batched subduction kernel (`_kernels.modp_subduct_batch`) is timed
+inside the map rows below, at the shapes the multiplication maps give
+it.
 
 The exact echelon over QQ, `linalg.echelon`, is timed on the 360 x 175 KM
 matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded random
@@ -29,7 +33,9 @@ Gr(3,6) count itself (seeded random flags, d = 3, F_9716633): the prefix
 pivots of the 13 equations in degree 2 (`km._f5_rows`: the 240 x 175
 prefix rows and the one elimination they are read off), and the blocked
 elimination of the 1041 rows it keeps, of rank 969, to set beside the
-2275 x 980 one above. One more row eliminates the 4074 x 4116 F5 rows of
+2275 x 980 one above; that elimination must give the pivots, sources and
+RREF of the unblocked `_kernels.modp_rref_small`, or the script exits
+with an error. One more row eliminates the 4074 x 4116 F5 rows of
 the 42-solution count 9 x (3,5,6) (flags seeded 1) at degree 4, the
 echelon that takes most of that count.
 
@@ -281,12 +287,26 @@ def _bench_rref_f5(A, p):
     return ("modp_rref F5 rows", f"{m}x{n} rank {len(piv)}", t, m * n * len(piv) / 1e9)
 
 
+def _check_against_small(A, p):
+    """Exit with an error unless `modp_rref` of A gives the pivots, sources
+    and RREF of the unblocked `modp_rref_small`."""
+    out = []
+    for rref in (_kernels.modp_rref, _kernels.modp_rref_small):
+        R, src = A.copy(), np.arange(len(A), dtype=np.int64)
+        piv = rref(R, p, src)
+        out.append((piv, src[: len(piv)], R[: len(piv)]))
+    if not all(np.array_equal(a, b) for a, b in zip(*out)):
+        raise SystemExit(f"modp_rref differs from modp_rref_small on the {A.shape} F5 rows")
+
+
 def bench_f5(p=9716633):
     """Seconds of the F5 prefix pivots and of the echelon of the kept rows,
-    on the 11-solution count at d = 3 and the 42-solution count at d = 4."""
+    on the 11-solution count at d = 3 and the 42-solution count at d = 4;
+    the first echelon is checked against the unblocked elimination."""
     F = GF(p)
     sys = _schubert_count(5, 2, F)
     blocks, (A, _) = _f5_matrix(sys, 3)
+    _check_against_small(A, p)
     t_f5, keep = _best(lambda: km._f5_rows(sys, 3, blocks))
     _, (A42, _) = _f5_matrix(_schubert_count(9, 0, F), 4)
     return [

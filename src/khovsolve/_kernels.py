@@ -13,9 +13,11 @@ a value is integral and Fractions only where it is not. Delayed
 reduction (Dumas, Giorgi and Pernet, "Dense linear algebra over
 word-size prime fields", ACM TOMS 2008) keeps the arithmetic exact with
 few reductions mod p: a matrix product reduces once per chunk of its
-inner dimension, on float64 BLAS (`modp_matmul`),
-and the factorization of a panel once every `chunk` rank-1 updates of a
-small block (`_delayed`). The panel works only on the rows that meet it.
+inner dimension, on float64 BLAS (`modp_matmul`), and the factorization
+of a panel once every `_chunk(p)` rank-1 updates of a small int64 block.
+The panel block is int64 at every prime, since numpy's float64
+remainder is several times slower than the int64 one. The panel works
+only on the rows that meet it.
 Small matrices, and object arrays for larger moduli, take the unblocked
 Gauss-Jordan elimination `modp_rref_small`, with the same pivot rule and
 slots.
@@ -36,19 +38,16 @@ _FLOAT_EXACT = 1 << 53
 _INT64_MAX = (1 << 63) - 1
 
 
-def _delayed(p):
-    """(dtype, chunk): the element-wise arithmetic of the panel block for
-    modulus p, and the number of products of two residues it can sum
-    exactly, that is, of rank-1 updates between two reductions mod p.
-
-    float64 while (p-1)**2 <= 2**53 (p up to about 9.5e7), int64 above.
-    Only the panel block uses it: every matrix product runs on float64
-    (`modp_matmul`).
+def _chunk(p):
+    """The number of rank-1 updates of the panel block between two
+    reductions mod p: each update subtracts at most (p-1)**2 from an
+    entry, and the block is int64 at every p < 2**31, so (2**63-1) //
+    (p-1)**2 >= 2 updates stay exact. float64 would be exact for p up to
+    about 9.5e7, but numpy's float64 remainder of large entries takes
+    several times as long as the int64 one, and the pivot loop takes one
+    of a block column and two of the pivot row at every pivot.
     """
-    bound = (p - 1) ** 2
-    if bound <= _FLOAT_EXACT:
-        return np.float64, _FLOAT_EXACT // bound
-    return np.int64, _INT64_MAX // bound
+    return _INT64_MAX // (p - 1) ** 2
 
 
 def _float_product(A, B, p, chunk):
@@ -98,10 +97,10 @@ def _factor_panel(A, src, p, r, c0, c1):
     pivot columns and S^-1 mod p for the pivot block S of those rows.
     """
     w = c1 - c0
-    dtype, chunk = _delayed(p)
+    chunk = _chunk(p)
     cand = r + np.flatnonzero(A[r:, c0:c1].any(axis=1))
     k = len(cand)
-    blk = np.zeros((k, 2 * w), dtype)
+    blk = np.zeros((k, 2 * w), np.int64)
     blk[:, :w] = A[cand, c0:c1]
     # the input row of each block row; the largest int64 once a pivot row
     key = src[cand]
@@ -120,10 +119,10 @@ def _factor_panel(A, src, p, r, c0, c1):
         key[b] = _INT64_MAX
         blk[b, w + t] = 1
         row = blk[b, j : w + t + 1] % p
-        row *= pow(int(f[b]), p - 2, p)
+        row *= pow(int(f[b]), -1, p)
         row %= p
         f[b] = 0
-        blk[hit, j : w + t + 1] -= np.outer(f[hit], row)
+        blk[hit, j : w + t + 1] -= f[hit, None] * row
         blk[b, j : w + t + 1] = row
         cols.append(c0 + j)
         order.append(b)
@@ -142,11 +141,14 @@ def _factor_panel(A, src, p, r, c0, c1):
     to = np.concatenate((top, piv[below]))
     A[to, c0:] = A[frm, c0:]
     src[to] = src[frm]
-    return cols, (blk[order, w : w + t] % p).astype(np.int64)
+    return cols, blk[order, w : w + t] % p
 
 
 def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None, slots: int = 0) -> np.ndarray:
-    """In-place reduced row echelon form of int64 matrix A mod p.
+    """In-place reduced row echelon form of int64 matrix A mod p < 2**31.
+
+    A's entries must be residues, in [0, p), on entry: the updates fold
+    their differences back into [0, p) with one conditional add of p.
 
     Returns the pivot column indices. Columns are scanned left to right,
     and the pivot of a column is the row first in the input among the
@@ -209,8 +211,9 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None, slots: int = 0) -> 
         L = A[r:, cols]
         hit = np.flatnonzero(L.any(axis=1))
         U = A[r + hit, c0:end]
+        # residues minus a residue: one conditional add folds them into [0, p)
         U -= modp_matmul(L[hit], B, p)
-        U %= p
+        U += p * (U < 0)
         A[r + hit, c0:end] = U
     piv = np.asarray(piv, dtype=np.int64)
     # X, the pivot rows at the free columns, is solved from the last panel
@@ -221,7 +224,9 @@ def modp_rref(A: np.ndarray, p: int, src: np.ndarray = None, slots: int = 0) -> 
     X = W[: len(piv), free]
     for r0, r1 in reversed(panels[:-1]):
         later = piv[r1:]
-        X[r0:r1] = (X[r0:r1] - modp_matmul(W[r0:r1, later], X[r1:], p)) % p
+        D = X[r0:r1] - modp_matmul(W[r0:r1, later], X[r1:], p)
+        D += p * (D < 0)
+        X[r0:r1] = D
         W[r0:r1, later] = 0
         W[r0:r1, free] = X[r0:r1]
     return piv

@@ -166,9 +166,10 @@ _SMALL_RREF = 400
 
 
 def _prime_below(p):
-    q = p - 2
+    """The largest prime below p > 2."""
+    q = p - 1
     while not is_prime(q):
-        q -= 2
+        q -= 1
     return q
 
 
@@ -426,8 +427,9 @@ class Rows:
     It reads as a sequence of rows of field elements: `len` is the row
     count and rows[i] is a tuple of ints over F_p and of Fractions over
     QQ (`field_values`). As an array it is A itself over F_p, copied only
-    for another dtype, and an object array of Fractions over QQ;
-    `copy=False` refuses a conversion that needs a copy.
+    for another dtype, and over QQ an object array of Fractions or, for a
+    float dtype, each numerator over den correctly rounded; `copy=False`
+    refuses a conversion that needs a copy.
     """
 
     A: np.ndarray
@@ -451,6 +453,11 @@ class Rows:
             return self.A if dtype is None else self.A.astype(dtype, copy=False)
         if copy is False:
             raise ValueError("a matrix over QQ is an array of new Fractions")
+        if dtype is not None and np.dtype(dtype).kind == "f":
+            # Python-int true division rounds the exact quotient once, as
+            # float(Fraction) does; numpy's would round A above 2**53 first
+            F = [x / self.den for x in self.A.ravel().tolist()]
+            return np.array(F, dtype=dtype).reshape(self.A.shape)
         F = np.array(field_values(self.A.ravel(), self.den, QQ), dtype=object)
         F = F.reshape(self.A.shape)
         return F if dtype is None else F.astype(dtype)

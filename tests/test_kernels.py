@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khovsolve import _kernels, linalg
+from khovsolve import _kernels, catalog, km, linalg
+from khovsolve.fields import GF, QQ
 
 P = 9716633
-# 2**31 - 1: the panel block runs in int64, products on 16-bit halves
+# 2**31 - 1: the panel block is reduced every 2 updates, products run on
+# 16-bit halves
 PRIMES = (2, 7, 101, P, 2**31 - 1)
 
 
@@ -119,14 +121,15 @@ def test_rref_blocked_panels_match_python(p):
         _assert_rref_matches_small(np.asarray(A, dtype=np.int64), p)
 
 
-# one prime per regime of the panel block's delayed reduction: float64
-# reduced every 8 updates (mid-panel), float64 every 64, int64 every 2
-# updates, and float64 never reduced within a panel
+# one prime per regime of the panel block's delayed reduction, all int64:
+# reduced every 2 updates, every 32 (in mid-panel), and never within a
+# 64-column panel (every 8192, 65536 and 2**63 - 1 updates)
 REGIMES = {
-    33554393: (np.float64, 8),
-    linalg.LIFT_PRIME: (np.float64, 64),
-    2**31 - 1: (np.int64, 2),
-    2: (np.float64, 2**53),
+    2**31 - 1: 2,
+    536870909: 32,
+    33554393: 8192,
+    linalg.LIFT_PRIME: 65536,
+    2: 2**63 - 1,
 }
 
 
@@ -151,7 +154,7 @@ def _panels_with_gaps(rng, p):
 
 @pytest.mark.parametrize("p", sorted(REGIMES))
 def test_panel_regimes_match_python(p):
-    assert _kernels._delayed(p) == REGIMES[p]
+    assert _kernels._chunk(p) == REGIMES[p]
     rng = np.random.default_rng(p % 997)
     panel = _kernels.PANEL
     cases = [
@@ -166,6 +169,39 @@ def test_panel_regimes_match_python(p):
     cases.append(sparse)
     for A in cases:
         _assert_rref_matches_small(np.asarray(A, dtype=np.int64), p)
+
+
+def test_km_rows_match_small():
+    # real KM rows: the 1041 x 980 F5 rows of the Gr(3,6) count
+    # 5 x (3,5,6) + 2 x (2,5,6) at degree 3 over F_9716633 (rank 969), and
+    # the 360 x 175 QQ KM matrix of (2,4,6)^3 at degree 2 mod LIFT_PRIME
+    # with slots, as the p-adic lifting eliminates it
+    F = GF(P)
+    conds = [
+        catalog.SchubertCondition((3, 5, 6), f)
+        for f in catalog.random_flags(6, 5, seed=1, field=F)
+    ] + [
+        catalog.SchubertCondition((2, 5, 6), f)
+        for f in catalog.random_flags(6, 2, seed=2, field=F)
+    ]
+    sys = catalog.schubert_equations(3, 6, conds, field=F).sys
+    blocks = km._km_blocks(sys, 3)
+    S, X = km._map_combination(sys, 3, blocks, 3)
+    S = linalg.sparse_rows(S, km._f5_rows(sys, 3, blocks))
+    A = linalg.combine_rows(S, X, F)[0]
+    assert A.shape == (1041, 980)
+    _assert_rref_matches_small(A, P)
+
+    flags = catalog.random_flags(6, 3, seed=0, field=QQ)
+    conds = [catalog.SchubertCondition((2, 4, 6), f) for f in flags]
+    A = km.km_matrix(catalog.schubert_equations(3, 6, conds).sys, 2).entries.A
+    m, n = A.shape
+    p = linalg.LIFT_PRIME
+    M = np.zeros((m, n + min(m, n)), dtype=np.int64)
+    M[:, :n] = A % p
+    R, piv, src = _eliminate(M, p, min(m, n))
+    assert len(piv) > _kernels.PANEL and np.array(R)[:, n:].any()
+    assert _eliminate(M, p, min(m, n), blocked=False) == (R, piv, src)
 
 
 @pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "small"])

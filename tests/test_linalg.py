@@ -187,6 +187,15 @@ def test_first_independent_columns_leftmost():
     assert linalg.first_independent_columns([], QQ) == []
 
 
+def test_prime_below():
+    # odd and even arguments alike
+    assert linalg._prime_below(10) == 7
+    assert linalg._prime_below(8) == 7
+    assert linalg._prime_below(3) == 2
+    assert linalg._prime_below(linalg.LIFT_PRIME + 1) == linalg.LIFT_PRIME
+    assert linalg._prime_below(linalg.LIFT_PRIME) == 11863259
+
+
 def test_first_independent_columns_qq_unlucky_prime(monkeypatch):
     # column 0's only nonzero entry is LIFT_PRIME: mod that prime the
     # pivots are [1, 2]; the next two primes agree on the ones over QQ,

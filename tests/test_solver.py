@@ -272,6 +272,20 @@ def test_solve_rejects_finite_fields(monkeypatch):
     assert calls == []
 
 
+def test_float_matrices_round_the_exact_quotient():
+    # numerators above 2**53, int64 and Python ints, against float(Fraction)
+    cases = (
+        (np.array([[2**53 + 1, -(2**62 - 1)], [7, 2**53 + 3]], dtype=np.int64), 3),
+        (np.array([[2**80 + 1, -(3**60)], [1, 0]], dtype=object), 7 * 2**70),
+    )
+    for A, den in cases:
+        expect = [[float(Fraction(int(a), den)) for a in row] for row in A]
+        assert np.array(linalg.Rows(A, den, QQ), dtype=float).tolist() == expect
+    # numpy's float division rounds 2**53 + 1 to 2**53 before dividing by 3
+    A, den = cases[0]
+    assert (A / den)[0, 0] != float(Fraction(2**53 + 1, 3))
+
+
 def test_extract_rejects_integer_matrices():
     par = catalog.del_pezzo(field=GF(P))
     sys = catalog.random_dense_system(par, (1, 1), seed=7)
