@@ -33,11 +33,11 @@ Gr(3,6) count itself (seeded random flags, d = 3, F_9716633): the prefix
 pivots of the 13 equations in degree 2 (`km._f5_rows`: the 240 x 175
 prefix rows and the one elimination they are read off), and the blocked
 elimination of the 1041 rows it keeps, of rank 969, to set beside the
-2275 x 980 one above; that elimination must give the pivots, sources and
-RREF of the unblocked `_kernels.modp_rref_small`, or the script exits
-with an error. One more row eliminates the 4074 x 4116 F5 rows of
-the 42-solution count 9 x (3,5,6) (flags seeded 1) at degree 4, the
-echelon that takes most of that count.
+2275 x 980 one above (`tests/test_kernels.py::test_km_rows_match_small`
+checks its output against the unblocked `_kernels.modp_rref_small`). One
+more row eliminates the 4074 x 4116 F5 rows of the 42-solution count
+9 x (3,5,6) (flags seeded 1) at degree 4, the echelon that takes most of
+that count.
 
 The map rows time the product primitive at the same shape (Gr(3,6), d =
 2 -> 3, F_9716633): building the sparse multiplication map X^(2), 3500 x
@@ -61,7 +61,11 @@ The support rows time `khov.graded_support` for every degree up to the
 one shown, on a fresh copy of the chart each run: the Gr(2,5) chart of
 the osculating problem up to degree 10, as the default degree search
 reads it, and the Gr(3,6) chart up to degree 5, with the number of
-points summed over the degrees.
+points summed over the degrees. The default dreg row times that search
+itself, `solver._default_dreg` on the osculating Gr(2,5) problem 6 x
+(3,5) (flags at 1, -1, 2, -2, 3, -3) over QQ, each run on a system built
+on a fresh chart outside the timing, with the highest degree of Hilbert
+data it reached (Dmax) and the dreg it returns.
 
 The Schubert rows time `catalog.schubert_equations` on the Gr(3,6)
 problem shapes of the pipeline benchmark (seeded random flags):
@@ -287,26 +291,12 @@ def _bench_rref_f5(A, p):
     return ("modp_rref F5 rows", f"{m}x{n} rank {len(piv)}", t, m * n * len(piv) / 1e9)
 
 
-def _check_against_small(A, p):
-    """Exit with an error unless `modp_rref` of A gives the pivots, sources
-    and RREF of the unblocked `modp_rref_small`."""
-    out = []
-    for rref in (_kernels.modp_rref, _kernels.modp_rref_small):
-        R, src = A.copy(), np.arange(len(A), dtype=np.int64)
-        piv = rref(R, p, src)
-        out.append((piv, src[: len(piv)], R[: len(piv)]))
-    if not all(np.array_equal(a, b) for a, b in zip(*out)):
-        raise SystemExit(f"modp_rref differs from modp_rref_small on the {A.shape} F5 rows")
-
-
 def bench_f5(p=9716633):
     """Seconds of the F5 prefix pivots and of the echelon of the kept rows,
-    on the 11-solution count at d = 3 and the 42-solution count at d = 4;
-    the first echelon is checked against the unblocked elimination."""
+    on the 11-solution count at d = 3 and the 42-solution count at d = 4."""
     F = GF(p)
     sys = _schubert_count(5, 2, F)
     blocks, (A, _) = _f5_matrix(sys, 3)
-    _check_against_small(A, p)
     t_f5, keep = _best(lambda: km._f5_rows(sys, 3, blocks))
     _, (A42, _) = _f5_matrix(_schubert_count(9, 0, F), 4)
     return [
@@ -329,6 +319,21 @@ def bench_support():
         t, points = _best(build)
         out.append((f"Gr({k},{m}) d <= {dmax}", f"{points} points", t))
     return out
+
+
+def bench_default_dreg(repeat=3):
+    """(best seconds, Dmax, dreg) of `solver._default_dreg` on the osculating
+    Gr(2,5) problem, each run on a system built on a fresh chart."""
+    flags = [catalog.osculating_flag(s, 5) for s in (1, -1, 2, -2, 3, -3)]
+    conds = [catalog.SchubertCondition((3, 5), f) for f in flags]
+    best = float("inf")
+    for _ in range(repeat):
+        sys = catalog.schubert_equations(2, 5, conds).sys
+        t0 = time.perf_counter()
+        dreg = solver._default_dreg(sys)
+        best = min(best, time.perf_counter() - t0)
+    # the Hilbert data up to Dmax builds the supports of every degree up to it
+    return best, max(sys.par._supports), dreg
 
 
 def bench_schubert(p=9716633):
@@ -431,6 +436,9 @@ def main():
           f"   tracemalloc peak {peak / 2**20:.1f} MB")
     for shape, points, t in bench_support():
         print(f"{'graded_support':<22}{shape:<22}{'QQ':>12}{t * 1e3:9.1f}ms   {points}")
+    t, dmax, dreg = bench_default_dreg()
+    print(f"{'default dreg':<22}{'Gr(2,5) 6x(3,5)':<22}{'QQ':>12}{t * 1e3:9.1f}ms"
+          f"   Dmax {dmax}, dreg {dreg}")
     for name, fn in (("echelon QQ", bench_echelon_qq),
                      ("km_matrix QQ reduced", bench_km_osculating)):
         t, shape, (steps, primes, eliminations, rebuilds), peak = fn()

@@ -199,11 +199,15 @@ def graded_support(par: Parameterization, d: int) -> GradedSupport:
     `WeightOrder.tiebreak_key` (graded lex on the t-part), and the key is
     linear: candidate gamma + alpha_i has key(gamma) + key(alpha_i), so
     the k * m candidates are one vector of integers. Candidates are
-    numbered gamma-major (support order), i-minor (column order); a
-    stable sort of the keys puts the first candidate of every point at
-    the start of its run, and that candidate is the witness. Keys and
-    points are int64 while (n+1) * B.bit_length() < 63, Python ints
-    otherwise.
+    numbered gamma-major (support order), i-minor (column order), and the
+    first candidate of every point is its witness. With s the bit length
+    of the candidate count, one in-place sort of the distinct int64 values
+    (key << s) | candidate orders the candidates by key and then by
+    number, so the first candidate of every point starts its run; the
+    sorted keys are the values >> s and the candidates their low s bits.
+    Where a key reaches 2**(63 - s), or the keys are Python ints, a stable
+    argsort of the keys gives the same order. Keys and points are int64
+    while (n+1) * B.bit_length() < 63, Python ints otherwise.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
@@ -219,8 +223,16 @@ def graded_support(par: Parameterization, d: int) -> GradedSupport:
     else:
         gamma = graded_support(par, d - 1).array.astype(dtype)
         keys = (_grlex_keys(gamma, B)[:, None] + _grlex_keys(cols, B)[None, :]).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        s = len(keys).bit_length()
+        if dtype is object or keys.max() >= 1 << (63 - s):
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+        else:
+            keys <<= s
+            keys |= np.arange(len(keys))
+            keys.sort()
+            order = keys & ((1 << s) - 1)
+            keys >>= s
         start = np.ones(len(keys), bool)
         start[1:] = keys[1:] != keys[:-1]
         first = order[start]

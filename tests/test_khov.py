@@ -127,6 +127,49 @@ def test_graded_support_with_large_exponents():
     assert graded_support(par, 3).array.dtype == object
 
 
+def test_graded_support_with_int64_keys_too_large_to_pack():
+    # int64 keys, but the largest one leaves no room for the s bits of the
+    # candidate numbers, so graded_support takes its stable argsort
+    c = 2**19 - 1
+    par = _monomial_par([(c, 0), (0, c), (1, c - 1), (0, 0)])
+    for d in range(3):
+        _assert_support_matches_oracle(par, d)
+    B = 2 * c + 1
+    assert (par.n + 1) * B.bit_length() < 63
+    sup = graded_support(par, 2)
+    assert sup.array.dtype == np.int64
+    s = (len(graded_support(par, 1)) * len(sup.columns)).bit_length()
+    assert khov._grlex_keys(sup.array, B).max() >= 2 ** (63 - s)
+
+
+def _argsort_supports(par, dmax):
+    """(array, first) of d.A for d <= dmax, each from a stable argsort of
+    the keys of every candidate sum."""
+    cols = np.array(par.A, dtype=np.int64).T
+    array, out = np.zeros((1, par.n + 1), np.int64), []
+    for d in range(1, dmax + 1):
+        B = d * max(sum(c) - 1 for c in zip(*par.A)) + 1
+        cand = (array[:, None, :] + cols[None, :, :]).reshape(-1, par.n + 1)
+        keys = khov._grlex_keys(cand, B)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        start = np.ones(len(keys), bool)
+        start[1:] = keys[1:] != keys[:-1]
+        first = order[start]
+        array = cand[first]
+        out.append((array, first))
+    return out
+
+
+@pytest.mark.parametrize("k, m, dmax", [(2, 5, 10), (3, 6, 5)])
+def test_graded_support_matches_stable_argsort(k, m, dmax):
+    par = catalog.pluecker_chart(k, m, validate_degree=0)
+    for d, (array, first) in enumerate(_argsort_supports(par, dmax), 1):
+        sup = graded_support(par, d)
+        assert np.array_equal(sup.first, first)
+        assert np.array_equal(sup.array, array)
+
+
 def test_hilbert_numerator_builds_no_point_tuples_above_degree_three():
     par = catalog.pluecker_chart(2, 5)
     hilbert_numerator(par, 10)
