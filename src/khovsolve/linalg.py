@@ -10,10 +10,10 @@ below 2**31 the blocked int64 RREF, which updates only the rows below
 each panel that meet its pivot columns and solves the pivot rows for
 the free columns at the end, and an unblocked Gauss-Jordan elimination
 for matrices of at most 400 entries and for the object arrays of larger
-primes; `linalg` holds no elimination of its own. Over the
+primes; `linalg` holds no elimination of its own. For an RREF over the
 rationals one of the two runs mod word-size primes for the pivots and
 the source rows, trusted once the next prime below gives the same
-(`_agreed_profile`). The
+(`_echelon_qq`). The
 elimination of a prime that may be lifted carries coefficient slots,
 zero columns after the matrix's own, that end as S^-1 mod p for the
 source rows S at the pivot columns; a check prime carries none.
@@ -34,8 +34,9 @@ callers, and the results keep it as `Rows`, read by `field_values`;
 `field_array` holds field elements for exact arithmetic on arrays, over
 QQ as ints where they are integral. Sparse matrices (`Sparse`, a COO
 triple over a denominator) have two numpy scatter products: S @ X and
-A @ X^T with a dense A. `prefix_pivots` reads the pivot columns of every
-leading run of row blocks off one elimination.
+A @ X^T with a dense A. `prefix_pivots` and `first_independent_columns`
+read pivot columns off one elimination with no lift (`_pivots`), over QQ
+mod LIFT_PRIME alone.
 """
 
 from __future__ import annotations
@@ -364,40 +365,26 @@ def _lift(A, p, piv, sources, C):
     return Echelon(R, tuple(piv), tuple(sources), den)
 
 
-def _agreed_profile(A, p, slotted):
-    """(p, profile): the rank profile of the integer matrix A mod the first
-    prime p, counting down from the given one (`_prime_below`), that the
-    next prime below repeats: the same pivots and the same sources.
-
-    The profile is (pivots, sources), with C = S^-1 mod p when `slotted`
-    (`_rank_profile`). The pivots and sources are the first independent
-    columns and rows over QQ unless p divides a minor that decides them;
-    two consecutive primes that agree are taken as the sign that neither
-    did. A check prime carries no slots; when it disagrees and slots are
-    needed, it is profiled again with them.
-    """
-    profile = _rank_profile(A, p) if slotted else _pivots_mod(A, p)
-    while True:
-        q = _prime_below(p)
-        check = _pivots_mod(A, q)
-        if check == profile[:2]:
-            return p, profile
-        p, profile = q, _rank_profile(A, q) if slotted else check
-
-
 def _echelon_qq(A):
-    """The RREF over QQ of the integer array A: the profile `_agreed_profile`
-    gives from LIFT_PRIME down, lifted and certified by `_lift`. If the
-    lift fails, the search goes on below that prime. The source rows are
-    independent over QQ whatever the prime.
+    """The RREF over QQ of the integer array A, lifted and certified by
+    `_lift`. Counting down from LIFT_PRIME (`_prime_below`), the profile
+    mod p with coefficient slots (`_rank_profile`) is checked without
+    slots at the next prime below and lifted when the two give the same
+    pivots and sources; otherwise, or when the lift fails, the search goes
+    on one prime down. Two consecutive primes that agree are taken as the
+    sign that neither divides a minor that decides the first independent
+    columns and rows over QQ. The source rows are independent over QQ
+    whatever the prime.
     """
     p = LIFT_PRIME
     while True:
-        p, profile = _agreed_profile(A, p, True)
-        E = _lift(A, p, *profile)
-        if E is not None:
-            return E
-        p = _prime_below(p)
+        profile = _rank_profile(A, p)
+        q = _prime_below(p)
+        if _pivots_mod(A, q) == profile[:2]:
+            E = _lift(A, p, *profile)
+            if E is not None:
+                return E
+        p = q
 
 
 # ---------------------------------------------------------------------------
@@ -525,26 +512,34 @@ def _matmul_mod(A, B, p):
     return P if p is None else P % p
 
 
+def _pivots(rows, field):
+    """(pivots, sources) of one elimination of `rows`, with no lift: mod
+    the field's prime, and over QQ of the integer rows mod LIFT_PRIME.
+
+    Over QQ no second prime checks them. Columns independent mod p carry
+    a minor that is nonzero mod p, hence over QQ, so the pivot columns are
+    independent over QQ; an unlucky prime, one that divides a minor that
+    decides them, only makes them other than the leftmost over QQ, and
+    fewer where it lowers the rank.
+    """
+    if len(rows) == 0:
+        return [], []
+    if field == QQ:
+        return _pivots_mod(_integers(rows, QQ), LIFT_PRIME)
+    return _rref_mod(np.array(rows, dtype=array_dtype(field)), field.modulus)[1:]
+
+
 def prefix_pivots(rows, sizes, field):
     """Pivot columns of the echelon of each leading run of row blocks.
 
     `rows` stacks blocks of `sizes` rows; entry k of the result is the
     sorted tuple of pivot columns of the rows of blocks 0..k together.
-    One elimination of all the rows gives them all: under the input-order
-    pivot rule (`_kernels.modp_rref`) the pivots of a leading run of rows
-    are the pivots whose source row lies in it.
-
-    Over QQ this is the rank profile mod LIFT_PRIME of the integer rows,
-    with no second prime and no lift. Columns independent mod p carry a
-    minor that is nonzero mod p, hence over QQ, so each set holds columns
-    independent on the prefix's row space over QQ; an unlucky prime only
-    makes it smaller than the pivot set over QQ.
+    One elimination of all the rows gives them all (`_pivots`): under the
+    input-order pivot rule (`_kernels.modp_rref`) the pivots of a leading
+    run of rows are the pivots whose source row lies in it. Over QQ each
+    set holds columns independent on the prefix's row space.
     """
-    if field == QQ:
-        piv, src = _pivots_mod(_integers(rows, QQ), LIFT_PRIME)
-    else:
-        E = echelon(rows, field)
-        piv, src = E.pivots, E.sources
+    piv, src = _pivots(rows, field)
     return [tuple(sorted(c for c, s in zip(piv, src) if s < end))
             for end in np.cumsum(sizes).tolist()]
 
@@ -712,15 +707,9 @@ def commuting_check(coeffs, mats, den, field):
 
 
 def first_independent_columns(rows, field, count=None):
-    """The leftmost `count` (default all) independent column indices.
-
-    The pivot columns of any echelon form are exactly these. Over QQ they
-    are the pivots of the profile `_agreed_profile` takes without slots,
-    with no lifting: columns independent mod p are independent over QQ.
+    """The first `count` (default all) pivot columns of one elimination of
+    `rows` (`_pivots`): the leftmost independent columns over F_p, and
+    over QQ columns independent over QQ, leftmost unless LIFT_PRIME
+    divides a minor that decides them.
     """
-    if field != QQ:
-        return list(echelon(rows, field).pivots[:count])
-    if len(rows) == 0:
-        return []
-    _, (piv, _) = _agreed_profile(_integers(rows, QQ), LIFT_PRIME, False)
-    return piv[:count]
+    return _pivots(rows, field)[0][:count]

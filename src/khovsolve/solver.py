@@ -119,8 +119,10 @@ def multiplication_matrices(
 
     N_{x_j}[:, gamma] applies N to the expansion of b_{d,gamma} * phi_j,
     h is a random linear form in the generators, B is the leftmost set of
-    delta independent columns of N_h, read off its rank profile, and
-    M_j = (N_h)|B^-1 (N_{x_j})|B, all read off one block echelon. Over QQ
+    delta independent columns of N_h mod the field's prime, over QQ mod
+    LIFT_PRIME (`linalg.first_independent_columns`), so N_h|B is
+    invertible, and M_j = (N_h)|B^-1 (N_{x_j})|B, all read off one block
+    echelon, which over QQ is lifted and certified. Over QQ
     every matrix from N_{x_j} to the RREF is an integer array (the
     numerators over a common denominator, which changes no M_j), and the
     M_j are `linalg.Rows` of that RREF.
@@ -150,19 +152,16 @@ def multiplication_matrices(
                 c.append(x)
         Nh = linalg.combine(c, Nx, field)
         B = linalg.first_independent_columns(Nh, field, count=delta)
-        rank = len(B)
-        if rank == delta:
-            # the RREF of [N_h|B | N_{x_0}|B | ... | N_{x_ell}|B] is
-            # [I | M_0 | ... | M_ell]
-            E = linalg.echelon(np.hstack([Nh[:, B], *Nx[:, :, B]]), field)
-            rank = sum(pc < delta for pc in E.pivots)
-        if rank < delta:
+        if len(B) < delta:
             last_err = SolverError(
-                f"N_h has rank {rank} < {delta} for {_DRAWS} random h: the "
+                f"N_h has rank {len(B)} < {delta} for {_DRAWS} random h: the "
                 f"degree dreg = {d + 1} is likely below the regularity set, so "
                 f"the kernel overcounts the solutions; try a larger --dreg"
             )
             continue
+        # N_h|B is invertible, so the RREF of
+        # [N_h|B | N_{x_0}|B | ... | N_{x_ell}|B] is [I | M_0 | ... | M_ell]
+        E = linalg.echelon(np.hstack([Nh[:, B], *Nx[:, :, B]]), field)
         T = E.rows[:, delta:].reshape(delta, par.ell + 1, delta).transpose(1, 0, 2)
         is_identity, pair = linalg.commuting_check(c, T, E.den, field)
         if not is_identity:

@@ -198,18 +198,18 @@ def test_prime_below():
 
 def test_first_independent_columns_qq_unlucky_prime(monkeypatch):
     # column 0's only nonzero entry is LIFT_PRIME: mod that prime the
-    # pivots are [1, 2]; the next two primes agree on the ones over QQ,
-    # and no elimination carries slots, as nothing is lifted
+    # pivots are [1, 2], not [0, 1] as over QQ. They come from one
+    # elimination at LIFT_PRIME, with no slots, no second prime and no
+    # lift, and stay independent columns over QQ
     P = linalg.LIFT_PRIME
-    Q = linalg._prime_below(P)
     eliminations = _spy(monkeypatch, "_rref_mod")
     lifts = _spy(monkeypatch, "_lift")
     A = qq_matrix([[P, 0, 1], [0, 1, 1]])
-    assert linalg.first_independent_columns(A, QQ) == [0, 1]
-    assert [(e[1], len(e) > 2) for e in eliminations] == [
-        (P, False), (Q, False), (linalg._prime_below(Q), False)]
+    assert linalg.first_independent_columns(A, QQ) == [1, 2]
+    assert [(e[1], len(e) > 2) for e in eliminations] == [(P, False)]
     assert not lifts
-    assert linalg.first_independent_columns(A, QQ, count=1) == [0]
+    assert linalg.first_independent_columns(A, QQ, count=1) == [1]
+    assert linalg.rank([[r[c] for c in (1, 2)] for r in A], QQ) == 2
 
 
 def _random_sparse(rng, m, n, field, density=0.3):

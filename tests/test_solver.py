@@ -626,6 +626,33 @@ def test_qq_n_h_entries_beyond_int64(monkeypatch):
     assert max(abs(x) for x in seen[0].ravel().tolist()) >= 2**63
 
 
+def test_multiplication_matrices_on_columns_not_leftmost_over_qq(monkeypatch):
+    # mod 1873 the leftmost six columns of the Bott-Samelson N_h are
+    # dependent for every h drawn (1873 divides that minor, but not the
+    # kernel's denominator, which would lower the rank), so B is leftmost
+    # mod 1873 but not over QQ; the block echelon still gives certified
+    # M_j, and the solve every solution
+    monkeypatch.setattr(linalg, "LIFT_PRIME", 1873)
+    sys = catalog.bott_samelson().sys
+    seen = []
+    real = linalg.first_independent_columns
+
+    def spy(rows, field, count=None):
+        B = real(rows, field, count=count)
+        seen.append((B, list(linalg.echelon(rows, field).pivots[:count])))
+        return B
+
+    monkeypatch.setattr(linalg, "first_independent_columns", spy)
+    ms = multiplication_matrices(sys, kernel_basis(km_matrix(sys, 3, reduce=True)), 2, seed=0)
+    assert seen == [([0, 1, 2, 3, 4, 9], [0, 1, 2, 3, 4, 5])]
+    assert ms.delta == 6
+    _check_mult_invariants(sys, ms)
+    sols = solve(sys, dreg=3, seed=0)
+    assert seen[-1][0] != seen[-1][1]
+    assert len(sols) == 6 and sols.diagnostics["certified"]
+    assert max(sols.residuals) <= 1e-8
+
+
 def test_large_residual_is_marked(duffing, monkeypatch):
     # Duffing's residuals are far below the bound; a residual of 1e-3
     # is a reason in `uncertified`, not only a number
