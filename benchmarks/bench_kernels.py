@@ -39,9 +39,11 @@ more row eliminates the 4074 x 4116 F5 rows of the 42-solution count
 9 x (3,5,6) (flags seeded 1) at degree 4, the echelon that takes most of
 that count.
 
-The map rows time the product primitive at the same shape (Gr(3,6), d =
-2 -> 3, F_9716633): building the sparse multiplication map X^(2), 3500 x
-980 (`khov.multiplication_map`, the CSR bases cached), the KM rows of 13
+The map rows time the product primitive at the same shape (Gr(3,6),
+d = 2 -> 3, F_9716633), each group of them in a fresh child process, so
+that the allocations of the rows before it do not move them: building
+the sparse multiplication map X^(2), 3500 x 980
+(`khov.multiplication_map`, the CSR bases cached), the KM rows of 13
 random linear equations scattered from its rows (`km._map_rows`, 2275 x
 980), and N X^T for an 11 x 980 kernel (`linalg.matmul_transposed`).
 Two more rows build X^(3) (19600 products into degree 4) and X^(4) (82320
@@ -87,9 +89,11 @@ blocks); over F_9716633 at the shape of the Gr(3,6) count (delta = 11,
 Run as:  python3 benchmarks/bench_kernels.py
 """
 
+import multiprocessing
 import random
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -107,6 +111,14 @@ def _best(fn, repeat=3):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def _fresh(fn):
+    """fn() in a new interpreter, so that its timings do not move with what
+    this process allocated before."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        return pool.submit(fn).result()
 
 
 def _low_rank(rng, m, n, rank, p):
@@ -426,12 +438,12 @@ def main():
     for name, shape, t, gop in bench_f5():
         rate = f"{gop / t:9.3f}" if gop else ""
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms{rate}")
-    for name, shape, t in bench_maps():
+    for name, shape, t in _fresh(bench_maps):
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms")
-    for d, t, peak, shape, nnz in bench_maps_high():
+    for d, t, peak, shape, nnz in _fresh(bench_maps_high):
         print(f"{'multiplication_map':<22}{shape + f' X^({d})':<22}{9716633:>12}"
               f"{t * 1e3:9.1f}ms   nnz {nnz}, tracemalloc peak {peak / 2**20:.1f} MB")
-    t, peak, shape = bench_map_qq()
+    t, peak, shape = _fresh(bench_map_qq)
     print(f"{'multiplication_map':<22}{shape + ' X^(3)':<22}{'QQ':>12}{t * 1e3:9.1f}ms"
           f"   tracemalloc peak {peak / 2**20:.1f} MB")
     for shape, points, t in bench_support():

@@ -490,7 +490,21 @@ def _batch_basis(par, d):
     bcols, bvals = cols[order], vals[order]
     bindptr = np.concatenate(([0], np.cumsum(count[positions])))
     leadpos = lead[positions]
-    leadinv = linalg.field_array([F.inv(x) for x in bvals[bindptr[:-1]].tolist()], F)
+    if d == 1:
+        # b_{1,alpha_i} = phi_i: one inverse per generator at most
+        leadinv = linalg.field_array([F.inv(x) for x in bvals[bindptr[:-1]].tolist()], F)
+    else:
+        # lc(b_{d,beta}) = lc(b_{d-1,gamma}) lc(phi_i) = lc(b_{d-1,gamma}) lc(b_{1,alpha_i})
+        # for the witness (gamma, i): the leading terms of a product multiply
+        lower, one = _batch_basis(par, d - 1), _batch_basis(par, 1)
+        # a witness generator is the first with its column, a point of 1.A
+        first1 = graded_support(par, 1).first
+        at1 = np.zeros(m, np.int64)
+        at1[first1] = np.arange(len(first1))
+        w = sup.first[positions]
+        leadinv = lower.leadinv[lower.rowof[w // m]] * one.leadinv[one.rowof[at1[w % m]]]
+        leadinv = (leadinv % F.modulus if F.modulus is not None
+                   else linalg.field_array(leadinv.tolist(), F))
     batch = _BatchBasis(
         exps, keys, keycol, positions, rowof, bcols, bindptr, leadpos, bvals,
         leadinv, _kernels.subduction_levels(bcols, bindptr, leadpos),

@@ -8,7 +8,9 @@ b_{d-d_i,gamma} * f_i in the degree-d graded basis.
 No product b * f_i is formed: with f_i = sum_j c_ij phi_j a row is the
 combination sum_j c_ij X_j^(d-1)[gamma] of rows of the cached
 multiplication maps (`khov.multiplication_map`), and an equation of
-higher degree composes the maps of the degrees below.
+higher degree composes the maps of the degrees below. The combination
+matrix of all linear equations is built from one array of their
+coefficients c_ij, in integer form, by numpy broadcasting.
 
 A reduced KM matrix forms only the rows that Faugere's F5 criterion keeps
 (ISSAC 2002), in its Macaulay-matrix form (Bardet, Faugere and Salvy,
@@ -268,33 +270,61 @@ def _map_combination(sys, d, blocks, dkm):
     are one sparse combination S of the rows of X = X^(d-1). A row of S
     that uses an outside row of the map raises for its equation i (KM
     degree dkm) before any product is formed.
+
+    The linear blocks (e = 1) are the base case: their coefficients are
+    read in one pass into one array (`linalg.integer_form`, over QQ the
+    numerators over S.den), and the entries (row first + gamma, column
+    j * H + gamma, value c_j) of every block, gamma and term follow by
+    broadcasting, in row order. Blocks of higher degree compose the rows
+    one degree down; with both kinds in one call, the two parts are
+    brought to the least common denominator of all entries and sorted by
+    row, as one build term by term would give.
     """
-    par = sys.par
+    par, F = sys.par, sys.par.field
     X = multiplication_map(par, d - 1)
-    H = len(graded_support(par, d - 1))
+    H, m = len(graded_support(par, d - 1)), len(par.phi)
     sizes = [len(graded_support(par, d - e)) for _, _, e in blocks]
-    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
-    for (i, form, e), first in zip(blocks, np.cumsum([0] + sizes).tolist()):
+    starts = np.cumsum([0] + sizes)
+    # the linear blocks: terms[b, t] numbers the t-th term c phi_j of the
+    # b-th of them, whose row gamma holds c at column j * H + gamma
+    linear = [k for k, (_, _, e) in enumerate(blocks) if e == 1]
+    terms = np.full((len(linear), m), -1, dtype=np.int64)
+    gens, coeffs = [], []
+    for b, k in enumerate(linear):
+        for t, (alpha, c) in enumerate(blocks[k][1].items()):
+            terms[b, t] = len(coeffs)
+            gens.append(alpha.index(1))
+            coeffs.append(c)
+    # one entry per (block, gamma, term), in row order
+    b, gamma, t = np.nonzero(np.broadcast_to((terms >= 0)[:, None, :], (len(linear), H, m)))
+    term = terms[b, t]
+    rows = [starts[linear][b] + gamma]
+    cols = [np.asarray(gens, dtype=np.int64)[term] * H + gamma]
+    vals, den = linalg.integer_form(coeffs, F)
+    vals = vals[term]
+    higher = []
+    for k, (i, form, e) in enumerate(blocks):
+        if e == 1:
+            continue
         for j, g in _split(form).items():
-            if e == 1:
-                (c,) = linalg.field_array(list(g.values()), par.field).tolist()
-                rows.append(first + np.arange(H))
-                cols.append(j * H + np.arange(H))
-                vals.extend([c] * H)
-            else:
-                A, den = _map_rows(sys, d - 1, [(i, g, e - 1)], dkm)
-                r, c = np.nonzero(A)
-                rows.append(first + r)
-                cols.append(j * H + c)
-                vals.extend(linalg.field_values(A[r, c], den, par.field))
+            A, Aden = _map_rows(sys, d - 1, [(i, g, e - 1)], dkm)
+            r, c = np.nonzero(A)
+            rows.append(starts[k] + r)
+            cols.append(j * H + c)
+            higher.extend(linalg.field_values(A[r, c], Aden, F))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
+    if higher:
+        # every entry over the least common denominator of them all
+        vals, den = linalg.integer_form(np.concatenate(
+            (np.array(coeffs, dtype=object)[term], np.array(higher, dtype=object))), F)
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
     if X.outside:
         used = rows[np.isin(cols, X.outside)]
         if used.size:
             owner = np.repeat([i for i, _, _ in blocks], sizes)
             raise _nonzero_remainder_error(sys, dkm, int(owner[used.min()]))
-    S = linalg.sparse((sum(sizes), X.matrix.shape[0]), rows, cols, vals, par.field)
-    return S, X.matrix
+    return linalg.Sparse((int(starts[-1]), X.matrix.shape[0]), rows, cols, vals, den), X.matrix
 
 
 def _map_rows(sys, d, blocks, dkm):

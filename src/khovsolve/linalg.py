@@ -34,9 +34,11 @@ callers, and the results keep it as `Rows`, read by `field_values`;
 `field_array` holds field elements for exact arithmetic on arrays, over
 QQ as ints where they are integral. Sparse matrices (`Sparse`, a COO
 triple over a denominator) have two numpy scatter products: S @ X and
-A @ X^T with a dense A. `prefix_pivots` and `first_independent_columns`
-read pivot columns off one elimination with no lift (`_pivots`), over QQ
-mod LIFT_PRIME alone.
+A @ X^T with a dense A; over F_p the first reduces only the entries
+its terms reach. `prefix_pivots` and `first_independent_columns` read
+pivot columns off one elimination with no lift (`_pivots`), over QQ mod
+LIFT_PRIME, and `first_independent_columns` once more mod the prime
+below when LIFT_PRIME gives fewer columns than it asks for.
 """
 
 from __future__ import annotations
@@ -631,8 +633,10 @@ def combine_rows(S: Sparse, X: Sparse, field):
     """(A, den): the dense product S @ X is the integer array A over den.
 
     Row i is sum_r S[i, r] * X[r]: every product of a coefficient and an
-    entry is scattered into place by one `np.add.at`. Over QQ it runs on
-    the numerators, and den is S.den * X.den.
+    entry is scattered into place by one `np.add.at`. Over F_p the terms
+    are reduced before the scatter, and only the entries they reach are
+    reduced after it, so the zeros of the dense output are never read.
+    Over QQ it runs on the numerators, and den is S.den * X.den.
     """
     m, n = S.shape[0], X.shape[1]
     p = field.modulus
@@ -646,9 +650,11 @@ def combine_rows(S: Sparse, X: Sparse, field):
         a, b = _exact(a, b, S)
     terms = a[k] * b[pos]
     out = np.zeros(m * n, dtype=terms.dtype)
-    np.add.at(out, S.rows[k] * n + X.cols[pos], terms if p is None else terms % p)
+    at = S.rows[k] * n + X.cols[pos]
+    np.add.at(out, at, terms if p is None else terms % p)
     if p is not None:
-        out %= p
+        # repeated positions read and write the same reduced sum
+        out[at] %= p
     return out.reshape(m, n), S.den * X.den
 
 
@@ -711,5 +717,14 @@ def first_independent_columns(rows, field, count=None):
     `rows` (`_pivots`): the leftmost independent columns over F_p, and
     over QQ columns independent over QQ, leftmost unless LIFT_PRIME
     divides a minor that decides them.
+
+    Over QQ, when LIFT_PRIME gives fewer than `count`, the columns are
+    read once more mod the prime below: LIFT_PRIME may divide every
+    minor of that size, as when it divides a common denominator that the
+    integer rows carry. Columns independent mod any prime are
+    independent over QQ.
     """
-    return _pivots(rows, field)[0][:count]
+    piv = _pivots(rows, field)[0]
+    if field == QQ and count is not None and len(piv) < count:
+        piv = _pivots_mod(_integers(rows, QQ), _prime_below(LIFT_PRIME))[0]
+    return piv[:count]

@@ -120,7 +120,8 @@ def multiplication_matrices(
     N_{x_j}[:, gamma] applies N to the expansion of b_{d,gamma} * phi_j,
     h is a random linear form in the generators, B is the leftmost set of
     delta independent columns of N_h mod the field's prime, over QQ mod
-    LIFT_PRIME (`linalg.first_independent_columns`), so N_h|B is
+    LIFT_PRIME, or mod the prime below where LIFT_PRIME finds fewer
+    (`linalg.first_independent_columns`), so N_h|B is
     invertible, and M_j = (N_h)|B^-1 (N_{x_j})|B, all read off one block
     echelon, which over QQ is lifted and certified. Over QQ
     every matrix from N_{x_j} to the RREF is an integer array (the

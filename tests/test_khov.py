@@ -663,6 +663,25 @@ def test_non_unit_leading_coefficients_expand_exactly():
                 assert _combination(par, rows[j * len(lower) + k], bas) == b * phi
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(9716633), GF(2**61 - 1)], ids=str)
+def test_leadinv_is_the_inverse_of_each_leading_coefficient(field):
+    # leadinv is formed along the witness chain; it equals one field
+    # inverse per basis element, ints where integral over QQ
+    charts = [(catalog.pluecker_chart(3, 6, field, validate_degree=0), 3),
+              (catalog.del_pezzo(field=field), 4),
+              (catalog.bott_samelson(field=field).sys.par, 4)]
+    if field == QQ:
+        charts.append((_scaled_duffing(), 5))
+    for par, dmax in charts:
+        for d in range(dmax + 1):
+            basis = khov._batch_basis(par, d)
+            expect = linalg.field_array(
+                [field.inv(x) for x in basis.bvals[basis.bindptr[:-1]].tolist()], field)
+            assert basis.leadinv.dtype == expect.dtype
+            assert basis.leadinv.tolist() == expect.tolist()
+            assert [type(x) for x in basis.leadinv.tolist()] == [type(x) for x in expect.tolist()]
+
+
 def test_catalog_chart_arrays_hold_ints():
     # integer coefficients and unit leading coefficients: no Fraction is
     # formed in the basis arrays of the Gr(2,5) chart over QQ

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khovsolve import catalog, km, linalg
+from khovsolve import catalog, khov, km, linalg
 from khovsolve.fields import GF, QQ
 from khovsolve.hilbert import hilbert_function
 from khovsolve.khov import graded_basis, graded_support, subduct, witness_monomial
@@ -132,6 +133,18 @@ def test_kernel_from_kept_echelon(field, monkeypatch):
         assert [list(v) for v in N.N] == expect
 
 
+def _fractional(sys):
+    """sys with its equations scaled by 1/3 and 5/7 in turn: over QQ a
+    system whose forms are not integral, and whose equations of different
+    degrees can have different denominators."""
+    scale = (Fraction(1, 3), Fraction(5, 7))
+    return StructuredSystem(sys.par, [
+        Equation(degree=eq.degree,
+                 coeff_form={a: c * scale[i % 2] for a, c in eq.coeff_form.items()})
+        for i, eq in enumerate(sys.equations)
+    ])
+
+
 def test_fast_and_generic_paths_agree():
     # the KM rows combined from the multiplication maps equal one
     # subduction per product b * f, for equations of degree 1, 2 and 3
@@ -143,6 +156,11 @@ def test_fast_and_generic_paths_agree():
             (catalog.random_dense_system(catalog.del_pezzo(field=field),
                                          (2, 1, 3), seed=5), (3,)),
         ]
+        if field == QQ:
+            mixed = catalog.random_dense_system(duffing.par, (2, 1), seed=6)
+            cases += [(_fractional(duffing), (2, 3)), (_fractional(mixed), (3,))]
+            for sys, _ in cases[-2:]:
+                assert km._map_combination(sys, 3, km._km_blocks(sys, 3), 3)[0].den > 1
         for sys, degrees in cases:
             par = sys.par
             for d in degrees:
@@ -156,6 +174,73 @@ def test_fast_and_generic_paths_agree():
                 M = km_matrix(sys, d)
                 assert [list(r) for r in M.entries] == expect
                 assert {type(x) for r in M.entries for x in r} == {type(field.zero)}
+
+
+def _term_by_term(sys, d, blocks):
+    """The S of `km._map_combination`, built one term of a form at a time:
+    H entries of field elements per coefficient of a linear block, and the
+    nonzero entries of its rows one degree down per part g_j of a block of
+    higher degree, sorted by row by `linalg.sparse`."""
+    par, field = sys.par, sys.par.field
+    H = len(graded_support(par, d - 1))
+    rows, cols, vals, first = [], [], [], 0
+    for i, form, e in blocks:
+        for j, g in km._split(form).items():
+            if e == 1:
+                (c,) = g.values()
+                for gamma in range(H):
+                    rows.append(first + gamma)
+                    cols.append(j * H + gamma)
+                    vals.append(c)
+            else:
+                A, den = km._map_rows(sys, d - 1, [(i, g, e - 1)], d)
+                for r, c in zip(*np.nonzero(A)):
+                    rows.append(first + int(r))
+                    cols.append(j * H + int(c))
+                    vals.append(linalg.field_values(A[r:r + 1, c], den, field)[0])
+        first += len(graded_support(par, d - e))
+    X = khov.multiplication_map(par, d - 1).matrix
+    return linalg.sparse((first, X.shape[0]), rows, cols, vals, field)
+
+
+def _gr36_count(field):
+    """The 11-solution Gr(3,6) count 5 x (3,5,6) + 2 x (2,5,6)."""
+    conds = [
+        catalog.SchubertCondition((3, 5, 6), f)
+        for f in catalog.random_flags(6, 5, seed=1, field=field)
+    ] + [
+        catalog.SchubertCondition((2, 5, 6), f)
+        for f in catalog.random_flags(6, 2, seed=2, field=field)
+    ]
+    return catalog.schubert_equations(3, 6, conds, field=field).sys
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(9716633), GF(2**61 - 1)], ids=str)
+def test_map_combination_matches_term_by_term(field):
+    # S from one coefficient array: rows, columns, values (and their
+    # dtype) and denominator as the term-by-term build, for linear
+    # blocks alone, for linear blocks mixed with blocks of degree 2 and 3,
+    # and for the Schubert equations of the Gr(3,6) count
+    duffing = catalog.duffing(field=field).sys
+    cases = [
+        (duffing, 3),
+        (catalog.random_dense_system(duffing.par, (1, 2, 1, 3), seed=8), 3),
+        (catalog.random_dense_system(catalog.del_pezzo(field=field), (2, 1), seed=9), 3),
+    ]
+    if field == QQ:
+        cases += [(_fractional(sys), d) for sys, d in cases]
+    if field in (QQ, GF(9716633)):
+        cases.append((_gr36_count(field), 2 if field == QQ else 3))
+    dens = []
+    for sys, d in cases:
+        for blocks in (km._km_blocks(sys, d), km._km_blocks(sys, d)[::-1]):
+            S, _ = km._map_combination(sys, d, blocks, d)
+            R = _term_by_term(sys, d, blocks)
+            assert S.shape == R.shape and S.den == R.den
+            assert S.rows.tolist() == R.rows.tolist() and S.cols.tolist() == R.cols.tolist()
+            assert S.vals.dtype == R.vals.dtype and S.vals.tolist() == R.vals.tolist()
+            dens.append(S.den)
+    assert max(dens) > 1 if field == QQ else set(dens) == {1}
 
 
 def test_equation_not_in_graded_piece():
@@ -383,15 +468,7 @@ def _rows_formed(monkeypatch):
 def test_f5_row_count_gr36_eleven_solutions(monkeypatch):
     # 5 x (3,5,6) + 2 x (2,5,6) at dreg 3: 2275 rows, rank 969, and the
     # F5 criterion forms 1041 of them
-    F = GF(9716633)
-    conds = [
-        catalog.SchubertCondition((3, 5, 6), f)
-        for f in catalog.random_flags(6, 5, seed=1, field=F)
-    ] + [
-        catalog.SchubertCondition((2, 5, 6), f)
-        for f in catalog.random_flags(6, 2, seed=2, field=F)
-    ]
-    sys = catalog.schubert_equations(3, 6, conds, field=F).sys
+    sys = _gr36_count(GF(9716633))
     counts = _rows_formed(monkeypatch)
     R = km_matrix(sys, 3, reduce=True)
     assert km_shape(sys, 3) == (2275, 980)

@@ -271,6 +271,31 @@ def test_sparse_products_match_loops(field):
     assert linalg.matmul_transposed(A_int[:0], Xs, field).shape == (0, 9)
 
 
+@pytest.mark.parametrize("field", [F101, GF(9716633), FBIG], ids=str)
+def test_combine_rows_folds_the_sums_it_reaches(field):
+    # each reduced term is below p, so the scattered sums reach p, 2p - 1
+    # and 2p before the fold; it must leave p - 1 and zeros
+    p = field.modulus
+    # X: rows 0-1 on column 0, rows 2-4 on column 1, row 5 on column 2
+    xr, xc, xv = [0, 1, 2, 3, 4, 5], [0, 0, 1, 1, 1, 2], [1, 1, 1, 1, p - 1, p - 2]
+    X = linalg.sparse((6, 4), xr, xc, xv, field)
+    sr = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1]
+    sc = [0, 1, 2, 3, 4, 5, 2, 3, 4, 0]
+    sv = [p - 1, 1, p - 1, p - 1, p - 1, 5, p - 1, p - 1, p - 2, 7]
+    S = linalg.sparse((3, 6), sr, sc, sv, field)
+    sums = {}
+    for r, c, v in zip(sr, sc, sv):
+        for xrow, xcol, x in zip(xr, xc, xv):
+            if xrow == c:
+                sums[r, xcol] = sums.get((r, xcol), 0) + v * x % p
+    assert {sums[0, 0], sums[0, 1], sums[1, 1]} == {p, 2 * p - 1, 2 * p}
+    got, den = linalg.combine_rows(S, X, field)
+    assert den == 1 and got.dtype == (object if field == FBIG else np.int64)
+    dense = (linalg.dense(S, field).astype(object) @ linalg.dense(X, field).astype(object)) % p
+    assert got.tolist() == dense.tolist()
+    assert got.tolist() == [[0, p - 1, p - 10, 0], [7, 0, 0, 0], [0, 0, 0, 0]]
+
+
 def test_matmul_and_combine_modp_match_python():
     # inner dimensions above the 95 terms one float64 product holds exactly
     F = GF(9716633)

@@ -653,6 +653,23 @@ def test_multiplication_matrices_on_columns_not_leftmost_over_qq(monkeypatch):
     assert max(sols.residuals) <= 1e-8
 
 
+def test_multiplication_matrices_when_lift_prime_divides_the_kernel_denominator(monkeypatch):
+    # 461 divides Duffing's kernel denominator at dreg 3 (2^3 3 19^3 29
+    # 461^2), so mod 461 the integer kernel rows lose their identity block
+    # and N_h has rank 1 for every h; the columns are read again mod the
+    # prime below, and the solve finds all 5 solutions
+    monkeypatch.setattr(linalg, "LIFT_PRIME", 461)
+    sys = catalog.duffing().sys
+    N = kernel_basis(km_matrix(sys, 3, reduce=True))
+    assert N.N.den % 461**2 == 0
+    ms = multiplication_matrices(sys, N, 2, seed=0)
+    assert ms.delta == 5
+    _check_mult_invariants(sys, ms)
+    sols = solve(sys, dreg=3, seed=0)
+    assert len(sols) == 5 and sols.diagnostics["certified"]
+    assert max(sols.residuals) <= 1e-8
+
+
 def test_large_residual_is_marked(duffing, monkeypatch):
     # Duffing's residuals are far below the bound; a residual of 1e-3
     # is a reason in `uncertified`, not only a number
