@@ -79,10 +79,6 @@ class Rationals:
     def fmt(a) -> str:
         return str(Fraction(a))
 
-    @staticmethod
-    def to_float(a) -> float:
-        return float(a)
-
     def __repr__(self):
         return "QQ"
 
@@ -141,11 +137,6 @@ class PrimeField:
 
     def fmt(self, a) -> str:
         return str(a % self.modulus)
-
-    def to_float(self, a) -> float:
-        raise TypeError(
-            f"elements of F_{self.modulus} have no canonical float embedding"
-        )
 
     @property
     def numpy_compatible(self) -> bool:

@@ -13,9 +13,10 @@ degree d has a mixed-radix integer key with no carries among products of
 d generators, so the product of two terms is the sum of their keys, and
 the products of many polynomials are one vector of key sums merged by a
 sort and segment sums. The degree-d basis is held in CSR over its
-monomials (`_batch_basis`), built from the degree-(d-1) basis times the
-generators along the witness chains; `graded_basis` is its `MultiPoly`
-view.
+monomials (`_batch_basis`), row k the element b_{d,beta_k} of the k-th
+point of d.A in support order, built from the degree-(d-1) basis times
+the generators along the witness chains. It is the one cached form of the
+basis; `graded_basis` builds its `MultiPoly` view on each call.
 
 Every expansion in the graded basis, on every field, is one run of the
 sparse batched subduction kernel `_kernels.modp_subduct_batch`, a
@@ -67,15 +68,15 @@ class Parameterization:
     """A tuple of nonzero polynomials phi_0..phi_ell with a weight order.
 
     `A` is the matrix of leading exponents of the homogenized generators:
-    column j is (1, leading_exponent(phi_j)). Graded supports and bases,
-    their CSR forms for batched expansion and the multiplication maps are
-    cached per degree on the instance, and the generators' terms in CSR
-    form once.
+    column j is (1, leading_exponent(phi_j)). Graded supports, bases in
+    their CSR form (the one cached form, rows in support order) and the
+    multiplication maps are cached per degree on the instance, and the
+    generators' terms in CSR form once.
     """
 
     __slots__ = (
         "field", "varnames", "phi", "ord", "A",
-        "_supports", "_bases", "_batch", "_maps", "_terms",
+        "_supports", "_batch", "_maps", "_terms",
     )
 
     def __init__(self, field, varnames, phi, ord, A):
@@ -85,7 +86,6 @@ class Parameterization:
         self.ord = ord
         self.A = tuple(tuple(row) for row in A)
         self._supports = {}
-        self._bases = {}
         self._batch = {}
         self._maps = {}
         self._terms = None
@@ -258,25 +258,19 @@ def graded_basis(par: Parameterization, d: int) -> GradedBasis:
 
     b_{0,0} = 1 and b_{d,beta} = b_{d-1,gamma} * phi_i for the stored
     witness (gamma, i); `_batch_basis` forms these products as key sums,
-    and this is their `MultiPoly` view. The leading exponent of each
-    element equals the t-part of its label.
+    and this is their `MultiPoly` view, built on each call. The leading
+    exponent of each element equals the t-part of its label.
     """
-    cached = par._bases.get(d)
-    if cached is not None:
-        return cached
     basis = _batch_basis(par, d)
-    points = graded_support(par, d).points
     monomials = basis.monomials
     cols, ptr = basis.bcols.tolist(), basis.bindptr.tolist()
     vals = _elements(basis.bvals, par.field)
-    elements = [None] * len(points)
-    for r, pos in enumerate(basis.positions.tolist()):
-        terms = {monomials[cols[t]]: vals[t] for t in range(ptr[r], ptr[r + 1])}
-        b = MultiPoly(par.field, par.varnames, terms, _normalized=True)
-        elements[pos] = (points[pos], b)
-    bas = GradedBasis(d, tuple(elements))
-    par._bases[d] = bas
-    return bas
+    return GradedBasis(d, tuple(
+        (beta, MultiPoly(par.field, par.varnames, {
+            monomials[cols[t]]: vals[t] for t in range(ptr[k], ptr[k + 1])
+        }, _normalized=True))
+        for k, beta in enumerate(graded_support(par, d).points)
+    ))
 
 
 @dataclass(frozen=True)
@@ -383,8 +377,7 @@ def _products(par, d, rows, gens):
     pexps, pvals, pptr = _generator_terms(par)
     _, weights, space = _key_radix(par, d + 1)
     dtype = np.int64 if max(len(rows), 1) * space < 2**63 else object
-    b = basis.rowof[rows]
-    first, nb = basis.bindptr[b], basis.bindptr[b + 1] - basis.bindptr[b]
+    first, nb = basis.bindptr[rows], basis.bindptr[rows + 1] - basis.bindptr[rows]
     pfirst, npt = pptr[gens], pptr[gens + 1] - pptr[gens]
     count = nb * npt
     k = np.repeat(np.arange(len(rows)), count)
@@ -414,22 +407,20 @@ class _BatchBasis:
 
     Columns are the monomials of the basis elements, `exps` (one int64
     row each), sorted by the weight order; `keys` are their keys in degree
-    d (`_key_radix`), sorted, and `keycol` the column of each. Rows follow
-    the weight order of the leading monomials (`positions` maps them to
-    support positions and `rowof` back), so the leading columns `leadpos`
-    increase and every other term of an element lies right of its leading
-    column. `bvals` and `leadinv` (inverses of the leading coefficients)
-    are exact arrays as `linalg.field_array`: over QQ ints where a value is
-    integral, Fractions where it is not; `levels` is the plan of
-    `_kernels.subduction_levels`. The tuple views `monomials` and `colpos`
-    (monomial -> column) are built on first use.
+    d (`_key_radix`), sorted, and `keycol` the column of each. Row k is
+    b_{d,beta_k} for the k-th point of d.A in support order, its terms in
+    column order from its leading column `leadpos[k]`, so `exps[leadpos]`
+    are the t-parts of the points. `bvals` and `leadinv` (inverses of the
+    leading coefficients) are exact arrays as `linalg.field_array`: over
+    QQ ints where a value is integral, Fractions where it is not; `levels`
+    is the plan of `_kernels.subduction_levels`, which orders the
+    elimination, so the rows need no other order. The tuple views
+    `monomials` and `colpos` (monomial -> column) are built on first use.
     """
 
     exps: np.ndarray
     keys: np.ndarray
     keycol: np.ndarray
-    positions: np.ndarray
-    rowof: np.ndarray
     bcols: np.ndarray
     bindptr: np.ndarray
     leadpos: np.ndarray
@@ -450,8 +441,8 @@ def _batch_basis(par, d):
     """The degree-d basis in CSR, cached: the witness products as key sums.
 
     b_{d,beta} = b_{d-1,gamma} * phi_i for the witness (gamma, i) of beta,
-    formed by `_products`; the distinct keys of all of them are the
-    columns.
+    formed by `_products` in support order; the distinct keys of all of
+    them are the columns.
     """
     cached = par._batch.get(d)
     if cached is not None:
@@ -461,7 +452,7 @@ def _batch_basis(par, d):
         zero = np.zeros(1, np.int64)
         one = linalg.field_array([F.one], F)
         batch = _BatchBasis(
-            np.zeros((1, par.n), np.int64), zero, zero, zero, zero, zero,
+            np.zeros((1, par.n), np.int64), zero, zero, zero,
             np.array([0, 1]), zero, one, one, [zero],
         )
         par._batch[d] = batch
@@ -475,21 +466,17 @@ def _batch_basis(par, d):
     keycol = np.argsort(order, kind="stable")
     exps, cols = exps[order], keycol[col]
     # no product of nonzero polynomials is zero: each row has entries
-    count = np.bincount(rows, minlength=len(sup))
-    lead = np.minimum.reduceat(cols, np.cumsum(count) - count)
-    bad = np.flatnonzero((exps[lead] != sup.array[:, 1:]).any(axis=1))
+    bindptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(sup)))))
+    leadpos = np.minimum.reduceat(cols, bindptr[:-1])
+    bad = np.flatnonzero((exps[leadpos] != sup.array[:, 1:]).any(axis=1))
     if bad.size:
         k = int(bad[0])
         raise AssertionError(
             f"internal error: basis element for {sup.points[k]} has leading "
-            f"exponent {tuple(exps[lead[k]].tolist())}"
+            f"exponent {tuple(exps[leadpos[k]].tolist())}"
         )
-    positions = np.argsort(lead, kind="stable")
-    rowof = np.argsort(positions, kind="stable")
-    order = np.argsort(rowof[rows] * len(exps) + cols, kind="stable")
+    order = np.argsort(rows * len(exps) + cols, kind="stable")
     bcols, bvals = cols[order], vals[order]
-    bindptr = np.concatenate(([0], np.cumsum(count[positions])))
-    leadpos = lead[positions]
     if d == 1:
         # b_{1,alpha_i} = phi_i: one inverse per generator at most
         leadinv = linalg.field_array([F.inv(x) for x in bvals[bindptr[:-1]].tolist()], F)
@@ -501,13 +488,12 @@ def _batch_basis(par, d):
         first1 = graded_support(par, 1).first
         at1 = np.zeros(m, np.int64)
         at1[first1] = np.arange(len(first1))
-        w = sup.first[positions]
-        leadinv = lower.leadinv[lower.rowof[w // m]] * one.leadinv[one.rowof[at1[w % m]]]
+        leadinv = lower.leadinv[sup.first // m] * one.leadinv[at1[sup.first % m]]
         leadinv = (leadinv % F.modulus if F.modulus is not None
                    else linalg.field_array(leadinv.tolist(), F))
     batch = _BatchBasis(
-        exps, keys, keycol, positions, rowof, bcols, bindptr, leadpos, bvals,
-        leadinv, _kernels.subduction_levels(bcols, bindptr, leadpos),
+        exps, keys, keycol, bcols, bindptr, leadpos, bvals, leadinv,
+        _kernels.subduction_levels(bcols, bindptr, leadpos),
     )
     par._batch[d] = batch
     return batch
@@ -518,8 +504,8 @@ def _subduct_coo(basis, rows, cols, vals, ncols, field):
 
     Columns from len(basis.exps) on are monomials no basis element has.
     Returns (row, element, value) of the coefficients, sorted, with the
-    element numbered as the basis rows, and (row, col, value) of the
-    remainders.
+    element numbered as the basis rows (support positions), and (row, col,
+    value) of the remainders.
     """
     ck, cv, rk, rv = _kernels.modp_subduct_batch(
         rows * ncols + cols, vals, ncols, basis.bvals, basis.bcols, basis.bindptr,
@@ -531,16 +517,15 @@ def _subduct_coo(basis, rows, cols, vals, ncols, field):
 
 def _expansion(basis, nrows, crow, celem, cvals, rrow, field):
     """(C, outside): the coefficients as a `linalg.Sparse` in support
-    positions, and the rows with a remainder, which keep no entries."""
+    positions, and the rows with a remainder, which keep no entries. The
+    kernel's entries are sorted by (row, element) already."""
     outside = _unique(rrow)[0]
     keep = np.ones(nrows, bool)
     keep[outside] = False
     keep = keep[crow]
-    nb = len(basis.positions)
-    crow, ccol, cvals = crow[keep], basis.positions[celem[keep]], cvals[keep]
-    order = np.argsort(crow * nb + ccol, kind="stable")
-    vals, den = linalg.integer_form(cvals[order], field)
-    return linalg.Sparse((nrows, nb), crow[order], ccol[order], vals, den), outside
+    vals, den = linalg.integer_form(cvals[keep], field)
+    shape = (nrows, len(basis.leadpos))
+    return linalg.Sparse(shape, crow[keep], celem[keep], vals, den), outside
 
 
 def _poly_rows(basis, polys, field):
@@ -580,8 +565,10 @@ def subduct(par: Parameterization, g: MultiPoly, d: int) -> SubductionResult:
     basis = _batch_basis(par, d)
     rows, cols, vals, ncols, extra = _poly_rows(basis, [g], F)
     _, elem, cv, _, rcol, rv = _subduct_coo(basis, rows, cols, vals, ncols, F)
+    # the labels in the order subduction meets them: by leading column
+    order = np.argsort(basis.leadpos[elem], kind="stable")
     points = graded_support(par, d).points
-    coeffs = dict(zip([points[k] for k in basis.positions[elem]], _elements(cv, F)))
+    coeffs = dict(zip([points[k] for k in elem[order].tolist()], _elements(cv[order], F)))
     monomials = basis.monomials + extra
     rest = dict(zip([monomials[j] for j in rcol.tolist()], _elements(rv, F)))
     remainder = MultiPoly(F, par.varnames, rest, _normalized=True)

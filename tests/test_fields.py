@@ -26,7 +26,6 @@ def test_qq_arithmetic():
     assert QQ.inv(Fraction(3, 4)) == Fraction(4, 3)
     assert QQ.parse("-7/3") == Fraction(-7, 3)
     assert QQ.fmt(Fraction(-7, 3)) == "-7/3"
-    assert QQ.to_float(Fraction(1, 4)) == 0.25
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
 
@@ -40,8 +39,6 @@ def test_gf_arithmetic():
     assert F.from_int(-1) == 100
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
-    with pytest.raises(TypeError):
-        F.to_float(3)
 
 
 def test_gf_validation():

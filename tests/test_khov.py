@@ -690,3 +690,36 @@ def test_catalog_chart_arrays_hold_ints():
         basis = khov._batch_basis(par, d)
         assert {type(x) for x in basis.bvals.tolist()} == {int}
         assert {type(x) for x in basis.leadinv.tolist()} == {int}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(9716633), GF(2**61 - 1)], ids=str)
+def test_csr_rows_are_the_basis_in_support_order(field):
+    # row k of the CSR basis is b_{d,beta_k} for the k-th point of d.A:
+    # its leading monomial is the t-part of beta_k and its terms are those
+    # of the k-th element of graded_basis; the expansions keep the
+    # kernel's entries, strictly increasing in (row, col)
+    charts = [catalog.duffing(field=field).sys.par, catalog.del_pezzo(field=field),
+              catalog.bott_samelson(field=field).sys.par,
+              catalog.pluecker_chart(2, 5, field, validate_degree=0),
+              catalog.pluecker_chart(3, 6, field, validate_degree=0)]
+    for par in charts:
+        for d in (1, 2, 3):
+            basis = khov._batch_basis(par, d)
+            sup = graded_support(par, d)
+            assert basis.exps[basis.leadpos].tolist() == sup.array[:, 1:].tolist()
+            elements = graded_basis(par, d).elements
+            assert [beta for beta, _ in elements] == list(sup.points)
+            vals = khov._elements(basis.bvals, field)
+            ptr = basis.bindptr.tolist()
+            for k, (_, b) in enumerate(elements):
+                terms = range(ptr[k], ptr[k + 1])
+                assert {basis.monomials[basis.bcols[t]]: vals[t] for t in terms} == b.terms
+            lower = graded_basis(par, d - 1).elements
+            polys = [b * phi for _, b in lower[:20] for phi in par.phi]
+            beyond = (1 + max(e[0] for e in basis.monomials),) + (0,) * (par.n - 1)
+            polys.append(polys[0] + MultiPoly(field, par.varnames, {beyond: field.one}))
+            C, outside = expand(par, polys, d)
+            assert outside == [len(polys) - 1]
+            for S in (C, multiplication_map(par, d - 1).matrix):
+                assert len(S.rows) and S.shape[1] == len(sup)
+                assert (np.diff(S.rows * S.shape[1] + S.cols) > 0).all()

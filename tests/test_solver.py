@@ -486,7 +486,7 @@ def test_one_map_expansion_per_degree(monkeypatch):
     real = khov._subduct_coo
 
     def counting(basis, *args):
-        calls.append(len(basis.positions))
+        calls.append(len(basis.leadpos))
         return real(basis, *args)
 
     monkeypatch.setattr(khov, "_subduct_coo", counting)
