@@ -19,8 +19,10 @@ The exact echelon over QQ, `linalg.echelon`, is timed on the 360 x 175 KM
 matrix of the Gr(3,6) problem (2,4,6)^3 at degree 2 (seeded random
 flags), given as rows of Fractions, with the number of p-adic lifting
 steps, the primes of its mod-p eliminations, the mod-p eliminations
-per echelon and the full rational reconstructions
-(`linalg._from_digits`) per lift. The next row times
+per echelon (every `linalg._rref_mod` call inside `_echelon_qq`: one
+slotted elimination per prime tried, so 1 when the lift from LIFT_PRIME
+holds) and the full rational reconstructions (`linalg._from_digits`)
+per lift. The next row times
 `km_matrix(reduce=True)` of the 11-solution osculating Gr(3,6) problem
 2 x (2,5,6) + 5 x (3,5,6) (flags at 1, -1, 2, -2, 3, -3, 4) over QQ at
 degree 3, the maps cached: its F5 rows, their integer product and the

@@ -354,10 +354,10 @@ def schubert_equations(k, m, conditions, field=QQ, par=None) -> ProblemInstance:
     For each condition (alpha, F) and each i with k+alpha_i-i+1 <= m, all
     minors of that size of the stacked matrix (H; F_{alpha_i}) are linear
     forms in the Pluecker generators (`_condition_minors`). The nonzero
-    ones are the raw equations, and the first linearly independent ones,
-    with the generators as columns in the order of the degree-1 support,
-    are kept, each as its coefficient form. A given `par` must be the
-    chart `pluecker_chart(k, m, field)` builds.
+    ones are the raw equations, and the first independent ones
+    (`linalg.independent_rows`), the generators as columns in degree-1
+    support order, are kept, each as its coefficient form. A given `par`
+    must be the chart `pluecker_chart(k, m, field)` builds.
     """
     if not (1 <= k < m):
         raise InputError(f"need 1 <= k < m, got k={k}, m={m}")

@@ -11,9 +11,9 @@ unsupported field operations. A command reports a failure by raising;
 `solve` and `schubert` over QQ run `solver.solve`; `schubert` over F_p
 runs the same `solver.multiplication_system` without the eigenvalue step
 and prints the solution count, with the same degree choice (`--dreg`,
-the regularity bound when s = n, or `--adaptive`). Without `--dreg`,
-`schubert` takes the degree of the Gr(k,m) table when the problem has
-one, unless `--adaptive` asks for the search.
+the regularity bound when s = n, or `--adaptive`, which excludes
+`--dreg`). Without them `schubert` takes the degree of the Gr(k,m)
+table when the problem has one.
 """
 
 from __future__ import annotations
@@ -199,9 +199,7 @@ def cmd_schubert(args):
         cat.SchubertCondition(alpha=a, flag=f) for a, f in zip(alphas, flags)
     ]
     inst = cat.schubert_equations(args.k, args.m, conditions, field=field)
-    dreg = args.dreg
-    if dreg is None and not args.adaptive:
-        dreg = inst.recommended_dreg
+    dreg = None if args.adaptive else args.dreg or inst.recommended_dreg
     print(
         f"equations: {inst.extras['n_equations']} "
         f"(raw {inst.extras['n_raw_equations']})"
@@ -281,9 +279,10 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="end-to-end solve")
     sp.add_argument("file")
-    sp.add_argument("--dreg", type=_int_at_least(1))
+    degree = sp.add_mutually_exclusive_group()
+    degree.add_argument("--dreg", type=_int_at_least(1))
+    degree.add_argument("--adaptive", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--adaptive", action="store_true")
     sp.add_argument("--normalize", choices=("raw", "first"), default="raw")
     sp.add_argument("--out", help="JSON output path (default stdout)")
     sp.set_defaults(fn=cmd_solve)
@@ -298,9 +297,10 @@ def build_parser():
     )
     sp.add_argument("--osculating", help="comma-separated parameters s_j")
     sp.add_argument("--field", default="QQ", help='"QQ" or "Fp:<prime>"')
-    sp.add_argument("--dreg", type=_int_at_least(1))
+    degree = sp.add_mutually_exclusive_group()
+    degree.add_argument("--dreg", type=_int_at_least(1))
+    degree.add_argument("--adaptive", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--adaptive", action="store_true")
     sp.add_argument("--normalize", choices=("raw", "first"), default="raw")
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_schubert)

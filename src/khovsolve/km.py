@@ -374,8 +374,8 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
     With reduce=True a maximal independent row subset is kept, preserving
     the row space and the right kernel, with the echelon of the
     elimination that selected it. Only the rows the F5 criterion keeps are
-    formed (`_f5_rows`), and the first independent ones among them, by
-    exact forward elimination in row order, are kept. Every label, formed
+    formed (`_f5_rows`), and the first independent ones among them
+    (`linalg.independent_rows`) are kept. Every label, formed
     or not, is checked against the outside rows of the maps first, so an
     input that raises NotInAlgebraError without the reduction raises the
     same error with it. The prefix rows of the rule are checked too: an

@@ -10,20 +10,19 @@ below 2**31 the blocked int64 RREF, which updates only the rows below
 each panel that meet its pivot columns and solves the pivot rows for
 the free columns at the end, and an unblocked Gauss-Jordan elimination
 for matrices of at most 400 entries and for the object arrays of larger
-primes; `linalg` holds no elimination of its own. For an RREF over the
-rationals one of the two runs mod word-size primes for the pivots and
-the source rows, trusted once the next prime below gives the same
-(`_echelon_qq`). The
-elimination of a prime that may be lifted carries coefficient slots,
-zero columns after the matrix's own, that end as S^-1 mod p for the
-source rows S at the pivot columns; a check prime carries none.
-Dixon's p-adic lifting with that S^-1 then gives the exact RREF, by one
-rational reconstruction once a weighted sum of every unknown reads as the
-same fraction on two consecutive digits (an int64 sum while unknowns *
-(p-1) * max weight < 2**63), accepted only with an exact certificate that
-the kernel annihilates every input row. `commuting_check` runs the exact
-checks of multiplication matrices through one stacked product: object
-ints over QQ, `_kernels.modp_matmul` below 2**31.
+primes; `linalg` holds no elimination of its own. An RREF over the
+rationals is one of the two mod LIFT_PRIME, or the next prime down
+while the lift fails (`_echelon_qq`), whose coefficient slots, zero
+columns after the matrix's own, end as S^-1 mod p for the source rows S
+at the pivot columns. Dixon's p-adic lifting with that S^-1 gives the
+exact RREF, by one rational reconstruction once a weighted sum of every
+unknown reads as the same fraction on two consecutive digits (an int64
+sum while unknowns * (p-1) * max weight < 2**63). Its certificate, that
+the kernel annihilates every input row, proves the rank, the pivots and
+the RREF over QQ; the source rows are the first independent rows mod p.
+`commuting_check` runs the exact checks of multiplication matrices
+through one stacked product: object ints over QQ, `_kernels.modp_matmul`
+below 2**31.
 
 Matrices are integer arrays: int64 over a prime below 2**31 (entries in
 [0, p)) and over QQ while entries stay below 2**62, Python ints
@@ -368,25 +367,14 @@ def _lift(A, p, piv, sources, C):
 
 
 def _echelon_qq(A):
-    """The RREF over QQ of the integer array A, lifted and certified by
-    `_lift`. Counting down from LIFT_PRIME (`_prime_below`), the profile
-    mod p with coefficient slots (`_rank_profile`) is checked without
-    slots at the next prime below and lifted when the two give the same
-    pivots and sources; otherwise, or when the lift fails, the search goes
-    on one prime down. Two consecutive primes that agree are taken as the
-    sign that neither divides a minor that decides the first independent
-    columns and rows over QQ. The source rows are independent over QQ
-    whatever the prime.
-    """
+    """The RREF over QQ of the integer array A: the first lift (`_lift`)
+    of a profile mod p (`_rank_profile`) whose certificate holds, p
+    counting down from LIFT_PRIME. Its sources are the first independent
+    rows mod p: independent over QQ, as S is invertible mod p."""
     p = LIFT_PRIME
-    while True:
-        profile = _rank_profile(A, p)
-        q = _prime_below(p)
-        if _pivots_mod(A, q) == profile[:2]:
-            E = _lift(A, p, *profile)
-            if E is not None:
-                return E
-        p = q
+    while (E := _lift(A, p, *_rank_profile(A, p))) is None:
+        p = _prime_below(p)
+    return E
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +388,8 @@ class Echelon:
 
     `rows`, an integer array, holds the nonzero rows of the RREF as
     numerators over `den` (1 over F_p). `pivots` are the pivot columns and
-    `sources` the input rows that carry them, in order.
+    `sources` the input rows that carry them, in order: the first
+    independent rows mod p, over QQ mod the prime of the lift.
     """
 
     rows: np.ndarray
@@ -457,8 +446,8 @@ def echelon(rows, field) -> Echelon:
 
     `rows` is a list of rows of field elements or an integer array (over
     QQ numerators over any common denominator, below 2**31 int64 in
-    [0, p)); it is not modified. Over QQ the elimination runs mod
-    LIFT_PRIME and the RREF is lifted p-adically and certified (`_lift`).
+    [0, p)); it is not modified. Over QQ the RREF is lifted p-adically
+    and certified from one elimination per prime tried (`_echelon_qq`).
     """
     if len(rows) == 0:
         return Echelon(np.zeros((0, 0), np.int64), (), ())
@@ -500,7 +489,8 @@ def rank(rows, field):
 def independent_rows(rows, field):
     """(indices, echelon): the first independent rows in input order, each
     row not in the span of those before it, with the `Echelon` of the
-    elimination that selected them (its sources)."""
+    elimination that selected them (its sources), over QQ those mod the
+    prime of the lift (`_echelon_qq`)."""
     E = echelon(rows, field)
     return sorted(E.sources), E
 
@@ -518,11 +508,10 @@ def _pivots(rows, field):
     """(pivots, sources) of one elimination of `rows`, with no lift: mod
     the field's prime, and over QQ of the integer rows mod LIFT_PRIME.
 
-    Over QQ no second prime checks them. Columns independent mod p carry
-    a minor that is nonzero mod p, hence over QQ, so the pivot columns are
-    independent over QQ; an unlucky prime, one that divides a minor that
-    decides them, only makes them other than the leftmost over QQ, and
-    fewer where it lowers the rank.
+    Columns independent mod p carry a minor that is nonzero mod p, hence
+    over QQ, so the pivot columns are independent over QQ; an unlucky
+    prime, one that divides a minor that decides them, only makes them
+    other than the leftmost over QQ, and fewer where it lowers the rank.
     """
     if len(rows) == 0:
         return [], []

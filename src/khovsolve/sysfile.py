@@ -61,6 +61,14 @@ def field_name(field):
     return {"Fp": field.modulus}
 
 
+def _integer(value, name):
+    """int(value); a bool or a non-integral number, which int() would
+    truncate, is a SystemFileError naming the field."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise SystemFileError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_system(data):
     """Build (Parameterization, StructuredSystem) from a dict or JSON text."""
     if isinstance(data, (str, bytes)):
@@ -71,10 +79,10 @@ def load_system(data):
     try:
         field = parse_field(data["field"])
         varnames = tuple(data["vars"])
-        weight = tuple(int(w) for w in data["weight"])
+        weight = tuple(_integer(w, "weight") for w in data["weight"])
         phi_strings = list(data["phi"])
         eq_specs = list(data.get("equations", []))
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise SystemFileError(f"missing or malformed field in system file: {err}")
     if len(weight) != len(varnames):
         raise SystemFileError(
@@ -106,14 +114,15 @@ def _equation(i, spec, par):
     """
     field = par.field
     try:
-        degree = int(spec["degree"])
+        degree = _integer(spec["degree"], "degree")
         if "poly" in spec:
             return Equation(f=parse_polynomial(spec["poly"], par.varnames, field),
                             degree=degree)
         if "coeffs" not in spec:
             raise ValueError("needs 'poly' or 'coeffs'")
         form = {
-            tuple(int(a) for a in item["alpha"]): field.parse(str(item["c"]))
+            tuple(_integer(a, "alpha") for a in item["alpha"]):
+                field.parse(str(item["c"]))
             for item in spec["coeffs"]
         }
         return Equation(degree=degree, coeff_form=form)

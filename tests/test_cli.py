@@ -298,6 +298,64 @@ def test_exit_code_malformed_equation(tmp_path, capsys, change, message):
     assert "equation 1: " in err and message in err
 
 
+def _duffing_data():
+    from khovsolve import catalog
+
+    sys = catalog.duffing().sys
+    return json.loads(dump_system(sys.par, sys))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d.update(weight=[0, -1.7]), "weight must be an integer, got -1.7"),
+    (lambda d: d.update(weight=[False, -1]), "weight must be an integer, got False"),
+    (lambda d: d.update(weight=[0, "x"]), "system file: invalid literal for int()"),
+    (lambda d: d["equations"][0].update(degree=1.9),
+     "equation 0: degree must be an integer, got 1.9"),
+    (lambda d: d["equations"][0].update(degree=True),
+     "equation 0: degree must be an integer, got True"),
+    (lambda d: d["equations"][1]["coeffs"][0]["alpha"].__setitem__(1, 0.5),
+     "equation 1: alpha must be an integer, got 0.5"),
+], ids=["weight-float", "weight-bool", "weight-string", "degree-float", "degree-bool",
+        "exponent-float"])
+def test_non_integer_values_are_input_errors(tmp_path, capsys, change, message):
+    # int() would truncate them: a weight of -1.7 to -1, a degree of 1.9
+    # to 1, an exponent of 0.5 to 0, and the solve would go on
+    data = _duffing_data()
+    change(data)
+    with pytest.raises(SystemFileError) as err:
+        load_system(json.dumps(data))
+    assert message in str(err.value)
+    path = tmp_path / "non_integer.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path), "--dreg", "3"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_integral_values_load_as_ints():
+    # integral floats are the integers they spell, as in the file written
+    data = _duffing_data()
+    par, sys = load_system(json.dumps(data))
+    data["weight"] = [float(w) for w in data["weight"]]
+    data["equations"][0]["degree"] = 1.0
+    par2, sys2 = load_system(json.dumps(data))
+    assert par2.ord.omega == par.ord.omega
+    assert all(type(w) is int for w in par2.ord.omega)
+    assert [e.degree for e in sys2.equations] == [e.degree for e in sys.equations]
+    assert [e.coeff_form for e in sys2.equations] == [e.coeff_form for e in sys.equations]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{file}", "--dreg", "3", "--adaptive"],
+    ["schubert", "--k", "3", "--m", "6", "--conditions", "2,4,6;2,4,6;2,4,6",
+     "--field", "Fp:9716633", "--adaptive", "--dreg", "2"],
+], ids=["solve", "schubert"])
+def test_dreg_and_adaptive_exclude_each_other(argv, duffing_file, capsys):
+    # --adaptive would be ignored beside --dreg: a usage error, before any work
+    assert main([a.format(file=duffing_file) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not allowed with argument" in err
+
+
 def test_file_equation_outside_its_graded_piece_is_a_math_error(tmp_path, capsys):
     # load_system turns a malformed form into an input error, but not this
     path = tmp_path / "outside.json"

@@ -66,13 +66,25 @@ def _gauss_jordan(rows):
 
 
 def assert_matches_oracle(rows):
-    R, pivots, sources = _gauss_jordan(rows)
+    """The QQ echelon of `rows` against the Fraction oracle: the same
+    pivots, RREF (numerators over the least common denominator) and
+    kernel. The sources are the first independent rows of the integer
+    rows mod the prime whose lift was accepted (the F_p oracle), which
+    are independent over QQ and as many as the rank."""
+    R, pivots, _ = _gauss_jordan(rows)
     ncols = len(rows[0])
-    E = linalg.echelon(rows, QQ)
+    with pytest.MonkeyPatch.context() as mp:
+        lifts = _spy(mp, "_lift")
+        E = linalg.echelon(rows, QQ)
     assert E.pivots == tuple(pivots)
-    assert E.sources == tuple(sources)
+    p = lifts[-1][1]
+    A = linalg._integers(rows, QQ).tolist()
+    assert sorted(E.sources) == _first_independent_rows(A, p)
+    rank = len(_gauss_jordan([rows[i] for i in E.sources])[1])
+    assert rank == len(E.sources) == len(pivots)
     # the rows are the numerators of the RREF over E.den
     assert E.rows.dtype in (np.int64, object)
+    assert E.den == lcm(*(x.denominator for r in R for x in r))
     rref = [list(r) for r in linalg.Rows(E.rows, E.den, QQ)]
     assert rref == R
     free = [f for f in range(ncols) if f not in pivots]
@@ -427,29 +439,34 @@ P = linalg.LIFT_PRIME
 Q = linalg._prime_below(P)
 
 
-@pytest.mark.parametrize("rows, prime", [
+@pytest.mark.parametrize("rows, prime, sources", [
     # the rank mod P is too low
-    ([[P, 1], [0, 1]], Q),
+    ([[P, 1], [0, 1]], Q, (0, 1)),
     # the only nonzero entry of column 1 is a multiple of P
-    ([[1, 0, 1], [0, P, 1]], Q),
+    ([[1, 0, 1], [0, P, 1]], Q, (0, 1)),
     # the pivot minor [[1, 1], [1, 1 + P]] is divisible by P
-    ([[1, 1, 1], [1, 1 + P, 2]], Q),
-    # the first pivot over QQ, P, vanishes mod P, which takes row 1 instead
-    ([[P, 1], [1, 0]], Q),
-    # P and Q agree on a rank profile that is too low: the lift from P is
-    # rejected, and the two primes below Q agree on the true one
-    ([[P * Q, 1], [0, 1]], linalg._prime_below(Q)),
+    ([[1, 1, 1], [1, 1 + P, 2]], Q, (0, 1)),
+    # the first pivot over QQ, P, vanishes mod P, which takes row 1 instead:
+    # the rank and pivots are those over QQ, so the lift from P holds, and
+    # the sources are those mod P
+    ([[P, 1], [1, 0]], P, (1, 0)),
+    # the lifts from P and from Q both fail on a rank that is too low
+    ([[P * Q, 1], [0, 1]], linalg._prime_below(Q), (0, 1)),
     # full row rank mod P with the wrong pivots: the lift from P fails
-    ([[P, 1]], Q),
-    ([[P, 1, 0], [0, 0, 1]], Q),
+    ([[P, 1]], Q, (0,)),
+    ([[P, 1, 0], [0, 0, 1]], Q, (0, 1)),
 ], ids=["rank-drops", "column-vanishes", "pivot-minor", "pivot-row", "two-primes",
         "full-rank-one-row", "full-rank-two-rows"])
-def test_qq_unlucky_first_prime(rows, prime, monkeypatch):
+def test_qq_unlucky_first_prime(rows, prime, sources, monkeypatch):
+    # one profile and one lift per prime, counting down from P to the
+    # first prime whose lift holds
     profiles = _spy(monkeypatch, "_rank_profile")
     lifts = _spy(monkeypatch, "_lift")
-    linalg.echelon(qq_matrix(rows), QQ)
-    assert profiles[0][1] == P
-    assert lifts[-1][1] == prime
+    E = linalg.echelon(qq_matrix(rows), QQ)
+    tried = [p for _, p in profiles]
+    assert tried[0] == P and tried[-1] == prime
+    assert [args[1] for args in lifts] == tried
+    assert E.sources == sources
     assert_matches_oracle(qq_matrix(rows))
 
 
@@ -468,27 +485,26 @@ Q2 = linalg._prime_below(Q)
 
 
 @pytest.mark.parametrize("rows, expect", [
-    # Q checks P's profile, whether the rule passes over no row, only
-    # structural zeros, or a row that is not zero in the pivot column
-    ([[2, 1, 0, 3], [1, 1, 1, 0], [0, 4, 1, 1]], [(P, True), (Q, False)]),
-    ([[0, 0, 2, 1], [0, 3, 0, 1], [5, 1, 0, 0], [5, 4, 0, 1]], [(P, True), (Q, False)]),
-    ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], [(P, True), (Q, False)]),
-    # P is unlucky (as in test_qq_unlucky_first_prime): Q, which
-    # disagrees, is profiled again with slots before Q2 checks it
-    ([[P, 1], [1, 0]], [(P, True), (Q, False), (Q, True), (Q2, False)]),
-    # the lift from P fails twice, and Q2's profile is lifted
-    ([[P * Q, 1], [0, 1]], [(P, True), (Q, False), (Q, True), (Q2, False), (Q2, True),
-                            (linalg._prime_below(Q2), False)]),
+    # one slotted elimination at P, whether the rule passes over no row,
+    # only structural zeros, or a row that is not zero in the pivot column
+    ([[2, 1, 0, 3], [1, 1, 1, 0], [0, 4, 1, 1]], [(P, True)]),
+    ([[0, 0, 2, 1], [0, 3, 0, 1], [5, 1, 0, 0], [5, 4, 0, 1]], [(P, True)]),
+    ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], [(P, True)]),
+    # P picks other sources than QQ (as in test_qq_unlucky_first_prime),
+    # yet its lift holds
+    ([[P, 1], [1, 0]], [(P, True)]),
+    # the lifts from P and Q fail, and Q2's holds
+    ([[P * Q, 1], [0, 1]], [(P, True), (Q, True), (Q2, True)]),
 ], ids=["dense", "structural-zeros", "passed-over", "unlucky", "two-primes"])
 def test_qq_echelon_slots_only_where_a_lift_may_follow(rows, expect, monkeypatch):
-    # each (prime, slotted) elimination: S^-1 for a lift comes from the
-    # slots of its prime's profile, and a check prime carries none
+    # each (prime, slotted) elimination: every prime tried has one, with
+    # the slots that give S^-1 for its lift, and no other
     eliminations = _spy(monkeypatch, "_rref_mod")
     profiles = _spy(monkeypatch, "_rank_profile")
     lifts = _spy(monkeypatch, "_lift")
     E = linalg.echelon(qq_matrix(rows), QQ)
     assert [(e[1], len(e) > 2) for e in eliminations] == expect
-    assert [p for p, slotted in expect if slotted] == [p for _, p in profiles]
+    assert [p for p, _ in expect] == [p for _, p in profiles] == [a[1] for a in lifts]
     assert lifts[-1][2:4] == (list(E.pivots), list(E.sources))
     assert_matches_oracle(qq_matrix(rows))
 
@@ -499,9 +515,9 @@ def test_qq_echelon_of_a_km_matrix_reconstructs_once(monkeypatch):
     lifts = _spy(monkeypatch, "_lift")
     digits = _spy(monkeypatch, "_from_digits")
     E = linalg.echelon(A, QQ)
-    # a second prime, without slots, checks the profile; the one lift
-    # reconstructs the whole matrix once
-    assert [(e[1], len(e) > 2) for e in eliminations] == [(P, True), (Q, False)]
+    # one slotted elimination mod P, and its one lift reconstructs the
+    # whole matrix once
+    assert [(e[1], len(e) > 2) for e in eliminations] == [(P, True)]
     assert len(lifts) == 1 and len(digits) == 1
     R, pivots, sources = _gauss_jordan_integers(A.tolist())
     assert (E.pivots, E.sources) == (tuple(pivots), tuple(sources))
@@ -552,8 +568,8 @@ def test_qq_lift_waits_for_an_entry_the_weighted_sum_missed(monkeypatch):
 
 def test_qq_echelon_of_duffing_f5_rows_is_the_oracle(monkeypatch):
     # the F5 rows of Duffing's KM matrix at degree 3 (23 x 28, rank 23):
-    # every row the rule passes over mod P is a structural zero, yet Q
-    # checks P's profile as on any other matrix
+    # every row the rule passes over mod P is a structural zero, and one
+    # slotted elimination mod P gives the lift, as on any other matrix
     from khovsolve import catalog, km
 
     sys = catalog.duffing().sys
@@ -563,7 +579,7 @@ def test_qq_echelon_of_duffing_f5_rows_is_the_oracle(monkeypatch):
     A = linalg.combine_rows(S, X, QQ)[0]
     eliminations = _spy(monkeypatch, "_rref_mod")
     E = linalg.echelon(A, QQ)
-    assert [(e[1], len(e) > 2) for e in eliminations] == [(P, True), (Q, False)]
+    assert [(e[1], len(e) > 2) for e in eliminations] == [(P, True)]
     R, pivots, sources = _gauss_jordan_integers(A.tolist())
     den = lcm(*(x.denominator for r in R for x in r))
     assert E.den == den
