@@ -12,6 +12,8 @@ import itertools
 import random
 import warnings
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .fields import QQ
@@ -288,21 +290,34 @@ _GR36_TABLE = {
 }
 
 
-def _flag_minor(flag, rows, cols, memo, field):
-    """det flag[rows, cols] by expansion along the first row, memoized on
-    (rows, cols); the empty minor is 1."""
+def _flag_minor(flag, rows, cols, memo, p):
+    """det flag[rows, cols] of the integer matrix `flag` by expansion along
+    the first row, mod p unless p is None, memoized on (rows, cols); the
+    empty minor is 1."""
     if not rows:
-        return field.one
+        return 1
     d = memo.get((rows, cols))
     if d is None:
-        d, first = field.zero, flag[rows[0]]
+        d, first = 0, flag[rows[0]]
         for j, c in enumerate(cols):
-            if first[c] != field.zero:
-                term = field.mul(first[c], _flag_minor(
-                    flag, rows[1:], cols[:j] + cols[j + 1:], memo, field))
-                d = field.sub(d, term) if j % 2 else field.add(d, term)
+            if first[c]:
+                term = first[c] * _flag_minor(
+                    flag, rows[1:], cols[:j] + cols[j + 1:], memo, p)
+                d = d - term if j % 2 else d + term
+        if p is not None:
+            d %= p
         memo[rows, cols] = d
     return d
+
+
+def _integer_flag(flag, field):
+    """(N, den): the flag as integer rows N over one denominator, the least
+    common one over QQ and 1 over F_p."""
+    if field.modulus is not None:
+        return [[int(x) for x in row] for row in flag], 1
+    flag = [[Fraction(x) for x in row] for row in flag]
+    den = lcm(*(x.denominator for row in flag for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in flag], den
 
 
 def _condition_minors(cond, k, m, field):
@@ -317,9 +332,14 @@ def _condition_minors(cond, k, m, field):
     moving S to the front of C. With R^c the chart rows not in R_H,
     det H[R_H, S] is 0 when S meets the identity columns R^c, so those
     S are skipped, and otherwise +-phi_S' for S' = S + R^c, expanded
-    along those columns. The flag minors are memoized over the whole
-    condition.
+    along those columns. The flag minors are integer minors of the flag's
+    numerators N over its denominator den (`_integer_flag`), memoized over
+    the whole condition, and mod p over F_p; every minor in one form has
+    |R_F| rows, so only its final coefficients become field elements,
+    v / den**|R_F| over QQ.
     """
+    p = field.modulus
+    flag, den = _integer_flag(cond.flag, field)
     memo = {}
     index = {S: j for j, S in enumerate(itertools.combinations(range(m), k))}
     for i, ai in enumerate(cond.alpha, start=1):
@@ -331,21 +351,25 @@ def _condition_minors(cond, k, m, field):
             rf = tuple(r - k for r in rows if r >= k)
             missing = tuple(r for r in range(k) if r not in rh)
             h = len(rh)
+            scale = den ** len(rf)
             for cols in itertools.combinations(range(m), size):
                 form = {}
                 allowed = [q for q, c in enumerate(cols) if c not in missing]
                 for pos in itertools.combinations(allowed, h):
                     rest = tuple(c for q, c in enumerate(cols) if q not in pos)
-                    c = _flag_minor(cond.flag, rf, rest, memo, field)
-                    if c == field.zero:
+                    c = _flag_minor(flag, rf, rest, memo, p)
+                    if not c:
                         continue
                     full = tuple(sorted(missing + tuple(cols[q] for q in pos)))
                     odd = sum(pos) - h * (h - 1) // 2 + sum(
                         r + full.index(r) for r in missing)
                     j = index[full]
-                    form[j] = field.add(form.get(j, field.zero),
-                                        field.neg(c) if odd % 2 else c)
-                yield rows, cols, {j: v for j, v in form.items() if v != field.zero}
+                    form[j] = form.get(j, 0) + (-c if odd % 2 else c)
+                if p is None:
+                    form = {j: Fraction(v, scale) for j, v in form.items() if v}
+                else:
+                    form = {j: v % p for j, v in form.items() if v % p}
+                yield rows, cols, form
 
 
 def schubert_equations(k, m, conditions, field=QQ, par=None) -> ProblemInstance:

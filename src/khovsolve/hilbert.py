@@ -1,6 +1,9 @@
 """Hilbert function, series numerator, regularity and degree.
 
-The Hilbert function of the coordinate ring is HF(d) = |d.A|. Writing the
+The Hilbert function of the coordinate ring is HF(d) = |d.A|, the count
+of the keys of `khov.graded_support`: no point array or witness of d.A
+is formed for it, so the degrees above the solve degree that certify
+the numerator cost one key pass each. Writing the
 Hilbert series as HS(u) = P(u)/(1-u)^(n+1), the numerator coefficients are
 recovered by the finite difference p_k = sum_j (-1)^j C(n+1,j) HF(k-j).
 The Hilbert regularity is b - n for b the top exponent of P, and the

@@ -8,6 +8,11 @@ piece of the coordinate ring in degree d has a monomial-indexed basis
 labelled by the d-element column sums of A, and every element can be
 expanded in that basis by subduction (leading-term elimination).
 
+The graded support d.A is held as the sorted distinct mixed-radix keys
+of its points (`graded_support`), formed from the keys of (d-1).A plus
+the column keys; its point array and witnesses are read from the keys
+on first use, so the Hilbert function, a count of keys, forms neither.
+
 Polynomials of the pipeline are sparse key arithmetic. A monomial of
 degree d has a mixed-radix integer key with no carries among products of
 d generators, so the product of two terms is the sum of their keys, and
@@ -144,25 +149,51 @@ def build_parameterization(phi, ord: WeightOrder, field=None) -> Parameterizatio
 
 @dataclass(frozen=True, eq=False)
 class GradedSupport:
-    """The set d.A of d-element column sums of A, with one witness each.
+    """The set d.A of d-element column sums of A, held as its sorted keys.
 
-    `array` holds the points as rows (d, t_1..t_n), sorted by graded lex
-    on the t-part (the order of the mixed-radix keys of `graded_support`),
+    `keys` are the distinct mixed-radix keys of the points (d, t_1..t_n)
+    of d.A (`graded_support`), sorted: graded lex on the t-part, the
+    support order. `len` reads them, and every other view is built on
+    first read. `array` holds the points as rows, decoded from the keys,
     and `columns` the m columns alpha_i of A as rows. Point k has the
     witness (gamma, i) with gamma the point `first[k] // m` of (d-1).A and
     i = `first[k] % m`, so gamma + alpha_i is the point; it is the first
     such pair with gamma in support order and i in column order. The
-    tuple views are built on first use: `points` (the rows as tuples),
-    `index` (point -> position) and `witness` (point -> (gamma, i)).
+    tuple views are `points` (the rows as tuples), `index` (point ->
+    position) and `witness` (point -> (gamma, i)). `_bits` is the digit
+    width of the keys, `_lower` the keys of (d-1).A in that width and
+    `_colkeys` the keys of the columns.
     """
 
     degree: int
-    array: np.ndarray
-    first: np.ndarray
+    keys: np.ndarray
     columns: np.ndarray
+    _bits: int
+    _lower: np.ndarray
+    _colkeys: np.ndarray
 
     def __len__(self):
-        return self.array.shape[0]
+        return len(self.keys)
+
+    @cached_property
+    def first(self):
+        # candidate (gamma, i), numbered gamma * m + i, is the point of key
+        # key(gamma) + key(alpha_i): one search of every candidate among
+        # the keys, and the least number that lands on a point is its witness
+        if not self.degree:
+            return np.zeros(0, np.int64)
+        lower, colkeys = self._lower, self._colkeys
+        m = len(colkeys)
+        at = np.searchsorted(self.keys, lower[None, :] + colkeys[:, None])
+        first = np.full(len(self.keys), len(lower) * m)
+        np.minimum.at(first, at, np.arange(len(lower)) * m + np.arange(m)[:, None])
+        return first
+
+    @cached_property
+    def array(self):
+        return _grlex_points(
+            self.keys, self.degree, self.columns.shape[1] - 1, self._bits, self.columns.dtype
+        )
 
     @cached_property
     def points(self):
@@ -183,61 +214,58 @@ class GradedSupport:
 
 def _grlex_keys(X, B):
     """deg_t * B**n + sum t_i * B**(n-i) for each row (d, t_1..t_n) of X."""
-    T = X[:, 1:]
-    key = T.sum(axis=1)
-    for j in range(T.shape[1]):
-        key = key * B + T[:, j]
-    return key
+    n = X.shape[1] - 1
+    return X[:, 1:] @ np.array([B**n + B ** (n - 1 - j) for j in range(n)], X.dtype)
+
+
+def _grlex_points(keys, d, n, bits, dtype):
+    """The rows (d, t_1..t_n) of the keys of `_grlex_keys` with B = 2**bits."""
+    X = np.empty((len(keys), n + 1), dtype)
+    X[:, 0] = d
+    shifts = (bits * np.arange(n - 1, -1, -1)).astype(dtype)
+    X[:, 1:] = (keys.astype(dtype, copy=False)[:, None] >> shifts) & ((1 << bits) - 1)
+    return X
 
 
 def graded_support(par: Parameterization, d: int) -> GradedSupport:
-    """d.A from (d-1).A, one integer key per candidate sum.
+    """d.A as the sorted distinct keys of the sums gamma + alpha_i.
 
-    A point (d, t_1..t_n) has the mixed-radix key deg_t * B**n +
-    sum t_i * B**(n-i) with B = d * (largest column t-degree) + 1. Every
-    digit is below B, so the keys order the points of d.A exactly as
-    `WeightOrder.tiebreak_key` (graded lex on the t-part), and the key is
-    linear: candidate gamma + alpha_i has key(gamma) + key(alpha_i), so
-    the k * m candidates are one vector of integers. Candidates are
-    numbered gamma-major (support order), i-minor (column order), and the
-    first candidate of every point is its witness. With s the bit length
-    of the candidate count, one in-place sort of the distinct int64 values
-    (key << s) | candidate orders the candidates by key and then by
-    number, so the first candidate of every point starts its run; the
-    sorted keys are the values >> s and the candidates their low s bits.
-    Where a key reaches 2**(63 - s), or the keys are Python ints, a stable
-    argsort of the keys gives the same order. Keys and points are int64
-    while (n+1) * B.bit_length() < 63, Python ints otherwise.
+    A point (d, t_1..t_n) has the mixed-radix key deg_t * R**n +
+    sum t_i * R**(n-i) with R = 2**bits the least power of two above
+    d * (largest column t-degree). Every digit is below R, so the keys
+    order the points of d.A exactly as `WeightOrder.tiebreak_key` (graded
+    lex on the t-part), and the key is linear: candidate gamma + alpha_i
+    has key(gamma) + key(alpha_i). The keys of (d-1).A are reused as they
+    are, re-encoded only when R grows, and plus each column key they are
+    m sorted runs: one stable sort merges them, and an adjacent
+    difference keeps the distinct keys. Nothing else is formed here; the
+    points and witnesses are read from the keys (`GradedSupport`). Keys
+    and points are int64 while (n+1) * bit_length(d * largest t-degree
+    + 1) < 63, Python ints otherwise.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cached = par._supports.get(d)
     if cached is not None:
         return cached
-    B = d * max(sum(c) - 1 for c in zip(*par.A)) + 1
-    dtype = np.int64 if (par.n + 1) * B.bit_length() < 63 else object
+    top = d * (max(map(sum, zip(*par.A))) - 1)
+    bits = top.bit_length()
+    dtype = np.int64 if (par.n + 1) * (top + 1).bit_length() < 63 else object
     cols = np.array(par.A, dtype=dtype).T
+    colkeys = _grlex_keys(cols, 1 << bits)
     if d == 0:
-        zero = np.zeros((1, par.n + 1), dtype)
-        sup = GradedSupport(0, zero, np.zeros(0, np.int64), cols)
+        keys, lower = np.zeros(1, dtype), np.zeros(0, dtype)
     else:
-        gamma = graded_support(par, d - 1).array.astype(dtype)
-        keys = (_grlex_keys(gamma, B)[:, None] + _grlex_keys(cols, B)[None, :]).ravel()
-        s = len(keys).bit_length()
-        if dtype is object or keys.max() >= 1 << (63 - s):
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-        else:
-            keys <<= s
-            keys |= np.arange(len(keys))
-            keys.sort()
-            order = keys & ((1 << s) - 1)
-            keys >>= s
+        below = graded_support(par, d - 1)
+        lower = below.keys.astype(dtype, copy=False)
+        if below._bits != bits:
+            lower = _grlex_keys(_grlex_points(lower, 0, par.n, below._bits, dtype), 1 << bits)
+        keys = (lower[None, :] + colkeys[:, None]).ravel()
+        keys.sort(kind="stable")
         start = np.ones(len(keys), bool)
         start[1:] = keys[1:] != keys[:-1]
-        first = order[start]
-        m = len(cols)
-        sup = GradedSupport(d, gamma[first // m] + cols[first % m], first, cols)
+        keys = keys[start]
+    sup = GradedSupport(d, keys, cols, bits, lower, colkeys)
     par._supports[d] = sup
     return sup
 

@@ -374,8 +374,9 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
     With reduce=True a maximal independent row subset is kept, preserving
     the row space and the right kernel, with the echelon of the
     elimination that selected it. Only the rows the F5 criterion keeps are
-    formed (`_f5_rows`), and the first independent ones among them
-    (`linalg.independent_rows`) are kept. Every label, formed
+    formed (`_f5_rows`), and the sources of one echelon of them
+    (`linalg.echelon`) are kept: a maximal independent subset, the first
+    independent rows (over QQ, mod the prime of the lift). Every label, formed
     or not, is checked against the outside rows of the maps first, so an
     input that raises NotInAlgebraError without the reduction raises the
     same error with it. The prefix rows of the rule are checked too: an
@@ -395,7 +396,8 @@ def km_matrix(sys: StructuredSystem, d: int, reduce: bool = False) -> KMMatrix:
             S, labels = linalg.sparse_rows(S, formed), [labels[k] for k in formed]
         rows, den = linalg.combine_rows(S, X, par.field)
         if reduce:
-            keep, ech = linalg.independent_rows(rows, par.field)
+            ech = linalg.echelon(rows, par.field)
+            keep = sorted(ech.sources)
     return KMMatrix(
         degree=d,
         row_labels=tuple(labels[k] for k in keep),

@@ -20,6 +20,8 @@ unknown reads as the same fraction on two consecutive digits (an int64
 sum while unknowns * (p-1) * max weight < 2**63). Its certificate, that
 the kernel annihilates every input row, proves the rank, the pivots and
 the RREF over QQ; the source rows are the first independent rows mod p.
+Where they are not the leading rows, `independent_rows` finds the first
+ones over QQ from a second echelon, of the transposed rows.
 `commuting_check` runs the exact checks of multiplication matrices
 through one stacked product: object ints over QQ, `_kernels.modp_matmul`
 below 2**31.
@@ -488,11 +490,22 @@ def rank(rows, field):
 
 def independent_rows(rows, field):
     """(indices, echelon): the first independent rows in input order, each
-    row not in the span of those before it, with the `Echelon` of the
-    elimination that selected them (its sources), over QQ those mod the
-    prime of the lift (`_echelon_qq`)."""
+    row not in the span of those before it, with the `Echelon` of `rows`.
+
+    Over F_p they are the echelon's sources. Over QQ the sources are the
+    first independent rows mod the prime of the lift, which passes over a
+    row independent over QQ where that prime divides a minor deciding it.
+    Unless the sources are the leading rows, the rows are read as the
+    pivot columns of the transposed rows at the echelon's pivot columns
+    (A = A_P R, so the rows of A and of A_P have the same dependencies),
+    which the lift certifies leftmost over QQ (`_lift`).
+    """
     E = echelon(rows, field)
-    return sorted(E.sources), E
+    keep = sorted(E.sources)
+    if field == QQ and keep != list(range(len(keep))):
+        A = _integers(rows, QQ)[:, list(E.pivots)]
+        keep = list(_echelon_qq(np.ascontiguousarray(A.T)).pivots)
+    return keep, E
 
 
 def _matmul_mod(A, B, p):

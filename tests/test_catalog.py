@@ -227,6 +227,49 @@ def test_schubert_minors_match_leibniz(field, flags, k, m, alphas):
     assert dropped
 
 
+def _fraction_minor(flag, rows, cols):
+    """det flag[rows, cols] by expansion along the first row, in Fraction
+    arithmetic; the empty minor is 1."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * flag[rows[0]][c] * _fraction_minor(flag, rows[1:], cols[:j] + cols[j + 1:])
+        for j, c in enumerate(cols) if flag[rows[0]][c]
+    )
+
+
+def test_schubert_minors_of_a_flag_with_fractions():
+    # an osculating flag at s = 1/2 with rows scaled by 1/7, 2/3, 3/7, ...:
+    # the integer minors of its numerators over den**size are the Fraction
+    # recursion's, and each form of a condition on it, evaluated at a
+    # point of the chart, is the Fraction determinant of the stacked matrix
+    k, m = 2, 5
+    flag = tuple(
+        tuple(x * Fraction(r + 1, 3 if r % 2 else 7) for x in row)
+        for r, row in enumerate(catalog.osculating_flag(Fraction(1, 2), m))
+    )
+    N, den = catalog._integer_flag(flag, QQ)
+    assert den == 336
+    memo = {}
+    for size in range(m + 1):
+        for rows in itertools.combinations(range(m), size):
+            for cols in itertools.combinations(range(m), size):
+                got = catalog._flag_minor(N, rows, cols, memo, None)
+                assert Fraction(got, den**size) == _fraction_minor(flag, rows, cols)
+    phi = catalog.pluecker_chart(k, m, validate_degree=0).phi
+    rng = random.Random(5)
+    t = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k * (m - k))]
+    H = [[Fraction(int(a == b)) for b in range(k)] + t[a * (m - k):(a + 1) * (m - k)]
+         for a in range(k)]
+    stacked = H + [list(row) for row in flag]
+    values = [f.evaluate(t) for f in phi]
+    cond = catalog.SchubertCondition((3, 5), flag)
+    for rows, cols, form in catalog._condition_minors(cond, k, m, QQ):
+        assert all(type(c) is Fraction and c for c in form.values())
+        assert sum(c * values[j] for j, c in form.items()) == _fraction_minor(
+            stacked, rows, cols)
+
+
 def test_pluecker_generators_are_the_full_chart_minors():
     H, varnames = _chart(3, 6, QQ)
     par = catalog.pluecker_chart(3, 6, validate_degree=0)

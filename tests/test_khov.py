@@ -128,8 +128,8 @@ def test_graded_support_with_large_exponents():
 
 
 def test_graded_support_with_int64_keys_too_large_to_pack():
-    # int64 keys, but the largest one leaves no room for the s bits of the
-    # candidate numbers, so graded_support takes its stable argsort
+    # int64 keys of 60 bits, the top digit of 20 bits near the int64
+    # limit: the views read from the keys still match the oracle
     c = 2**19 - 1
     par = _monomial_par([(c, 0), (0, c), (1, c - 1), (0, 0)])
     for d in range(3):
@@ -137,9 +137,24 @@ def test_graded_support_with_int64_keys_too_large_to_pack():
     B = 2 * c + 1
     assert (par.n + 1) * B.bit_length() < 63
     sup = graded_support(par, 2)
-    assert sup.array.dtype == np.int64
-    s = (len(graded_support(par, 1)) * len(sup.columns)).bit_length()
-    assert khov._grlex_keys(sup.array, B).max() >= 2 ** (63 - s)
+    assert sup.array.dtype == sup.keys.dtype == np.int64
+    assert int(sup.keys.max()) >= 2**59
+
+
+def test_graded_support_views_when_the_radix_grows():
+    # column t-degree 3: the digits take 2, 3, 4, 4, 4 and 5 bits in
+    # degrees 1..6, so the keys below are re-encoded at degrees 1, 2, 3
+    # and 6; the views of each degree are read before those of the
+    # degree below it are built
+    par = _monomial_par([(3, 0, 0), (1, 1, 1), (0, 2, 1), (0, 0, 0), (2, 0, 1)])
+    assert [graded_support(par, d)._bits for d in range(7)] == [0, 2, 3, 4, 4, 4, 5]
+    for d in reversed(range(7)):
+        sup = graded_support(par, d)
+        assert not {"array", "first", "points"} & set(vars(sup))
+        points, witness = _support_oracle(par, d)
+        assert (sup.points, sup.witness) == (points, witness)
+    for d in range(7):
+        _assert_support_matches_oracle(par, d)
 
 
 def _argsort_supports(par, dmax):

@@ -455,13 +455,13 @@ def test_f5_drops_the_pivots_of_each_prefix(field):
 def _rows_formed(monkeypatch):
     """Record the row count of every matrix km_matrix(reduce=True) eliminates."""
     counts = []
-    real = linalg.independent_rows
+    real = linalg.echelon
 
     def spy(rows, field):
         counts.append(len(rows))
         return real(rows, field)
 
-    monkeypatch.setattr(linalg, "independent_rows", spy)
+    monkeypatch.setattr(linalg, "echelon", spy)
     return counts
 
 

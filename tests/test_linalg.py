@@ -708,6 +708,20 @@ def dependent_rows(draw, field):
     return ((C.astype(object) @ B.astype(object)) % p).tolist()
 
 
+@pytest.mark.parametrize("rows, keep, sources", [
+    # row 0 vanishes mod P, so the sources mod P start at row 1
+    ([[P, 0], [1, 0]], [0], (1,)),
+    # row 1 vanishes mod P, and row 2 takes its place mod P
+    ([[1, 0, 0], [0, P, 0], [0, 1, 0]], [0, 1], (0, 2)),
+], ids=["first-row", "middle-row"])
+def test_qq_independent_rows_when_the_sources_mod_p_skip_a_row(rows, keep, sources):
+    # the lift from P holds with its sources, and the rows kept are still
+    # the first independent ones over QQ
+    got, E = linalg.independent_rows(qq_matrix(rows), QQ)
+    assert E.sources == sources
+    assert got == keep == _first_independent_rows(rows)
+
+
 @pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)

@@ -191,6 +191,21 @@ def test_default_dreg_values():
     assert max(sys.par._supports) == 10
 
 
+def test_default_dreg_counts_keys_above_the_solve_degrees():
+    # the Hilbert data up to Dmax 10 reads only the lengths of the supports:
+    # degrees 4..10 hold their keys, with no point array or witness formed
+    conds = [
+        catalog.SchubertCondition((3, 5), catalog.osculating_flag(s, 5))
+        for s in (1, -1, 2, -2, 3, -3)
+    ]
+    sys = catalog.schubert_equations(2, 5, conds).sys
+    assert _default_dreg(sys) == 3
+    for d in range(4, 11):
+        sup = sys.par._supports[d]
+        assert len(sup.keys) == len(sup) > 0
+        assert not {"array", "first", "points", "index", "witness"} & set(vars(sup))
+
+
 def test_multiplication_matrices_duffing(duffing):
     M = km_matrix(duffing.sys, 3, reduce=True)
     N = kernel_basis(M)
