@@ -34,12 +34,15 @@ The F5 rows time the row criterion of `km_matrix(reduce=True)` on the
 Gr(3,6) count itself (seeded random flags, d = 3, F_9716633): the prefix
 pivots of the 13 equations in degree 2 (`km._f5_rows`: the 240 x 175
 prefix rows and the one elimination they are read off), and the blocked
-elimination of the 1041 rows it keeps, of rank 969, to set beside the
+elimination of the 1017 rows it keeps, of rank 969, to set beside the
 2275 x 980 one above (`tests/test_kernels.py::test_km_rows_match_small`
 checks its output against the unblocked `_kernels.modp_rref_small`). One
 more row eliminates the 4074 x 4116 F5 rows of the 42-solution count
 9 x (3,5,6) (flags seeded 1) at degree 4, the echelon that takes most of
-that count.
+that count. Both elimination rows print the nonzero count of their
+input, which depends on the Schubert equations: over F_p they are the
+RREF of the raw forms (`catalog.schubert_equations`), each with its own
+leading generator.
 
 The map rows time the product primitive at the same shape (Gr(3,6),
 d = 2 -> 3, F_9716633), each group of them in a fresh child process, so
@@ -309,7 +312,8 @@ def _f5_matrix(sys, d):
 def _bench_rref_f5(A, p):
     t, piv = _best(lambda: _kernels.modp_rref(A.copy(), p))
     m, n = A.shape
-    return ("modp_rref F5 rows", f"{m}x{n} rank {len(piv)}", t, m * n * len(piv) / 1e9)
+    return ("modp_rref F5 rows", f"{m}x{n} rank {len(piv)}", t, m * n * len(piv) / 1e9,
+            f"   nnz {np.count_nonzero(A)}")
 
 
 def bench_f5(p=9716633):
@@ -321,7 +325,7 @@ def bench_f5(p=9716633):
     t_f5, keep = _best(lambda: km._f5_rows(sys, 3, blocks))
     _, (A42, _) = _f5_matrix(_schubert_count(9, 0, F), 4)
     return [
-        ("F5 prefix pivots", f"{len(blocks)} eqs, keeps {len(keep)}", t_f5, None),
+        ("F5 prefix pivots", f"{len(blocks)} eqs, keeps {len(keep)}", t_f5, None, ""),
         _bench_rref_f5(A, p),
         _bench_rref_f5(A42, p),
     ]
@@ -451,9 +455,9 @@ def main():
         for p in PRIMES:
             t, gop = fn(rng, *args, p)
             print(f"{name:<22}{shape:<22}{p:>12}{t * 1e3:9.1f}ms{gop / t:9.3f}")
-    for name, shape, t, gop in bench_f5():
+    for name, shape, t, gop, nnz in bench_f5():
         rate = f"{gop / t:9.3f}" if gop else ""
-        print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms{rate}")
+        print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms{rate}{nnz}")
     for name, shape, t in _fresh(bench_maps):
         print(f"{name:<22}{shape:<22}{9716633:>12}{t * 1e3:9.1f}ms")
     for d, t, peak, shape, nnz in _fresh(bench_maps_high):

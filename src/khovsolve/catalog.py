@@ -378,10 +378,19 @@ def schubert_equations(k, m, conditions, field=QQ, par=None) -> ProblemInstance:
     For each condition (alpha, F) and each i with k+alpha_i-i+1 <= m, all
     minors of that size of the stacked matrix (H; F_{alpha_i}) are linear
     forms in the Pluecker generators (`_condition_minors`). The nonzero
-    ones are the raw equations, and the first independent ones
-    (`linalg.independent_rows`), the generators as columns in degree-1
-    support order, are kept, each as its coefficient form. A given `par`
-    must be the chart `pluecker_chart(k, m, field)` builds.
+    ones are the raw equations; with the generators as columns in degree-1
+    support order, the kept ones span them, each as its coefficient form.
+    Over F_p they are the rows of the RREF of the raw forms
+    (`linalg.echelon`): each has its own leading generator, with
+    coefficient 1 there and 0 at the others', where raw forms share one
+    (the five (3,5,6) forms of Gr(3,6) use all 20 generators), so their KM
+    rows are sparser and fill in less. Over QQ they are the first
+    independent raw forms (`linalg.independent_rows`), as the RREF's
+    numerators are far higher (78-120 bits against 10-15 for the minors
+    with random flags) and slow every QQ elimination after them. The span,
+    hence every KM row space, kernel and multiplication matrix, is the
+    same either way. A given `par` must be the chart
+    `pluecker_chart(k, m, field)` builds.
     """
     if not (1 <= k < m):
         raise InputError(f"need 1 <= k < m, got k={k}, m={m}")
@@ -421,12 +430,17 @@ def schubert_equations(k, m, conditions, field=QQ, par=None) -> ProblemInstance:
     index = graded_support(par, 1).index
     gens = range(len(par.phi))
     cols = sorted(gens, key=lambda j: index[par.column(j)])
-    keep, _ = linalg.independent_rows([[f.get(j, field.zero) for j in cols] for f in forms], field)
+    rows = [[f.get(j, field.zero) for j in cols] for f in forms]
+    if field == QQ:
+        kept = [forms[r] for r in linalg.independent_rows(rows, QQ)[0]]
+    else:
+        rref = linalg.echelon(rows, field).rows.tolist()
+        kept = [{j: v for j, v in zip(cols, row) if v} for row in rref]
     order = sorted(gens, key=lambda j: par.ord.key(par.column(j)[1:]))
     unit = [tuple(int(i == j) for i in gens) for j in gens]
     eqs = [
-        Equation(degree=1, coeff_form={unit[j]: forms[r][j] for j in order if j in forms[r]})
-        for r in keep
+        Equation(degree=1, coeff_form={unit[j]: f[j] for j in order if j in f})
+        for f in kept
     ]
     sys = StructuredSystem(par, eqs)
 

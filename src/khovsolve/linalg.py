@@ -20,8 +20,9 @@ unknown reads as the same fraction on two consecutive digits (an int64
 sum while unknowns * (p-1) * max weight < 2**63). Its certificate, that
 the kernel annihilates every input row, proves the rank, the pivots and
 the RREF over QQ; the source rows are the first independent rows mod p.
-Where they are not the leading rows, `independent_rows` finds the first
-ones over QQ from a second echelon, of the transposed rows.
+Where they are not the leading rows, `independent_rows`, which selects
+the Schubert equations kept over QQ, finds the first ones over QQ from a
+second echelon, of the transposed rows.
 `commuting_check` runs the exact checks of multiplication matrices
 through one stacked product: object ints over QQ, `_kernels.modp_matmul`
 below 2**31.
@@ -498,7 +499,9 @@ def independent_rows(rows, field):
     Unless the sources are the leading rows, the rows are read as the
     pivot columns of the transposed rows at the echelon's pivot columns
     (A = A_P R, so the rows of A and of A_P have the same dependencies),
-    which the lift certifies leftmost over QQ (`_lift`).
+    which the lift certifies leftmost over QQ (`_lift`). Its one caller is
+    `catalog.schubert_equations` over QQ; over F_p that function keeps the
+    RREF rows of `echelon` instead.
     """
     E = echelon(rows, field)
     keep = sorted(E.sources)

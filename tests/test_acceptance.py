@@ -261,13 +261,14 @@ _SLOW = (
 def test_acceptance_7_slow_table_counts(n1, n2, count, dreg, degree):
     """Larger Schubert problems, count-only over F_p: the KM nullity.
 
-    Measured over F_9716633 on a 2-core host: the 11-solution count takes
-    about 0.4 s, the 21-solution count at dreg 4 (KM matrix 10780 x 4116,
-    of which the F5 criterion forms 4137 rows) about 3 s, and the
-    42-solution count at degree 4 (8820 x 4116, 4074 rows formed) about
-    3 s, the three under 470 MB peak RSS. The 42-solution count runs
-    without KHOVSOLVE_RUN_SLOW. The echelon of the formed rows takes about
-    half of each; the multiplication map X^(3) takes about 0.1 s.
+    Measured over F_9716633 on a 2-core host (test call times): the
+    11-solution count (2275 x 980, of which the F5 criterion forms 1017
+    rows) takes about 0.1 s, the 21-solution count at dreg 4 (KM matrix
+    10780 x 4116, 4137 rows formed) 1.1-1.4 s, and the 42-solution count
+    at degree 4 (8820 x 4116, 4074 rows formed) 0.9-1.1 s, the three under
+    450 MB peak RSS. The 42-solution count runs without KHOVSOLVE_RUN_SLOW.
+    The echelon of the formed rows takes about two thirds of each; the
+    multiplication map X^(3) takes about 0.1 s.
     """
     F = GF(P)
     conds = [

@@ -11,8 +11,11 @@ from khovsolve.khov import (
     KhovanskiiReport,
     build_parameterization,
     check_khovanskii_truncated,
+    graded_support,
 )
+from khovsolve.km import Equation, StructuredSystem, km_matrix
 from khovsolve.poly import MultiPoly
+from khovsolve.solver import kernel_basis, multiplication_matrices
 
 P = 9716633
 
@@ -325,6 +328,77 @@ def test_schubert_equation_counts_of_benchmark_shapes(build, field, raw, kept):
     inst = catalog.schubert_equations(3, 6, build(field), field=field)
     assert inst.extras["n_raw_equations"] == raw
     assert inst.extras["n_equations"] == kept
+
+
+def _raw_forms(k, m, conds, field):
+    """(raw forms, generators in degree-1 support order) of a problem."""
+    par = catalog.pluecker_chart(k, m, field, validate_degree=0)
+    index = graded_support(par, 1).index
+    cols = sorted(range(len(par.phi)), key=lambda j: index[par.column(j)])
+    forms = [f for c in conds for _, _, f in catalog._condition_minors(c, k, m, field) if f]
+    return forms, cols
+
+
+def _kept_forms(inst):
+    return [{alpha.index(1): c for alpha, c in eq.coeff_form.items()} for eq in inst.sys.equations]
+
+
+def _first_independent(forms, cols, field):
+    """The raw forms that raise the rank of those before them."""
+    kept = []
+    for f in forms:
+        if linalg.rank([[g.get(j, field.zero) for j in cols] for g in kept + [f]], field) > len(kept):
+            kept.append(f)
+    return kept
+
+
+@pytest.mark.parametrize("field", [GF(P), GF(2**61 - 1)], ids=str)
+def test_schubert_equations_over_fp_are_the_rref_of_the_raw_forms(field):
+    # each kept equation has its own pivot generator, the first in support
+    # order, with coefficient 1 there and 0 at the other equations' pivots,
+    # and the kept equations span the raw forms
+    conds = _conds((3, 5, 6), 5, 1, field) + _conds((2, 5, 6), 2, 2, field)
+    forms, cols = _raw_forms(3, 6, conds, field)
+    kept = _kept_forms(catalog.schubert_equations(3, 6, conds, field=field))
+    pivots = [next(j for j in cols if j in f) for f in kept]
+    assert len(kept) == 13 and pivots == sorted(pivots, key=cols.index)
+    for f, pivot in zip(kept, pivots):
+        assert [f.get(j, 0) for j in pivots] == [int(j == pivot) for j in pivots]
+    matrix = [[f.get(j, 0) for j in cols] for f in kept + forms]
+    assert linalg.rank(matrix, field) == len(kept)
+    # the raw (3,5,6) forms share one leading generator; the kept forms are sparser
+    assert max(map(len, forms)) == 20 and max(map(len, kept)) == 8
+
+
+def test_schubert_equations_over_qq_are_the_first_independent_raw_forms():
+    conds = _conds((3, 5, 6), 1, 1) + _conds((2, 5, 6), 4, 2)
+    forms, cols = _raw_forms(3, 6, conds, QQ)
+    kept = _kept_forms(catalog.schubert_equations(3, 6, conds))
+    assert kept == _first_independent(forms, cols, QQ)
+    assert (len(forms), len(kept)) == (25, 17)
+
+
+def test_rref_equations_give_the_kernel_and_mult_matrices_of_the_raw_forms():
+    # the 11-solution count over F_p: N and the M_j equal, bit for bit,
+    # those of the system of the first independent raw forms
+    F = GF(P)
+    conds = _conds((3, 5, 6), 5, 1, F) + _conds((2, 5, 6), 2, 2, F)
+    inst = catalog.schubert_equations(3, 6, conds, field=F)
+    forms, cols = _raw_forms(3, 6, conds, F)
+    par = inst.sys.par
+    order = sorted(range(len(par.phi)), key=lambda j: par.ord.key(par.column(j)[1:]))
+    unit = [tuple(int(i == j) for i in range(len(par.phi))) for j in range(len(par.phi))]
+    raw = StructuredSystem(par, [
+        Equation(degree=1, coeff_form={unit[j]: f[j] for j in order if j in f})
+        for f in _first_independent(forms, cols, F)
+    ])
+    results = []
+    for sys in (inst.sys, raw):
+        N = kernel_basis(km_matrix(sys, 3, reduce=True))
+        ms = multiplication_matrices(sys, N, 2, seed=0)
+        results.append((list(map(list, N.N)), ms.h_coeffs, [list(map(list, M)) for M in ms.mats]))
+    assert results[0] == results[1]
+    assert len(results[0][0]) == 11
 
 
 def test_chart_matrix_round_trip():

@@ -172,7 +172,7 @@ def test_panel_regimes_match_python(p):
 
 
 def test_km_rows_match_small():
-    # real KM rows: the 1041 x 980 F5 rows of the Gr(3,6) count
+    # real KM rows: the 1017 x 980 F5 rows of the Gr(3,6) count
     # 5 x (3,5,6) + 2 x (2,5,6) at degree 3 over F_9716633 (rank 969), and
     # the 360 x 175 QQ KM matrix of (2,4,6)^3 at degree 2 mod LIFT_PRIME
     # with slots, as the p-adic lifting eliminates it
@@ -189,7 +189,7 @@ def test_km_rows_match_small():
     S, X = km._map_combination(sys, 3, blocks, 3)
     S = linalg.sparse_rows(S, km._f5_rows(sys, 3, blocks))
     A = linalg.combine_rows(S, X, F)[0]
-    assert A.shape == (1041, 980)
+    assert A.shape == (1017, 980)
     _assert_rref_matches_small(A, P)
 
     flags = catalog.random_flags(6, 3, seed=0, field=QQ)
